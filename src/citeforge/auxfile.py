@@ -24,7 +24,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import AuxCorruptError, AuxFormatError
+from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
+from .scanner import CharStream, scan_group_arg
 
 if TYPE_CHECKING:
     from .citations import LabelTable
@@ -35,7 +36,6 @@ __all__ = [
     "AuxSession",
     "MISSING_AUX_MESSAGE",
     "format_record",
-    "write_record",
     "read_aux",
     "handle_missing_aux",
 ]
@@ -123,6 +123,7 @@ class AuxSession:
         self.read_done = True
 
     def write(self, record: AuxRecord) -> None:
+        """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
         if self.no_aux:
             return
         format_record(record)  # reject unserializable records at write time
@@ -132,37 +133,12 @@ class AuxSession:
         return b"".join(format_record(r).encode("utf-8") for r in self.pending_writes)
 
 
-def write_record(session: AuxSession, record: AuxRecord) -> None:
-    """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
-    session.write(record)
-
-
 _RECORD_OPENERS = (
-    (AuxKind.CITEDEF, b"\\@citedef{"),
-    (AuxKind.CITATION, b"\\citation{"),
-    (AuxKind.BIBDATA, b"\\bibdata{"),
-    (AuxKind.BIBSTYLE, b"\\bibstyle{"),
+    (AuxKind.CITEDEF, "\\@citedef{"),
+    (AuxKind.CITATION, "\\citation{"),
+    (AuxKind.BIBDATA, "\\bibdata{"),
+    (AuxKind.BIBSTYLE, "\\bibstyle{"),
 )
-
-
-def _scan_braced(data: bytes, start: int, origin: list[int], record_start: int) -> tuple[bytes, int]:
-    # data[start] is the opening brace.  Escaped characters do not count
-    # toward nesting so written payloads like {\em x} stay parseable.
-    depth = 0
-    i = start
-    while i < len(data):
-        b = data[i]
-        if b == 0x5C:  # backslash
-            i += 2
-            continue
-        if b == 0x7B:  # {
-            depth += 1
-        elif b == 0x7D:  # }
-            depth -= 1
-            if depth == 0:
-                return data[start + 1 : i], i + 1
-        i += 1
-    raise AuxCorruptError("unterminated record", origin[record_start])
 
 
 def read_aux(session: AuxSession, content: bytes, table: "LabelTable") -> None:
@@ -170,7 +146,9 @@ def read_aux(session: AuxSession, content: bytes, table: "LabelTable") -> None:
 
     A no-op when the session has already read (the read-once guard).
     Newlines and carriage returns are deleted before parsing, which is
-    what makes records immune to being split across lines.
+    what makes records immune to being split across lines.  Payloads are
+    brace groups as the scanner reads them: escaped braces do not nest,
+    so written payloads like ``{\\em x}`` stay parseable.
     """
     if session.read_done:
         return
@@ -183,24 +161,34 @@ def read_aux(session: AuxSession, content: bytes, table: "LabelTable") -> None:
             stripped.append(byte)
             origin.append(index)
     origin.append(len(content))  # sentinel for end-of-data offsets
-    data = bytes(stripped)
+    # Latin-1 maps each byte to one character, so positions stay byte positions.
+    stream = CharStream(stripped.decode("latin-1"), comments=False)
 
-    pos = 0
-    while pos < len(data):
+    while not stream.at_end():
+        record_start = stream.position
         for kind, opener in _RECORD_OPENERS:
-            if data.startswith(opener, pos):
+            if stream.content.startswith(opener, record_start):
                 break
         else:
-            raise AuxCorruptError("unrecognized aux content", origin[pos])
-        record_start = pos
-        brace = pos + len(opener) - 1
-        payload, pos = _scan_braced(data, brace, origin, record_start)
-        if kind is AuxKind.CITEDEF:
-            if pos >= len(data) or data[pos] != 0x7B:
-                raise AuxCorruptError("@citedef record missing its label", origin[record_start])
-            label, pos = _scan_braced(data, pos, origin, record_start)
-            table.define(payload.decode("utf-8"), label.decode("utf-8"))
+            raise AuxCorruptError("unrecognized aux content", origin[record_start])
+        stream.take_to(record_start + len(opener) - 1)
+        offset = origin[record_start]
+        try:
+            payload = scan_group_arg(stream)
+            if kind is AuxKind.CITEDEF:
+                if stream.peek() != "{":
+                    raise AuxCorruptError("@citedef record missing its label", offset)
+                label = scan_group_arg(stream)
+                table.define(_utf8(payload), _utf8(label))
+        except UnbalancedGroupError:
+            raise AuxCorruptError("unterminated record", offset) from None
+        except UnicodeDecodeError:
+            raise AuxCorruptError("@citedef record is not UTF-8 text", offset) from None
         # citation/bibdata/bibstyle records are consumed and discarded
+
+
+def _utf8(text: str) -> str:
+    return text.encode("latin-1").decode("utf-8")
 
 
 def handle_missing_aux(session: AuxSession) -> str:

@@ -23,27 +23,31 @@ way a typesetter would: whitespace runs collapse to single spaces and
 block edges are trimmed.  ``\\em``, ``\\it``, ``\\sc``, ``\\tt`` and
 ``\\rm`` switch the style for the rest of their group; other unknown
 commands pass through as text with a lint note.
+
+Macros have one meaning everywhere.  The walk reads the file through
+the macro engine (:class:`~citeforge.macros.Expansion`), so a call in
+a body is replaced in place and its replacement may open items, split
+blocks, or call further macros.  Labels, the widest label and
+definition bodies are expanded by the same engine through
+:func:`~citeforge.macros.expand_macros`.  In both, an argument missing
+at the end of a replacement is read from the text after the call, and
+the same depth cap applies.
 """
 
 from __future__ import annotations
 
 import enum
-import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .auxfile import AuxRecord, AuxSession, write_record
-from .citations import LabelTable, citedef
+from .auxfile import AuxRecord, AuxSession
+from .citations import LabelTable
 from .dimensions import CharMetric, Dimension
-from .errors import (
-    MacroError,
-    MacroRecursionError,
-    StructureError,
-    UnbalancedGroupError,
-)
+from .errors import MacroError, StructureError, UnbalancedGroupError
 from .macros import (
     MAX_EXPANSION_DEPTH,
+    Expansion,
     MacroDef,
     define_newcommand,
     expand_macros,
@@ -53,6 +57,7 @@ from .rendering import RenderedFragment, Span, Style
 from .scanner import (
     CharStream,
     OptionalArg,
+    control_at,
     scan_group_arg,
     scan_optional_arg,
     skip_comment,
@@ -82,7 +87,6 @@ _STYLE_SWITCHES: Mapping[str, Style] = {
 }
 
 _BLOCK_SPACES = " \t\r\n\f\v"
-_LETTERS = frozenset(string.ascii_letters)
 
 
 class Alignment(enum.Enum):
@@ -215,8 +219,8 @@ def bibitem(
         alpha = False
         if state.alignment is None:
             state.alignment = Alignment.LABELS_RIGHT
-    citedef(table, key, label)
-    write_record(session, AuxRecord.citedef(key, label))
+    table.define(key, label)
+    session.write(AuxRecord.citedef(key, label))
     item = BibItem(key=key, label=label, alpha=alpha, alignment=state.alignment)
     state.items.append(item)
     return item
@@ -268,66 +272,18 @@ class _BlockBuilder:
         return RenderedFragment(self._spans)
 
 
-def _take_control(stream: CharStream) -> tuple[str, str]:
-    """Consume the control sequence at the cursor; (name, raw text)."""
-    start = stream.position
-    stream.take()
-    if not stream.at_end() and stream.peek() in _LETTERS:
-        name_start = stream.position
-        while not stream.at_end() and stream.peek() in _LETTERS:
-            stream.take()
-        name = stream.content[name_start : stream.position]
-    elif not stream.at_end():
-        name = stream.take()
-    else:
-        name = ""
-    return name, stream.content[start : stream.position]
-
-
-def _pop_exhausted(streams: list[CharStream]) -> None:
-    while streams and streams[-1].at_end():
-        streams.pop()
-
-
-def _scan_macro_arguments(
-    streams: list[CharStream], macro: MacroDef, source: str, line: int
-) -> list[str]:
-    args: list[str] = []
-    for _ in range(macro.num_params):
-        _pop_exhausted(streams)
-        while streams:
-            skip_filler(streams[-1])
-            if not streams[-1].at_end():
-                break
-            streams.pop()
-        if not streams:
-            raise MacroError(f"{source}:{line}: missing argument for \\{macro.name}")
-        stream = streams[-1]
-        ch = stream.peek()
-        if ch == "{":
-            args.append(scan_group_arg(stream))
-        elif ch == "\\":
-            _, raw = _take_control(stream)
-            args.append(raw)
-        elif ch == "#" and stream.peek(1).isdigit():
-            args.append(stream.take() + stream.take())
-        else:
-            args.append(stream.take())
-    return args
-
-
 def _scan_macro_name_arg(stream: CharStream) -> str:
+    """The name argument of ``newcommand``: ``{\\name}`` or bare ``\\name``."""
     skip_filler(stream)
+    name = ""
     if stream.peek() == "{":
-        inner = scan_group_arg(stream).strip()
-        name = inner[1:] if inner.startswith("\\") else inner
-        if name:
-            return name
+        name = scan_group_arg(stream).strip().removeprefix("\\")
     elif stream.peek() == "\\":
-        name, _ = _take_control(stream)
-        if name:
-            return name
-    raise MacroError(f"{stream.source}:{stream.line}: expected a macro name")
+        name, end = control_at(stream.content, stream.position)
+        stream.take_to(end)
+    if not name:
+        raise MacroError("expected a macro name")
+    return name
 
 
 def process_bbl(
@@ -344,10 +300,8 @@ def process_bbl(
     ``state`` must be fresh: everything it accumulates (macros, the
     counter, alignment, items) is meant to live exactly as long as this
     call.  Label definitions and aux records escape through ``table``
-    and ``session``; nothing else does.  Macro calls are expanded by
-    re-injecting the substituted body into the scan, so expansions may
-    themselves produce items, blocks, or further calls, up to the
-    configured depth.
+    and ``session``; nothing else does.  A :class:`MacroError` raised
+    while handling a command gets that command's ``source:line``.
     """
     _apply_overrides(state)
 
@@ -355,7 +309,8 @@ def process_bbl(
         if lint is not None:
             lint(message)
 
-    streams: list[CharStream] = [CharStream(content, source=source)]
+    depth = state.max_expansion_depth
+    expansion = Expansion(CharStream(content, source=source), depth)
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
     block = _BlockBuilder()
@@ -382,13 +337,9 @@ def process_bbl(
             raise StructureError("text before the first \\bibitem", line, src)
         note(f"{src}:{line}: text outside thebibliography ignored")
 
-    while streams:
-        stream = streams[-1]
-        if stream.at_end():
-            streams.pop()
-            continue
+    while (stream := expansion.top()) is not None:
         ch = stream.peek()
-        if ch == "%":
+        if ch == "%" and stream.comments:
             skip_comment(stream)
             continue
         if ch == "{":
@@ -404,66 +355,55 @@ def process_bbl(
         if ch != "\\":
             start = stream.position
             line = stream.line
-            while not stream.at_end() and stream.peek() not in "\\{}%":
+            stops = "\\{}%" if stream.comments else "\\{}"
+            while not stream.at_end() and stream.peek() not in stops:
                 stream.take()
             handle_text(stream.content[start : stream.position], line, stream.source)
             continue
 
         line = stream.line
-        name, raw = _take_control(stream)
-
-        if name in _STYLE_SWITCHES:
-            style_stack[-1] = _STYLE_SWITCHES[name]
-            skip_filler(stream)
-        elif name == "begin":
-            close_item()
-            scan_group_arg(stream)  # environment name; any counts as ours
-            widest = _expand_here(state, scan_group_arg(stream), source, line)
-            begin_thebibliography(widest, state)
-        elif name == "end":
-            close_item()
-            scan_group_arg(stream)  # environment name, discarded
-            state.in_environment = False
-        elif name == "bibitem":
-            close_item()
-            optional = scan_optional_arg(stream, lint)
-            key = scan_group_arg(stream)
-            current_item = bibitem(
-                state, optional, key, session, table, line, stream.source
-            )
-            skip_filler(stream)
-        elif name == "newblock":
-            skip_filler(stream)
-            if current_item is not None:
-                close_block()
-        elif name == "newcommand":
-            skip_filler(stream)
-            macro_name = _scan_macro_name_arg(stream)
-            nparams = scan_optional_arg(stream, lint)
-            body = scan_group_arg(stream)
-            try:
-                define_newcommand(
-                    state.macros,
-                    macro_name,
-                    nparams,
-                    body,
-                    max_depth=state.max_expansion_depth,
+        name, end = control_at(stream.content, stream.position)
+        raw = stream.take_to(end)
+        try:
+            if name in _STYLE_SWITCHES:
+                style_stack[-1] = _STYLE_SWITCHES[name]
+                skip_filler(stream)
+            elif name == "begin":
+                close_item()
+                scan_group_arg(stream)  # environment name; any counts as ours
+                widest = scan_group_arg(stream)
+                begin_thebibliography(expand_macros(state.macros, widest, max_depth=depth), state)
+            elif name == "end":
+                close_item()
+                scan_group_arg(stream)  # environment name, discarded
+                state.in_environment = False
+            elif name == "bibitem":
+                close_item()
+                optional = scan_optional_arg(stream, lint)
+                key = scan_group_arg(stream)
+                current_item = bibitem(
+                    state, optional, key, session, table, line, stream.source
                 )
-            except MacroRecursionError:
-                raise
-            except MacroError as exc:
-                raise MacroError(f"{stream.source}:{line}: {exc}") from exc
-        elif name in state.macros:
-            macro = state.macros[name]
-            args = _scan_macro_arguments(streams, macro, stream.source, line)
-            replacement = substitute_params(macro.body, args)
-            if len(streams) >= state.max_expansion_depth:
-                raise MacroRecursionError(name, state.max_expansion_depth)
-            if replacement:
-                streams.append(CharStream(replacement, line=line, source=stream.source))
-        else:
-            note(f"{stream.source}:{line}: unknown command `{raw}' passed through")
-            handle_text(raw, line, stream.source)
+                skip_filler(stream)
+            elif name == "newblock":
+                skip_filler(stream)
+                if current_item is not None:
+                    close_block()
+            elif name == "newcommand":
+                macro_name = _scan_macro_name_arg(stream)
+                nparams = scan_optional_arg(stream, lint)
+                body = scan_group_arg(stream)
+                define_newcommand(state.macros, macro_name, nparams, body, max_depth=depth)
+            elif name in state.macros:
+                macro = state.macros[name]
+                args = expansion.arguments(macro)
+                expansion.push(name, substitute_params(macro.body, args), line)
+            else:
+                note(f"{stream.source}:{line}: unknown command `{raw}' passed through")
+                handle_text(raw, line, stream.source)
+        except MacroError as exc:
+            exc.locate(line, stream.source)
+            raise
 
     close_item()
     if state.in_environment:
@@ -472,11 +412,3 @@ def process_bbl(
         note(f"{source}: unbalanced group at end of file")
     return Bibliography(items=state.items, layout=state.layout)
 
-
-def _expand_here(state: BblState, text: str, source: str, line: int) -> str:
-    try:
-        return expand_macros(state.macros, text, max_depth=state.max_expansion_depth)
-    except MacroRecursionError:
-        raise
-    except MacroError as exc:
-        raise MacroError(f"{source}:{line}: {exc}") from exc

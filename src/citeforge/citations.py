@@ -1,8 +1,7 @@
 """Citation resolution: the label table and the cite commands.
 
-Labels live in a table keyed by ``b@`` plus the citation key, the same
-namespace a macro-based implementation would use for its label control
-sequences.  Each key is in one of three states:
+Labels live in a table keyed by the raw citation key.  Each key is in
+one of three states:
 
 * undefined: never seen; a cite falls back to the raw key in
   typewriter type and may warn, once.
@@ -21,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .auxfile import AuxRecord, AuxSession, write_record
+from .auxfile import AuxRecord, AuxSession
 from .rendering import RenderedFragment, Style
 from .scanner import OptionalArg, split_comma_list
 
 __all__ = [
-    "LABEL_PREFIX",
-    "label_name",
     "Undefined",
     "Fallback",
     "Defined",
@@ -39,15 +36,7 @@ __all__ = [
     "nocite",
     "cite_one",
     "cite",
-    "citedef",
 ]
-
-LABEL_PREFIX = "b@"
-
-
-def label_name(key: str) -> str:
-    """The table name for a citation key: the key behind ``b@``."""
-    return LABEL_PREFIX + key
 
 
 @dataclass(frozen=True)
@@ -71,23 +60,20 @@ UNDEFINED = Undefined()
 
 
 class LabelTable:
-    """Label states for this pass, keyed by :func:`label_name`."""
+    """Label states for this pass, keyed by citation key in first-touched order."""
 
     def __init__(self) -> None:
         self.entries: dict[str, LabelState] = {}
 
     def state_for(self, key: str) -> LabelState:
-        return self.entries.get(label_name(key), UNDEFINED)
+        return self.entries.get(key, UNDEFINED)
 
     def define(self, key: str, label: str) -> None:
-        self.entries[label_name(key)] = Defined(label)
+        """Install a resolved label, replacing any fallback state."""
+        self.entries[key] = Defined(label)
 
     def set_fallback(self, key: str) -> None:
-        self.entries[label_name(key)] = Fallback(key)
-
-    def keys(self) -> list[str]:
-        """Citation keys present, in first-touched order."""
-        return [name[len(LABEL_PREFIX):] for name in self.entries]
+        self.entries[key] = Fallback(key)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -119,7 +105,7 @@ def nocite(session: AuxSession, keys: str) -> None:
     previous aux file in, so this forces the read before writing.
     """
     session.ensure_read()
-    write_record(session, AuxRecord.citation(keys))
+    session.write(AuxRecord.citation(keys))
 
 
 def cite_one(
@@ -193,8 +179,3 @@ def cite(
         fragment.append(Style.PLAIN, hooks.note_format(note.text))
     fragment.append(Style.PLAIN, hooks.close)
     return fragment
-
-
-def citedef(table: LabelTable, key: str, label: str) -> None:
-    """Install a resolved label, replacing any fallback state."""
-    table.define(key, label)

@@ -73,6 +73,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"citeforge: cannot read {path}: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError:
+        print(f"citeforge: error: {path.name}: not UTF-8 text", file=sys.stderr)
+        return 3
 
     try:
         config = JobConfig(

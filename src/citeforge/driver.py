@@ -31,6 +31,7 @@ from .citations import (
     nocite,
 )
 from .dimensions import CharMetric, Dimension, Numberish, as_fraction
+from .errors import ScanError
 from .files import FileAccess
 from .rendering import RenderedFragment, Style, render_annotated, render_plain
 from .scanner import DOCUMENT_COMMANDS, CharStream, next_command
@@ -40,7 +41,6 @@ __all__ = [
     "PassResult",
     "FixpointResult",
     "CiteWarning",
-    "file_exists",
     "run_pass",
     "run_to_fixpoint",
     "build_report",
@@ -104,16 +104,6 @@ class FixpointResult:
     passes_used: int
     converged: bool
     aux_history: list[bytes]
-
-
-def file_exists(
-    fs: FileAccess, config: JobConfig, base: str = "", ext: str = ""
-) -> bool:
-    """Existence test for ``base.ext``, defaulting base to the jobname."""
-    name = base if base else config.jobname
-    if ext:
-        name = f"{name}.{ext}"
-    return fs.exists(name)
 
 
 def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
@@ -189,8 +179,13 @@ def run_pass(config: JobConfig, document: str, fs: FileAccess) -> PassResult:
                     em_size_pt=config.em_size_pt,
                     overrides=config.layout_overrides,
                 )
+                try:
+                    content = fs.read_bytes(bbl_name).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    message = f"not UTF-8 text (byte {exc.start})"
+                    raise ScanError(message, source=bbl_name) from None
                 bibliography = process_bbl(
-                    fs.read_bytes(bbl_name).decode("utf-8"),
+                    content,
                     state,
                     session,
                     table,
@@ -206,7 +201,7 @@ def run_pass(config: JobConfig, document: str, fs: FileAccess) -> PassResult:
         fs.write_bytes(f"{config.jobname}.aux", aux_bytes)
 
     undefined = [
-        name[2:] for name, state in table.entries.items() if isinstance(state, Fallback)
+        key for key, state in table.entries.items() if isinstance(state, Fallback)
     ]
     return PassResult(
         rendered=rendered,
@@ -271,8 +266,7 @@ def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
     """A machine-readable account of the final pass."""
     final = outcome.final
     citations = {}
-    for name, state in final.table.entries.items():
-        key = name[2:]
+    for key, state in final.table.entries.items():
         if isinstance(state, Defined):
             citations[key] = {"status": "defined", "label": state.label}
         elif isinstance(state, Fallback):

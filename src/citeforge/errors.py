@@ -32,16 +32,25 @@ def _located(message: str, line: int | None, source: str) -> str:
 
 
 class CiteforgeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class ScanError(CiteforgeError):
-    """Argument or command scanning could not complete."""
+    ``line`` and ``source`` locate the error in an input, when known.
+    """
 
     def __init__(self, message: str, line: int | None = None, source: str = "") -> None:
         super().__init__(_located(message, line, source))
         self.line = line
         self.source = source
+
+    def locate(self, line: int, source: str) -> None:
+        """Bake ``source:line`` into the message, unless it has a line already."""
+        if self.line is None:
+            self.line, self.source = line, source
+            self.args = (_located(str(self), line, source),)
+
+
+class ScanError(CiteforgeError):
+    """Argument or command scanning could not complete."""
 
 
 class UnbalancedGroupError(ScanError):
@@ -65,7 +74,11 @@ class AuxCorruptError(CiteforgeError):
 
 
 class MacroError(CiteforgeError):
-    """A macro definition or expansion is invalid."""
+    """A macro definition or expansion is invalid.
+
+    The macro engine knows no location; whoever handles the command
+    that raised it calls :meth:`locate` before letting it propagate.
+    """
 
 
 class MacroRecursionError(MacroError):
@@ -87,8 +100,3 @@ class MeasurementError(CiteforgeError):
 
 class StructureError(CiteforgeError):
     """A bibliography file violates the expected item structure."""
-
-    def __init__(self, message: str, line: int | None = None, source: str = "") -> None:
-        super().__init__(_located(message, line, source))
-        self.line = line
-        self.source = source

@@ -1,30 +1,42 @@
-"""A small newcommand-style macro facility.
+"""The macro engine: newcommand-style definitions and their expansion.
 
 Definitions take 0 to 9 positional parameters.  The body is expanded
 once at definition time against the macros already defined, with the
-new macro's own ``#n`` markers left in place; use-site expansion then
-substitutes arguments textually and rescans the result.  This is a
-text-level engine: it knows escapes, brace groups, and ``#n`` markers,
-nothing more.
+new macro's own ``#n`` markers left in place; a call then substitutes
+its arguments textually and the result is read again.
 
-Arguments are scanned the undelimited way: skip spaces, then take a
-brace group (braces stripped), a whole control sequence, a ``#n``
-marker, or a single character.
+:class:`Expansion` is the one engine: a stack of streams, the text
+being read at the bottom and above it the replacements of calls not yet
+read to the end.  The bbl reader walks it directly; :func:`expand_macros`
+walks it to expand a string.  Arguments are scanned the undelimited way:
+skip blanks, then take a brace group (braces stripped), a whole control
+sequence, a ``#n`` marker, or a single character.  An argument missing at
+the end of a replacement is read from the text pending below it, so with
+``\\wrap`` expanding to ``\\pair{x}``, ``\\wrap{y}`` gives ``\\pair`` the
+arguments ``x`` and ``y``.  Up to :data:`MAX_EXPANSION_DEPTH` nested
+expansions succeed and one more raises.  Errors carry no location; the
+bbl reader adds the line of the command it was handling.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
-from .errors import MacroError, MacroRecursionError
-from .scanner import OptionalArg
+from .errors import MacroError, MacroRecursionError, UnbalancedGroupError
+from .scanner import (
+    ESCAPE,
+    CharStream,
+    OptionalArg,
+    control_at,
+    scan_group_arg,
+    skip_filler,
+)
 
 __all__ = [
     "MAX_EXPANSION_DEPTH",
     "MacroDef",
-    "MacroTable",
+    "Expansion",
     "define_newcommand",
     "expand_macros",
     "substitute_params",
@@ -32,8 +44,8 @@ __all__ = [
 
 MAX_EXPANSION_DEPTH = 256
 
-_LETTERS = frozenset(string.ascii_letters)
-_SPACES = " \t\r\n\f\v"
+# Parameter markers take ASCII digits only: "²".isdigit() is true too.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -79,61 +91,13 @@ def define_newcommand(
     return definition
 
 
-def _control_at(text: str, i: int) -> tuple[str, int]:
-    """(name, length) of the control sequence starting at ``text[i]``."""
-    j = i + 1
-    if j >= len(text):
-        return "", 1
-    if text[j] not in _LETTERS:
-        return text[j], 2
-    k = j
-    while k < len(text) and text[k] in _LETTERS:
-        k += 1
-    return text[j:k], k - i
-
-
-def _scan_group(text: str, i: int, name: str) -> tuple[str, int]:
-    # text[i] is "{"; returns content with outer braces stripped.
-    depth = 0
-    j = i
-    while j < len(text):
-        ch = text[j]
-        if ch == "\\":
-            j += 2
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return text[i + 1 : j], j + 1
-        j += 1
-    raise MacroError(f"unbalanced braces in argument of \\{name}")
-
-
-def _scan_argument(text: str, i: int, name: str) -> tuple[str, int]:
-    while i < len(text) and text[i] in _SPACES:
-        i += 1
-    if i >= len(text):
-        raise MacroError(f"missing argument for \\{name}")
-    ch = text[i]
-    if ch == "{":
-        return _scan_group(text, i, name)
-    if ch == "\\":
-        _, length = _control_at(text, i)
-        return text[i : i + length], i + length
-    if ch == "#" and i + 1 < len(text) and text[i + 1].isdigit():
-        return text[i : i + 2], i + 2
-    return ch, i + 1
-
-
 def substitute_params(body: str, args: list[str]) -> str:
     """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments."""
     out: list[str] = []
     i = 0
     while i < len(body):
         ch = body[i]
-        if ch == "#" and i + 1 < len(body) and body[i + 1].isdigit():
+        if ch == "#" and i + 1 < len(body) and body[i + 1] in _DIGITS:
             index = int(body[i + 1])
             if index < 1 or index > len(args):
                 raise MacroError(
@@ -147,6 +111,62 @@ def substitute_params(body: str, args: list[str]) -> str:
     return "".join(out)
 
 
+class Expansion:
+    """The stream stack of one reading: the text and pending replacements.
+
+    A reader takes its next character from :meth:`top`; on reading a
+    macro call it collects :meth:`arguments` and hands the substituted
+    body to :meth:`push`.
+    """
+
+    def __init__(self, text: CharStream, max_depth: int) -> None:
+        self.streams = [text]
+        self.max_depth = max_depth
+
+    def top(self) -> Optional[CharStream]:
+        """The stream to read next, or None once everything is read."""
+        streams = self.streams
+        while streams and streams[-1].at_end():
+            streams.pop()
+        return streams[-1] if streams else None
+
+    def arguments(self, macro: MacroDef) -> list[str]:
+        """Scan the call's arguments, crossing into pending text if need be."""
+        return [self._argument(macro.name) for _ in range(macro.num_params)]
+
+    def _argument(self, name: str) -> str:
+        streams = self.streams
+        stream = streams[-1]
+        skip_filler(stream)
+        while stream.at_end():
+            if len(streams) == 1:
+                raise MacroError(f"missing argument for \\{name}")
+            streams.pop()
+            stream = streams[-1]
+            skip_filler(stream)
+        ch = stream.peek()
+        if ch == "{":
+            try:
+                return scan_group_arg(stream)
+            except UnbalancedGroupError:
+                raise MacroError(f"unbalanced braces in argument of \\{name}") from None
+        if ch == ESCAPE:
+            return stream.take_to(control_at(stream.content, stream.position)[1])
+        if ch == "#" and stream.peek(1) in _DIGITS:
+            return stream.take_to(stream.position + 2)
+        return stream.take()
+
+    def push(self, name: str, replacement: str, line: int) -> None:
+        """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
+        if len(self.streams) > self.max_depth:
+            raise MacroRecursionError(name, self.max_depth)
+        if replacement:
+            source = self.streams[0].source
+            self.streams.append(
+                CharStream(replacement, line=line, source=source, comments=False)
+            )
+
+
 def expand_macros(
     defs: MacroTable,
     text: str,
@@ -156,35 +176,24 @@ def expand_macros(
     """Expand every defined macro in ``text`` until none remain.
 
     Unknown control sequences pass through untouched.  Each expansion
-    result is rescanned, so macros may produce further macro calls; the
+    result is read again, so macros may produce further macro calls; the
     nesting depth is capped (default 256) to turn runaway recursion
     into an error naming the offending macro.
     """
-    return _expand(defs, text, 0, max_depth)
-
-
-def _expand(defs: MacroTable, text: str, depth: int, max_depth: int) -> str:
+    expansion = Expansion(CharStream(text, comments=False), max_depth)
     out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
+    while (stream := expansion.top()) is not None:
+        content, start = stream.content, stream.position
+        escape = content.find(ESCAPE, start)
+        if escape != start:
+            out.append(stream.take_to(len(content) if escape < 0 else escape))
             continue
-        name, length = _control_at(text, i)
-        if name not in defs:
-            out.append(text[i : i + length])
-            i += length
-            continue
-        if depth >= max_depth:
-            raise MacroRecursionError(name, max_depth)
-        macro = defs[name]
-        i += length
-        args: list[str] = []
-        for _ in range(macro.num_params):
-            arg, i = _scan_argument(text, i, name)
-            args.append(arg)
-        replacement = substitute_params(macro.body, args)
-        out.append(_expand(defs, replacement, depth + 1, max_depth))
+        name, end = control_at(content, start)
+        raw = stream.take_to(end)
+        macro = defs.get(name)
+        if macro is None:
+            out.append(raw)
+        else:
+            args = expansion.arguments(macro)
+            expansion.push(name, substitute_params(macro.body, args), stream.line)
     return "".join(out)

@@ -3,9 +3,14 @@
 The scanner works on a fixed character regime: ``\\`` starts a command,
 ``{``/``}`` delimit groups, ``%`` starts a comment running to the end of
 the line, and command names are maximal ASCII letter runs (a single
-non-letter character otherwise).  Comments are stripped wherever the
-scanner reads, including inside arguments; the comment consumes its
-newline, so a line split with a trailing ``%`` joins seamlessly.
+non-letter character otherwise).  :func:`control_at` is the one lexer
+for them, shared by the document scanner, the bbl reader and the macro
+engine.  Comments are stripped wherever the scanner reads file text,
+including inside arguments; the comment consumes its newline, so a line
+split with a trailing ``%`` joins seamlessly.  Text scanned once already
+(labels, macro bodies, replacement texts) has no comments left, so a
+stream over it sets ``comments`` false and any ``%`` there is an
+ordinary character.
 
 Only commands listed in the arity table handed to :func:`next_command`
 are recognized.  Everything else, including unknown commands, passes
@@ -15,11 +20,11 @@ on documents full of markup this package does not understand.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .errors import ScanError, UnbalancedGroupError
+from .errors import ScanError, UnbalancedGroupError, _located
 
 __all__ = [
     "CharStream",
@@ -27,8 +32,8 @@ __all__ = [
     "EMPTY_OPTIONAL",
     "CommandSpec",
     "CommandInvocation",
-    "COMMAND_TABLE",
     "DOCUMENT_COMMANDS",
+    "control_at",
     "scan_optional_arg",
     "scan_group_arg",
     "split_comma_list",
@@ -40,7 +45,8 @@ __all__ = [
 ESCAPE = "\\"
 COMMENT = "%"
 _WHITESPACE = " \t\r\n\f\v"
-_LETTERS = frozenset(string.ascii_letters)
+_CONTROL_WORD = re.compile("[A-Za-z]*")
+_ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
 
 LintSink = Callable[[str], None]
 
@@ -51,13 +57,15 @@ class CharStream:
 
     ``line`` is 1-based and equals one plus the number of newlines
     consumed so far; for streams that carry re-injected text it can be
-    seeded with the line of the injection site instead.
+    seeded with the line of the injection site instead.  ``comments``
+    is false for text scanned once already (see the module docstring).
     """
 
     content: str
     position: int = 0
     line: int = 1
     source: str = ""
+    comments: bool = True
 
     def at_end(self) -> bool:
         return self.position >= len(self.content)
@@ -76,12 +84,16 @@ class CharStream:
             self.line += 1
         return ch
 
-    def take_run(self, count: int) -> str:
-        """Consume ``count`` characters and return them unchanged."""
-        start = self.position
-        for _ in range(count):
-            self.take()
-        return self.content[start : self.position]
+    def take_to(self, end: int) -> str:
+        """Consume up to index ``end`` and return the text passed over.
+
+        Line breaks in it are counted, so jumping past a control symbol
+        such as ``\\<newline>`` keeps ``line`` right.
+        """
+        text = self.content[self.position : end]
+        self.position = end
+        self.line += text.count("\n")
+        return text
 
 
 @dataclass(frozen=True)
@@ -112,28 +124,15 @@ class CommandSpec:
     arg_count: int
 
 
-#: Every command this package knows how to scan, with its argument shape.
-#: ``newcommand`` is listed with two mandatory arguments (the macro name
-#: and the body); its optional parameter count sits between them, and
-#: next_command handles that ordering as a special case.
-COMMAND_TABLE: Mapping[str, CommandSpec] = {
+#: The commands acted on while scanning a document body.  Bibliography
+#: structure commands are only meaningful inside a bbl file (the bbl
+#: reader dispatches them itself); in a document they fall back to
+#: pass-through like any unknown command.
+DOCUMENT_COMMANDS: Mapping[str, CommandSpec] = {
     "cite": CommandSpec(True, 1),
     "nocite": CommandSpec(False, 1),
     "bibliography": CommandSpec(False, 1),
     "bibliographystyle": CommandSpec(False, 1),
-    "bibitem": CommandSpec(True, 1),
-    "newcommand": CommandSpec(True, 2),
-    "begin": CommandSpec(False, 2),
-    "end": CommandSpec(False, 1),
-    "newblock": CommandSpec(False, 0),
-}
-
-#: The subset acted on while scanning a document body.  Bibliography
-#: structure commands are only meaningful inside a bbl file; in a
-#: document they fall back to pass-through like any unknown command.
-DOCUMENT_COMMANDS: Mapping[str, CommandSpec] = {
-    name: COMMAND_TABLE[name]
-    for name in ("cite", "nocite", "bibliography", "bibliographystyle")
 }
 
 
@@ -148,9 +147,8 @@ class CommandInvocation:
 def skip_comment(stream: CharStream) -> None:
     # Consume '%' through the end of line, newline included, so the two
     # half lines join with no space between them.
-    while not stream.at_end():
-        if stream.take() == "\n":
-            return
+    end = stream.content.find("\n", stream.position)
+    stream.take_to(len(stream.content) if end < 0 else end + 1)
 
 
 def skip_filler(stream: CharStream) -> None:
@@ -159,30 +157,63 @@ def skip_filler(stream: CharStream) -> None:
         ch = stream.peek()
         if ch in _WHITESPACE:
             stream.take()
-        elif ch == COMMENT:
+        elif ch == COMMENT and stream.comments:
             skip_comment(stream)
         else:
             return
 
 
-def _peek_control(stream: CharStream) -> tuple[str, int]:
-    """Name and total length of the control sequence at the cursor.
+def control_at(text: str, i: int) -> tuple[str, int]:
+    """Name and end index of the control sequence whose escape is ``text[i]``.
 
-    The cursor must sit on the escape character.  A run of ASCII letters
-    forms a control word; any other single character forms a control
-    symbol.  A trailing lone escape yields ``("", 1)``.
+    A run of ASCII letters forms a control word; any other single
+    character forms a control symbol.  A lone escape at the end of the
+    text yields ``("", i + 1)``.
     """
-    ch = stream.peek(1)
-    if ch == "":
-        return "", 1
-    if ch not in _LETTERS:
-        return ch, 2
-    length = 1
-    name_chars = []
-    while stream.peek(length) in _LETTERS:
-        name_chars.append(stream.peek(length))
-        length += 1
-    return "".join(name_chars), length
+    end = _CONTROL_WORD.match(text, i + 1).end()
+    if end > i + 1:
+        return text[i + 1 : end], end
+    if i + 1 < len(text):
+        return text[i + 1], i + 2
+    return "", i + 1
+
+
+def _scan_to(stream: CharStream, close: str) -> str:
+    """Consume the opener at the cursor and the argument up to ``close``.
+
+    Escape pairs are kept whole and never nest or close; comments are
+    stripped; braces nest, and ``close`` ends the argument only outside
+    them.  A stray ``}`` in an optional argument is an error.
+    """
+    open_line = stream.line
+    stream.take()
+    depth = 0
+    parts: list[str] = []
+    while (stop := _ARGUMENT_STOP.search(stream.content, stream.position)) is not None:
+        parts.append(stream.take_to(stop.start()))
+        ch = stop.group()
+        if ch == close and depth == 0:
+            stream.take()
+            return "".join(parts)
+        if ch == COMMENT and stream.comments:
+            skip_comment(stream)
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            if depth == 0:
+                raise UnbalancedGroupError(
+                    "unexpected '}' inside optional argument", stream.line, stream.source
+                )
+            depth -= 1
+        parts.append(stream.take())
+        if ch == ESCAPE and not stream.at_end():
+            parts.append(stream.take())
+    if close == "]":
+        raise ScanError(
+            "unterminated optional argument ('[' never closed)", open_line, stream.source
+        )
+    raise UnbalancedGroupError("unbalanced group ('{' never closed)", open_line, stream.source)
 
 
 def scan_optional_arg(stream: CharStream, lint: LintSink | None = None) -> OptionalArg:
@@ -197,44 +228,11 @@ def scan_optional_arg(stream: CharStream, lint: LintSink | None = None) -> Optio
     if stream.peek() != "[":
         return EMPTY_OPTIONAL
     open_line = stream.line
-    stream.take()
-    depth = 0
-    parts: list[str] = []
-    while True:
-        if stream.at_end():
-            raise ScanError(
-                "unterminated optional argument ('[' never closed)",
-                open_line,
-                stream.source,
-            )
-        ch = stream.peek()
-        if ch == ESCAPE:
-            parts.append(stream.take())
-            if not stream.at_end():
-                parts.append(stream.take())
-        elif ch == COMMENT:
-            skip_comment(stream)
-        elif ch == "{":
-            depth += 1
-            parts.append(stream.take())
-        elif ch == "}":
-            if depth == 0:
-                raise UnbalancedGroupError(
-                    "unexpected '}' inside optional argument",
-                    stream.line,
-                    stream.source,
-                )
-            depth -= 1
-            parts.append(stream.take())
-        elif ch == "]" and depth == 0:
-            stream.take()
-            break
-        else:
-            parts.append(stream.take())
-    text = "".join(parts)
+    text = _scan_to(stream, "]")
     if text == "":
         if lint is not None:
-            lint(_at(stream, open_line, "empty optional argument '[]' treated as absent"))
+            message = "empty optional argument '[]' treated as absent"
+            lint(_located(message, open_line, stream.source))
         return EMPTY_OPTIONAL
     return OptionalArg(text)
 
@@ -250,33 +248,7 @@ def scan_group_arg(stream: CharStream) -> str:
     if stream.at_end() or stream.peek() != "{":
         found = "end of input" if stream.at_end() else repr(stream.peek())
         raise ScanError(f"expected '{{' but found {found}", stream.line, stream.source)
-    open_line = stream.line
-    stream.take()
-    depth = 1
-    parts: list[str] = []
-    while True:
-        if stream.at_end():
-            raise UnbalancedGroupError(
-                "unbalanced group ('{' never closed)", open_line, stream.source
-            )
-        ch = stream.peek()
-        if ch == ESCAPE:
-            parts.append(stream.take())
-            if not stream.at_end():
-                parts.append(stream.take())
-        elif ch == COMMENT:
-            skip_comment(stream)
-        elif ch == "{":
-            depth += 1
-            parts.append(stream.take())
-        elif ch == "}":
-            depth -= 1
-            stream.take()
-            if depth == 0:
-                return "".join(parts)
-            parts.append("}")
-        else:
-            parts.append(stream.take())
+    return _scan_to(stream, "}")
 
 
 def split_comma_list(text: str) -> list[str]:
@@ -289,27 +261,6 @@ def split_comma_list(text: str) -> list[str]:
     if text == "":
         return []
     return text.split(",")
-
-
-def _scan_macro_name(stream: CharStream) -> str:
-    """The name argument of ``newcommand``: ``{\\name}`` or bare ``\\name``."""
-    skip_filler(stream)
-    if stream.peek() == "{":
-        inner = scan_group_arg(stream)
-        name = inner.strip()
-        if name.startswith(ESCAPE):
-            name = name[1:]
-        if name == "":
-            raise ScanError("empty macro name", stream.line, stream.source)
-        return name
-    if stream.peek() == ESCAPE:
-        name, length = _peek_control(stream)
-        if name == "":
-            raise ScanError("expected a macro name", stream.line, stream.source)
-        stream.take_run(length)
-        return name
-    found = "end of input" if stream.at_end() else repr(stream.peek())
-    raise ScanError(f"expected a macro name, found {found}", stream.line, stream.source)
 
 
 def next_command(
@@ -329,34 +280,24 @@ def next_command(
     parts: list[str] = []
     while not stream.at_end():
         ch = stream.peek()
-        if ch == COMMENT:
+        if ch == COMMENT and stream.comments:
             skip_comment(stream)
             continue
         if ch != ESCAPE:
             parts.append(stream.take())
             continue
-        name, length = _peek_control(stream)
+        name, end = control_at(stream.content, stream.position)
         if name not in known:
-            parts.append(stream.take_run(length))
+            parts.append(stream.take_to(end))
             continue
         if parts:
             return "".join(parts)
         command_line = stream.line
-        stream.take_run(length)
+        stream.take_to(end)
         skip_filler(stream)
         spec = known[name]
-        if name == "newcommand":
-            macro_name = _scan_macro_name(stream)
-            optional = scan_optional_arg(stream, lint)
-            body = scan_group_arg(stream)
-            return CommandInvocation(name, optional, [macro_name, body], command_line)
         optional = scan_optional_arg(stream, lint) if spec.takes_optional else EMPTY_OPTIONAL
         args = [scan_group_arg(stream) for _ in range(spec.arg_count)]
         return CommandInvocation(name, optional, args, command_line)
     return "".join(parts)
 
-
-def _at(stream: CharStream, line: int, message: str) -> str:
-    if stream.source:
-        return f"{stream.source}:{line}: {message}"
-    return f"{line}: {message}"

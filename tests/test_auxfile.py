@@ -16,7 +16,6 @@ from citeforge.auxfile import (
     format_record,
     handle_missing_aux,
     read_aux,
-    write_record,
 )
 from citeforge.citations import Defined, LabelTable
 from citeforge.errors import AuxCorruptError, AuxFormatError
@@ -47,8 +46,8 @@ class TestFormatRecord:
 class TestSession:
     def test_writes_accumulate_in_order(self):
         session = AuxSession()
-        write_record(session, AuxRecord.bibstyle("plain"))
-        write_record(session, AuxRecord.citation("x"))
+        session.write(AuxRecord.bibstyle("plain"))
+        session.write(AuxRecord.citation("x"))
         assert session.serialize() == b"\\bibstyle{plain}\n\\citation{x}\n"
 
     def test_write_validates_immediately(self):
@@ -70,7 +69,7 @@ class TestSession:
         assert session.read_done
         assert not session.warnings_enabled
         session.ensure_read()
-        write_record(session, AuxRecord.citation("x"))
+        session.write(AuxRecord.citation("x"))
         assert session.pending_writes == []
         assert session.serialize() == b""
 
@@ -102,7 +101,7 @@ class TestReadAux:
         table = parse_into_table(session.serialize())
         assert table.state_for("a") == Defined("1")
         assert table.state_for("b") == Defined("Knu84")
-        assert table.keys() == ["a", "b"]
+        assert list(table.entries) == ["a", "b"]
 
     def test_later_definition_wins(self):
         content = b"\\@citedef{k}{old}\\@citedef{k}{new}"
@@ -116,7 +115,7 @@ class TestReadAux:
         table = LabelTable()
         read_aux(session, b"\\@citedef{a}{1}\n", table)
         read_aux(session, b"\\@citedef{b}{2}\n", table)
-        assert table.keys() == ["a"]
+        assert list(table.entries) == ["a"]
 
     def test_split_anywhere_parses_identically(self):
         raw = b"\\@citedef{key one}{[AB]}\\citation{x,y}\\@citedef{z}{2}"

@@ -29,6 +29,7 @@ from citeforge.errors import (
     StructureError,
     UnbalancedGroupError,
 )
+from citeforge.macros import MacroDef
 from citeforge.rendering import Span, Style, render_annotated, render_plain
 from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
@@ -396,6 +397,16 @@ class TestMacrosInsideBbl:
         )
         with pytest.raises(MacroRecursionError):
             run_bbl(content, state=state)
+
+    def test_newcommand_scans_name_count_body(self):
+        state = BblState()
+        run_bbl("\\newcommand{\\shorthand}[2]{#1 and #2}\n", state=state)
+        assert state.macros["shorthand"] == MacroDef("shorthand", 2, "#1 and #2")
+
+    def test_newcommand_bare_name_form(self):
+        state = BblState()
+        run_bbl("\\newcommand\\x{body}\n", state=state)
+        assert state.macros["x"] == MacroDef("x", 0, "body")
 
     def test_redefinition_mid_file(self):
         content = (

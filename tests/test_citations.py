@@ -4,7 +4,6 @@ import pytest
 
 from citeforge.auxfile import AuxKind, AuxSession
 from citeforge.citations import (
-    LABEL_PREFIX,
     CiteStyleHooks,
     Defined,
     Fallback,
@@ -12,20 +11,11 @@ from citeforge.citations import (
     Undefined,
     cite,
     cite_one,
-    citedef,
-    label_name,
     nocite,
     undefined_citation_warning,
 )
 from citeforge.rendering import Span, Style, render_annotated, render_plain
 from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
-
-
-def test_label_name_prefixes_verbatim():
-    assert LABEL_PREFIX == "b@"
-    assert label_name("knuth") == "b@knuth"
-    assert label_name(" b") == "b@ b"
-    assert label_name("A,B") == "b@A,B"
 
 
 class TestLabelTable:
@@ -36,20 +26,20 @@ class TestLabelTable:
         table = LabelTable()
         table.define("k", "7")
         assert table.state_for("k") == Defined("7")
-        assert table.entries == {"b@k": Defined("7")}
+        assert table.entries == {"k": Defined("7")}
 
     def test_fallback_then_define_upgrades(self):
         table = LabelTable()
         table.set_fallback("k")
         assert table.state_for("k") == Fallback("k")
-        citedef(table, "k", "3")
+        table.define("k", "3")
         assert table.state_for("k") == Defined("3")
 
     def test_keys_in_first_touch_order(self):
         table = LabelTable()
         table.set_fallback("later")
         table.define("first", "1")
-        assert table.keys() == ["later", "first"]
+        assert list(table.entries) == ["later", "first"]
         assert len(table) == 2
 
 

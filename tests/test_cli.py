@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, streams, and the file side effects."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citeforge
 from citeforge.cli import main
 
 BBL = (
@@ -153,3 +158,37 @@ def test_lint_goes_to_stderr(workspace, capsys):
     # the spaced key ` b' is a different key from `b', so it stays undefined
     assert code == 1
     assert "lint:" in err and "contains a space" in err
+
+
+def run_cli_process(*args):
+    """Run the CLI in a child process; returns (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(citeforge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "citeforge.cli", *args],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_non_utf8_document_exits_three(workspace):
+    (workspace / "paper.tex").write_bytes(b"Caf\xe9 \\cite{a}\n")
+    code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
+    assert code == 3
+    assert "Traceback" not in err
+    assert "citeforge: error: paper.tex: not UTF-8 text" in err
+
+
+def test_non_utf8_bbl_exits_three(workspace):
+    (workspace / "paper.bbl").write_bytes(BBL.encode() + b"\xff\n")
+    code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
+    assert code == 3
+    assert "Traceback" not in err
+    assert f"citeforge: error: paper.bbl: not UTF-8 text (byte {len(BBL)})" in err
+
+
+def test_non_utf8_aux_payload_exits_three(workspace):
+    (workspace / "paper.aux").write_bytes(b"\\citation{a}\n\\@citedef{a}{\xff}\n")
+    code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
+    assert code == 3
+    assert "Traceback" not in err
+    assert "citeforge: error: @citedef record is not UTF-8 text (byte 13)" in err

@@ -11,7 +11,6 @@ from citeforge.driver import (
     FixpointResult,
     JobConfig,
     build_report,
-    file_exists,
     report_json,
     run_pass,
     run_to_fixpoint,
@@ -74,13 +73,6 @@ class TestFileAccess:
         assert fs.exists("x.aux")
         assert fs.read_bytes("x.aux") == b"data"
         assert (tmp_path / "x.aux").read_bytes() == b"data"
-
-    def test_file_exists_defaults_to_jobname(self):
-        fs = MemoryFiles({"job.bbl": b""})
-        config = JobConfig(jobname="job")
-        assert file_exists(fs, config, ext="bbl")
-        assert not file_exists(fs, config, ext="aux")
-        assert file_exists(fs, config, base="job", ext="bbl")
 
 
 class TestRunPass:

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from citeforge.errors import ScanError, UnbalancedGroupError
 from citeforge.scanner import (
-    COMMAND_TABLE,
     DOCUMENT_COMMANDS,
     EMPTY_OPTIONAL,
     CharStream,
     CommandInvocation,
+    control_at,
     next_command,
     scan_group_arg,
     scan_optional_arg,
@@ -79,10 +79,28 @@ class TestCharStream:
         stream.take()
         assert stream.peek() == ""
 
-    def test_take_run_returns_exact_slice(self):
+    def test_take_to_returns_exact_slice(self):
         stream = CharStream("ab\ncd")
-        assert stream.take_run(3) == "ab\n"
+        assert stream.take_to(3) == "ab\n"
         assert stream.line == 2
+
+    def test_jumping_past_a_control_symbol_counts_its_newline(self):
+        stream = CharStream("\\\nx")
+        name, end = control_at(stream.content, 0)
+        assert (name, end) == ("\n", 2)
+        assert stream.take_to(end) == "\\\n"
+        assert stream.line == 2
+
+
+class TestControlAt:
+    def test_control_word_is_a_letter_run(self):
+        assert control_at("x\\cite2", 1) == ("cite", 6)
+
+    def test_control_symbol_is_one_character(self):
+        assert control_at("\\%rest", 0) == ("%", 2)
+
+    def test_lone_escape_at_end(self):
+        assert control_at("tail\\", 4) == ("", 5)
 
 
 class TestFiller:
@@ -234,7 +252,7 @@ class TestCommaList:
 
 unknown_control = st.text(
     alphabet=string.ascii_letters, min_size=1, max_size=8
-).filter(lambda name: name not in COMMAND_TABLE).map(lambda name: "\\" + name)
+).filter(lambda name: name not in DOCUMENT_COMMANDS).map(lambda name: "\\" + name)
 
 plain_chunk = st.text(alphabet="aA zZ09.,{}[]()<>\n\t'", min_size=1, max_size=10)
 
@@ -289,19 +307,6 @@ class TestNextCommand:
     def test_trailing_lone_escape_passes_through(self):
         stream = CharStream("tail\\")
         assert next_command(stream, DOCUMENT_COMMANDS) == "tail\\"
-
-    def test_newcommand_scans_name_count_body(self):
-        stream = CharStream("\\newcommand{\\shorthand}[2]{#1 and #2}")
-        invocation = next_command(stream, COMMAND_TABLE)
-        assert invocation.name == "newcommand"
-        assert invocation.args == ["shorthand", "#1 and #2"]
-        assert invocation.optional.text == "2"
-
-    def test_newcommand_bare_name_form(self):
-        stream = CharStream("\\newcommand\\x{body}")
-        invocation = next_command(stream, COMMAND_TABLE)
-        assert invocation.args == ["x", "body"]
-        assert invocation.optional is EMPTY_OPTIONAL
 
     def test_empty_input_yields_empty_text(self):
         assert next_command(CharStream(""), DOCUMENT_COMMANDS) == ""
