@@ -21,6 +21,7 @@ would.  Anything else in the file is an error, byte offset included.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -133,6 +134,9 @@ class AuxSession:
         return b"".join(format_record(r).encode("utf-8") for r in self.pending_writes)
 
 
+_LINE_BREAKS = b"\r\n"
+_KEPT_RUN = re.compile(rb"[^\r\n]+")
+
 _RECORD_OPENERS = (
     (AuxKind.CITEDEF, "\\@citedef{"),
     (AuxKind.CITATION, "\\citation{"),
@@ -154,37 +158,53 @@ def read_aux(session: AuxSession, content: bytes, table: "LabelTable") -> None:
         return
     session.read_done = True
 
-    stripped = bytearray()
-    origin: list[int] = []
-    for index, byte in enumerate(content):
-        if byte not in (0x0A, 0x0D):
-            stripped.append(byte)
-            origin.append(index)
-    origin.append(len(content))  # sentinel for end-of-data offsets
     # Latin-1 maps each byte to one character, so positions stay byte positions.
-    stream = CharStream(stripped.decode("latin-1"), comments=False)
-
+    stripped = content.translate(None, _LINE_BREAKS).decode("latin-1")
+    stream = CharStream(stripped, comments=False)
     while not stream.at_end():
         record_start = stream.position
-        for kind, opener in _RECORD_OPENERS:
-            if stream.content.startswith(opener, record_start):
-                break
-        else:
-            raise AuxCorruptError("unrecognized aux content", origin[record_start])
-        stream.take_to(record_start + len(opener) - 1)
-        offset = origin[record_start]
-        try:
-            payload = scan_group_arg(stream)
-            if kind is AuxKind.CITEDEF:
-                if stream.peek() != "{":
-                    raise AuxCorruptError("@citedef record missing its label", offset)
-                label = scan_group_arg(stream)
-                table.define(_utf8(payload), _utf8(label))
-        except UnbalancedGroupError:
-            raise AuxCorruptError("unterminated record", offset) from None
-        except UnicodeDecodeError:
-            raise AuxCorruptError("@citedef record is not UTF-8 text", offset) from None
-        # citation/bibdata/bibstyle records are consumed and discarded
+        problem = _read_record(stream, table)
+        if problem is not None:
+            raise AuxCorruptError(problem, _original_offset(content, record_start))
+
+
+def _read_record(stream: CharStream, table: "LabelTable") -> Optional[str]:
+    """Parse the record at the cursor; what is wrong with it, if it does not parse."""
+    start = stream.position
+    for kind, opener in _RECORD_OPENERS:
+        if stream.content.startswith(opener, start):
+            break
+    else:
+        return "unrecognized aux content"
+    stream.take_to(start + len(opener) - 1)
+    try:
+        payload = scan_group_arg(stream)
+        if kind is AuxKind.CITEDEF:
+            if stream.peek() != "{":
+                return "@citedef record missing its label"
+            label = scan_group_arg(stream)
+            table.define(_utf8(payload), _utf8(label))
+    except UnbalancedGroupError:
+        return "unterminated record"
+    except UnicodeDecodeError:
+        return "@citedef record is not UTF-8 text"
+    # citation/bibdata/bibstyle records are consumed and discarded
+    return None
+
+
+def _original_offset(content: bytes, position: int) -> int:
+    """Offset in ``content`` of byte ``position`` of its line-break-free copy.
+
+    Only errors need it, so it is worked out when one is raised: the
+    kept bytes are counted run by run.  Past the last kept byte it is
+    ``len(content)``.
+    """
+    for run in _KEPT_RUN.finditer(content):
+        length = run.end() - run.start()
+        if position < length:
+            return run.start() + position
+        position -= length
+    return len(content)
 
 
 def _utf8(text: str) -> str:

@@ -37,6 +37,7 @@ the same depth cap applies.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -87,6 +88,8 @@ _STYLE_SWITCHES: Mapping[str, Style] = {
 }
 
 _BLOCK_SPACES = " \t\r\n\f\v"
+_TEXT_STOP = re.compile(r"[\\{}%]")
+_TEXT_STOP_NO_COMMENTS = re.compile(r"[\\{}]")
 
 
 class Alignment(enum.Enum):
@@ -353,12 +356,11 @@ def process_bbl(
             style_stack.pop()
             continue
         if ch != "\\":
-            start = stream.position
             line = stream.line
-            stops = "\\{}%" if stream.comments else "\\{}"
-            while not stream.at_end() and stream.peek() not in stops:
-                stream.take()
-            handle_text(stream.content[start : stream.position], line, stream.source)
+            text_stop = _TEXT_STOP if stream.comments else _TEXT_STOP_NO_COMMENTS
+            stop = text_stop.search(stream.content, stream.position)
+            text = stream.take_to(len(stream.content) if stop is None else stop.start())
+            handle_text(text, line, stream.source)
             continue
 
         line = stream.line

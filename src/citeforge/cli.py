@@ -8,7 +8,7 @@ notices to stderr.
 
 Exit codes: 0 converged; 1 converged but some citations stayed
 undefined; 2 no convergence within the pass limit; 3 a parse or
-structure error aborted a pass.
+structure error aborted a pass, or a file could not be read or written.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fs = DirectoryFiles(path.parent if str(path.parent) else Path("."))
     try:
         outcome = run_to_fixpoint(config, document, fs)
-    except CiteforgeError as exc:
+    except (CiteforgeError, OSError) as exc:
         print(f"citeforge: error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,11 +2,16 @@
 
 One pass reads the previous aux file (lazily, at the first
 citation-shaped command), scans the document left to right, renders
-text and citations, processes the bbl file at the ``\\bibliography``
-site, and finally rewrites the aux file from scratch with everything
-recorded this pass.  The label table starts each pass empty; its only
-inputs are the aux file just read and the bbl definitions of this very
-pass.
+text and citations, installs the bbl file's label definitions, aux
+records and lint notes at the ``\\bibliography`` site, and finally
+rewrites the aux file from scratch with everything recorded this pass.
+The label table starts each pass empty; its only inputs are the aux
+file just read and the bbl definitions installed in this very pass.
+
+The bbl file is read and processed once per run, at the first
+``\\bibliography`` site that finds it; it cannot change between passes
+and its processing reads nothing a pass changes, so every pass (the
+first included) installs the same result in the same order.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -118,12 +123,66 @@ def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
     return fragment
 
 
-def run_pass(config: JobConfig, document: str, fs: FileAccess) -> PassResult:
+@dataclass
+class _ProcessedBbl:
+    """What a bbl file contributes to each pass, worked out once per run.
+
+    ``labels`` holds its definitions in first-defined order, and
+    ``records`` the ``@citedef`` records it queued (none in no-aux mode).
+    """
+
+    bibliography: Bibliography
+    rendered: RenderedFragment
+    labels: LabelTable
+    records: list[AuxRecord]
+    lint: list[str]
+
+    def install(self, session: AuxSession, table: LabelTable, lint: list[str]) -> None:
+        for key, state in self.labels.entries.items():
+            table.define(key, state.label)
+        for record in self.records:
+            session.write(record)
+        lint.extend(self.lint)
+
+
+def _process_bbl_file(config: JobConfig, fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
+    try:
+        content = fs.read_bytes(bbl_name).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8 text (byte {exc.start})"
+        raise ScanError(message, source=bbl_name) from None
+    state = BblState(
+        metric=config.metric,
+        em_size_pt=config.em_size_pt,
+        overrides=config.layout_overrides,
+    )
+    # This session checks each record as it is queued, or drops it in
+    # no-aux mode, exactly as the pass's own session would.
+    session = AuxSession(no_aux=config.no_aux)
+    labels = LabelTable()
+    lint: list[str] = []
+    bibliography = process_bbl(
+        content, state, session, labels, lint=lint.append, source=bbl_name
+    )
+    rendered = _render_bibliography(bibliography)
+    return _ProcessedBbl(bibliography, rendered, labels, session.pending_writes, lint)
+
+
+def run_pass(
+    config: JobConfig,
+    document: str,
+    fs: FileAccess,
+    processed_bbls: Optional[dict[str, _ProcessedBbl]] = None,
+) -> PassResult:
     """One full pass over ``document``; rewrites the aux file at the end.
 
     Deterministic: the same config, document, and file contents always
-    produce the same result, bit for bit.
+    produce the same result, bit for bit.  ``processed_bbls`` keeps the
+    processed bbl files by name; ``run_to_fixpoint`` shares one across
+    its passes so that each bbl is processed once per run.
     """
+    if processed_bbls is None:
+        processed_bbls = {}
     table = LabelTable()
     messages: list[str] = []
     lint: list[str] = []
@@ -172,29 +231,17 @@ def run_pass(config: JobConfig, document: str, fs: FileAccess) -> PassResult:
             session.ensure_read()
             session.write(AuxRecord.bibdata(item.args[0]))
             bbl_name = f"{config.bbl_basename}.bbl"
-            if fs.exists(bbl_name):
-                nobreak = True
-                state = BblState(
-                    metric=config.metric,
-                    em_size_pt=config.em_size_pt,
-                    overrides=config.layout_overrides,
-                )
-                try:
-                    content = fs.read_bytes(bbl_name).decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    message = f"not UTF-8 text (byte {exc.start})"
-                    raise ScanError(message, source=bbl_name) from None
-                bibliography = process_bbl(
-                    content,
-                    state,
-                    session,
-                    table,
-                    lint=lint.append,
-                    source=bbl_name,
-                )
-                rendered.extend(_render_bibliography(bibliography))
-            else:
+            processed = processed_bbls.get(bbl_name)
+            if processed is None and fs.exists(bbl_name):
+                processed = _process_bbl_file(config, fs, bbl_name)
+                processed_bbls[bbl_name] = processed
+            if processed is None:
                 messages.append(f"No file {bbl_name}.")
+            else:
+                nobreak = True
+                processed.install(session, table, lint)
+                bibliography = processed.bibliography
+                rendered.extend(processed.rendered)
 
     aux_bytes = b"" if config.no_aux else session.serialize()
     if not config.no_aux:
@@ -226,8 +273,9 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
     """
     previous: Optional[PassResult] = None
     history: list[bytes] = []
+    processed_bbls: dict[str, _ProcessedBbl] = {}
     for pass_number in range(1, config.max_passes + 1):
-        result = run_pass(config, document, fs)
+        result = run_pass(config, document, fs, processed_bbls)
         history.append(result.aux_bytes)
         if previous is not None and result.aux_bytes == previous.aux_bytes:
             return FixpointResult(result, pass_number, True, history)

@@ -3,11 +3,14 @@
 The driver never touches the file system directly; it goes through one
 of these, which is what makes "no file was written" checkable in tests
 and keeps the no-aux mode honest.  Access is per-name and sequential;
-nothing here is safe for concurrent writers of the same name.
+nothing here is safe for concurrent writers of the same name.  A real
+file is replaced whole, never left half written.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -39,7 +42,22 @@ class DirectoryFiles:
         return self._path(name).read_bytes()
 
     def write_bytes(self, name: str, data: bytes) -> None:
-        self._path(name).write_bytes(data)
+        """Replace the file with ``data`` in one step.
+
+        The bytes go to a temporary file beside it, which then takes the
+        file's place, so a failed or interrupted write leaves the old
+        content and no temporary file.
+        """
+        path = self._path(name)
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temporary, "wb") as handle:
+                handle.write(data)
+            os.replace(temporary, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
+            raise
 
 
 @dataclass

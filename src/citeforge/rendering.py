@@ -5,12 +5,18 @@ Rendering does not attempt typesetting.  Output is a flat sequence of
 provided: ``render_plain`` keeps only the text, ``render_annotated``
 wraps styled spans in visible markers so fidelity can be checked in
 tests and on the command line.
+
+Fragments are built by appending, and most appends merge into the last
+span (a document body is one long plain span).  The merged text is
+kept as chunks and joined once when the spans are read, so building a
+fragment takes time linear in its text rather than quadratic.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "Style",
@@ -34,24 +40,46 @@ class Span:
     text: str
 
 
-@dataclass
 class RenderedFragment:
     """An ordered run of styled spans.
 
     ``append`` merges adjacent spans of equal style, so a fragment is
     always in normal form: no empty spans, no two neighbours sharing a
-    style.
+    style.  Text merged into the last span waits in a chunk list and is
+    joined when ``spans`` is next read, so a span built from many
+    appends costs time linear in its length.
     """
 
-    spans: list[Span] = field(default_factory=list)
+    __slots__ = ("_spans", "_tail")
+
+    def __init__(self, spans: Optional[list[Span]] = None) -> None:
+        self._spans: list[Span] = [] if spans is None else spans
+        # The last span's text as chunks, once something was merged into it.
+        self._tail: Optional[list[str]] = None
+
+    @property
+    def spans(self) -> list[Span]:
+        if self._tail is not None:
+            self._join_tail()
+        return self._spans
+
+    def _join_tail(self) -> None:
+        self._spans[-1] = Span(self._spans[-1].style, "".join(self._tail))
+        self._tail = None
 
     def append(self, style: Style, text: str) -> None:
         if not text:
             return
-        if self.spans and self.spans[-1].style is style:
-            self.spans[-1] = Span(style, self.spans[-1].text + text)
+        spans = self._spans
+        if spans and spans[-1].style is style:
+            if self._tail is None:
+                self._tail = [spans[-1].text, text]
+            else:
+                self._tail.append(text)
         else:
-            self.spans.append(Span(style, text))
+            if self._tail is not None:
+                self._join_tail()
+            spans.append(Span(style, text))
 
     def extend(self, other: "RenderedFragment") -> None:
         for span in other.spans:
@@ -61,7 +89,17 @@ class RenderedFragment:
         return "".join(span.text for span in self.spans)
 
     def __bool__(self) -> bool:
-        return bool(self.spans)
+        return bool(self._spans)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spans == other.spans
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RenderedFragment(spans={self.spans!r})"
 
 
 def render_plain(fragment: RenderedFragment) -> str:

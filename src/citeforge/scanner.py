@@ -47,6 +47,8 @@ COMMENT = "%"
 _WHITESPACE = " \t\r\n\f\v"
 _CONTROL_WORD = re.compile("[A-Za-z]*")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
+_TEXT_STOP = re.compile(r"[\\%]")
+_ESCAPE_STOP = re.compile(r"\\")
 
 LintSink = Callable[[str], None]
 
@@ -278,13 +280,12 @@ def next_command(
     control words would behave.
     """
     parts: list[str] = []
-    while not stream.at_end():
-        ch = stream.peek()
-        if ch == COMMENT and stream.comments:
+    text_stop = _TEXT_STOP if stream.comments else _ESCAPE_STOP
+    while (stop := text_stop.search(stream.content, stream.position)) is not None:
+        if stop.start() > stream.position:
+            parts.append(stream.take_to(stop.start()))
+        if stop.group() == COMMENT:
             skip_comment(stream)
-            continue
-        if ch != ESCAPE:
-            parts.append(stream.take())
             continue
         name, end = control_at(stream.content, stream.position)
         if name not in known:
@@ -299,5 +300,7 @@ def next_command(
         optional = scan_optional_arg(stream, lint) if spec.takes_optional else EMPTY_OPTIONAL
         args = [scan_group_arg(stream) for _ in range(spec.arg_count)]
         return CommandInvocation(name, optional, args, command_line)
+    if not stream.at_end():
+        parts.append(stream.take_to(len(stream.content)))
     return "".join(parts)
 

@@ -18,7 +18,8 @@ from citeforge.auxfile import (
     read_aux,
 )
 from citeforge.citations import Defined, LabelTable
-from citeforge.errors import AuxCorruptError, AuxFormatError
+from citeforge.errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
+from citeforge.scanner import CharStream, scan_group_arg
 
 
 class TestFormatRecord:
@@ -193,3 +194,100 @@ def test_serialized_records_survive_arbitrary_line_splits(records, data):
     for cut in sorted(cuts, reverse=True):
         mangled = mangled[:cut] + b"\n" + mangled[cut:]
     assert parse_into_table(mangled).entries == expected
+
+
+# The reader as it was when it mapped every kept byte to its original
+# offset up front (the ``origin`` list), kept as the reference for the
+# offsets now worked out only when an error is raised.
+_REFERENCE_OPENERS = (
+    (AuxKind.CITEDEF, "\\@citedef{"),
+    (AuxKind.CITATION, "\\citation{"),
+    (AuxKind.BIBDATA, "\\bibdata{"),
+    (AuxKind.BIBSTYLE, "\\bibstyle{"),
+)
+
+
+def reference_read_aux(content: bytes, table: LabelTable) -> None:
+    stripped = bytearray()
+    origin: list[int] = []
+    for index, byte in enumerate(content):
+        if byte not in (0x0A, 0x0D):
+            stripped.append(byte)
+            origin.append(index)
+    origin.append(len(content))  # sentinel for end-of-data offsets
+    stream = CharStream(stripped.decode("latin-1"), comments=False)
+
+    def utf8(text: str) -> str:
+        return text.encode("latin-1").decode("utf-8")
+
+    while not stream.at_end():
+        record_start = stream.position
+        for kind, opener in _REFERENCE_OPENERS:
+            if stream.content.startswith(opener, record_start):
+                break
+        else:
+            raise AuxCorruptError("unrecognized aux content", origin[record_start])
+        stream.take_to(record_start + len(opener) - 1)
+        offset = origin[record_start]
+        try:
+            payload = scan_group_arg(stream)
+            if kind is AuxKind.CITEDEF:
+                if stream.peek() != "{":
+                    raise AuxCorruptError("@citedef record missing its label", offset)
+                label = scan_group_arg(stream)
+                table.define(utf8(payload), utf8(label))
+        except UnbalancedGroupError:
+            raise AuxCorruptError("unterminated record", offset) from None
+        except UnicodeDecodeError:
+            raise AuxCorruptError("@citedef record is not UTF-8 text", offset) from None
+
+
+def outcome_of(reader, content: bytes):
+    table = LabelTable()
+    try:
+        reader(content, table)
+    except AuxCorruptError as exc:
+        return ("error", str(exc), exc.offset, table.entries)
+    return ("ok", table.entries)
+
+
+aux_payload = st.text(alphabet="ab9 .é{}\\", max_size=6).map(lambda text: text.encode())
+aux_record = st.one_of(
+    aux_payload.map(lambda key: b"\\citation{" + key + b"}"),
+    st.tuples(aux_payload, aux_payload).map(
+        lambda pair: b"\\@citedef{" + pair[0] + b"}{" + pair[1] + b"}"
+    ),
+    st.just(b"\\bibdata{refs}"),
+    st.just(b"\\bibstyle{plain}"),
+)
+aux_fault = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=4),  # junk
+    st.tuples(aux_record, st.integers(min_value=1, max_value=30)).map(
+        lambda cut: cut[0][: cut[1]]  # a truncated record
+    ),
+    aux_payload.map(lambda key: b"\\@citedef{" + key + b"}"),  # no label
+    st.just(b"\\@citedef{k}{\xff}"),  # label not UTF-8
+)
+
+
+@given(st.lists(aux_record, max_size=6), aux_fault, st.lists(aux_record, max_size=2), st.data())
+@settings(max_examples=300)
+def test_error_offsets_match_the_origin_list(records, fault, after, data):
+    content = b"".join(records) + fault + b"".join(after)
+    breaks = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(content)),
+                st.sampled_from([b"\n", b"\r", b"\r\n", b"\n\n"]),
+            ),
+            max_size=8,
+        )
+    )
+    for position, line_break in sorted(breaks, reverse=True):
+        content = content[:position] + line_break + content[position:]
+
+    def current(content, table):
+        read_aux(AuxSession(), content, table)
+
+    assert outcome_of(current, content) == outcome_of(reference_read_aux, content)

@@ -192,3 +192,13 @@ def test_non_utf8_aux_payload_exits_three(workspace):
     assert code == 3
     assert "Traceback" not in err
     assert "citeforge: error: @citedef record is not UTF-8 text (byte 13)" in err
+
+
+def test_aux_write_failure_exits_three(workspace):
+    (workspace / "paper.aux").mkdir()
+    code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
+    assert code == 3
+    assert "Traceback" not in err
+    assert "citeforge: error:" in err and "paper.aux" in err
+    # the temporary file the aux was written to is gone again
+    assert sorted(p.name for p in workspace.iterdir()) == ["paper.aux", "paper.bbl", "paper.tex"]

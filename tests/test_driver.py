@@ -1,10 +1,12 @@
 """Pass orchestration: aux lifecycle, fixpoint behavior, and the report."""
 
+import errno
 import json
 from fractions import Fraction
 
 import pytest
 
+from citeforge import files
 from citeforge.citations import CiteStyleHooks, Defined, Fallback
 from citeforge.dimensions import CharMetric, Dimension
 from citeforge.driver import (
@@ -73,6 +75,37 @@ class TestFileAccess:
         assert fs.exists("x.aux")
         assert fs.read_bytes("x.aux") == b"data"
         assert (tmp_path / "x.aux").read_bytes() == b"data"
+
+    def test_write_failing_midway_keeps_the_previous_aux(self, tmp_path, monkeypatch):
+        (tmp_path / "refs.bbl").write_bytes(BBL.encode())
+        fs = DirectoryFiles(tmp_path)
+        run_pass(JobConfig(jobname="doc", bbl_basename="refs"), DOC, fs)
+        previous = (tmp_path / "doc.aux").read_bytes()
+
+        real_open = open
+
+        class HalfWritten:
+            """A file that takes half the bytes, then reports a full disk."""
+
+            def __init__(self, *args):
+                self.handle = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(files, "open", HalfWritten, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            run_pass(JobConfig(jobname="doc", bbl_basename="refs"), DOC + "\\nocite{c}\n", fs)
+        assert (tmp_path / "doc.aux").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.aux", "refs.bbl"]
 
 
 class TestRunPass:

@@ -1,5 +1,7 @@
 """Span model: normal form and the two string renderers."""
 
+from dataclasses import dataclass, field
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -78,3 +80,78 @@ def test_render_annotated_marks_styled_spans():
 def test_annotated_equals_plain_when_all_plain():
     fragment = RenderedFragment([Span(Style.PLAIN, "just text")])
     assert render_annotated(fragment) == render_plain(fragment) == "just text"
+
+
+@dataclass
+class ReferenceFragment:
+    """The span merge as it was before text was kept in chunks (quadratic)."""
+
+    spans: list[Span] = field(default_factory=list)
+
+    def append(self, style: Style, text: str) -> None:
+        if not text:
+            return
+        if self.spans and self.spans[-1].style is style:
+            self.spans[-1] = Span(style, self.spans[-1].text + text)
+        else:
+            self.spans.append(Span(style, text))
+
+    def extend(self, other) -> None:
+        for span in other.spans:
+            self.append(span.style, span.text)
+
+
+TEXTS = st.text(alphabet="ab ", max_size=4)
+SPAN_LISTS = st.lists(st.builds(Span, st.sampled_from(STYLES), TEXTS), max_size=4)
+PIECES = st.lists(st.tuples(st.sampled_from(STYLES), TEXTS), max_size=6)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(STYLES), TEXTS),
+        st.tuples(st.just("extend-spans"), SPAN_LISTS),
+        st.tuples(st.just("extend-appended"), PIECES),
+        st.tuples(st.just("read"),),
+    ),
+    max_size=30,
+)
+
+
+def build(cls, pieces):
+    fragment = cls()
+    for style, text in pieces:
+        fragment.append(style, text)
+    return fragment
+
+
+@given(SPAN_LISTS, OPERATIONS)
+def test_spans_match_the_reference_merge(initial, operations):
+    """Random append/extend sequences give exactly the reference spans.
+
+    Fragments may start from any span list, normal form or not, and
+    ``spans`` is read in between to rejoin the chunks mid-sequence.
+    """
+    fragment = RenderedFragment(list(initial))
+    reference = ReferenceFragment(list(initial))
+    for operation in operations:
+        kind = operation[0]
+        if kind == "append":
+            fragment.append(operation[1], operation[2])
+            reference.append(operation[1], operation[2])
+        elif kind == "extend-spans":
+            fragment.extend(RenderedFragment(list(operation[1])))
+            reference.extend(ReferenceFragment(list(operation[1])))
+        elif kind == "extend-appended":
+            fragment.extend(build(RenderedFragment, operation[1]))
+            reference.extend(build(ReferenceFragment, operation[1]))
+        else:
+            assert fragment.spans == reference.spans
+        assert bool(fragment) == bool(reference.spans)
+    assert fragment.spans == reference.spans
+    assert fragment == RenderedFragment(list(reference.spans))
+
+
+def test_equality_compares_spans_only_between_fragments():
+    built = build(RenderedFragment, [(Style.PLAIN, "a"), (Style.PLAIN, "b")])
+    assert built == RenderedFragment([Span(Style.PLAIN, "ab")])
+    assert built != RenderedFragment([Span(Style.PLAIN, "a"), Span(Style.PLAIN, "b")])
+    assert built != ReferenceFragment([Span(Style.PLAIN, "ab")])
+    assert repr(built) == "RenderedFragment(spans=[Span(style=<Style.PLAIN: 'plain'>, text='ab')])"
