@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
@@ -53,8 +52,7 @@ class AuxKind(enum.Enum):
     CITEDEF = "@citedef"
 
 
-@dataclass(frozen=True)
-class AuxRecord:
+class AuxRecord(NamedTuple):
     """One aux record.  ``label`` is used by CITEDEF records only."""
 
     kind: AuxKind
@@ -94,7 +92,6 @@ def format_record(record: AuxRecord) -> str:
     return f"\\{record.kind.value}{{{record.payload}}}\n"
 
 
-@dataclass
 class AuxSession:
     """Per-pass aux state: the read-once guard and the write queue.
 
@@ -105,16 +102,21 @@ class AuxSession:
     write discarded, so no aux file is ever touched.
     """
 
-    no_aux: bool = False
-    loader: Optional[Callable[["AuxSession"], None]] = None
-    read_done: bool = False
-    warnings_enabled: bool = True
-    pending_writes: list[AuxRecord] = field(default_factory=list)
+    __slots__ = ("no_aux", "loader", "read_done", "warnings_enabled", "pending_writes")
 
-    def __post_init__(self) -> None:
-        if self.no_aux:
-            self.read_done = True
-            self.warnings_enabled = False
+    def __init__(
+        self,
+        no_aux: bool = False,
+        loader: Optional[Callable[["AuxSession"], None]] = None,
+        read_done: bool = False,
+        warnings_enabled: bool = True,
+        pending_writes: Optional[list[AuxRecord]] = None,
+    ) -> None:
+        self.no_aux = no_aux
+        self.loader = loader
+        self.read_done = read_done or no_aux
+        self.warnings_enabled = warnings_enabled and not no_aux
+        self.pending_writes = [] if pending_writes is None else pending_writes
 
     def ensure_read(self) -> None:
         if self.read_done:

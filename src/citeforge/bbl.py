@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
@@ -97,7 +96,6 @@ class Alignment(enum.Enum):
     LABELS_RIGHT = "labels_right"
 
 
-@dataclass
 class LayoutParams:
     """Paragraph shape and page-breaking parameters for the item list.
 
@@ -105,57 +103,117 @@ class LayoutParams:
     stored separately, so the two cannot drift apart.
     """
 
-    biblabelwidth: Dimension = Dimension.pt(0)
-    biblabelextraspace: Dimension = Dimension.em(Fraction(1, 2))
-    parskip: Dimension = Dimension.of(
-        "1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex")
+    __slots__ = (
+        "biblabelwidth",
+        "biblabelextraspace",
+        "parskip",
+        "newblock_glue",
+        "clubpenalty",
+        "widowpenalty",
+        "tolerance",
+        "hfuzz",
+        "frenchspacing",
     )
-    newblock_glue: Dimension = Dimension.of(
-        "0.11", "em", plus=("0.33", "em"), minus=("0.07", "em")
-    )
-    clubpenalty: int = 4000
-    widowpenalty: int = 4000
-    tolerance: int = 10000
-    hfuzz: Dimension = Dimension.pt(Fraction(1, 2))
-    frenchspacing: bool = True
+
+    def __init__(
+        self,
+        biblabelwidth: Dimension = Dimension.pt(0),
+        biblabelextraspace: Dimension = Dimension.em(Fraction(1, 2)),
+        parskip: Dimension = Dimension.of(
+            "1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex")
+        ),
+        newblock_glue: Dimension = Dimension.of(
+            "0.11", "em", plus=("0.33", "em"), minus=("0.07", "em")
+        ),
+        clubpenalty: int = 4000,
+        widowpenalty: int = 4000,
+        tolerance: int = 10000,
+        hfuzz: Dimension = Dimension.pt(Fraction(1, 2)),
+        frenchspacing: bool = True,
+    ) -> None:
+        self.biblabelwidth = biblabelwidth
+        self.biblabelextraspace = biblabelextraspace
+        self.parskip = parskip
+        self.newblock_glue = newblock_glue
+        self.clubpenalty = clubpenalty
+        self.widowpenalty = widowpenalty
+        self.tolerance = tolerance
+        self.hfuzz = hfuzz
+        self.frenchspacing = frenchspacing
 
     def hangindent(self, em_size_pt: Fraction | None = None) -> Dimension:
         return self.biblabelwidth.add(self.biblabelextraspace, em_size_pt)
 
 
-@dataclass
 class BibItem:
-    key: str
-    label: str
-    alpha: bool
-    alignment: Alignment
-    body: list[RenderedFragment] = field(default_factory=list)
+    __slots__ = ("key", "label", "alpha", "alignment", "body")
+
+    def __init__(
+        self,
+        key: str,
+        label: str,
+        alpha: bool,
+        alignment: Alignment,
+        body: Optional[list[RenderedFragment]] = None,
+    ) -> None:
+        self.key = key
+        self.label = label
+        self.alpha = alpha
+        self.alignment = alignment
+        self.body = [] if body is None else body
 
 
-@dataclass
 class Bibliography:
-    items: list[BibItem]
-    layout: LayoutParams
+    __slots__ = ("items", "layout")
+
+    def __init__(self, items: list[BibItem], layout: LayoutParams) -> None:
+        self.items = items
+        self.layout = layout
 
     @property
     def alignment(self) -> Optional[Alignment]:
         return self.items[0].alignment if self.items else None
 
 
-@dataclass
 class BblState:
     """Mutable state for a single bbl run; make a fresh one per call."""
 
-    metric: CharMetric = field(default_factory=CharMetric)
-    em_size_pt: Fraction = Fraction(10)
-    layout: LayoutParams = field(default_factory=LayoutParams)
-    overrides: Optional[Mapping[str, object]] = None
-    item_counter: int = 0
-    alignment: Optional[Alignment] = None
-    in_environment: bool = False
-    macros: dict[str, MacroDef] = field(default_factory=dict)
-    items: list[BibItem] = field(default_factory=list)
-    max_expansion_depth: int = MAX_EXPANSION_DEPTH
+    __slots__ = (
+        "metric",
+        "em_size_pt",
+        "layout",
+        "overrides",
+        "item_counter",
+        "alignment",
+        "in_environment",
+        "macros",
+        "items",
+        "max_expansion_depth",
+    )
+
+    def __init__(
+        self,
+        metric: Optional[CharMetric] = None,
+        em_size_pt: Fraction = Fraction(10),
+        layout: Optional[LayoutParams] = None,
+        overrides: Optional[Mapping[str, object]] = None,
+        item_counter: int = 0,
+        alignment: Optional[Alignment] = None,
+        in_environment: bool = False,
+        macros: Optional[dict[str, MacroDef]] = None,
+        items: Optional[list[BibItem]] = None,
+        max_expansion_depth: int = MAX_EXPANSION_DEPTH,
+    ) -> None:
+        self.metric = CharMetric() if metric is None else metric
+        self.em_size_pt = em_size_pt
+        self.layout = LayoutParams() if layout is None else layout
+        self.overrides = overrides
+        self.item_counter = item_counter
+        self.alignment = alignment
+        self.in_environment = in_environment
+        self.macros = {} if macros is None else macros
+        self.items = [] if items is None else items
+        self.max_expansion_depth = max_expansion_depth
 
 
 def measure_label(label: str, metric: CharMetric) -> Dimension:
@@ -170,7 +228,7 @@ def _apply_overrides(state: BblState) -> None:
     if not state.overrides:
         return
     for name, value in state.overrides.items():
-        if not hasattr(state.layout, name):
+        if name not in LayoutParams.__slots__:
             raise ValueError(f"unknown layout override {name!r}")
         setattr(state.layout, name, value)
 

@@ -17,9 +17,9 @@ without rendering anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from ._value import Value
 from .auxfile import AuxRecord, AuxSession
 from .rendering import RenderedFragment, Style
 from .scanner import OptionalArg, split_comma_list
@@ -39,19 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Undefined:
-    pass
+class Undefined(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fallback:
-    key: str
+class Fallback(Value):
+    __slots__ = ("key",)
+
+    def __init__(self, key: str) -> None:
+        self.key = key
 
 
-@dataclass(frozen=True)
-class Defined:
-    label: str
+class Defined(Value):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        self.label = label
 
 
 LabelState = Union[Undefined, Fallback, Defined]
@@ -83,14 +86,22 @@ def _prepend_comma(note: str) -> str:
     return ", " + note
 
 
-@dataclass
 class CiteStyleHooks:
     """Presentation knobs for rendered citations."""
 
-    open: str = "["
-    close: str = "]"
-    separator: str = ", "
-    note_format: Callable[[str], str] = field(default=_prepend_comma)
+    __slots__ = ("open", "close", "separator", "note_format")
+
+    def __init__(
+        self,
+        open: str = "[",
+        close: str = "]",
+        separator: str = ", ",
+        note_format: Callable[[str], str] = _prepend_comma,
+    ) -> None:
+        self.open = open
+        self.close = close
+        self.separator = separator
+        self.note_format = note_format
 
 
 def undefined_citation_warning(line: int, key: str, line_numbers: bool = True) -> str:

@@ -9,10 +9,10 @@ an em.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+from ._value import Value
 from .errors import MeasurementError
 
 __all__ = ["Numberish", "as_fraction", "format_number", "Dimension", "CharMetric"]
@@ -56,16 +56,22 @@ def _component(value: Numberish, unit: str) -> tuple[Fraction, str]:
     return as_fraction(value), unit
 
 
-@dataclass(frozen=True)
-class Dimension:
-    value: Fraction
-    unit: str
-    stretch: tuple[Fraction, str] | None = None
-    shrink: tuple[Fraction, str] | None = None
+class Dimension(Value):
+    __slots__ = ("value", "unit", "stretch", "shrink")
 
-    def __post_init__(self) -> None:
-        if self.unit not in _UNITS:
-            raise ValueError(f"unknown unit {self.unit!r}")
+    def __init__(
+        self,
+        value: Fraction,
+        unit: str,
+        stretch: tuple[Fraction, str] | None = None,
+        shrink: tuple[Fraction, str] | None = None,
+    ) -> None:
+        if unit not in _UNITS:
+            raise ValueError(f"unknown unit {unit!r}")
+        self.value = value
+        self.unit = unit
+        self.stretch = stretch
+        self.shrink = shrink
 
     @classmethod
     def of(
@@ -139,8 +145,7 @@ def _scalar_pt(value: Fraction, unit: str, em_size_pt: Fraction) -> Fraction:
     raise ValueError(f"unknown unit {unit!r}")
 
 
-@dataclass(frozen=True)
-class CharMetric:
+class CharMetric(Value):
     """Per-character widths in em.
 
     ``fallback`` is used for characters missing from ``widths``; with
@@ -148,8 +153,15 @@ class CharMetric:
     metric is uniform: half an em for everything.
     """
 
-    widths: Mapping[str, Fraction] = field(default_factory=dict)
-    fallback: Fraction | None = Fraction(1, 2)
+    __slots__ = ("widths", "fallback")
+
+    def __init__(
+        self,
+        widths: Mapping[str, Fraction] | None = None,
+        fallback: Fraction | None = Fraction(1, 2),
+    ) -> None:
+        self.widths = {} if widths is None else widths
+        self.fallback = fallback
 
     @classmethod
     def uniform(cls, width: Numberish = Fraction(1, 2)) -> "CharMetric":

@@ -20,10 +20,8 @@ reproduces itself, another pass cannot learn anything new.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
 from .bbl import Bibliography, BblState, LayoutParams, process_bbl
@@ -53,33 +51,50 @@ __all__ = [
 ]
 
 
-@dataclass
 class JobConfig:
     """Everything a run needs to know besides the document itself."""
 
-    jobname: str
-    bbl_basename: Optional[str] = None
-    no_aux: bool = False
-    max_passes: int = 4
-    em_size_pt: Fraction = Fraction(10)
-    metric: CharMetric = field(default_factory=CharMetric)
-    diagnostics_line_numbers: bool = True
-    hooks: CiteStyleHooks = field(default_factory=CiteStyleHooks)
-    layout_overrides: Optional[dict] = None
-    document_name: str = ""
+    __slots__ = (
+        "jobname",
+        "bbl_basename",
+        "no_aux",
+        "max_passes",
+        "em_size_pt",
+        "metric",
+        "diagnostics_line_numbers",
+        "hooks",
+        "layout_overrides",
+        "document_name",
+    )
 
-    def __post_init__(self) -> None:
-        if self.bbl_basename is None:
-            self.bbl_basename = self.jobname
-        if not self.document_name:
-            self.document_name = f"{self.jobname}.tex"
-        self.em_size_pt = as_fraction(self.em_size_pt)
-        if self.max_passes < 1:
+    def __init__(
+        self,
+        jobname: str,
+        bbl_basename: Optional[str] = None,
+        no_aux: bool = False,
+        max_passes: int = 4,
+        em_size_pt: Numberish = Fraction(10),
+        metric: Optional[CharMetric] = None,
+        diagnostics_line_numbers: bool = True,
+        hooks: Optional[CiteStyleHooks] = None,
+        layout_overrides: Optional[dict] = None,
+        document_name: str = "",
+    ) -> None:
+        self.jobname = jobname
+        self.bbl_basename = jobname if bbl_basename is None else bbl_basename
+        self.no_aux = no_aux
+        self.max_passes = max_passes
+        self.em_size_pt = as_fraction(em_size_pt)
+        self.metric = CharMetric() if metric is None else metric
+        self.diagnostics_line_numbers = diagnostics_line_numbers
+        self.hooks = CiteStyleHooks() if hooks is None else hooks
+        self.layout_overrides = layout_overrides
+        self.document_name = document_name or f"{jobname}.tex"
+        if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
 
 
-@dataclass(frozen=True)
-class CiteWarning:
+class CiteWarning(NamedTuple):
     """One undefined-citation warning, with its location data."""
 
     line: int
@@ -87,28 +102,59 @@ class CiteWarning:
     text: str
 
 
-@dataclass
 class PassResult:
-    rendered: RenderedFragment
-    aux_bytes: bytes
-    warnings: list[CiteWarning]
-    bibliography: Optional[Bibliography]
-    messages: list[str]
-    lint: list[str]
-    undefined_keys: list[str]
-    table: LabelTable
-    nobreak_before_bibliography: bool
+    __slots__ = (
+        "rendered",
+        "aux_bytes",
+        "warnings",
+        "bibliography",
+        "messages",
+        "lint",
+        "undefined_keys",
+        "table",
+        "nobreak_before_bibliography",
+    )
+
+    def __init__(
+        self,
+        rendered: RenderedFragment,
+        aux_bytes: bytes,
+        warnings: list[CiteWarning],
+        bibliography: Optional[Bibliography],
+        messages: list[str],
+        lint: list[str],
+        undefined_keys: list[str],
+        table: LabelTable,
+        nobreak_before_bibliography: bool,
+    ) -> None:
+        self.rendered = rendered
+        self.aux_bytes = aux_bytes
+        self.warnings = warnings
+        self.bibliography = bibliography
+        self.messages = messages
+        self.lint = lint
+        self.undefined_keys = undefined_keys
+        self.table = table
+        self.nobreak_before_bibliography = nobreak_before_bibliography
 
     def warning_texts(self) -> list[str]:
         return [w.text for w in self.warnings]
 
 
-@dataclass
 class FixpointResult:
-    final: PassResult
-    passes_used: int
-    converged: bool
-    aux_history: list[bytes]
+    __slots__ = ("final", "passes_used", "converged", "aux_history")
+
+    def __init__(
+        self,
+        final: PassResult,
+        passes_used: int,
+        converged: bool,
+        aux_history: list[bytes],
+    ) -> None:
+        self.final = final
+        self.passes_used = passes_used
+        self.converged = converged
+        self.aux_history = aux_history
 
 
 def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
@@ -123,7 +169,6 @@ def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
     return fragment
 
 
-@dataclass
 class _ProcessedBbl:
     """What a bbl file contributes to each pass, worked out once per run.
 
@@ -131,11 +176,21 @@ class _ProcessedBbl:
     ``records`` the ``@citedef`` records it queued (none in no-aux mode).
     """
 
-    bibliography: Bibliography
-    rendered: RenderedFragment
-    labels: LabelTable
-    records: list[AuxRecord]
-    lint: list[str]
+    __slots__ = ("bibliography", "rendered", "labels", "records", "lint")
+
+    def __init__(
+        self,
+        bibliography: Bibliography,
+        rendered: RenderedFragment,
+        labels: LabelTable,
+        records: list[AuxRecord],
+        lint: list[str],
+    ) -> None:
+        self.bibliography = bibliography
+        self.rendered = rendered
+        self.labels = labels
+        self.records = records
+        self.lint = lint
 
     def install(self, session: AuxSession, table: LabelTable, lint: list[str]) -> None:
         for key, state in self.labels.entries.items():
@@ -352,4 +407,6 @@ def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
 
 
 def report_json(config: JobConfig, outcome: FixpointResult) -> str:
+    import json  # only --report json needs it, so the CLI starts without it
+
     return json.dumps(build_report(config, outcome), indent=2)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Optional, Protocol
 
 __all__ = ["FileAccess", "DirectoryFiles", "MemoryFiles"]
 
@@ -26,11 +25,13 @@ class FileAccess(Protocol):
     def write_bytes(self, name: str, data: bytes) -> None: ...
 
 
-@dataclass
 class DirectoryFiles:
     """Real files resolved against a fixed root directory."""
 
-    root: Path
+    __slots__ = ("root",)
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
 
     def _path(self, name: str) -> Path:
         return Path(self.root) / name
@@ -60,12 +61,18 @@ class DirectoryFiles:
             raise
 
 
-@dataclass
 class MemoryFiles:
     """An in-memory store that also logs every write it sees."""
 
-    files: dict[str, bytes] = field(default_factory=dict)
-    writes: list[tuple[str, bytes]] = field(default_factory=list)
+    __slots__ = ("files", "writes")
+
+    def __init__(
+        self,
+        files: Optional[dict[str, bytes]] = None,
+        writes: Optional[list[tuple[str, bytes]]] = None,
+    ) -> None:
+        self.files = {} if files is None else files
+        self.writes = [] if writes is None else writes
 
     def exists(self, name: str) -> bool:
         return name in self.files

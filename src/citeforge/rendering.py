@@ -15,8 +15,7 @@ fragment takes time linear in its text rather than quadratic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "Style",
@@ -34,8 +33,7 @@ class Style(enum.Enum):
     SMALLCAPS = "sc"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     style: Style
     text: str
 

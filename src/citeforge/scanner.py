@@ -21,8 +21,7 @@ on documents full of markup this package does not understand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .errors import ScanError, UnbalancedGroupError, _located
 
@@ -53,7 +52,6 @@ _ESCAPE_STOP = re.compile(r"\\")
 LintSink = Callable[[str], None]
 
 
-@dataclass
 class CharStream:
     """A character cursor over document text.
 
@@ -63,11 +61,21 @@ class CharStream:
     is false for text scanned once already (see the module docstring).
     """
 
-    content: str
-    position: int = 0
-    line: int = 1
-    source: str = ""
-    comments: bool = True
+    __slots__ = ("content", "position", "line", "source", "comments")
+
+    def __init__(
+        self,
+        content: str,
+        position: int = 0,
+        line: int = 1,
+        source: str = "",
+        comments: bool = True,
+    ) -> None:
+        self.content = content
+        self.position = position
+        self.line = line
+        self.source = source
+        self.comments = comments
 
     def at_end(self) -> bool:
         return self.position >= len(self.content)
@@ -98,8 +106,7 @@ class CharStream:
         return text
 
 
-@dataclass(frozen=True)
-class OptionalArg:
+class OptionalArg(NamedTuple):
     """A bracketed optional argument.
 
     An empty ``[]`` and an absent argument both produce ``text == ""``
@@ -120,8 +127,7 @@ class OptionalArg:
 EMPTY_OPTIONAL = OptionalArg()
 
 
-@dataclass(frozen=True)
-class CommandSpec:
+class CommandSpec(NamedTuple):
     takes_optional: bool
     arg_count: int
 
@@ -138,8 +144,7 @@ DOCUMENT_COMMANDS: Mapping[str, CommandSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class CommandInvocation:
+class CommandInvocation(NamedTuple):
     name: str
     optional: OptionalArg
     args: list[str]

@@ -100,6 +100,11 @@ class TestEnvironmentSetup:
         with pytest.raises(ValueError, match="nosuchknob"):
             begin_thebibliography("9", state)
 
+    def test_derived_hangindent_is_not_an_override(self):
+        state = BblState(overrides={"hangindent": Dimension.pt(1)})
+        with pytest.raises(ValueError, match="hangindent"):
+            begin_thebibliography("9", state)
+
     def test_layout_defaults(self):
         layout = LayoutParams()
         assert layout.clubpenalty == 4000

@@ -10,6 +10,7 @@ import pytest
 
 import citeforge
 from citeforge.cli import main
+from citeforge.macros import MAX_EXPANSION_CHARS
 
 BBL = (
     "\\begin{thebibliography}{9}\n"
@@ -202,3 +203,30 @@ def test_aux_write_failure_exits_three(workspace):
     assert "citeforge: error:" in err and "paper.aux" in err
     # the temporary file the aux was written to is gone again
     assert sorted(p.name for p in workspace.iterdir()) == ["paper.aux", "paper.bbl", "paper.tex"]
+
+
+def test_runaway_expansion_exits_three(workspace, capsys):
+    # Each definition doubles the last: line 23 would queue 2**23 characters.
+    names = [chr(ord("a") + i) for i in range(23)]
+    lines = ["\\newcommand\\a{xx}\n"]
+    lines += [f"\\newcommand\\{name}{{\\{last}\\{last}}}\n" for last, name in zip(names, names[1:])]
+    (workspace / "paper.bbl").write_text("".join(lines) + BBL, encoding="utf-8")
+    code = main(["resolve", str(workspace / "paper.tex")])
+    _, err = capsys.readouterr()
+    assert code == 3
+    assert f"citeforge: error: paper.bbl:23: expansion of \\v exceeded {MAX_EXPANSION_CHARS}" in err
+
+
+def test_cli_import_loads_no_heavy_modules():
+    """Importing the CLI adds none of these to what a bare interpreter loads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(citeforge.__file__).parents[1]))
+
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return set(proc.stdout.split())
+
+    added = loaded("import citeforge.cli") - loaded("pass")
+    assert added & {"dataclasses", "inspect", "json"} == set()
