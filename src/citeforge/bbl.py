@@ -31,7 +31,9 @@ blocks, or call further macros.  Labels, the widest label and
 definition bodies are expanded by the same engine through
 :func:`~citeforge.macros.expand_macros`.  In both, an argument missing
 at the end of a replacement is read from the text after the call, and
-the same depth cap applies.
+the same depth cap applies.  All of them share one expansion budget per
+:class:`BblState`, so what a file can make the engine queue, and store
+in definitions, is capped for the file as a whole.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .errors import MacroError, StructureError, UnbalancedGroupError
 from .macros import (
     MAX_EXPANSION_DEPTH,
     Expansion,
+    ExpansionBudget,
     MacroDef,
     define_newcommand,
     expand_macros,
@@ -176,7 +179,11 @@ class Bibliography:
 
 
 class BblState:
-    """Mutable state for a single bbl run; make a fresh one per call."""
+    """Mutable state for a single bbl run; make a fresh one per call.
+
+    ``expansion_budget`` counts the replacement text every expansion of
+    the run queues, so it is not a parameter: it starts at zero.
+    """
 
     __slots__ = (
         "metric",
@@ -189,6 +196,7 @@ class BblState:
         "macros",
         "items",
         "max_expansion_depth",
+        "expansion_budget",
     )
 
     def __init__(
@@ -214,6 +222,7 @@ class BblState:
         self.macros = {} if macros is None else macros
         self.items = [] if items is None else items
         self.max_expansion_depth = max_expansion_depth
+        self.expansion_budget = ExpansionBudget()
 
 
 def measure_label(label: str, metric: CharMetric) -> Dimension:
@@ -269,7 +278,10 @@ def bibitem(
         raise StructureError("\\bibitem outside thebibliography", line, source)
     if optional.present_nonempty:
         label = expand_macros(
-            state.macros, optional.text, max_depth=state.max_expansion_depth
+            state.macros,
+            optional.text,
+            max_depth=state.max_expansion_depth,
+            budget=state.expansion_budget,
         )
         alpha = True
         if state.alignment is None:
@@ -370,8 +382,8 @@ def process_bbl(
         if lint is not None:
             lint(message)
 
-    depth = state.max_expansion_depth
-    expansion = Expansion(CharStream(content, source=source), depth)
+    depth, budget = state.max_expansion_depth, state.expansion_budget
+    expansion = Expansion(CharStream(content, source=source), depth, budget)
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
     block = _BlockBuilder()
@@ -432,7 +444,8 @@ def process_bbl(
                 close_item()
                 scan_group_arg(stream)  # environment name; any counts as ours
                 widest = scan_group_arg(stream)
-                begin_thebibliography(expand_macros(state.macros, widest, max_depth=depth), state)
+                widest = expand_macros(state.macros, widest, max_depth=depth, budget=budget)
+                begin_thebibliography(widest, state)
             elif name == "end":
                 close_item()
                 scan_group_arg(stream)  # environment name, discarded
@@ -453,7 +466,9 @@ def process_bbl(
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
                 body = scan_group_arg(stream)
-                define_newcommand(state.macros, macro_name, nparams, body, max_depth=depth)
+                define_newcommand(
+                    state.macros, macro_name, nparams, body, max_depth=depth, budget=budget
+                )
             elif name in state.macros:
                 macro = state.macros[name]
                 args = expansion.arguments(macro)

@@ -15,7 +15,12 @@ first included) installs the same result in the same order.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
-reproduces itself, another pass cannot learn anything new.
+reproduces itself, another pass cannot learn anything new.  A pass is a
+function of the document, the bbl and the aux bytes it reads, so a pass
+that writes exactly the aux bytes it read is not recomputed: the next
+pass is known to reproduce it.  That pass still counts as run: the aux
+file is rewritten and the pass is in ``passes_used`` and the aux
+history.  Files must therefore not change while a run is in progress.
 """
 
 from __future__ import annotations
@@ -103,6 +108,12 @@ class CiteWarning(NamedTuple):
 
 
 class PassResult:
+    """What one pass produced.
+
+    ``aux_read`` holds the aux bytes the pass read, or None when it read
+    none: no file, no-aux mode, or no citation-shaped command.
+    """
+
     __slots__ = (
         "rendered",
         "aux_bytes",
@@ -113,6 +124,7 @@ class PassResult:
         "undefined_keys",
         "table",
         "nobreak_before_bibliography",
+        "aux_read",
     )
 
     def __init__(
@@ -126,6 +138,7 @@ class PassResult:
         undefined_keys: list[str],
         table: LabelTable,
         nobreak_before_bibliography: bool,
+        aux_read: Optional[bytes] = None,
     ) -> None:
         self.rendered = rendered
         self.aux_bytes = aux_bytes
@@ -136,6 +149,7 @@ class PassResult:
         self.undefined_keys = undefined_keys
         self.table = table
         self.nobreak_before_bibliography = nobreak_before_bibliography
+        self.aux_read = aux_read
 
     def warning_texts(self) -> list[str]:
         return [w.text for w in self.warnings]
@@ -242,11 +256,14 @@ def run_pass(
     messages: list[str] = []
     lint: list[str] = []
     warnings: list[CiteWarning] = []
+    aux_read: Optional[bytes] = None
 
     def loader(session: AuxSession) -> None:
+        nonlocal aux_read
         aux_name = f"{config.jobname}.aux"
         if fs.exists(aux_name):
-            read_aux(session, fs.read_bytes(aux_name), table)
+            aux_read = fs.read_bytes(aux_name)
+            read_aux(session, aux_read, table)
         else:
             messages.append(handle_missing_aux(session))
 
@@ -315,6 +332,7 @@ def run_pass(
         undefined_keys=undefined,
         table=table,
         nobreak_before_bibliography=nobreak,
+        aux_read=aux_read,
     )
 
 
@@ -323,8 +341,12 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
 
     Convergence is declared when pass ``k`` writes byte-identical aux
     content to pass ``k - 1``; with a fixed bbl this takes two passes
-    for well-formed documents.  If the limit is hit first, the result
-    says so and keeps the aux history for diffing.
+    for well-formed documents.  When pass ``k`` wrote exactly the aux
+    bytes it read, pass ``k + 1`` would see the same inputs, so it is
+    not recomputed: its result is pass ``k``'s.  It still counts in
+    ``passes_used`` and the aux history, and it still rewrites the aux
+    file, so the outcome is the same as running it.  If the limit is
+    hit first, the result says so and keeps the aux history for diffing.
     """
     previous: Optional[PassResult] = None
     history: list[bytes] = []
@@ -334,6 +356,10 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
         history.append(result.aux_bytes)
         if previous is not None and result.aux_bytes == previous.aux_bytes:
             return FixpointResult(result, pass_number, True, history)
+        if result.aux_read == result.aux_bytes and pass_number < config.max_passes:
+            fs.write_bytes(f"{config.jobname}.aux", result.aux_bytes)
+            history.append(result.aux_bytes)
+            return FixpointResult(result, pass_number + 1, True, history)
         previous = result
     assert previous is not None
     return FixpointResult(previous, config.max_passes, False, history)

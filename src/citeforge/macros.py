@@ -15,7 +15,9 @@ the end of a replacement is read from the text pending below it, so with
 ``\\wrap`` expanding to ``\\pair{x}``, ``\\wrap{y}`` gives ``\\pair`` the
 arguments ``x`` and ``y``.  Up to :data:`MAX_EXPANSION_DEPTH` nested
 expansions succeed and one more raises, and so does a replacement that
-takes one reading past :data:`MAX_EXPANSION_CHARS` queued characters.
+takes its :class:`ExpansionBudget` past :data:`MAX_EXPANSION_CHARS`
+queued characters.  The bbl reader gives all the readings of one file
+(the walk, labels, the widest label and definition bodies) one budget.
 Errors carry no location; the bbl reader adds the line of the command
 it was handling.
 """
@@ -39,6 +41,7 @@ __all__ = [
     "MAX_EXPANSION_DEPTH",
     "MAX_EXPANSION_CHARS",
     "MacroDef",
+    "ExpansionBudget",
     "Expansion",
     "define_newcommand",
     "expand_macros",
@@ -46,10 +49,10 @@ __all__ = [
 ]
 
 MAX_EXPANSION_DEPTH = 256
-#: The most replacement text one reading may queue, in characters, over
-#: all its expansions.  A definition can double what the next one
-#: queues, so without a cap 30 short lines need gigabytes.  A 2,000-item
-#: bbl with 5,600 macro calls queues about 68,000.
+#: The most replacement text one budget may queue, in characters, over
+#: all the expansions it covers.  A definition can double what the next
+#: one queues, so without a cap 30 short lines need gigabytes.  A
+#: 2,000-item bbl with 5,600 macro calls queues about 68,000.
 MAX_EXPANSION_CHARS = 1 << 22
 
 # Parameter markers take ASCII digits only: "²".isdigit() is true too.
@@ -73,6 +76,7 @@ def define_newcommand(
     body: str,
     *,
     max_depth: int = MAX_EXPANSION_DEPTH,
+    budget: Optional[ExpansionBudget] = None,
 ) -> MacroDef:
     """Define ``name``; redefinition silently overwrites.
 
@@ -93,14 +97,19 @@ def define_newcommand(
         raise MacroError(f"{count} is too many parameters")
     if count < 0:
         raise MacroError(f"{count} is too few parameters")
-    expanded = expand_macros(defs, body, max_depth=max_depth)
+    expanded = expand_macros(defs, body, max_depth=max_depth, budget=budget)
     definition = MacroDef(name, count, expanded)
     defs[name] = definition
     return definition
 
 
 def substitute_params(body: str, args: list[str]) -> str:
-    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments."""
+    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments.
+
+    A result longer than :data:`MAX_EXPANSION_CHARS` could never be
+    queued, so it is refused before it is built: a short body that
+    repeats one long argument would otherwise take gigabytes.
+    """
     # Text and marker digits alternate: text, digit, text, ..., text.
     pieces = _PARAMETER.split(body)
     for i in range(1, len(pieces), 2):
@@ -110,7 +119,26 @@ def substitute_params(body: str, args: list[str]) -> str:
                 f"parameter #{index} used but only {len(args)} argument(s) supplied"
             )
         pieces[i] = args[index - 1]
+    if sum(map(len, pieces)) > MAX_EXPANSION_CHARS:
+        raise MacroError(f"replacement text exceeded {MAX_EXPANSION_CHARS} characters")
     return "".join(pieces)
+
+
+class ExpansionBudget:
+    """Replacement text queued so far by the readings that share it."""
+
+    __slots__ = ("queued",)
+
+    def __init__(self) -> None:
+        self.queued = 0
+
+    def spend(self, name: str, chars: int) -> None:
+        """Count ``chars`` queued by a call of ``name``; raise past the cap."""
+        self.queued += chars
+        if self.queued > MAX_EXPANSION_CHARS:
+            raise MacroError(
+                f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters"
+            )
 
 
 class Expansion:
@@ -118,13 +146,16 @@ class Expansion:
 
     A reader takes its next character from :meth:`top`; on reading a
     macro call it collects :meth:`arguments` and hands the substituted
-    body to :meth:`push`.
+    body to :meth:`push`.  What it queues is charged to ``budget``, a
+    fresh one unless the reading shares one.
     """
 
-    def __init__(self, text: CharStream, max_depth: int) -> None:
+    def __init__(
+        self, text: CharStream, max_depth: int, budget: Optional[ExpansionBudget] = None
+    ) -> None:
         self.streams = [text]
         self.max_depth = max_depth
-        self.queued = 0
+        self.budget = ExpansionBudget() if budget is None else budget
 
     def top(self) -> Optional[CharStream]:
         """The stream to read next, or None once everything is read."""
@@ -163,11 +194,7 @@ class Expansion:
         """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
         if len(self.streams) > self.max_depth:
             raise MacroRecursionError(name, self.max_depth)
-        self.queued += len(replacement)
-        if self.queued > MAX_EXPANSION_CHARS:
-            raise MacroError(
-                f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters"
-            )
+        self.budget.spend(name, len(replacement))
         if replacement:
             source = self.streams[0].source
             self.streams.append(
@@ -180,6 +207,7 @@ def expand_macros(
     text: str,
     *,
     max_depth: int = MAX_EXPANSION_DEPTH,
+    budget: Optional[ExpansionBudget] = None,
 ) -> str:
     """Expand every defined macro in ``text`` until none remain.
 
@@ -187,9 +215,10 @@ def expand_macros(
     result is read again, so macros may produce further macro calls; the
     nesting depth is capped (default 256) to turn runaway recursion
     into an error naming the offending macro, and so is the text the
-    expansions queue (:data:`MAX_EXPANSION_CHARS`).
+    expansions queue (:data:`MAX_EXPANSION_CHARS`), counted in
+    ``budget`` when given and from zero otherwise.
     """
-    expansion = Expansion(CharStream(text, comments=False), max_depth)
+    expansion = Expansion(CharStream(text, comments=False), max_depth, budget)
     out: list[str] = []
     while (stream := expansion.top()) is not None:
         content, start = stream.content, stream.position

@@ -206,7 +206,8 @@ def test_aux_write_failure_exits_three(workspace):
 
 
 def test_runaway_expansion_exits_three(workspace, capsys):
-    # Each definition doubles the last: line 23 would queue 2**23 characters.
+    # Each definition doubles the last, and line k queues 2**k characters:
+    # one budget for the whole file runs out at line 22, in its first \u.
     names = [chr(ord("a") + i) for i in range(23)]
     lines = ["\\newcommand\\a{xx}\n"]
     lines += [f"\\newcommand\\{name}{{\\{last}\\{last}}}\n" for last, name in zip(names, names[1:])]
@@ -214,7 +215,7 @@ def test_runaway_expansion_exits_three(workspace, capsys):
     code = main(["resolve", str(workspace / "paper.tex")])
     _, err = capsys.readouterr()
     assert code == 3
-    assert f"citeforge: error: paper.bbl:23: expansion of \\v exceeded {MAX_EXPANSION_CHARS}" in err
+    assert f"citeforge: error: paper.bbl:22: expansion of \\u exceeded {MAX_EXPANSION_CHARS}" in err
 
 
 def test_cli_import_loads_no_heavy_modules():

@@ -10,6 +10,7 @@ The remaining tests pin the behaviour the two readers now share.
 """
 
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,13 @@ from citeforge.auxfile import AuxSession
 from citeforge.bbl import BblState, process_bbl
 from citeforge.citations import Defined, LabelTable
 from citeforge.errors import MacroError, MacroRecursionError
-from citeforge.macros import MAX_EXPANSION_DEPTH, MacroDef, MacroTable, expand_macros
+from citeforge.macros import (
+    MAX_EXPANSION_CHARS,
+    MAX_EXPANSION_DEPTH,
+    MacroDef,
+    MacroTable,
+    expand_macros,
+)
 from citeforge.rendering import render_plain
 
 _LETTERS = frozenset(string.ascii_letters)
@@ -310,3 +317,64 @@ def test_non_ascii_digit_after_hash_is_literal_text():
 def test_percent_is_literal_in_scanned_text():
     defs = {"p": MacroDef("p", 1, "<#1>")}
     assert expand_macros(defs, "50% \\p{a%b} \\p%") == "50% <a%b> <%>"
+
+
+# --- one expansion budget per bbl ----------------------------------------
+
+# A few times the budget: what one bbl may make the engine hold at once.
+PEAK_BOUND = 4 * MAX_EXPANSION_CHARS
+
+
+def doubling(levels):
+    """Definitions whose line ``k`` stores and queues 2**k characters."""
+    names = string.ascii_letters[:levels]
+    lines = ["\\newcommand\\a{xx}\n"]
+    lines += [f"\\newcommand\\{name}{{\\{last}\\{last}}}\n" for last, name in zip(names, names[1:])]
+    return "".join(lines), names
+
+
+def peak_and_error(content):
+    """The tracemalloc peak, in bytes, of reading ``content``, and its error."""
+    error = None
+    tracemalloc.start()
+    try:
+        run_bbl(content)
+    except MacroError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+def test_definition_bodies_share_one_budget():
+    # Each definition alone queues at most the cap, but together they
+    # would store five more bodies of 4 Mi characters.
+    defs, names = doubling(22)
+    content = defs + "".join(f"\\newcommand\\czz{name}{{y\\v}}\n" for name in "abcde")
+    peak, error = peak_and_error(content)
+    assert peak < PEAK_BOUND
+    assert str(error) == f"t.bbl:22: expansion of \\u exceeded {MAX_EXPANSION_CHARS} characters"
+
+
+def test_walk_and_labels_share_the_budget():
+    # \t stores 2**20 characters; the definitions queued 2**21 - 4.
+    defs, names = doubling(20)
+    assert names[-1] == "t"
+    content = defs + wrap("\\bibitem[\\t]{k}\n\\t\n\\bibitem[\\t]{j}\nB.")
+    with pytest.raises(MacroError) as info:
+        run_bbl(content)
+    assert str(info.value) == f"t.bbl:24: expansion of \\t exceeded {MAX_EXPANSION_CHARS} characters"
+
+
+def test_substitution_past_the_budget_is_refused_before_it_is_built():
+    # \z holds \w{<64 Ki characters>}, and \w repeats its argument 400 times.
+    defs, names = doubling(16)
+    content = defs + (
+        f"\\newcommand\\z{{\\w{{\\{names[-1]}}}}}\n"
+        "\\newcommand\\w[1]{" + "#1" * 400 + "}\n"
+        "\\z\n"
+    )
+    peak, error = peak_and_error(content)
+    assert peak < PEAK_BOUND
+    assert str(error) == f"t.bbl:19: replacement text exceeded {MAX_EXPANSION_CHARS} characters"
