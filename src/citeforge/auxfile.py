@@ -76,18 +76,24 @@ class AuxRecord(NamedTuple):
         return cls(AuxKind.CITEDEF, key, label)
 
 
-def _check_payload(text: str, what: str) -> None:
+def _check_payload(text: str, kind: AuxKind, part: str = "payload") -> None:
     if "\n" in text or "\r" in text:
-        raise AuxFormatError(f"{what} may not contain a newline: {text!r}")
+        raise AuxFormatError(f"{kind.value} {part} may not contain a newline: {text!r}")
+
+
+def _check_record(record: AuxRecord) -> None:
+    """Raise :class:`AuxFormatError` unless the record fits on one line."""
+    _check_payload(record.payload, record.kind)
+    if record.kind is AuxKind.CITEDEF:
+        if record.label is None:
+            raise AuxFormatError("@citedef record requires a label")
+        _check_payload(record.label, AuxKind.CITEDEF, "label")
 
 
 def format_record(record: AuxRecord) -> str:
     """The record's exact one-line serialization, newline terminated."""
-    _check_payload(record.payload, f"{record.kind.value} payload")
+    _check_record(record)
     if record.kind is AuxKind.CITEDEF:
-        if record.label is None:
-            raise AuxFormatError("@citedef record requires a label")
-        _check_payload(record.label, "@citedef label")
         return f"\\@citedef{{{record.payload}}}{{{record.label}}}\n"
     return f"\\{record.kind.value}{{{record.payload}}}\n"
 
@@ -129,7 +135,7 @@ class AuxSession:
         """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
         if self.no_aux:
             return
-        format_record(record)  # reject unserializable records at write time
+        _check_record(record)  # reject unserializable records at write time
         self.pending_writes.append(record)
 
     def serialize(self) -> bytes:

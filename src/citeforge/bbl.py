@@ -24,6 +24,13 @@ block edges are trimmed.  ``\\em``, ``\\it``, ``\\sc``, ``\\tt`` and
 ``\\rm`` switch the style for the rest of their group; other unknown
 commands pass through as text with a lint note.
 
+The walk takes one token of :data:`~citeforge.scanner.TOKEN` per step:
+a word run (words joined by single spaces), a blank run, a control
+sequence, a brace or a comment.  Inside an item, word and blank runs go
+to the block whole, so a block costs a step per run, not per
+character.  Outside an item, text is taken as one run up to the next
+command, brace or comment, and stray text is reported once per run.
+
 Macros have one meaning everywhere.  The walk reads the file through
 the macro engine (:class:`~citeforge.macros.Expansion`), so a call in
 a body is replaced in place and its replacement may open items, split
@@ -40,8 +47,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .auxfile import AuxRecord, AuxSession
 from .citations import LabelTable
@@ -56,8 +64,11 @@ from .macros import (
     expand_macros,
     substitute_params,
 )
-from .rendering import RenderedFragment, Span, Style
+from .rendering import RenderedFragment, Style
 from .scanner import (
+    ESCAPE,
+    TEXT_TOKEN,
+    TOKEN,
     CharStream,
     OptionalArg,
     control_at,
@@ -226,11 +237,13 @@ class BblState:
 
 
 def measure_label(label: str, metric: CharMetric) -> Dimension:
-    """Width of the bracketed label ``[label]`` as typeset, in em."""
-    total = Fraction(0)
-    for ch in "[" + label + "]":
-        total += metric.width_of(ch)
-    return Dimension.em(total)
+    """Width of the bracketed label ``[label]`` as typeset, in em.
+
+    Each distinct character is measured once, in order of first
+    appearance, so a missing width names the first character without one.
+    """
+    counts = Counter("[" + label + "]")
+    return Dimension.em(sum((metric.width_of(ch) * n for ch, n in counts.items()), Fraction(0)))
 
 
 def _apply_overrides(state: BblState) -> None:
@@ -302,47 +315,36 @@ def bibitem(
 class _BlockBuilder:
     """Accumulates one body block, normalizing whitespace as it goes.
 
-    Runs of whitespace become single spaces, and leading and trailing
-    whitespace disappears.  A space keeps the style in force where it
-    occurred, the way a space token is set in the current font, so the
-    gap before ``{\\em ...}`` stays plain.
+    It takes word runs and blank runs whole.  A blank run becomes a
+    single space, and leading and trailing blanks disappear.  A space
+    keeps the style in force where it occurred, the way a space token
+    is set in the current font, so the gap before ``{\\em ...}`` stays
+    plain.
     """
 
+    __slots__ = ("fragment", "_pending_space")
+
     def __init__(self) -> None:
-        self._spans: list[Span] = []
-        self._style: Style = Style.PLAIN
-        self._chunks: list[str] = []
-        self._pending_space: Optional[Style] = None
-        self._has_text = False
+        self.fragment = RenderedFragment()
+        # The style of the space before the next word: None for no space,
+        # and False until the first word, since leading blanks vanish.
+        self._pending_space: Union[Style, None, bool] = False
 
-    def _flush(self) -> None:
-        if self._chunks:
-            self._spans.append(Span(self._style, "".join(self._chunks)))
-            self._chunks = []
+    def word(self, text: str, style: Style) -> None:
+        pending = self._pending_space
+        if pending is style:
+            text = " " + text
+        elif pending:
+            self.fragment.append(pending, " ")
+        self._pending_space = None
+        self.fragment.append(style, text)
 
-    def _emit(self, text: str, style: Style) -> None:
-        if style is not self._style:
-            self._flush()
-            self._style = style
-        self._chunks.append(text)
-
-    def add(self, text: str, style: Style) -> None:
-        for ch in text:
-            if ch in _BLOCK_SPACES:
-                if self._has_text and self._pending_space is None:
-                    self._pending_space = style
-                continue
-            if self._pending_space is not None:
-                self._emit(" ", self._pending_space)
-                self._pending_space = None
-            self._emit(ch, style)
-            self._has_text = True
+    def space(self, style: Style) -> None:
+        if self._pending_space is None:
+            self._pending_space = style
 
     def finish(self) -> Optional[RenderedFragment]:
-        self._flush()
-        if not self._has_text:
-            return None
-        return RenderedFragment(self._spans)
+        return None if self._pending_space is False else self.fragment
 
 
 def _scan_macro_name_arg(stream: CharStream) -> str:
@@ -384,6 +386,7 @@ def process_bbl(
 
     depth, budget = state.max_expansion_depth, state.expansion_budget
     expansion = Expansion(CharStream(content, source=source), depth, budget)
+    streams = expansion.streams
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
     block = _BlockBuilder()
@@ -400,42 +403,19 @@ def process_bbl(
         close_block()
         current_item = None
 
-    def handle_text(text: str, line: int, src: str) -> None:
-        if current_item is not None:
-            block.add(text, style_stack[-1])
-            return
+    def outside_item(text: str, line: int) -> None:
         if text.strip(_BLOCK_SPACES) == "":
             return
         if state.in_environment:
-            raise StructureError("text before the first \\bibitem", line, src)
-        note(f"{src}:{line}: text outside thebibliography ignored")
+            raise StructureError("text before the first \\bibitem", line, source)
+        note(f"{source}:{line}: text outside thebibliography ignored")
 
-    while (stream := expansion.top()) is not None:
-        ch = stream.peek()
-        if ch == "%" and stream.comments:
-            skip_comment(stream)
-            continue
-        if ch == "{":
-            stream.take()
-            style_stack.append(style_stack[-1])
-            continue
-        if ch == "}":
-            if len(style_stack) == 1:
-                raise UnbalancedGroupError("unexpected '}'", stream.line, stream.source)
-            stream.take()
-            style_stack.pop()
-            continue
-        if ch != "\\":
-            line = stream.line
-            text_stop = _TEXT_STOP if stream.comments else _TEXT_STOP_NO_COMMENTS
-            stop = text_stop.search(stream.content, stream.position)
-            text = stream.take_to(len(stream.content) if stop is None else stop.start())
-            handle_text(text, line, stream.source)
-            continue
-
-        line = stream.line
-        name, end = control_at(stream.content, stream.position)
-        raw = stream.take_to(end)
+    def command(stream: CharStream, token: re.Match[str], line: int) -> bool:
+        """Act on a control sequence token; true when it queued a replacement."""
+        nonlocal current_item
+        name = token.group("control")
+        if name == "\n":
+            stream.line += 1
         try:
             if name in _STYLE_SWITCHES:
                 style_stack[-1] = _STYLE_SWITCHES[name]
@@ -454,9 +434,7 @@ def process_bbl(
                 close_item()
                 optional = scan_optional_arg(stream, lint)
                 key = scan_group_arg(stream)
-                current_item = bibitem(
-                    state, optional, key, session, table, line, stream.source
-                )
+                current_item = bibitem(state, optional, key, session, table, line, source)
                 skip_filler(stream)
             elif name == "newblock":
                 skip_filler(stream)
@@ -473,12 +451,56 @@ def process_bbl(
                 macro = state.macros[name]
                 args = expansion.arguments(macro)
                 expansion.push(name, substitute_params(macro.body, args), line)
+                return True
             else:
-                note(f"{stream.source}:{line}: unknown command `{raw}' passed through")
-                handle_text(raw, line, stream.source)
+                raw = token.group()
+                note(f"{source}:{line}: unknown command `{raw}' passed through")
+                if current_item is None:
+                    outside_item(raw, line)
+                elif raw[-1] in _BLOCK_SPACES:  # a control space: escape, then a space
+                    block.word(ESCAPE, style_stack[-1])
+                    block.space(style_stack[-1])
+                else:
+                    block.word(raw, style_stack[-1])
         except MacroError as exc:
-            exc.locate(line, stream.source)
+            exc.locate(line, source)
             raise
+        return False
+
+    # One token of the top stream per event, read until the stream ends
+    # or a macro call queues its replacement above it.  Outside an item,
+    # text is taken as one run up to the next command, brace or comment.
+    while streams:
+        stream = streams[-1]
+        content, content_end = stream.content, len(stream.content)
+        match = (TOKEN if stream.comments else TEXT_TOKEN).match
+        text_stop = _TEXT_STOP if stream.comments else _TEXT_STOP_NO_COMMENTS
+        while (position := stream.position) < content_end:
+            token = match(content, position)
+            kind = token.lastgroup
+            if current_item is None and (kind == "word" or kind == "space"):
+                stop = text_stop.search(content, position)
+                line = stream.line
+                outside_item(stream.take_to(content_end if stop is None else stop.start()), line)
+                continue
+            stream.position = token.end()
+            if kind == "word":
+                block.word(token.group(), style_stack[-1])
+            elif kind == "space":
+                stream.line += token.group().count("\n")
+                block.space(style_stack[-1])
+            elif kind == "open":
+                style_stack.append(style_stack[-1])
+            elif kind == "close":
+                if len(style_stack) == 1:
+                    raise UnbalancedGroupError("unexpected '}'", stream.line, source)
+                style_stack.pop()
+            elif kind == "comment":
+                skip_comment(stream)
+            elif command(stream, token, stream.line):
+                break
+        else:
+            streams.pop()
 
     close_item()
     if state.in_environment:

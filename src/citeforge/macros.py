@@ -144,9 +144,10 @@ class ExpansionBudget:
 class Expansion:
     """The stream stack of one reading: the text and pending replacements.
 
-    A reader takes its next character from :meth:`top`; on reading a
-    macro call it collects :meth:`arguments` and hands the substituted
-    body to :meth:`push`.  What it queues is charged to ``budget``, a
+    A reader reads the last of ``streams``, through :meth:`top` or by
+    popping the streams it reads to the end itself; on reading a macro
+    call it collects :meth:`arguments` and hands the substituted body to
+    :meth:`push`.  What it queues is charged to ``budget``, a
     fresh one unless the reading shares one.
     """
 

@@ -3,11 +3,16 @@
 The scanner works on a fixed character regime: ``\\`` starts a command,
 ``{``/``}`` delimit groups, ``%`` starts a comment running to the end of
 the line, and command names are maximal ASCII letter runs (a single
-non-letter character otherwise).  :func:`control_at` is the one lexer
-for them, shared by the document scanner, the bbl reader and the macro
-engine.  Comments are stripped wherever the scanner reads file text,
-including inside arguments; the comment consumes its newline, so a line
-split with a trailing ``%`` joins seamlessly.  Text scanned once already
+non-letter character otherwise).  One token pattern, :data:`TOKEN`
+(:data:`TEXT_TOKEN` for text without comments), lexes all of it: a
+match at a position is a word run, a blank run, a control sequence, a
+brace or a comment, and ``lastgroup`` names which.  The bbl reader
+walks its text one such match at a time, and :func:`control_at`, the
+lexer of the document scanner and the macro engine, is the same
+pattern matched at an escape.  Comments are stripped wherever the
+scanner reads file text, including inside arguments; the comment
+consumes its newline, so a line split with a trailing ``%`` joins
+seamlessly.  Text scanned once already
 (labels, macro bodies, replacement texts) has no comments left, so a
 stream over it sets ``comments`` false and any ``%`` there is an
 ordinary character.
@@ -43,8 +48,23 @@ __all__ = [
 
 ESCAPE = "\\"
 COMMENT = "%"
-_WHITESPACE = " \t\r\n\f\v"
-_CONTROL_WORD = re.compile("[A-Za-z]*")
+_FILLER_START = " \t\r\n\f\v%"
+# A control word, a control symbol, or a lone escape at the end of the text.
+_CONTROL = r"\\(?P<control>[A-Za-z]+|.?)"
+# Words joined by single spaces, which need no normalizing, form one word run.
+_WORD = r"[^%(stops)s \t\r\n\f\v]+"
+_TOKEN = (
+    rf"(?P<word>{_WORD}(?: {_WORD})*)|(?P<space>[ \t\r\n\f\v]+)|{_CONTROL}"
+    r"|(?P<open>\{)|(?P<close>\})|(?P<comment>%%)"
+)
+#: The token at a position of text with comments; ``lastgroup`` names its kind.
+TOKEN = re.compile(_TOKEN % {"stops": r"\\{}%"}, re.DOTALL)
+#: The same for text without comments, where ``%`` belongs to words.
+TEXT_TOKEN = re.compile(_TOKEN % {"stops": r"\\{}"}, re.DOTALL)
+_FILLER = re.compile(r"(?:[ \t\r\n\f\v]+|%[^\n]*\n?)*")
+_BLANKS = re.compile(r"[ \t\r\n\f\v]*")
+# A group with nothing in it that _scan_to would treat specially.
+_PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
 _TEXT_STOP = re.compile(r"[\\%]")
 _ESCAPE_STOP = re.compile(r"\\")
@@ -160,14 +180,9 @@ def skip_comment(stream: CharStream) -> None:
 
 def skip_filler(stream: CharStream) -> None:
     """Skip whitespace (line breaks included) and comments."""
-    while not stream.at_end():
-        ch = stream.peek()
-        if ch in _WHITESPACE:
-            stream.take()
-        elif ch == COMMENT and stream.comments:
-            skip_comment(stream)
-        else:
-            return
+    content, position = stream.content, stream.position
+    if position < len(content) and content[position] in _FILLER_START:
+        stream.take_to((_FILLER if stream.comments else _BLANKS).match(content, position).end())
 
 
 def control_at(text: str, i: int) -> tuple[str, int]:
@@ -177,12 +192,8 @@ def control_at(text: str, i: int) -> tuple[str, int]:
     character forms a control symbol.  A lone escape at the end of the
     text yields ``("", i + 1)``.
     """
-    end = _CONTROL_WORD.match(text, i + 1).end()
-    if end > i + 1:
-        return text[i + 1 : end], end
-    if i + 1 < len(text):
-        return text[i + 1], i + 2
-    return "", i + 1
+    control = TEXT_TOKEN.match(text, i)
+    return control.group("control"), control.end()
 
 
 def _scan_to(stream: CharStream, close: str) -> str:
@@ -252,6 +263,9 @@ def scan_group_arg(stream: CharStream) -> str:
     count toward nesting, so ``{a\\}b}`` yields ``a\\}b``.
     """
     skip_filler(stream)
+    plain = _PLAIN_GROUP.match(stream.content, stream.position)
+    if plain is not None:
+        return stream.take_to(plain.end())[1:-1]
     if stream.at_end() or stream.peek() != "{":
         found = "end of input" if stream.at_end() else repr(stream.peek())
         raise ScanError(f"expected '{{' but found {found}", stream.line, stream.source)

@@ -57,6 +57,25 @@ class TestSession:
             session.write(AuxRecord.citation("bad\npayload"))
         assert session.pending_writes == []
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (AuxRecord.citation("a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
+            (AuxRecord.bibstyle("a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
+            (AuxRecord(AuxKind.CITEDEF, "k\n"), "@citedef payload may not contain a newline"),
+            (AuxRecord(AuxKind.CITEDEF, "k"), "@citedef record requires a label"),
+            (AuxRecord.citedef("k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
+        ],
+    )
+    def test_write_and_format_reject_alike(self, record, message):
+        # The first problem of a record is the one both report.
+        with pytest.raises(AuxFormatError) as written:
+            AuxSession().write(record)
+        with pytest.raises(AuxFormatError) as formatted:
+            format_record(record)
+        assert str(written.value) == str(formatted.value)
+        assert str(written.value).startswith(message)
+
     def test_loader_runs_once(self):
         calls = []
         session = AuxSession(loader=calls.append)

@@ -6,6 +6,7 @@ independent counter, so nothing here restates the implementation.
 """
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,40 @@ class TestMeasureLabel:
 
         with pytest.raises(MeasurementError):
             measure_label("q", CharMetric.table({"[": 1, "]": 1}))
+
+    @given(
+        st.text(alphabet="abcxyz[] é", max_size=40),
+        st.dictionaries(
+            st.sampled_from("abcxyz[] é"),
+            st.fractions(min_value=0, max_value=3, max_denominator=12),
+        ),
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=2, max_denominator=7)),
+    )
+    def test_equals_the_per_character_sum(self, label, widths, fallback):
+        from citeforge.errors import MeasurementError
+
+        metric = CharMetric(widths, fallback)
+        missing = [ch for ch in "[" + label + "]" if ch not in widths and fallback is None]
+        if missing:
+            with pytest.raises(MeasurementError) as raised:
+                measure_label(label, metric)
+            assert raised.value.char == missing[0]  # the first one in label order
+            return
+        expected = Fraction(0)
+        for ch in "[" + label + "]":
+            expected += widths.get(ch, fallback)
+        assert measure_label(label, metric) == Dimension.em(expected)
+
+    def test_a_long_label_is_measured_per_distinct_character(self):
+        size = 1 << 20
+        label = ("Knuth84" * (size // 7 + 1))[:size]
+        metric = CharMetric.table({ch: Fraction(1, 1 + ord(ch) % 5) for ch in "[]Knuth84"})
+        start = perf_counter()
+        measured = measure_label(label, metric)
+        assert perf_counter() - start < 0.3
+        widths = metric.widths
+        expected = widths["["] + widths["]"] + sum(widths[ch] * label.count(ch) for ch in set(label))
+        assert measured == Dimension.em(expected)
 
 
 class TestEnvironmentSetup:

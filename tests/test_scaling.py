@@ -12,6 +12,7 @@ import gc
 from time import perf_counter
 
 from citeforge.auxfile import AuxSession, read_aux
+from citeforge.bbl import BblState, process_bbl
 from citeforge.citations import LabelTable
 from citeforge.rendering import RenderedFragment, Style
 from citeforge.scanner import DOCUMENT_COMMANDS, CharStream, next_command
@@ -59,6 +60,28 @@ def read_many_records(count: int) -> None:
     assert len(table) == count
 
 
+BBL_MACROS = (
+    "\\newcommand{\\lab}[3]{#1#3#2}\n"
+    "\\newcommand{\\surname}[1]{{\\sc #1}}\n"
+    "\\newcommand{\\pages}[2]{pp.~#1--#2}\n"
+)
+
+
+def walk_many_items(count: int) -> None:
+    # Tagged labels through a 3-parameter macro, blocks, style groups and
+    # macro calls in the bodies, as a generated bibliography has them.
+    items = "".join(
+        f"\\bibitem[\\lab{{Au}}{{{i % 100:02d}}}{{{chr(97 + i % 26)}}}]{{key{i}}}\n"
+        f"\\surname{{Author}}, A. and B.~Other.\n"
+        f"\\newblock {{\\em A title   of\tsome length}}.\n"
+        f"\\newblock In {{\\sc Proceedings}}, \\pages{{{i}}}{{{i + 9}}}, 2020.\n\n"
+        for i in range(count)
+    )
+    content = f"{BBL_MACROS}\\begin{{thebibliography}}{{99}}\n{items}\\end{{thebibliography}}\n"
+    bibliography = process_bbl(content, BblState(), AuxSession(), LabelTable())
+    assert len(bibliography.items) == count
+
+
 def test_same_style_append_is_linear():
     assert time_ratio(append_same_style, 10_000) < MAX_TIME_RATIO
 
@@ -69,3 +92,7 @@ def test_next_command_over_one_long_text_run_is_linear():
 
 def test_read_aux_over_many_records_is_linear():
     assert time_ratio(read_many_records, 500) < MAX_TIME_RATIO
+
+
+def test_process_bbl_over_many_items_is_linear():
+    assert time_ratio(walk_many_items, 100) < MAX_TIME_RATIO
