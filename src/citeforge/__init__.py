@@ -26,7 +26,6 @@ from .bbl import (
     process_bbl,
 )
 from .citations import (
-    CiteStyleHooks,
     Defined,
     Fallback,
     LabelTable,
@@ -87,7 +86,6 @@ __all__ = [
     "Bibliography",
     "CharMetric",
     "CharStream",
-    "CiteStyleHooks",
     "CiteWarning",
     "CiteforgeError",
     "CommandInvocation",

@@ -111,18 +111,13 @@ class AuxSession:
     __slots__ = ("no_aux", "loader", "read_done", "warnings_enabled", "pending_writes")
 
     def __init__(
-        self,
-        no_aux: bool = False,
-        loader: Optional[Callable[["AuxSession"], None]] = None,
-        read_done: bool = False,
-        warnings_enabled: bool = True,
-        pending_writes: Optional[list[AuxRecord]] = None,
+        self, no_aux: bool = False, loader: Optional[Callable[["AuxSession"], None]] = None
     ) -> None:
         self.no_aux = no_aux
         self.loader = loader
-        self.read_done = read_done or no_aux
-        self.warnings_enabled = warnings_enabled and not no_aux
-        self.pending_writes = [] if pending_writes is None else pending_writes
+        self.read_done = no_aux
+        self.warnings_enabled = not no_aux
+        self.pending_writes: list[AuxRecord] = []
 
     def ensure_read(self) -> None:
         if self.read_done:

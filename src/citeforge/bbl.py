@@ -49,7 +49,7 @@ import enum
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .auxfile import AuxRecord, AuxSession
 from .citations import LabelTable
@@ -110,79 +110,40 @@ class Alignment(enum.Enum):
     LABELS_RIGHT = "labels_right"
 
 
-class LayoutParams:
+class LayoutParams(NamedTuple):
     """Paragraph shape and page-breaking parameters for the item list.
 
     ``hangindent`` is derived: label width plus the extra space, never
     stored separately, so the two cannot drift apart.
     """
 
-    __slots__ = (
-        "biblabelwidth",
-        "biblabelextraspace",
-        "parskip",
-        "newblock_glue",
-        "clubpenalty",
-        "widowpenalty",
-        "tolerance",
-        "hfuzz",
-        "frenchspacing",
+    biblabelwidth: Dimension = Dimension.pt(0)
+    biblabelextraspace: Dimension = Dimension.em(Fraction(1, 2))
+    parskip: Dimension = Dimension.of("1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex"))
+    newblock_glue: Dimension = Dimension.of(
+        "0.11", "em", plus=("0.33", "em"), minus=("0.07", "em")
     )
-
-    def __init__(
-        self,
-        biblabelwidth: Dimension = Dimension.pt(0),
-        biblabelextraspace: Dimension = Dimension.em(Fraction(1, 2)),
-        parskip: Dimension = Dimension.of(
-            "1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex")
-        ),
-        newblock_glue: Dimension = Dimension.of(
-            "0.11", "em", plus=("0.33", "em"), minus=("0.07", "em")
-        ),
-        clubpenalty: int = 4000,
-        widowpenalty: int = 4000,
-        tolerance: int = 10000,
-        hfuzz: Dimension = Dimension.pt(Fraction(1, 2)),
-        frenchspacing: bool = True,
-    ) -> None:
-        self.biblabelwidth = biblabelwidth
-        self.biblabelextraspace = biblabelextraspace
-        self.parskip = parskip
-        self.newblock_glue = newblock_glue
-        self.clubpenalty = clubpenalty
-        self.widowpenalty = widowpenalty
-        self.tolerance = tolerance
-        self.hfuzz = hfuzz
-        self.frenchspacing = frenchspacing
+    clubpenalty: int = 4000
+    widowpenalty: int = 4000
+    tolerance: int = 10000
+    hfuzz: Dimension = Dimension.pt(Fraction(1, 2))
+    frenchspacing: bool = True
 
     def hangindent(self, em_size_pt: Fraction | None = None) -> Dimension:
         return self.biblabelwidth.add(self.biblabelextraspace, em_size_pt)
 
 
-class BibItem:
-    __slots__ = ("key", "label", "alpha", "alignment", "body")
-
-    def __init__(
-        self,
-        key: str,
-        label: str,
-        alpha: bool,
-        alignment: Alignment,
-        body: Optional[list[RenderedFragment]] = None,
-    ) -> None:
-        self.key = key
-        self.label = label
-        self.alpha = alpha
-        self.alignment = alignment
-        self.body = [] if body is None else body
+class BibItem(NamedTuple):
+    key: str
+    label: str
+    alpha: bool
+    alignment: Alignment
+    body: list[RenderedFragment]
 
 
-class Bibliography:
-    __slots__ = ("items", "layout")
-
-    def __init__(self, items: list[BibItem], layout: LayoutParams) -> None:
-        self.items = items
-        self.layout = layout
+class Bibliography(NamedTuple):
+    items: list[BibItem]
+    layout: LayoutParams
 
     @property
     def alignment(self) -> Optional[Alignment]:
@@ -192,47 +153,30 @@ class Bibliography:
 class BblState:
     """Mutable state for a single bbl run; make a fresh one per call.
 
-    ``expansion_budget`` counts the replacement text every expansion of
-    the run queues, so it is not a parameter: it starts at zero.
+    Only the width table is a parameter; everything else starts at its
+    initial value.  ``expansion_budget`` counts the replacement text
+    every expansion of the run queues.
     """
 
     __slots__ = (
         "metric",
-        "em_size_pt",
         "layout",
-        "overrides",
         "item_counter",
         "alignment",
         "in_environment",
         "macros",
         "items",
-        "max_expansion_depth",
         "expansion_budget",
     )
 
-    def __init__(
-        self,
-        metric: Optional[CharMetric] = None,
-        em_size_pt: Fraction = Fraction(10),
-        layout: Optional[LayoutParams] = None,
-        overrides: Optional[Mapping[str, object]] = None,
-        item_counter: int = 0,
-        alignment: Optional[Alignment] = None,
-        in_environment: bool = False,
-        macros: Optional[dict[str, MacroDef]] = None,
-        items: Optional[list[BibItem]] = None,
-        max_expansion_depth: int = MAX_EXPANSION_DEPTH,
-    ) -> None:
+    def __init__(self, metric: Optional[CharMetric] = None) -> None:
         self.metric = CharMetric() if metric is None else metric
-        self.em_size_pt = em_size_pt
-        self.layout = LayoutParams() if layout is None else layout
-        self.overrides = overrides
-        self.item_counter = item_counter
-        self.alignment = alignment
-        self.in_environment = in_environment
-        self.macros = {} if macros is None else macros
-        self.items = [] if items is None else items
-        self.max_expansion_depth = max_expansion_depth
+        self.layout = LayoutParams()
+        self.item_counter = 0
+        self.alignment: Optional[Alignment] = None
+        self.in_environment = False
+        self.macros: dict[str, MacroDef] = {}
+        self.items: list[BibItem] = []
         self.expansion_budget = ExpansionBudget()
 
 
@@ -246,29 +190,16 @@ def measure_label(label: str, metric: CharMetric) -> Dimension:
     return Dimension.em(sum((metric.width_of(ch) * n for ch, n in counts.items()), Fraction(0)))
 
 
-def _apply_overrides(state: BblState) -> None:
-    if not state.overrides:
-        return
-    for name, value in state.overrides.items():
-        if name not in LayoutParams.__slots__:
-            raise ValueError(f"unknown layout override {name!r}")
-        setattr(state.layout, name, value)
-
-
 def begin_thebibliography(widest: str, state: BblState) -> None:
     """Open (or reopen) the environment.
 
-    Sets the label box width from the widest label, resets the item
-    counter and the alignment decision, and restores the default extra
-    space; configured overrides are reapplied on top so they survive a
-    reopen.
+    Sets the label box width from the widest label and resets the item
+    counter and the alignment decision.
     """
-    state.layout.biblabelwidth = measure_label(widest, state.metric)
-    state.layout.biblabelextraspace = Dimension.em(Fraction(1, 2))
+    state.layout = state.layout._replace(biblabelwidth=measure_label(widest, state.metric))
     state.item_counter = 0
     state.alignment = None
     state.in_environment = True
-    _apply_overrides(state)
 
 
 def bibitem(
@@ -290,12 +221,7 @@ def bibitem(
     if not state.in_environment:
         raise StructureError("\\bibitem outside thebibliography", line, source)
     if optional.present_nonempty:
-        label = expand_macros(
-            state.macros,
-            optional.text,
-            max_depth=state.max_expansion_depth,
-            budget=state.expansion_budget,
-        )
+        label = expand_macros(state.macros, optional.text, budget=state.expansion_budget)
         alpha = True
         if state.alignment is None:
             state.alignment = Alignment.LABELS_LEFT
@@ -307,7 +233,7 @@ def bibitem(
             state.alignment = Alignment.LABELS_RIGHT
     table.define(key, label)
     session.write(AuxRecord.citedef(key, label))
-    item = BibItem(key=key, label=label, alpha=alpha, alignment=state.alignment)
+    item = BibItem(key, label, alpha, state.alignment, [])
     state.items.append(item)
     return item
 
@@ -378,14 +304,12 @@ def process_bbl(
     and ``session``; nothing else does.  A :class:`MacroError` raised
     while handling a command gets that command's ``source:line``.
     """
-    _apply_overrides(state)
-
     def note(message: str) -> None:
         if lint is not None:
             lint(message)
 
-    depth, budget = state.max_expansion_depth, state.expansion_budget
-    expansion = Expansion(CharStream(content, source=source), depth, budget)
+    budget = state.expansion_budget
+    expansion = Expansion(CharStream(content, source=source), MAX_EXPANSION_DEPTH, budget)
     streams = expansion.streams
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
@@ -424,7 +348,7 @@ def process_bbl(
                 close_item()
                 scan_group_arg(stream)  # environment name; any counts as ours
                 widest = scan_group_arg(stream)
-                widest = expand_macros(state.macros, widest, max_depth=depth, budget=budget)
+                widest = expand_macros(state.macros, widest, budget=budget)
                 begin_thebibliography(widest, state)
             elif name == "end":
                 close_item()
@@ -444,9 +368,7 @@ def process_bbl(
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
                 body = scan_group_arg(stream)
-                define_newcommand(
-                    state.macros, macro_name, nparams, body, max_depth=depth, budget=budget
-                )
+                define_newcommand(state.macros, macro_name, nparams, body, budget=budget)
             elif name in state.macros:
                 macro = state.macros[name]
                 args = expansion.arguments(macro)
@@ -507,5 +429,5 @@ def process_bbl(
         note(f"{source}: thebibliography environment never closed")
     if len(style_stack) != 1:
         note(f"{source}: unbalanced group at end of file")
-    return Bibliography(items=state.items, layout=state.layout)
+    return Bibliography(state.items, state.layout)
 

@@ -17,6 +17,7 @@ without rendering anything.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Optional, Union
 
 from ._value import Value
@@ -31,7 +32,6 @@ __all__ = [
     "LabelState",
     "UNDEFINED",
     "LabelTable",
-    "CiteStyleHooks",
     "undefined_citation_warning",
     "nocite",
     "cite_one",
@@ -82,31 +82,11 @@ class LabelTable:
         return len(self.entries)
 
 
-def _prepend_comma(note: str) -> str:
-    return ", " + note
+_BLANK = re.compile(r"\s")
 
 
-class CiteStyleHooks:
-    """Presentation knobs for rendered citations."""
-
-    __slots__ = ("open", "close", "separator", "note_format")
-
-    def __init__(
-        self,
-        open: str = "[",
-        close: str = "]",
-        separator: str = ", ",
-        note_format: Callable[[str], str] = _prepend_comma,
-    ) -> None:
-        self.open = open
-        self.close = close
-        self.separator = separator
-        self.note_format = note_format
-
-
-def undefined_citation_warning(line: int, key: str, line_numbers: bool = True) -> str:
-    prefix = f"{line}: " if line_numbers else ""
-    return f"{prefix}Undefined citation `{key}'."
+def undefined_citation_warning(line: int, key: str) -> str:
+    return f"{line}: Undefined citation `{key}'."
 
 
 def nocite(session: AuxSession, keys: str) -> None:
@@ -124,8 +104,6 @@ def cite_one(
     table: LabelTable,
     warnings_enabled: bool,
     line: int,
-    *,
-    line_numbers: bool = True,
 ) -> tuple[RenderedFragment, Optional[str]]:
     """Render a single key; returns the fragment and at most one warning.
 
@@ -145,7 +123,7 @@ def cite_one(
     fragment.append(Style.TYPEWRITER, key)
     warning = None
     if warnings_enabled:
-        warning = undefined_citation_warning(line, key, line_numbers)
+        warning = undefined_citation_warning(line, key)
     return fragment, warning
 
 
@@ -156,12 +134,10 @@ LintSink = Callable[[str], None]
 def cite(
     session: AuxSession,
     table: LabelTable,
-    hooks: CiteStyleHooks,
     keys: str,
     note: OptionalArg,
     line: int,
     *,
-    line_numbers: bool = True,
     warn: Optional[WarnSink] = None,
     lint: Optional[LintSink] = None,
 ) -> RenderedFragment:
@@ -174,19 +150,17 @@ def cite(
     """
     nocite(session, keys)
     fragment = RenderedFragment()
-    fragment.append(Style.PLAIN, hooks.open)
+    fragment.append(Style.PLAIN, "[")
     for index, key in enumerate(split_comma_list(keys)):
         if index:
-            fragment.append(Style.PLAIN, hooks.separator)
-        if any(ch.isspace() for ch in key) and lint is not None:
+            fragment.append(Style.PLAIN, ", ")
+        if lint is not None and _BLANK.search(key):
             lint(f"{line}: citation key `{key}' contains a space")
-        rendered, warning = cite_one(
-            key, table, session.warnings_enabled, line, line_numbers=line_numbers
-        )
+        rendered, warning = cite_one(key, table, session.warnings_enabled, line)
         fragment.extend(rendered)
         if warning is not None and warn is not None:
             warn(line, key, warning)
     if note.present_nonempty:
-        fragment.append(Style.PLAIN, hooks.note_format(note.text))
-    fragment.append(Style.PLAIN, hooks.close)
+        fragment.append(Style.PLAIN, ", " + note.text)
+    fragment.append(Style.PLAIN, "]")
     return fragment

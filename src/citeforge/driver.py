@@ -30,14 +30,7 @@ from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
 from .bbl import Bibliography, BblState, LayoutParams, process_bbl
-from .citations import (
-    CiteStyleHooks,
-    Defined,
-    Fallback,
-    LabelTable,
-    cite,
-    nocite,
-)
+from .citations import Defined, Fallback, LabelTable, cite, nocite
 from .dimensions import CharMetric, Dimension, Numberish, as_fraction
 from .errors import ScanError
 from .files import FileAccess
@@ -66,9 +59,6 @@ class JobConfig:
         "max_passes",
         "em_size_pt",
         "metric",
-        "diagnostics_line_numbers",
-        "hooks",
-        "layout_overrides",
         "document_name",
     )
 
@@ -80,9 +70,6 @@ class JobConfig:
         max_passes: int = 4,
         em_size_pt: Numberish = Fraction(10),
         metric: Optional[CharMetric] = None,
-        diagnostics_line_numbers: bool = True,
-        hooks: Optional[CiteStyleHooks] = None,
-        layout_overrides: Optional[dict] = None,
         document_name: str = "",
     ) -> None:
         self.jobname = jobname
@@ -91,9 +78,6 @@ class JobConfig:
         self.max_passes = max_passes
         self.em_size_pt = as_fraction(em_size_pt)
         self.metric = CharMetric() if metric is None else metric
-        self.diagnostics_line_numbers = diagnostics_line_numbers
-        self.hooks = CiteStyleHooks() if hooks is None else hooks
-        self.layout_overrides = layout_overrides
         self.document_name = document_name or f"{jobname}.tex"
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
@@ -107,68 +91,33 @@ class CiteWarning(NamedTuple):
     text: str
 
 
-class PassResult:
+class PassResult(NamedTuple):
     """What one pass produced.
 
     ``aux_read`` holds the aux bytes the pass read, or None when it read
     none: no file, no-aux mode, or no citation-shaped command.
     """
 
-    __slots__ = (
-        "rendered",
-        "aux_bytes",
-        "warnings",
-        "bibliography",
-        "messages",
-        "lint",
-        "undefined_keys",
-        "table",
-        "nobreak_before_bibliography",
-        "aux_read",
-    )
-
-    def __init__(
-        self,
-        rendered: RenderedFragment,
-        aux_bytes: bytes,
-        warnings: list[CiteWarning],
-        bibliography: Optional[Bibliography],
-        messages: list[str],
-        lint: list[str],
-        undefined_keys: list[str],
-        table: LabelTable,
-        nobreak_before_bibliography: bool,
-        aux_read: Optional[bytes] = None,
-    ) -> None:
-        self.rendered = rendered
-        self.aux_bytes = aux_bytes
-        self.warnings = warnings
-        self.bibliography = bibliography
-        self.messages = messages
-        self.lint = lint
-        self.undefined_keys = undefined_keys
-        self.table = table
-        self.nobreak_before_bibliography = nobreak_before_bibliography
-        self.aux_read = aux_read
+    rendered: RenderedFragment
+    aux_bytes: bytes
+    warnings: list[CiteWarning]
+    bibliography: Optional[Bibliography]
+    messages: list[str]
+    lint: list[str]
+    undefined_keys: list[str]
+    table: LabelTable
+    nobreak_before_bibliography: bool
+    aux_read: Optional[bytes] = None
 
     def warning_texts(self) -> list[str]:
         return [w.text for w in self.warnings]
 
 
-class FixpointResult:
-    __slots__ = ("final", "passes_used", "converged", "aux_history")
-
-    def __init__(
-        self,
-        final: PassResult,
-        passes_used: int,
-        converged: bool,
-        aux_history: list[bytes],
-    ) -> None:
-        self.final = final
-        self.passes_used = passes_used
-        self.converged = converged
-        self.aux_history = aux_history
+class FixpointResult(NamedTuple):
+    final: PassResult
+    passes_used: int
+    converged: bool
+    aux_history: list[bytes]
 
 
 def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
@@ -183,28 +132,18 @@ def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
     return fragment
 
 
-class _ProcessedBbl:
+class _ProcessedBbl(NamedTuple):
     """What a bbl file contributes to each pass, worked out once per run.
 
     ``labels`` holds its definitions in first-defined order, and
     ``records`` the ``@citedef`` records it queued (none in no-aux mode).
     """
 
-    __slots__ = ("bibliography", "rendered", "labels", "records", "lint")
-
-    def __init__(
-        self,
-        bibliography: Bibliography,
-        rendered: RenderedFragment,
-        labels: LabelTable,
-        records: list[AuxRecord],
-        lint: list[str],
-    ) -> None:
-        self.bibliography = bibliography
-        self.rendered = rendered
-        self.labels = labels
-        self.records = records
-        self.lint = lint
+    bibliography: Bibliography
+    rendered: RenderedFragment
+    labels: LabelTable
+    records: list[AuxRecord]
+    lint: list[str]
 
     def install(self, session: AuxSession, table: LabelTable, lint: list[str]) -> None:
         for key, state in self.labels.entries.items():
@@ -220,11 +159,7 @@ def _process_bbl_file(config: JobConfig, fs: FileAccess, bbl_name: str) -> _Proc
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text (byte {exc.start})"
         raise ScanError(message, source=bbl_name) from None
-    state = BblState(
-        metric=config.metric,
-        em_size_pt=config.em_size_pt,
-        overrides=config.layout_overrides,
-    )
+    state = BblState(config.metric)
     # This session checks each record as it is queued, or drops it in
     # no-aux mode, exactly as the pass's own session would.
     session = AuxSession(no_aux=config.no_aux)
@@ -285,11 +220,9 @@ def run_pass(
             fragment = cite(
                 session,
                 table,
-                config.hooks,
                 item.args[0],
                 item.optional,
                 item.source_line,
-                line_numbers=config.diagnostics_line_numbers,
                 warn=warn,
                 lint=lint.append,
             )

@@ -84,15 +84,10 @@ class CharStream:
     __slots__ = ("content", "position", "line", "source", "comments")
 
     def __init__(
-        self,
-        content: str,
-        position: int = 0,
-        line: int = 1,
-        source: str = "",
-        comments: bool = True,
+        self, content: str, line: int = 1, source: str = "", comments: bool = True
     ) -> None:
         self.content = content
-        self.position = position
+        self.position = 0
         self.line = line
         self.source = source
         self.comments = comments

@@ -53,7 +53,6 @@ _BLOCK_SPACES = " \t\r\n\f\v"
 _TEXT_STOP = re.compile(r"[\\{}%]")
 _TEXT_STOP_NO_COMMENTS = re.compile(r"[\\{}]")
 LintSink = Callable[[str], None]
-_apply_overrides = bbl._apply_overrides
 begin_thebibliography = bbl.begin_thebibliography
 bibitem = bbl.bibitem
 
@@ -198,13 +197,11 @@ def process_bbl(
     lint: Optional[LintSink] = None,
     source: str = "",
 ) -> Bibliography:
-    _apply_overrides(state)
-
     def note(message: str) -> None:
         if lint is not None:
             lint(message)
 
-    depth, budget = state.max_expansion_depth, state.expansion_budget
+    depth, budget = macros.MAX_EXPANSION_DEPTH, state.expansion_budget
     expansion = ReferenceExpansion(CharStream(content, source=source), depth, budget)
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None

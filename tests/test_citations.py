@@ -4,7 +4,6 @@ import pytest
 
 from citeforge.auxfile import AuxKind, AuxSession
 from citeforge.citations import (
-    CiteStyleHooks,
     Defined,
     Fallback,
     LabelTable,
@@ -47,12 +46,6 @@ class TestWarningText:
     def test_with_line_number(self):
         assert undefined_citation_warning(42, "x") == "42: Undefined citation `x'."
 
-    def test_without_line_number(self):
-        assert (
-            undefined_citation_warning(42, "x", line_numbers=False)
-            == "Undefined citation `x'."
-        )
-
 
 class TestCiteOne:
     def test_defined_renders_plain_label(self):
@@ -91,7 +84,7 @@ class TestNocite:
 
 
 class TestCite:
-    def run_cite(self, keys, table=None, note=EMPTY_OPTIONAL, hooks=None, session=None):
+    def run_cite(self, keys, table=None, note=EMPTY_OPTIONAL, session=None):
         table = table if table is not None else LabelTable()
         session = session or AuxSession()
         warnings = []
@@ -99,7 +92,6 @@ class TestCite:
         fragment = cite(
             session,
             table,
-            hooks or CiteStyleHooks(),
             keys,
             note,
             5,
@@ -132,11 +124,16 @@ class TestCite:
         _, _, _, session = self.run_cite("a, b")
         assert session.pending_writes[0].payload == "a, b"
 
-    def test_key_with_space_kept_and_linted(self):
-        fragment, warnings, notes, _ = self.run_cite("a, b")
-        assert render_annotated(fragment) == "[⟨tt:a⟩, ⟨tt: b⟩]"
-        assert notes == ["5: citation key ` b' contains a space"]
-        assert [w for w in warnings if "` b'" in w]
+    @pytest.mark.parametrize(
+        "key",
+        [" b", "\tb", "b ", "\u3000b", "b\x1c"],
+        ids=["leading-space", "tab", "trailing-space", "ideographic-space", "separator"],
+    )
+    def test_key_with_space_kept_and_linted(self, key):
+        fragment, warnings, notes, _ = self.run_cite("a," + key)
+        assert render_annotated(fragment) == f"[⟨tt:a⟩, ⟨tt:{key}⟩]"
+        assert notes == [f"5: citation key `{key}' contains a space"]
+        assert [w for w in warnings if f"`{key}'" in w]
 
     def test_warning_once_per_key_across_cites(self):
         table = LabelTable()
@@ -150,18 +147,6 @@ class TestCite:
         session = AuxSession(no_aux=True)
         _, warnings, _, _ = self.run_cite("x", session=session)
         assert warnings == []
-
-    def test_hooks_change_the_dressing(self):
-        table = LabelTable()
-        table.define("a", "1")
-        table.define("b", "2")
-        hooks = CiteStyleHooks(
-            open="(", close=")", separator="; ", note_format=lambda n: f" -- {n}"
-        )
-        fragment, _, _, _ = self.run_cite(
-            "a,b", table, note=OptionalArg("see also"), hooks=hooks
-        )
-        assert render_plain(fragment) == "(1; 2 -- see also)"
 
     def test_mixed_defined_and_fallback(self):
         table = LabelTable()

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from citeforge import files
-from citeforge.citations import CiteStyleHooks, Defined, Fallback
-from citeforge.dimensions import CharMetric, Dimension
+from citeforge.citations import Defined, Fallback
 from citeforge.driver import (
     FixpointResult,
     JobConfig,
@@ -138,12 +137,6 @@ class TestRunPass:
         assert result.warning_texts() == ["2: Undefined citation `gone'."]
         assert result.undefined_keys == ["gone"]
 
-    def test_line_numbers_can_be_dropped_from_warnings(self):
-        fs = MemoryFiles({"doc.aux": b""})
-        config = JobConfig(jobname="doc", diagnostics_line_numbers=False)
-        result = run_pass(config, "\\cite{gone}", fs)
-        assert result.warning_texts() == ["Undefined citation `gone'."]
-
     def test_corrupt_aux_aborts(self):
         fs = MemoryFiles({"doc.aux": b"garbage"})
         with pytest.raises(AuxCorruptError):
@@ -202,14 +195,6 @@ class TestRunPass:
         doc = "\\bibitem{k} and \\newblock stay\n"
         result = run_pass(JobConfig(jobname="doc"), doc, fs)
         assert render_plain(result.rendered) == doc
-
-    def test_custom_hooks(self):
-        fs = MemoryFiles({"doc.aux": b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"})
-        config = JobConfig(
-            jobname="doc", hooks=CiteStyleHooks(open="(", close=")", separator="/")
-        )
-        result = run_pass(config, "\\cite{a,b}", fs)
-        assert render_plain(result.rendered) == "(1/2)"
 
     def test_no_aux_mode_never_touches_files(self):
         fs = MemoryFiles()
@@ -339,14 +324,6 @@ class TestReport:
         layout = build_report(config, outcome)["bibliography"]["layout"]
         assert layout["biblabelwidth"]["pt"] == 30.0
         assert layout["hangindent"]["pt"] == 40.0
-
-    def test_layout_overrides_flow_through(self):
-        config, outcome = self.make_outcome(
-            layout_overrides={"biblabelextraspace": Dimension.em(1)}
-        )
-        layout = build_report(config, outcome)["bibliography"]["layout"]
-        assert layout["biblabelextraspace"]["pt"] == 10.0
-        assert layout["hangindent"]["pt"] == 25.0
 
     def test_report_json_round_trips(self):
         config, outcome = self.make_outcome()
