@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from citeforge import bbl, driver, macros, scanner
 from citeforge.auxfile import AuxSession
-from citeforge.bbl import BblState, BibItem, Bibliography, LayoutParams
+from citeforge.bbl import BblState, BibItem, Bibliography
 from citeforge.citations import LabelTable
 from citeforge.errors import MacroError, ScanError, StructureError, UnbalancedGroupError
 from citeforge.macros import Expansion, define_newcommand, substitute_params
@@ -332,9 +332,8 @@ def outcome(walk, content: str):
         (item.key, item.label, item.alpha, item.alignment, [block.spans for block in item.body])
         for item in bibliography.items
     ]
-    layout = [getattr(bibliography.layout, name) for name in LayoutParams.__slots__]
     labels = list(table.entries.items())
-    result = ("ok", items, layout, lint, session.pending_writes, labels)
+    result = ("ok", items, bibliography.layout, lint, session.pending_writes, labels)
     return result, driver._render_bibliography(bibliography).spans
 
 
