@@ -31,10 +31,9 @@ from .citations import (
     LabelTable,
     Undefined,
     cite,
-    cite_one,
     nocite,
 )
-from .dimensions import CharMetric, Dimension, as_fraction, format_number
+from .dimensions import Dimension, as_fraction, format_number
 from .driver import (
     CiteWarning,
     FixpointResult,
@@ -51,7 +50,6 @@ from .errors import (
     CiteforgeError,
     MacroError,
     MacroRecursionError,
-    MeasurementError,
     ScanError,
     StructureError,
     UnbalancedGroupError,
@@ -84,7 +82,6 @@ __all__ = [
     "BblState",
     "BibItem",
     "Bibliography",
-    "CharMetric",
     "CharStream",
     "CiteWarning",
     "CiteforgeError",
@@ -105,7 +102,6 @@ __all__ = [
     "MacroDef",
     "MacroError",
     "MacroRecursionError",
-    "MeasurementError",
     "MemoryFiles",
     "OptionalArg",
     "PassResult",
@@ -121,7 +117,6 @@ __all__ = [
     "bibitem",
     "build_report",
     "cite",
-    "cite_one",
     "define_newcommand",
     "expand_macros",
     "format_number",

@@ -47,16 +47,14 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .auxfile import AuxRecord, AuxSession
 from .citations import LabelTable
-from .dimensions import CharMetric, Dimension
+from .dimensions import Dimension
 from .errors import MacroError, StructureError, UnbalancedGroupError
 from .macros import (
-    MAX_EXPANSION_DEPTH,
     Expansion,
     ExpansionBudget,
     MacroDef,
@@ -153,13 +151,11 @@ class Bibliography(NamedTuple):
 class BblState:
     """Mutable state for a single bbl run; make a fresh one per call.
 
-    Only the width table is a parameter; everything else starts at its
-    initial value.  ``expansion_budget`` counts the replacement text
-    every expansion of the run queues.
+    Everything starts at its initial value.  ``expansion_budget`` counts
+    the replacement text every expansion of the run queues.
     """
 
     __slots__ = (
-        "metric",
         "layout",
         "item_counter",
         "alignment",
@@ -169,8 +165,7 @@ class BblState:
         "expansion_budget",
     )
 
-    def __init__(self, metric: Optional[CharMetric] = None) -> None:
-        self.metric = CharMetric() if metric is None else metric
+    def __init__(self) -> None:
         self.layout = LayoutParams()
         self.item_counter = 0
         self.alignment: Optional[Alignment] = None
@@ -180,14 +175,12 @@ class BblState:
         self.expansion_budget = ExpansionBudget()
 
 
-def measure_label(label: str, metric: CharMetric) -> Dimension:
+def measure_label(label: str) -> Dimension:
     """Width of the bracketed label ``[label]`` as typeset, in em.
 
-    Each distinct character is measured once, in order of first
-    appearance, so a missing width names the first character without one.
+    Every character, the brackets included, is half an em wide.
     """
-    counts = Counter("[" + label + "]")
-    return Dimension.em(sum((metric.width_of(ch) * n for ch, n in counts.items()), Fraction(0)))
+    return Dimension.em(Fraction(len(label) + 2, 2))
 
 
 def begin_thebibliography(widest: str, state: BblState) -> None:
@@ -196,7 +189,7 @@ def begin_thebibliography(widest: str, state: BblState) -> None:
     Sets the label box width from the widest label and resets the item
     counter and the alignment decision.
     """
-    state.layout = state.layout._replace(biblabelwidth=measure_label(widest, state.metric))
+    state.layout = state.layout._replace(biblabelwidth=measure_label(widest))
     state.item_counter = 0
     state.alignment = None
     state.in_environment = True
@@ -309,7 +302,7 @@ def process_bbl(
             lint(message)
 
     budget = state.expansion_budget
-    expansion = Expansion(CharStream(content, source=source), MAX_EXPANSION_DEPTH, budget)
+    expansion = Expansion(CharStream(content, source=source), budget)
     streams = expansion.streams
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None

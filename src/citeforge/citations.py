@@ -34,7 +34,6 @@ __all__ = [
     "LabelTable",
     "undefined_citation_warning",
     "nocite",
-    "cite_one",
     "cite",
 ]
 
@@ -99,34 +98,6 @@ def nocite(session: AuxSession, keys: str) -> None:
     session.write(AuxRecord.citation(keys))
 
 
-def cite_one(
-    key: str,
-    table: LabelTable,
-    warnings_enabled: bool,
-    line: int,
-) -> tuple[RenderedFragment, Optional[str]]:
-    """Render a single key; returns the fragment and at most one warning.
-
-    An undefined key renders as the raw key in typewriter type and is
-    moved to the fallback state so later cites of it stay silent; the
-    state changes whether or not the warning was allowed to fire.
-    """
-    state = table.state_for(key)
-    fragment = RenderedFragment()
-    if isinstance(state, Defined):
-        fragment.append(Style.PLAIN, state.label)
-        return fragment, None
-    if isinstance(state, Fallback):
-        fragment.append(Style.TYPEWRITER, key)
-        return fragment, None
-    table.set_fallback(key)
-    fragment.append(Style.TYPEWRITER, key)
-    warning = None
-    if warnings_enabled:
-        warning = undefined_citation_warning(line, key)
-    return fragment, warning
-
-
 WarnSink = Callable[[int, str, str], None]
 LintSink = Callable[[str], None]
 
@@ -147,6 +118,11 @@ def cite(
     written between the braces is what lands in the aux file.  Split
     items are not trimmed either: ``a, b`` cites the key `` b``, space
     and all, which the lint sink points out.
+
+    A defined key renders as its label.  Any other key renders as the
+    raw key in typewriter type; an undefined one is moved to the
+    fallback state, so later cites of it stay silent, and warns once
+    if the session allows warnings.  The state changes either way.
     """
     nocite(session, keys)
     fragment = RenderedFragment()
@@ -156,10 +132,15 @@ def cite(
             fragment.append(Style.PLAIN, ", ")
         if lint is not None and _BLANK.search(key):
             lint(f"{line}: citation key `{key}' contains a space")
-        rendered, warning = cite_one(key, table, session.warnings_enabled, line)
-        fragment.extend(rendered)
-        if warning is not None and warn is not None:
-            warn(line, key, warning)
+        state = table.state_for(key)
+        if isinstance(state, Defined):
+            fragment.append(Style.PLAIN, state.label)
+            continue
+        fragment.append(Style.TYPEWRITER, key)
+        if isinstance(state, Undefined):
+            table.set_fallback(key)
+            if session.warnings_enabled and warn is not None:
+                warn(line, key, undefined_citation_warning(line, key))
     if note.present_nonempty:
         fragment.append(Style.PLAIN, ", " + note.text)
     fragment.append(Style.PLAIN, "]")

@@ -8,7 +8,8 @@ notices to stderr.
 
 Exit codes: 0 converged; 1 converged but some citations stayed
 undefined; 2 no convergence within the pass limit; 3 a parse or
-structure error aborted a pass, or a file could not be read or written.
+structure error aborted a pass, or a file or the output could not be
+read or written.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ from .rendering import render_annotated, render_plain
 
 __all__ = ["main", "build_parser"]
 
+#: TeX's largest dimension, 16383.99998pt (2**30 - 1 scaled points).
+_MAX_DIMEN_PT = Fraction(2**30 - 1, 2**16)
+
 
 def _em_size(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid length in points: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("em size must be positive")
+    if not 0 < value <= _MAX_DIMEN_PT:
+        raise argparse.ArgumentTypeError("em size must be positive and at most 16383.99998pt")
     return value
 
 
@@ -90,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"citeforge: {exc}", file=sys.stderr)
         return 3
 
-    fs = DirectoryFiles(path.parent if str(path.parent) else Path("."))
+    fs = DirectoryFiles(path.parent)
     try:
         outcome = run_to_fixpoint(config, document, fs)
     except (CiteforgeError, OSError) as exc:
@@ -106,10 +110,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"lint: {note}", file=sys.stderr)
 
     if args.report == "json":
-        print(report_json(config, outcome))
+        output = report_json(config, outcome) + "\n"
     else:
         renderer = render_annotated if args.render == "annotated" else render_plain
-        sys.stdout.write(renderer(final.rendered))
+        output = renderer(final.rendered)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"citeforge: error: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
     if not outcome.converged:
         return 2

@@ -10,12 +10,11 @@ an em.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 from ._value import Value
-from .errors import MeasurementError
 
-__all__ = ["Numberish", "as_fraction", "format_number", "Dimension", "CharMetric"]
+__all__ = ["Numberish", "as_fraction", "format_number", "Dimension"]
 
 Numberish = Union[int, str, Fraction, float]
 
@@ -144,35 +143,3 @@ def _scalar_pt(value: Fraction, unit: str, em_size_pt: Fraction) -> Fraction:
         return value * em_size_pt / 2
     raise ValueError(f"unknown unit {unit!r}")
 
-
-class CharMetric(Value):
-    """Per-character widths in em.
-
-    ``fallback`` is used for characters missing from ``widths``; with
-    ``fallback=None`` a missing character is an error.  The default
-    metric is uniform: half an em for everything.
-    """
-
-    __slots__ = ("widths", "fallback")
-
-    def __init__(
-        self,
-        widths: Mapping[str, Fraction] | None = None,
-        fallback: Fraction | None = Fraction(1, 2),
-    ) -> None:
-        self.widths = {} if widths is None else widths
-        self.fallback = fallback
-
-    @classmethod
-    def uniform(cls, width: Numberish = Fraction(1, 2)) -> "CharMetric":
-        return cls({}, as_fraction(width))
-
-    @classmethod
-    def table(cls, widths: Mapping[str, Numberish]) -> "CharMetric":
-        return cls({ch: as_fraction(w) for ch, w in widths.items()}, None)
-
-    def width_of(self, char: str) -> Fraction:
-        width = self.widths.get(char, self.fallback)
-        if width is None:
-            raise MeasurementError(char)
-        return width

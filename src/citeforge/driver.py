@@ -31,11 +31,11 @@ from typing import NamedTuple, Optional
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
 from .bbl import Bibliography, BblState, LayoutParams, process_bbl
 from .citations import Defined, Fallback, LabelTable, cite, nocite
-from .dimensions import CharMetric, Dimension, Numberish, as_fraction
+from .dimensions import Dimension, Numberish, as_fraction
 from .errors import ScanError
 from .files import FileAccess
 from .rendering import RenderedFragment, Style, render_annotated, render_plain
-from .scanner import DOCUMENT_COMMANDS, CharStream, next_command
+from .scanner import CharStream, next_command
 
 __all__ = [
     "JobConfig",
@@ -58,7 +58,6 @@ class JobConfig:
         "no_aux",
         "max_passes",
         "em_size_pt",
-        "metric",
         "document_name",
     )
 
@@ -69,7 +68,6 @@ class JobConfig:
         no_aux: bool = False,
         max_passes: int = 4,
         em_size_pt: Numberish = Fraction(10),
-        metric: Optional[CharMetric] = None,
         document_name: str = "",
     ) -> None:
         self.jobname = jobname
@@ -77,7 +75,6 @@ class JobConfig:
         self.no_aux = no_aux
         self.max_passes = max_passes
         self.em_size_pt = as_fraction(em_size_pt)
-        self.metric = CharMetric() if metric is None else metric
         self.document_name = document_name or f"{jobname}.tex"
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
@@ -159,7 +156,7 @@ def _process_bbl_file(config: JobConfig, fs: FileAccess, bbl_name: str) -> _Proc
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text (byte {exc.start})"
         raise ScanError(message, source=bbl_name) from None
-    state = BblState(config.metric)
+    state = BblState()
     # This session checks each record as it is queued, or drops it in
     # no-aux mode, exactly as the pass's own session would.
     session = AuxSession(no_aux=config.no_aux)
@@ -212,7 +209,7 @@ def run_pass(
 
     stream = CharStream(document, source=config.document_name)
     while not stream.at_end():
-        item = next_command(stream, DOCUMENT_COMMANDS, lint=lint.append)
+        item = next_command(stream, lint=lint.append)
         if isinstance(item, str):
             rendered.append(Style.PLAIN, item)
             continue

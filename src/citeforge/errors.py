@@ -16,7 +16,6 @@ __all__ = [
     "AuxCorruptError",
     "MacroError",
     "MacroRecursionError",
-    "MeasurementError",
     "StructureError",
 ]
 
@@ -88,14 +87,6 @@ class MacroRecursionError(MacroError):
         super().__init__(f"expansion of \\{name} exceeded depth {depth}")
         self.name = name
         self.depth = depth
-
-
-class MeasurementError(CiteforgeError):
-    """A width table has no entry for a character that must be measured."""
-
-    def __init__(self, char: str) -> None:
-        super().__init__(f"no width known for character {char!r}")
-        self.char = char
 
 
 class StructureError(CiteforgeError):

@@ -66,13 +66,9 @@ class MemoryFiles:
 
     __slots__ = ("files", "writes")
 
-    def __init__(
-        self,
-        files: Optional[dict[str, bytes]] = None,
-        writes: Optional[list[tuple[str, bytes]]] = None,
-    ) -> None:
+    def __init__(self, files: Optional[dict[str, bytes]] = None) -> None:
         self.files = {} if files is None else files
-        self.writes = [] if writes is None else writes
+        self.writes: list[tuple[str, bytes]] = []
 
     def exists(self, name: str) -> bool:
         return name in self.files

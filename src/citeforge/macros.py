@@ -75,7 +75,6 @@ def define_newcommand(
     nparams: OptionalArg,
     body: str,
     *,
-    max_depth: int = MAX_EXPANSION_DEPTH,
     budget: Optional[ExpansionBudget] = None,
 ) -> MacroDef:
     """Define ``name``; redefinition silently overwrites.
@@ -97,7 +96,7 @@ def define_newcommand(
         raise MacroError(f"{count} is too many parameters")
     if count < 0:
         raise MacroError(f"{count} is too few parameters")
-    expanded = expand_macros(defs, body, max_depth=max_depth, budget=budget)
+    expanded = expand_macros(defs, body, budget=budget)
     definition = MacroDef(name, count, expanded)
     defs[name] = definition
     return definition
@@ -151,11 +150,8 @@ class Expansion:
     fresh one unless the reading shares one.
     """
 
-    def __init__(
-        self, text: CharStream, max_depth: int, budget: Optional[ExpansionBudget] = None
-    ) -> None:
+    def __init__(self, text: CharStream, budget: Optional[ExpansionBudget] = None) -> None:
         self.streams = [text]
-        self.max_depth = max_depth
         self.budget = ExpansionBudget() if budget is None else budget
 
     def top(self) -> Optional[CharStream]:
@@ -193,8 +189,8 @@ class Expansion:
 
     def push(self, name: str, replacement: str, line: int) -> None:
         """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
-        if len(self.streams) > self.max_depth:
-            raise MacroRecursionError(name, self.max_depth)
+        if len(self.streams) > MAX_EXPANSION_DEPTH:
+            raise MacroRecursionError(name, MAX_EXPANSION_DEPTH)
         self.budget.spend(name, len(replacement))
         if replacement:
             source = self.streams[0].source
@@ -207,19 +203,18 @@ def expand_macros(
     defs: MacroTable,
     text: str,
     *,
-    max_depth: int = MAX_EXPANSION_DEPTH,
     budget: Optional[ExpansionBudget] = None,
 ) -> str:
     """Expand every defined macro in ``text`` until none remain.
 
     Unknown control sequences pass through untouched.  Each expansion
     result is read again, so macros may produce further macro calls; the
-    nesting depth is capped (default 256) to turn runaway recursion
-    into an error naming the offending macro, and so is the text the
-    expansions queue (:data:`MAX_EXPANSION_CHARS`), counted in
+    nesting depth is capped (:data:`MAX_EXPANSION_DEPTH`) to turn runaway
+    recursion into an error naming the offending macro, and so is the
+    text the expansions queue (:data:`MAX_EXPANSION_CHARS`), counted in
     ``budget`` when given and from zero otherwise.
     """
-    expansion = Expansion(CharStream(text, comments=False), max_depth, budget)
+    expansion = Expansion(CharStream(text, comments=False), budget)
     out: list[str] = []
     while (stream := expansion.top()) is not None:
         content, start = stream.content, stream.position

@@ -39,24 +39,21 @@ class Span(NamedTuple):
 
 
 class RenderedFragment:
-    """An ordered run of styled spans.
+    """An ordered run of styled spans, built by appending.
 
-    ``append`` merges adjacent spans of equal style, so a fragment
-    built by appending is in normal form: no empty spans, no two
-    neighbours sharing a style.  One made from a span list need not be,
-    and ``extend`` takes such a fragment span by span.  Text merged into
-    the last span waits in a chunk list and is joined when ``spans`` is
-    next read, so a span built from many appends costs time linear in
-    its length.
+    ``append`` merges adjacent spans of equal style, so a fragment is
+    always in normal form: no empty spans, no two neighbours sharing a
+    style.  Text merged into the last span waits in a chunk list and is
+    joined when ``spans`` is next read, so a span built from many
+    appends costs time linear in its length.
     """
 
-    __slots__ = ("_spans", "_tail", "_normal")
+    __slots__ = ("_spans", "_tail")
 
-    def __init__(self, spans: Optional[list[Span]] = None) -> None:
-        self._spans: list[Span] = [] if spans is None else spans
+    def __init__(self) -> None:
+        self._spans: list[Span] = []
         # The last span's text as chunks, once something was merged into it.
         self._tail: Optional[list[str]] = None
-        self._normal = spans is None
 
     @property
     def spans(self) -> list[Span]:
@@ -84,10 +81,7 @@ class RenderedFragment:
 
     def extend(self, other: "RenderedFragment") -> None:
         spans = other.spans
-        if not other._normal:
-            for span in spans:
-                self.append(span.style, span.text)
-        elif spans:
+        if spans:
             # Only the first span can merge; the rest already alternate.
             rest = spans[1:]
             self.append(*spans[0])

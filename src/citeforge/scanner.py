@@ -17,10 +17,11 @@ seamlessly.  Text scanned once already
 stream over it sets ``comments`` false and any ``%`` there is an
 ordinary character.
 
-Only commands listed in the arity table handed to :func:`next_command`
-are recognized.  Everything else, including unknown commands, passes
-through byte-for-byte as plain text, which is what makes scanning safe
-on documents full of markup this package does not understand.
+Only the commands in :data:`DOCUMENT_COMMANDS` are recognized by
+:func:`next_command`.  Everything else, including unknown commands,
+passes through byte-for-byte as plain text, which is what makes
+scanning safe on documents full of markup this package does not
+understand.
 """
 
 from __future__ import annotations
@@ -280,15 +281,13 @@ def split_comma_list(text: str) -> list[str]:
 
 
 def next_command(
-    stream: CharStream,
-    known: Mapping[str, CommandSpec],
-    lint: LintSink | None = None,
+    stream: CharStream, *, lint: LintSink | None = None
 ) -> Union[CommandInvocation, str]:
     """The next recognized command, or the text run leading up to one.
 
     Text runs are maximal: they carry everything (unknown commands
-    included, byte-for-byte) up to the next command found in ``known``
-    or the end of input.  Recognized commands come back with their
+    included, byte-for-byte) up to the next command found in
+    :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands come back with their
     optional and mandatory arguments already scanned; whitespace after
     the command name is consumed, mirroring how a reader that tokenizes
     control words would behave.
@@ -302,7 +301,8 @@ def next_command(
             skip_comment(stream)
             continue
         name, end = control_at(stream.content, stream.position)
-        if name not in known:
+        spec = DOCUMENT_COMMANDS.get(name)
+        if spec is None:
             parts.append(stream.take_to(end))
             continue
         if parts:
@@ -310,7 +310,6 @@ def next_command(
         command_line = stream.line
         stream.take_to(end)
         skip_filler(stream)
-        spec = known[name]
         optional = scan_optional_arg(stream, lint) if spec.takes_optional else EMPTY_OPTIONAL
         args = [scan_group_arg(stream) for _ in range(spec.arg_count)]
         return CommandInvocation(name, optional, args, command_line)

@@ -16,7 +16,7 @@ import pytest
 from citeforge.auxfile import AuxKind, AuxSession
 from citeforge.bbl import Alignment, BblState, process_bbl
 from citeforge.citations import LabelTable
-from citeforge.dimensions import CharMetric, Dimension
+from citeforge.dimensions import Dimension
 from citeforge.driver import JobConfig, build_report, run_pass, run_to_fixpoint
 from citeforge.errors import MacroError
 from citeforge.files import MemoryFiles
@@ -189,9 +189,7 @@ def test_06_layout_arithmetic_is_exact():
         "\\bibitem[Knu84]{knuth}\nAuthor.\n"
         "\\end{thebibliography}\n"
     )
-    config = JobConfig(
-        jobname="refs", em_size_pt=em_size, metric=CharMetric.uniform(per_char)
-    )
+    config = JobConfig(jobname="refs", em_size_pt=em_size)
     outcome = run_to_fixpoint(config, doc, MemoryFiles({"refs.bbl": bbl.encode()}))
 
     layout = outcome.final.bibliography.layout

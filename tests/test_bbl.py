@@ -23,7 +23,7 @@ from citeforge.bbl import (
     process_bbl,
 )
 from citeforge.citations import Defined, LabelTable
-from citeforge.dimensions import CharMetric, Dimension
+from citeforge.dimensions import Dimension
 from citeforge.errors import (
     MacroError,
     MacroRecursionError,
@@ -54,60 +54,27 @@ class TestMeasureLabel:
         label = "Knu84"
         per_char = Fraction(1, 2)
         expected = sum(per_char for _ in "[" + label + "]")
-        measured = measure_label(label, CharMetric.uniform(per_char))
+        measured = measure_label(label)
         assert measured == Dimension.em(expected)
         assert expected == Fraction(7, 2)
 
-    def test_table_metric_sums_individual_widths(self):
-        widths = {"[": "0.3", "]": "0.3", "i": "0.25", "m": "0.9"}
-        metric = CharMetric.table(widths)
-        expected = (
-            Fraction("0.3") + Fraction("0.25") + Fraction("0.9") + Fraction("0.3")
-        )
-        assert measure_label("im", metric) == Dimension.em(expected)
-
     def test_empty_label_is_just_the_brackets(self):
-        assert measure_label("", CharMetric.uniform(1)) == Dimension.em(2)
+        assert measure_label("") == Dimension.em(1)
 
-    def test_strict_metric_missing_char(self):
-        from citeforge.errors import MeasurementError
-
-        with pytest.raises(MeasurementError):
-            measure_label("q", CharMetric.table({"[": 1, "]": 1}))
-
-    @given(
-        st.text(alphabet="abcxyz[] é", max_size=40),
-        st.dictionaries(
-            st.sampled_from("abcxyz[] é"),
-            st.fractions(min_value=0, max_value=3, max_denominator=12),
-        ),
-        st.one_of(st.none(), st.fractions(min_value=0, max_value=2, max_denominator=7)),
-    )
-    def test_equals_the_per_character_sum(self, label, widths, fallback):
-        from citeforge.errors import MeasurementError
-
-        metric = CharMetric(widths, fallback)
-        missing = [ch for ch in "[" + label + "]" if ch not in widths and fallback is None]
-        if missing:
-            with pytest.raises(MeasurementError) as raised:
-                measure_label(label, metric)
-            assert raised.value.char == missing[0]  # the first one in label order
-            return
+    @given(st.text(max_size=40))
+    def test_equals_the_per_character_sum(self, label):
         expected = Fraction(0)
-        for ch in "[" + label + "]":
-            expected += widths.get(ch, fallback)
-        assert measure_label(label, metric) == Dimension.em(expected)
+        for _ in "[" + label + "]":
+            expected += Fraction(1, 2)
+        assert measure_label(label) == Dimension.em(expected)
 
-    def test_a_long_label_is_measured_per_distinct_character(self):
+    def test_a_long_label_is_measured_at_once(self):
         size = 1 << 20
         label = ("Knuth84" * (size // 7 + 1))[:size]
-        metric = CharMetric.table({ch: Fraction(1, 1 + ord(ch) % 5) for ch in "[]Knuth84"})
         start = perf_counter()
-        measured = measure_label(label, metric)
+        measured = measure_label(label)
         assert perf_counter() - start < 0.3
-        widths = metric.widths
-        expected = widths["["] + widths["]"] + sum(widths[ch] * label.count(ch) for ch in set(label))
-        assert measured == Dimension.em(expected)
+        assert measured == Dimension.em(Fraction(size + 2, 2))
 
 
 class TestEnvironmentSetup:

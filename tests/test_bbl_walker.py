@@ -117,8 +117,8 @@ class ReferenceExpansion(Expansion):
         return stream.take()
 
 
-def expand_macros(defs, text, *, max_depth=macros.MAX_EXPANSION_DEPTH, budget=None) -> str:
-    expansion = ReferenceExpansion(CharStream(text, comments=False), max_depth, budget)
+def expand_macros(defs, text, *, budget=None) -> str:
+    expansion = ReferenceExpansion(CharStream(text, comments=False), budget)
     out: list[str] = []
     while (stream := expansion.top()) is not None:
         content, start = stream.content, stream.position
@@ -172,7 +172,10 @@ class _BlockBuilder:
         self._flush()
         if not self._has_text:
             return None
-        return RenderedFragment(self._spans)
+        fragment = RenderedFragment()
+        for span in self._spans:
+            fragment.append(*span)
+        return fragment
 
 
 def _scan_macro_name_arg(stream: CharStream) -> str:
@@ -201,8 +204,8 @@ def process_bbl(
         if lint is not None:
             lint(message)
 
-    depth, budget = macros.MAX_EXPANSION_DEPTH, state.expansion_budget
-    expansion = ReferenceExpansion(CharStream(content, source=source), depth, budget)
+    budget = state.expansion_budget
+    expansion = ReferenceExpansion(CharStream(content, source=source), budget)
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
     block = _BlockBuilder()
@@ -263,7 +266,7 @@ def process_bbl(
                 close_item()
                 scan_group_arg(stream)  # environment name; any counts as ours
                 widest = scan_group_arg(stream)
-                widest = expand_macros(state.macros, widest, max_depth=depth, budget=budget)
+                widest = expand_macros(state.macros, widest, budget=budget)
                 begin_thebibliography(widest, state)
             elif name == "end":
                 close_item()
@@ -285,9 +288,7 @@ def process_bbl(
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
                 body = scan_group_arg(stream)
-                define_newcommand(
-                    state.macros, macro_name, nparams, body, max_depth=depth, budget=budget
-                )
+                define_newcommand(state.macros, macro_name, nparams, body, budget=budget)
             elif name in state.macros:
                 macro = state.macros[name]
                 args = expansion.arguments(macro)

@@ -9,7 +9,6 @@ from citeforge.citations import (
     LabelTable,
     Undefined,
     cite,
-    cite_one,
     nocite,
     undefined_citation_warning,
 )
@@ -48,29 +47,47 @@ class TestWarningText:
 
 
 class TestCiteOne:
+    """A cite of one key: its state decides the span and the warning."""
+
+    def cite_key(self, key, table, line, session=None):
+        session = session or AuxSession()
+        warnings = []
+        fragment = cite(
+            session, table, key, EMPTY_OPTIONAL, line,
+            warn=lambda line, key, text: warnings.append(text),
+        )
+        return fragment, warnings
+
     def test_defined_renders_plain_label(self):
         table = LabelTable()
         table.define("k", "12")
-        fragment, warning = cite_one("k", table, True, 1)
-        assert fragment.spans == [Span(Style.PLAIN, "12")]
-        assert warning is None
+        fragment, warnings = self.cite_key("k", table, 1)
+        assert fragment.spans == [Span(Style.PLAIN, "[12]")]
+        assert warnings == []
 
     def test_undefined_warns_once_and_falls_back(self):
         table = LabelTable()
-        first, warning = cite_one("x", table, True, 7)
-        assert first.spans == [Span(Style.TYPEWRITER, "x")]
-        assert warning == "7: Undefined citation `x'."
+        session = AuxSession()
+        first, warnings = self.cite_key("x", table, 7, session)
+        assert first.spans == [
+            Span(Style.PLAIN, "["), Span(Style.TYPEWRITER, "x"), Span(Style.PLAIN, "]")
+        ]
+        assert warnings == ["7: Undefined citation `x'."]
         assert table.state_for("x") == Fallback("x")
-        second, again = cite_one("x", table, True, 9)
-        assert second.spans == [Span(Style.TYPEWRITER, "x")]
-        assert again is None
+        second, again = self.cite_key("x", table, 9, session)
+        assert second.spans == first.spans
+        assert again == []
 
     def test_fallback_set_even_with_warnings_disabled(self):
         table = LabelTable()
-        fragment, warning = cite_one("x", table, False, 3)
-        assert warning is None
+        session = AuxSession()
+        session.warnings_enabled = False
+        fragment, warnings = self.cite_key("x", table, 3, session)
+        assert warnings == []
         assert table.state_for("x") == Fallback("x")
-        assert fragment.spans == [Span(Style.TYPEWRITER, "x")]
+        assert fragment.spans == [
+            Span(Style.PLAIN, "["), Span(Style.TYPEWRITER, "x"), Span(Style.PLAIN, "]")
+        ]
 
 
 class TestNocite:

@@ -150,6 +150,41 @@ def test_invalid_em_size_is_a_usage_error(workspace, capsys):
         main(["resolve", str(workspace / "paper.tex"), "--em-size", "zero"])
 
 
+@pytest.mark.parametrize("size", ["1e400", "16384", "16383.99999"])
+def test_em_size_above_maxdimen_is_a_usage_error(workspace, capsys, size):
+    with pytest.raises(SystemExit) as info:
+        main(["resolve", str(workspace / "paper.tex"), "--em-size", size, "--report", "json"])
+    assert info.value.code == 2
+    assert "em size must be positive and at most 16383.99998pt" in capsys.readouterr().err
+
+
+def test_em_size_of_maxdimen_is_accepted(workspace, capsys):
+    maxdimen = "1073741823/65536"
+    code = main(["resolve", str(workspace / "paper.tex"), "--em-size", maxdimen, "--report", "json"])
+    assert code == 0
+    layout = json.loads(capsys.readouterr().out)["bibliography"]["layout"]
+    assert layout["biblabelwidth"]["pt"] == 1.5 * 1073741823 / 65536
+
+
+class FullStream:
+    """A stdout whose device is full."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("report", ["none", "json"])
+def test_unwritable_stdout_exits_three(workspace, capsys, monkeypatch, report):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    code = main(["resolve", str(workspace / "paper.tex"), "--report", report])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "citeforge: error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_lint_goes_to_stderr(workspace, capsys):
     (workspace / "paper.tex").write_text(
         "\\cite{a, b}\n\\bibliography{refs}\n", encoding="utf-8"
@@ -203,6 +238,19 @@ def test_aux_write_failure_exits_three(workspace):
     assert "citeforge: error:" in err and "paper.aux" in err
     # the temporary file the aux was written to is gone again
     assert sorted(p.name for p in workspace.iterdir()) == ["paper.aux", "paper.bbl", "paper.tex"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_output_to_a_full_device_exits_three(workspace):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "citeforge.cli", "resolve", str(workspace / "paper.tex")],
+            stdout=full, stderr=subprocess.PIPE, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=str(Path(citeforge.__file__).parents[1])),
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("citeforge: error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_runaway_expansion_exits_three(workspace, capsys):

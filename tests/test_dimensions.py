@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citeforge.dimensions import CharMetric, Dimension, as_fraction, format_number
-from citeforge.errors import MeasurementError
+from citeforge.dimensions import Dimension, as_fraction, format_number
 
 fractions = st.fractions(
     min_value=Fraction(-10_000), max_value=Fraction(10_000), max_denominator=10_000
@@ -105,29 +104,3 @@ class TestDimension:
         assert a.add(b).value == q + Fraction(1, 3)
         assert a.add(b).unit == unit
 
-
-class TestCharMetric:
-    def test_default_is_uniform_half_em(self):
-        metric = CharMetric()
-        assert metric.width_of("a") == Fraction(1, 2)
-        assert metric.width_of("[") == Fraction(1, 2)
-
-    def test_uniform_override(self):
-        metric = CharMetric.uniform("0.6")
-        assert metric.width_of("x") == Fraction(3, 5)
-
-    def test_table_lookup(self):
-        metric = CharMetric.table({"i": "0.25", "m": "0.9"})
-        assert metric.width_of("i") == Fraction(1, 4)
-        assert metric.width_of("m") == Fraction(9, 10)
-
-    def test_strict_table_rejects_missing_characters(self):
-        metric = CharMetric.table({"a": 1})
-        with pytest.raises(MeasurementError) as info:
-            metric.width_of("z")
-        assert info.value.char == "z"
-
-    def test_table_with_fallback(self):
-        metric = CharMetric(widths={"w": Fraction(1)}, fallback=Fraction(1, 2))
-        assert metric.width_of("w") == Fraction(1)
-        assert metric.width_of("q") == Fraction(1, 2)

@@ -5,10 +5,13 @@ list, so the expected expansion is assembled directly from the pieces
 rather than re-parsed from the body text.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citeforge import macros
 from citeforge.errors import MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_DEPTH,
@@ -160,8 +163,9 @@ class TestExpand:
 
     def test_custom_depth_cap(self):
         defs = {"f": MacroDef("f", 0, "\\f")}
-        with pytest.raises(MacroRecursionError) as info:
-            expand_macros(defs, "\\f", max_depth=8)
+        with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", 8):
+            with pytest.raises(MacroRecursionError) as info:
+                expand_macros(defs, "\\f")
         assert info.value.depth == 8
 
 

@@ -15,7 +15,7 @@ from citeforge.auxfile import AuxSession, read_aux
 from citeforge.bbl import BblState, process_bbl
 from citeforge.citations import LabelTable
 from citeforge.rendering import RenderedFragment, Style
-from citeforge.scanner import DOCUMENT_COMMANDS, CharStream, next_command
+from citeforge.scanner import CharStream, next_command
 
 GROWTH = 16
 MAX_TIME_RATIO = 48
@@ -47,7 +47,7 @@ def scan_one_text_run(units: int) -> None:
     # unknown commands and comments in it still stop the text search.
     text = "Some prose \\emph{here} and 50% more % a comment\n" * units
     stream = CharStream(text)
-    assert isinstance(next_command(stream, DOCUMENT_COMMANDS), str)
+    assert isinstance(next_command(stream), str)
     assert stream.at_end()
 
 

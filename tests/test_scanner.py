@@ -262,54 +262,54 @@ control_symbol = st.sampled_from(["\\%", "\\&", "\\,", "\\{", "\\}", "\\\\"])
 class TestNextCommand:
     def test_text_run_is_maximal(self):
         stream = CharStream("one \\unknown two \\cite{k} three")
-        first = next_command(stream, DOCUMENT_COMMANDS)
+        first = next_command(stream)
         assert first == "one \\unknown two "
-        second = next_command(stream, DOCUMENT_COMMANDS)
+        second = next_command(stream)
         assert isinstance(second, CommandInvocation)
         assert second.name == "cite"
         assert second.args == ["k"]
-        assert next_command(stream, DOCUMENT_COMMANDS) == " three"
+        assert next_command(stream) == " three"
 
     def test_unknown_prefix_of_known_name_passes_through(self):
         stream = CharStream("\\citex{k}")
-        assert next_command(stream, DOCUMENT_COMMANDS) == "\\citex{k}"
+        assert next_command(stream) == "\\citex{k}"
 
     def test_command_name_stops_at_non_letter(self):
         stream = CharStream("\\cite2")
         with pytest.raises(ScanError, match="expected '{'"):
-            next_command(stream, DOCUMENT_COMMANDS)
+            next_command(stream)
 
     def test_optional_and_note_scanned(self):
         stream = CharStream("\\cite[page 4]{a,b}")
-        invocation = next_command(stream, DOCUMENT_COMMANDS)
+        invocation = next_command(stream)
         assert invocation.optional.text == "page 4"
         assert invocation.args == ["a,b"]
 
     def test_filler_after_name_is_skipped(self):
         stream = CharStream("\\cite % wrapped\n  {key}")
-        invocation = next_command(stream, DOCUMENT_COMMANDS)
+        invocation = next_command(stream)
         assert invocation.args == ["key"]
 
     def test_source_line_is_where_the_command_started(self):
         stream = CharStream("line one\ntwo \\cite{k}\n")
-        next_command(stream, DOCUMENT_COMMANDS)
-        invocation = next_command(stream, DOCUMENT_COMMANDS)
+        next_command(stream)
+        invocation = next_command(stream)
         assert invocation.source_line == 2
 
     def test_comment_joins_text_runs(self):
         stream = CharStream("half% comment\nway")
-        assert next_command(stream, DOCUMENT_COMMANDS) == "halfway"
+        assert next_command(stream) == "halfway"
 
     def test_escaped_percent_is_not_a_comment(self):
         stream = CharStream("99\\% sure")
-        assert next_command(stream, DOCUMENT_COMMANDS) == "99\\% sure"
+        assert next_command(stream) == "99\\% sure"
 
     def test_trailing_lone_escape_passes_through(self):
         stream = CharStream("tail\\")
-        assert next_command(stream, DOCUMENT_COMMANDS) == "tail\\"
+        assert next_command(stream) == "tail\\"
 
     def test_empty_input_yields_empty_text(self):
-        assert next_command(CharStream(""), DOCUMENT_COMMANDS) == ""
+        assert next_command(CharStream("")) == ""
 
     @given(
         st.lists(
@@ -323,7 +323,7 @@ class TestNextCommand:
         stream = CharStream(document)
         collected = []
         while not stream.at_end():
-            item = next_command(stream, DOCUMENT_COMMANDS)
+            item = next_command(stream)
             assert isinstance(item, str)
             collected.append(item)
         assert "".join(collected) == document
@@ -349,7 +349,7 @@ class TestNextCommand:
         stream = CharStream("".join(parts))
         seen = []
         while not stream.at_end():
-            item = next_command(stream, DOCUMENT_COMMANDS)
+            item = next_command(stream)
             if isinstance(item, CommandInvocation):
                 seen.append((item.optional.text if item.optional else None, item.args[0]))
         expected = [
