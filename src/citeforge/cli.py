@@ -15,6 +15,8 @@ read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -119,6 +121,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
     except OSError as exc:
         print(f"citeforge: error: cannot write output: {exc}", file=sys.stderr)
+        # Point stdout at the null device, so the flush at exit drops what
+        # is still buffered instead of failing again (and exiting 120).
+        with contextlib.suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 3
 
     if not outcome.converged:

@@ -287,10 +287,10 @@ def next_command(
 
     Text runs are maximal: they carry everything (unknown commands
     included, byte-for-byte) up to the next command found in
-    :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands come back with their
-    optional and mandatory arguments already scanned; whitespace after
-    the command name is consumed, mirroring how a reader that tokenizes
-    control words would behave.
+    :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands
+    come back with their optional and mandatory arguments already
+    scanned; whitespace after the command name is consumed, mirroring
+    how a reader that tokenizes control words would behave.
     """
     parts: list[str] = []
     text_stop = _TEXT_STOP if stream.comments else _ESCAPE_STOP

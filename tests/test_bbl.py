@@ -51,6 +51,7 @@ def wrap(widest, body):
 
 class TestMeasureLabel:
     def test_uniform_metric_counts_brackets(self):
+        """Every character, the brackets included, is half an em wide."""
         label = "Knu84"
         per_char = Fraction(1, 2)
         expected = sum(per_char for _ in "[" + label + "]")
