@@ -16,12 +16,9 @@ from .auxfile import (
 )
 from .bbl import (
     Alignment,
-    BblState,
     BibItem,
     Bibliography,
     LayoutParams,
-    begin_thebibliography,
-    bibitem,
     measure_label,
     process_bbl,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "AuxRecord",
     "AuxSession",
     "Alignment",
-    "BblState",
     "BibItem",
     "Bibliography",
     "CharStream",
@@ -113,8 +109,6 @@ __all__ = [
     "UnbalancedGroupError",
     "Undefined",
     "as_fraction",
-    "begin_thebibliography",
-    "bibitem",
     "build_report",
     "cite",
     "define_newcommand",

@@ -16,13 +16,17 @@ newline inside a payload, which :func:`format_record` enforces.
 Only ``\\@citedef`` carries information forward; the other three are
 parsed and discarded, exactly as a reader that defines them as gobblers
 would.  Anything else in the file is an error, byte offset included.
+
+This module knows no files.  The pass fetches the previous aux bytes
+itself, at its first citation-shaped command, and hands them to
+:func:`read_aux` (or calls :func:`handle_missing_aux`).
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
@@ -101,30 +105,18 @@ def format_record(record: AuxRecord) -> str:
 class AuxSession:
     """Per-pass aux state: the read-once guard and the write queue.
 
-    ``loader`` is called on first use to pull the previous pass's file
-    in (or to note its absence); binding it here keeps the protocol
-    logic free of file handling.  In ``no_aux`` mode the session starts
-    with the read already marked done, warnings disabled, and every
-    write discarded, so no aux file is ever touched.
+    In ``no_aux`` mode the session starts with the read already marked
+    done, warnings disabled, and every write discarded, so no aux file
+    is ever touched.
     """
 
-    __slots__ = ("no_aux", "loader", "read_done", "warnings_enabled", "pending_writes")
+    __slots__ = ("no_aux", "read_done", "warnings_enabled", "pending_writes")
 
-    def __init__(
-        self, no_aux: bool = False, loader: Optional[Callable[["AuxSession"], None]] = None
-    ) -> None:
+    def __init__(self, no_aux: bool = False) -> None:
         self.no_aux = no_aux
-        self.loader = loader
         self.read_done = no_aux
         self.warnings_enabled = not no_aux
         self.pending_writes: list[AuxRecord] = []
-
-    def ensure_read(self) -> None:
-        if self.read_done:
-            return
-        if self.loader is not None:
-            self.loader(self)
-        self.read_done = True
 
     def write(self, record: AuxRecord) -> None:
         """Queue ``record`` for the file rewrite; dropped in no-aux mode."""

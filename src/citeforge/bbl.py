@@ -4,11 +4,14 @@ A bbl file is one ``thebibliography`` environment, usually preceded by
 macro definitions.  Processing walks it once and produces:
 
 * a :class:`BibItem` per ``\\bibitem``, each carrying its key, label,
-  alignment, and body blocks (split at ``\\newblock``);
-* a label definition per item, installed in the pass's label table and
-  queued as an ``@citedef`` aux record;
+  alignment, body blocks (split at ``\\newblock``) and the line of its
+  ``\\bibitem``;
 * the :class:`LayoutParams` in force, the widest-label measurement
   included.
+
+The result is a value: the walk defines no labels and writes no aux
+records.  The pass that meets ``\\bibliography`` does both from the
+items, in order.
 
 Labeling follows the two classic shapes.  A bare ``\\bibitem{key}``
 counts: 1, 2, 3, ...; the label box pads on the left so the numbers
@@ -17,10 +20,10 @@ right.  The first item decides the alignment and later items cannot
 change it, even when the shapes are mixed.  An empty ``[]`` is the
 same as no optional at all, so such an item is numbered.
 
-All processing state (macro definitions, the item counter, alignment)
-is local to one :func:`process_bbl` call.  Body text is normalized the
-way a typesetter would: whitespace runs collapse to single spaces and
-block edges are trimmed.  ``\\em``, ``\\it``, ``\\sc``, ``\\tt`` and
+All processing state (macro definitions, the item counter, alignment,
+the items) is local to one :func:`process_bbl` call.  Body text is
+normalized the way a typesetter would: whitespace runs collapse to
+single spaces and block edges are trimmed.  ``\\em``, ``\\it``, ``\\sc``, ``\\tt`` and
 ``\\rm`` switch the style for the rest of their group; other unknown
 commands pass through as text with a lint note.
 
@@ -39,8 +42,8 @@ definition bodies are expanded by the same engine through
 :func:`~citeforge.macros.expand_macros`.  In both, an argument missing
 at the end of a replacement is read from the text after the call, and
 the same depth cap applies.  All of them share one expansion budget per
-:class:`BblState`, so what a file can make the engine queue, and store
-in definitions, is capped for the file as a whole.
+:func:`process_bbl` call, so what a file can make the engine queue, and
+store in definitions, is capped for the file as a whole.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
-from .auxfile import AuxRecord, AuxSession
-from .citations import LabelTable
 from .dimensions import Dimension
 from .errors import MacroError, StructureError, UnbalancedGroupError
 from .macros import (
@@ -68,7 +69,6 @@ from .scanner import (
     TEXT_TOKEN,
     TOKEN,
     CharStream,
-    OptionalArg,
     control_at,
     scan_group_arg,
     scan_optional_arg,
@@ -81,10 +81,7 @@ __all__ = [
     "LayoutParams",
     "BibItem",
     "Bibliography",
-    "BblState",
     "measure_label",
-    "begin_thebibliography",
-    "bibitem",
     "process_bbl",
 ]
 
@@ -137,6 +134,7 @@ class BibItem(NamedTuple):
     alpha: bool
     alignment: Alignment
     body: list[RenderedFragment]
+    line: int  # of its \bibitem, or of the macro call that opened it
 
 
 class Bibliography(NamedTuple):
@@ -148,87 +146,12 @@ class Bibliography(NamedTuple):
         return self.items[0].alignment if self.items else None
 
 
-class BblState:
-    """Mutable state for a single bbl run; make a fresh one per call.
-
-    Everything starts at its initial value.  ``expansion_budget`` counts
-    the replacement text every expansion of the run queues.
-    """
-
-    __slots__ = (
-        "layout",
-        "item_counter",
-        "alignment",
-        "in_environment",
-        "macros",
-        "items",
-        "expansion_budget",
-    )
-
-    def __init__(self) -> None:
-        self.layout = LayoutParams()
-        self.item_counter = 0
-        self.alignment: Optional[Alignment] = None
-        self.in_environment = False
-        self.macros: dict[str, MacroDef] = {}
-        self.items: list[BibItem] = []
-        self.expansion_budget = ExpansionBudget()
-
-
 def measure_label(label: str) -> Dimension:
     """Width of the bracketed label ``[label]`` as typeset, in em.
 
     Every character, the brackets included, is half an em wide.
     """
     return Dimension.em(Fraction(len(label) + 2, 2))
-
-
-def begin_thebibliography(widest: str, state: BblState) -> None:
-    """Open (or reopen) the environment.
-
-    Sets the label box width from the widest label and resets the item
-    counter and the alignment decision.
-    """
-    state.layout = state.layout._replace(biblabelwidth=measure_label(widest))
-    state.item_counter = 0
-    state.alignment = None
-    state.in_environment = True
-
-
-def bibitem(
-    state: BblState,
-    optional: OptionalArg,
-    key: str,
-    session: AuxSession,
-    table: LabelTable,
-    line: Optional[int] = None,
-    source: str = "",
-) -> BibItem:
-    """Start a new item; defines its label and queues the aux record.
-
-    A nonempty optional is the label (alpha shape, left alignment); an
-    absent or empty one numbers the item (right alignment).  Alignment
-    is only decided by the first item of the environment.  Alpha labels
-    are expanded against the file's own macro definitions before use.
-    """
-    if not state.in_environment:
-        raise StructureError("\\bibitem outside thebibliography", line, source)
-    if optional.present_nonempty:
-        label = expand_macros(state.macros, optional.text, budget=state.expansion_budget)
-        alpha = True
-        if state.alignment is None:
-            state.alignment = Alignment.LABELS_LEFT
-    else:
-        state.item_counter += 1
-        label = str(state.item_counter)
-        alpha = False
-        if state.alignment is None:
-            state.alignment = Alignment.LABELS_RIGHT
-    table.define(key, label)
-    session.write(AuxRecord.citedef(key, label))
-    item = BibItem(key, label, alpha, state.alignment, [])
-    state.items.append(item)
-    return item
 
 
 class _BlockBuilder:
@@ -281,27 +204,25 @@ def _scan_macro_name_arg(stream: CharStream) -> str:
 
 
 def process_bbl(
-    content: str,
-    state: BblState,
-    session: AuxSession,
-    table: LabelTable,
-    *,
-    lint: Optional[LintSink] = None,
-    source: str = "",
+    content: str, *, lint: Optional[LintSink] = None, source: str = ""
 ) -> Bibliography:
     """Walk a bbl file and build the bibliography it describes.
 
-    ``state`` must be fresh: everything it accumulates (macros, the
-    counter, alignment, items) is meant to live exactly as long as this
-    call.  Label definitions and aux records escape through ``table``
-    and ``session``; nothing else does.  A :class:`MacroError` raised
-    while handling a command gets that command's ``source:line``.
+    Nothing escapes but the result and the lint notes.  A
+    :class:`MacroError` raised while handling a command gets that
+    command's ``source:line``.
     """
     def note(message: str) -> None:
         if lint is not None:
             lint(message)
 
-    budget = state.expansion_budget
+    macros: dict[str, MacroDef] = {}
+    items: list[BibItem] = []
+    layout = LayoutParams()
+    counter = 0
+    alignment: Optional[Alignment] = None
+    in_environment = False
+    budget = ExpansionBudget()
     expansion = Expansion(CharStream(content, source=source), budget)
     streams = expansion.streams
     style_stack: list[Style] = [Style.PLAIN]
@@ -323,13 +244,13 @@ def process_bbl(
     def outside_item(text: str, line: int) -> None:
         if text.strip(_BLOCK_SPACES) == "":
             return
-        if state.in_environment:
+        if in_environment:
             raise StructureError("text before the first \\bibitem", line, source)
         note(f"{source}:{line}: text outside thebibliography ignored")
 
     def command(stream: CharStream, token: re.Match[str], line: int) -> bool:
         """Act on a control sequence token; true when it queued a replacement."""
-        nonlocal current_item
+        nonlocal current_item, layout, counter, alignment, in_environment
         name = token.group("control")
         if name == "\n":
             stream.line += 1
@@ -340,18 +261,34 @@ def process_bbl(
             elif name == "begin":
                 close_item()
                 scan_group_arg(stream)  # environment name; any counts as ours
-                widest = scan_group_arg(stream)
-                widest = expand_macros(state.macros, widest, budget=budget)
-                begin_thebibliography(widest, state)
+                widest = expand_macros(macros, scan_group_arg(stream), budget=budget)
+                # (Re)opening sets the label box width and restarts the
+                # counter and the alignment decision.
+                layout = layout._replace(biblabelwidth=measure_label(widest))
+                counter, alignment, in_environment = 0, None, True
             elif name == "end":
                 close_item()
                 scan_group_arg(stream)  # environment name, discarded
-                state.in_environment = False
+                in_environment = False
             elif name == "bibitem":
                 close_item()
                 optional = scan_optional_arg(stream, lint)
                 key = scan_group_arg(stream)
-                current_item = bibitem(state, optional, key, session, table, line, source)
+                if not in_environment:
+                    raise StructureError("\\bibitem outside thebibliography", line, source)
+                # A nonempty optional is the label (alpha shape, labels
+                # left); otherwise the item is numbered (labels right).
+                # Only the environment's first item decides the alignment.
+                alpha = optional.present_nonempty
+                if alpha:
+                    label = expand_macros(macros, optional.text, budget=budget)
+                    alignment = alignment or Alignment.LABELS_LEFT
+                else:
+                    counter += 1
+                    label = str(counter)
+                    alignment = alignment or Alignment.LABELS_RIGHT
+                current_item = BibItem(key, label, alpha, alignment, [], line)
+                items.append(current_item)
                 skip_filler(stream)
             elif name == "newblock":
                 skip_filler(stream)
@@ -361,9 +298,9 @@ def process_bbl(
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
                 body = scan_group_arg(stream)
-                define_newcommand(state.macros, macro_name, nparams, body, budget=budget)
-            elif name in state.macros:
-                macro = state.macros[name]
+                define_newcommand(macros, macro_name, nparams, body, budget=budget)
+            elif name in macros:
+                macro = macros[name]
                 args = expansion.arguments(macro)
                 expansion.push(name, substitute_params(macro.body, args), line)
                 return True
@@ -418,9 +355,9 @@ def process_bbl(
             streams.pop()
 
     close_item()
-    if state.in_environment:
+    if in_environment:
         note(f"{source}: thebibliography environment never closed")
     if len(style_stack) != 1:
         note(f"{source}: unbalanced group at end of file")
-    return Bibliography(state.items, state.layout)
+    return Bibliography(items, layout)
 

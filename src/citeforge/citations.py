@@ -12,7 +12,8 @@ one of three states:
 ``cite`` renders the bracketed list and queues one ``\\citation``
 record whose payload is the raw key text, unsplit and untrimmed; the
 comma split happens only for rendering.  ``nocite`` does the recording
-without rendering anything.
+without rendering anything.  Neither reads the aux file: the pass has
+read it before its first citation-shaped command.
 """
 
 from __future__ import annotations
@@ -89,12 +90,7 @@ def undefined_citation_warning(line: int, key: str) -> str:
 
 
 def nocite(session: AuxSession, keys: str) -> None:
-    """Record ``keys`` as cited, verbatim, rendering nothing.
-
-    The first citation-shaped command in a pass is what pulls the
-    previous aux file in, so this forces the read before writing.
-    """
-    session.ensure_read()
+    """Record ``keys`` as cited, verbatim, rendering nothing."""
     session.write(AuxRecord.citation(keys))
 
 

@@ -22,25 +22,22 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .driver import JobConfig, report_json, run_to_fixpoint
+from .driver import JobConfig, check_em_size, report_json, run_to_fixpoint
 from .errors import CiteforgeError
 from .files import DirectoryFiles
 from .rendering import render_annotated, render_plain
 
 __all__ = ["main", "build_parser"]
 
-#: TeX's largest dimension, 16383.99998pt (2**30 - 1 scaled points).
-_MAX_DIMEN_PT = Fraction(2**30 - 1, 2**16)
-
-
 def _em_size(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid length in points: {text!r}")
-    if not 0 < value <= _MAX_DIMEN_PT:
-        raise argparse.ArgumentTypeError("em size must be positive and at most 16383.99998pt")
-    return value
+    try:
+        return check_em_size(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

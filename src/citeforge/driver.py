@@ -1,17 +1,20 @@
 """Pass orchestration: scan a document, keep the aux file honest, repeat.
 
-One pass reads the previous aux file (lazily, at the first
-citation-shaped command), scans the document left to right, renders
-text and citations, installs the bbl file's label definitions, aux
-records and lint notes at the ``\\bibliography`` site, and finally
-rewrites the aux file from scratch with everything recorded this pass.
-The label table starts each pass empty; its only inputs are the aux
-file just read and the bbl definitions installed in this very pass.
+One pass scans the document left to right.  When the scanner first
+returns a citation-shaped command, the pass reads the previous aux
+file (or notes that there is none) before acting on that command.  It
+renders text and citations, and at the ``\\bibliography`` site it
+defines each bbl item's label, queues its ``@citedef`` record and adds
+the bbl's lint notes.  Finally it rewrites the aux file from scratch
+with everything recorded this pass.  The label table starts each pass
+empty; its only inputs are the aux file just read and the bbl items
+installed in this very pass.  A record that cannot be written is
+reported at the command (or ``\\bibitem``) it came from.
 
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
 and its processing reads nothing a pass changes, so every pass (the
-first included) installs the same result in the same order.
+first included) installs the same items in the same order.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -29,16 +32,17 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
-from .bbl import Bibliography, BblState, LayoutParams, process_bbl
+from .bbl import Bibliography, LayoutParams, process_bbl
 from .citations import Defined, Fallback, LabelTable, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
-from .errors import ScanError
+from .errors import AuxFormatError, ScanError
 from .files import FileAccess
 from .rendering import RenderedFragment, Style, render_annotated, render_plain
 from .scanner import CharStream, next_command
 
 __all__ = [
     "JobConfig",
+    "check_em_size",
     "PassResult",
     "FixpointResult",
     "CiteWarning",
@@ -47,6 +51,18 @@ __all__ = [
     "build_report",
     "report_json",
 ]
+
+
+#: TeX's largest dimension, 16383.99998pt (2**30 - 1 scaled points).
+_MAX_DIMEN_PT = Fraction(2**30 - 1, 2**16)
+
+
+def check_em_size(value: Numberish) -> Fraction:
+    """``value`` as a Fraction; ValueError unless it is in (0, \\maxdimen]."""
+    size = as_fraction(value)
+    if not 0 < size <= _MAX_DIMEN_PT:
+        raise ValueError("em size must be positive and at most 16383.99998pt")
+    return size
 
 
 class JobConfig:
@@ -74,7 +90,7 @@ class JobConfig:
         self.bbl_basename = jobname if bbl_basename is None else bbl_basename
         self.no_aux = no_aux
         self.max_passes = max_passes
-        self.em_size_pt = as_fraction(em_size_pt)
+        self.em_size_pt = check_em_size(em_size_pt)
         self.document_name = document_name or f"{jobname}.tex"
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
@@ -130,43 +146,22 @@ def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
 
 
 class _ProcessedBbl(NamedTuple):
-    """What a bbl file contributes to each pass, worked out once per run.
-
-    ``labels`` holds its definitions in first-defined order, and
-    ``records`` the ``@citedef`` records it queued (none in no-aux mode).
-    """
+    """What a bbl file contributes to each pass, worked out once per run."""
 
     bibliography: Bibliography
     rendered: RenderedFragment
-    labels: LabelTable
-    records: list[AuxRecord]
     lint: list[str]
 
-    def install(self, session: AuxSession, table: LabelTable, lint: list[str]) -> None:
-        for key, state in self.labels.entries.items():
-            table.define(key, state.label)
-        for record in self.records:
-            session.write(record)
-        lint.extend(self.lint)
 
-
-def _process_bbl_file(config: JobConfig, fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
+def _process_bbl_file(fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
     try:
         content = fs.read_bytes(bbl_name).decode("utf-8")
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text (byte {exc.start})"
         raise ScanError(message, source=bbl_name) from None
-    state = BblState()
-    # This session checks each record as it is queued, or drops it in
-    # no-aux mode, exactly as the pass's own session would.
-    session = AuxSession(no_aux=config.no_aux)
-    labels = LabelTable()
     lint: list[str] = []
-    bibliography = process_bbl(
-        content, state, session, labels, lint=lint.append, source=bbl_name
-    )
-    rendered = _render_bibliography(bibliography)
-    return _ProcessedBbl(bibliography, rendered, labels, session.pending_writes, lint)
+    bibliography = process_bbl(content, lint=lint.append, source=bbl_name)
+    return _ProcessedBbl(bibliography, _render_bibliography(bibliography), lint)
 
 
 def run_pass(
@@ -189,17 +184,7 @@ def run_pass(
     lint: list[str] = []
     warnings: list[CiteWarning] = []
     aux_read: Optional[bytes] = None
-
-    def loader(session: AuxSession) -> None:
-        nonlocal aux_read
-        aux_name = f"{config.jobname}.aux"
-        if fs.exists(aux_name):
-            aux_read = fs.read_bytes(aux_name)
-            read_aux(session, aux_read, table)
-        else:
-            messages.append(handle_missing_aux(session))
-
-    session = AuxSession(no_aux=config.no_aux, loader=loader)
+    session = AuxSession(no_aux=config.no_aux)
     rendered = RenderedFragment()
     bibliography: Optional[Bibliography] = None
     nobreak = False
@@ -213,37 +198,54 @@ def run_pass(
         if isinstance(item, str):
             rendered.append(Style.PLAIN, item)
             continue
-        if item.name == "cite":
-            fragment = cite(
-                session,
-                table,
-                item.args[0],
-                item.optional,
-                item.source_line,
-                warn=warn,
-                lint=lint.append,
-            )
-            rendered.extend(fragment)
-        elif item.name == "nocite":
-            nocite(session, item.args[0])
-        elif item.name == "bibliographystyle":
-            session.ensure_read()
-            session.write(AuxRecord.bibstyle(item.args[0]))
-        elif item.name == "bibliography":
-            session.ensure_read()
-            session.write(AuxRecord.bibdata(item.args[0]))
-            bbl_name = f"{config.bbl_basename}.bbl"
-            processed = processed_bbls.get(bbl_name)
-            if processed is None and fs.exists(bbl_name):
-                processed = _process_bbl_file(config, fs, bbl_name)
-                processed_bbls[bbl_name] = processed
-            if processed is None:
-                messages.append(f"No file {bbl_name}.")
+        # The scanner returns only the four citation-shaped commands.
+        if not session.read_done:
+            aux_name = f"{config.jobname}.aux"
+            if fs.exists(aux_name):
+                aux_read = fs.read_bytes(aux_name)
+                read_aux(session, aux_read, table)
             else:
-                nobreak = True
-                processed.install(session, table, lint)
-                bibliography = processed.bibliography
-                rendered.extend(processed.rendered)
+                messages.append(handle_missing_aux(session))
+        try:
+            if item.name == "cite":
+                fragment = cite(
+                    session,
+                    table,
+                    item.args[0],
+                    item.optional,
+                    item.source_line,
+                    warn=warn,
+                    lint=lint.append,
+                )
+                rendered.extend(fragment)
+            elif item.name == "nocite":
+                nocite(session, item.args[0])
+            elif item.name == "bibliographystyle":
+                session.write(AuxRecord.bibstyle(item.args[0]))
+            elif item.name == "bibliography":
+                session.write(AuxRecord.bibdata(item.args[0]))
+                bbl_name = f"{config.bbl_basename}.bbl"
+                processed = processed_bbls.get(bbl_name)
+                if processed is None and fs.exists(bbl_name):
+                    processed = _process_bbl_file(fs, bbl_name)
+                    processed_bbls[bbl_name] = processed
+                if processed is None:
+                    messages.append(f"No file {bbl_name}.")
+                else:
+                    nobreak = True
+                    bibliography = processed.bibliography
+                    try:
+                        for entry in bibliography.items:
+                            table.define(entry.key, entry.label)
+                            session.write(AuxRecord.citedef(entry.key, entry.label))
+                    except AuxFormatError as exc:
+                        exc.locate(entry.line, bbl_name)
+                        raise
+                    lint.extend(processed.lint)
+                    rendered.extend(processed.rendered)
+        except AuxFormatError as exc:
+            exc.locate(item.source_line, config.document_name)
+            raise
 
     aux_bytes = b"" if config.no_aux else session.serialize()
     if not config.no_aux:

@@ -8,13 +8,14 @@ seeds so failures replay exactly.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from citeforge.auxfile import AuxKind, AuxSession
-from citeforge.bbl import Alignment, BblState, process_bbl
+from citeforge.auxfile import AuxSession
+from citeforge.bbl import Alignment, process_bbl
 from citeforge.citations import LabelTable
 from citeforge.dimensions import Dimension
 from citeforge.driver import JobConfig, build_report, run_pass, run_to_fixpoint
@@ -125,9 +126,9 @@ def test_04_numbered_labels_follow_the_counter(n):
         + "".join(f"\\bibitem{{{key}}}\nBody text.\n" for key in keys)
         + "\\end{thebibliography}\n"
     )
-    session = AuxSession()
-    table = LabelTable()
-    bibliography = process_bbl(content, BblState(), session, table)
+    fs = MemoryFiles({"doc.bbl": content.encode()})
+    result = run_pass(JobConfig(jobname="doc"), "\\bibliography{refs}\n", fs)
+    bibliography = result.bibliography
 
     expected_labels = []
     counter = 0
@@ -136,8 +137,8 @@ def test_04_numbered_labels_follow_the_counter(n):
         expected_labels.append(str(counter))
 
     assert [item.label for item in bibliography.items] == expected_labels
-    citedefs = [r for r in session.pending_writes if r.kind is AuxKind.CITEDEF]
-    assert [(r.payload, r.label) for r in citedefs] == list(zip(keys, expected_labels))
+    citedefs = re.findall(rb"\\@citedef\{(.*?)\}\{(.*?)\}\n", result.aux_bytes)
+    assert [(k.decode(), v.decode()) for k, v in citedefs] == list(zip(keys, expected_labels))
 
 
 def test_05_quirks():
@@ -147,7 +148,7 @@ def test_05_quirks():
         "\\bibitem[]{k}\nBody.\n"
         "\\end{thebibliography}\n"
     )
-    bibliography = process_bbl(content, BblState(), AuxSession(), LabelTable())
+    bibliography = process_bbl(content)
     assert bibliography.items[0].label == "1"
     assert not bibliography.items[0].alpha
 
@@ -158,7 +159,7 @@ def test_05_quirks():
         "\\bibitem{plain}\nTwo.\n"
         "\\end{thebibliography}\n"
     )
-    bibliography = process_bbl(content, BblState(), AuxSession(), LabelTable())
+    bibliography = process_bbl(content)
     assert [item.alignment for item in bibliography.items] == [
         Alignment.LABELS_LEFT,
         Alignment.LABELS_LEFT,

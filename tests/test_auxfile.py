@@ -76,19 +76,10 @@ class TestSession:
         assert str(written.value) == str(formatted.value)
         assert str(written.value).startswith(message)
 
-    def test_loader_runs_once(self):
-        calls = []
-        session = AuxSession(loader=calls.append)
-        session.ensure_read()
-        session.ensure_read()
-        assert calls == [session]
-        assert session.read_done
-
     def test_no_aux_mode_discards_everything(self):
-        session = AuxSession(no_aux=True, loader=lambda s: calls.append(s))
+        session = AuxSession(no_aux=True)
         assert session.read_done
         assert not session.warnings_enabled
-        session.ensure_read()
         session.write(AuxRecord.citation("x"))
         assert session.pending_writes == []
         assert session.serialize() == b""

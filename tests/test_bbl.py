@@ -12,17 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeforge.auxfile import AuxKind, AuxSession
-from citeforge.bbl import (
-    Alignment,
-    BblState,
-    LayoutParams,
-    begin_thebibliography,
-    bibitem,
-    measure_label,
-    process_bbl,
-)
-from citeforge.citations import Defined, LabelTable
+from citeforge.bbl import Alignment, LayoutParams, measure_label, process_bbl
 from citeforge.dimensions import Dimension
 from citeforge.errors import (
     MacroError,
@@ -30,19 +20,15 @@ from citeforge.errors import (
     StructureError,
     UnbalancedGroupError,
 )
-from citeforge.macros import MacroDef
 from citeforge.rendering import Span, Style, render_annotated, render_plain
-from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
 
-def run_bbl(content, *, state=None, session=None, table=None, collect_lint=None):
-    state = state or BblState()
-    session = session or AuxSession()
-    table = table if table is not None else LabelTable()
-    bibliography = process_bbl(
-        content, state, session, table, lint=collect_lint, source="test.bbl"
-    )
-    return bibliography, session, table
+def run_bbl(content, *, collect_lint=None):
+    return process_bbl(content, lint=collect_lint, source="test.bbl")
+
+
+def keys_and_labels(bibliography):
+    return [(item.key, item.label) for item in bibliography.items]
 
 
 def wrap(widest, body):
@@ -80,15 +66,21 @@ class TestMeasureLabel:
 
 class TestEnvironmentSetup:
     def test_begin_sets_width_and_resets(self):
-        state = BblState()
-        state.item_counter = 7
-        state.alignment = Alignment.LABELS_LEFT
-        begin_thebibliography("99", state)
-        assert state.layout.biblabelwidth == Dimension.em(2)
-        assert state.layout.biblabelextraspace == Dimension.em(Fraction(1, 2))
-        assert state.item_counter == 0
-        assert state.alignment is None
-        assert state.in_environment
+        # A second \begin, with no \end before it, after a tagged and a
+        # numbered item: the width follows the new widest label, the
+        # counter restarts and the alignment is decided anew.
+        content = (
+            "\\begin{thebibliography}{X}\n\\bibitem[T]{a}\nA.\n\\bibitem{b}\nB.\n"
+            "\\begin{thebibliography}{99}\n\\bibitem{c}\nC.\n"
+        )
+        bibliography = run_bbl(content)
+        assert bibliography.layout.biblabelwidth == Dimension.em(2)
+        assert bibliography.layout.biblabelextraspace == Dimension.em(Fraction(1, 2))
+        assert [(item.label, item.alignment) for item in bibliography.items] == [
+            ("T", Alignment.LABELS_LEFT),
+            ("1", Alignment.LABELS_LEFT),
+            ("1", Alignment.LABELS_RIGHT),
+        ]
 
     def test_layout_defaults(self):
         layout = LayoutParams()
@@ -109,56 +101,52 @@ class TestEnvironmentSetup:
 
 class TestBibitem:
     def test_outside_environment_rejected(self):
-        state = BblState()
-        with pytest.raises(StructureError, match="outside thebibliography"):
-            bibitem(state, EMPTY_OPTIONAL, "k", AuxSession(), LabelTable())
+        content = wrap("9", "\\bibitem{a}\nA.") + "\\bibitem{k}\n"
+        with pytest.raises(StructureError, match=r"test\.bbl:5: \\bibitem outside thebibliography"):
+            run_bbl(content)
 
     def test_numbered_items_count_and_record(self):
-        state = BblState()
-        begin_thebibliography("9", state)
-        session = AuxSession()
-        table = LabelTable()
         keys = ["first", "second", "third"]
-        for key in keys:
-            bibitem(state, EMPTY_OPTIONAL, key, session, table)
+        bibliography = run_bbl(wrap("9", "".join(f"\\bibitem{{{key}}} Body.\n" for key in keys)))
         expected = []
         counter = 0
         for key in keys:
             counter += 1
             expected.append(str(counter))
-        assert [item.label for item in state.items] == expected
-        assert [r.kind for r in session.pending_writes] == [AuxKind.CITEDEF] * 3
-        assert [(r.payload, r.label) for r in session.pending_writes] == list(
-            zip(keys, expected)
+        assert keys_and_labels(bibliography) == list(zip(keys, expected))
+        assert [item.line for item in bibliography.items] == [2, 3, 4]
+        assert not any(item.alpha for item in bibliography.items)
+
+    def test_item_line_is_that_of_its_bibitem(self):
+        content = (
+            "\\newcommand{\\opens}{\\bibitem{m}}\n"
+            + wrap("9", "\\bibitem{a}\nA\nstill A.\n\n\\opens M.\n% note\n  \\bibitem\n{b} B.")
         )
-        assert table.state_for("second") == Defined("2")
+        bibliography = run_bbl(content)
+        assert [(item.key, item.line) for item in bibliography.items] == [
+            ("a", 3), ("m", 7), ("b", 9)
+        ]
 
     def test_alpha_item_uses_its_tag(self):
-        state = BblState()
-        begin_thebibliography("Knu84", state)
-        item = bibitem(state, OptionalArg("Knu84"), "knuth", AuxSession(), LabelTable())
-        assert item.label == "Knu84"
+        bibliography = run_bbl(wrap("Knu84", "\\bibitem[Knu84]{knuth} A.\n\\bibitem{b} B."))
+        item, numbered = bibliography.items
+        assert (item.key, item.label) == ("knuth", "Knu84")
         assert item.alpha
         assert item.alignment is Alignment.LABELS_LEFT
-        assert state.item_counter == 0
+        assert numbered.label == "1"  # a tagged item does not count
 
     def test_first_item_fixes_alignment(self):
-        state = BblState()
-        begin_thebibliography("X", state)
-        session, table = AuxSession(), LabelTable()
-        first = bibitem(state, OptionalArg("Tag"), "a", session, table)
-        second = bibitem(state, EMPTY_OPTIONAL, "b", session, table)
+        bibliography = run_bbl(wrap("X", "\\bibitem[Tag]{a} A.\n\\bibitem{b} B."))
+        first, second = bibliography.items
         assert first.alignment is Alignment.LABELS_LEFT
         assert second.alignment is Alignment.LABELS_LEFT
         assert second.label == "1"
 
     def test_numbered_first_keeps_labels_right(self):
-        state = BblState()
-        begin_thebibliography("X", state)
-        session, table = AuxSession(), LabelTable()
-        bibitem(state, EMPTY_OPTIONAL, "a", session, table)
-        later = bibitem(state, OptionalArg("Tag"), "b", session, table)
+        bibliography = run_bbl(wrap("X", "\\bibitem{a} A.\n\\bibitem[Tag]{b} B."))
+        later = bibliography.items[1]
         assert later.alignment is Alignment.LABELS_RIGHT
+        assert later.label == "Tag"
 
 
 class TestProcessBbl:
@@ -168,8 +156,8 @@ class TestProcessBbl:
             "\\bibitem{a}\nAuthor One.\n\\newblock Title One.\n\n"
             "\\bibitem{b}\nAuthor Two.\n\\newblock Title Two.\n\\newblock Extra.",
         )
-        bibliography, session, table = run_bbl(content)
-        assert [item.label for item in bibliography.items] == ["1", "2"]
+        bibliography = run_bbl(content)
+        assert keys_and_labels(bibliography) == [("a", "1"), ("b", "2")]
         assert bibliography.alignment is Alignment.LABELS_RIGHT
         first, second = bibliography.items
         assert [render_plain(block) for block in first.body] == [
@@ -181,10 +169,9 @@ class TestProcessBbl:
             "Title Two.",
             "Extra.",
         ]
-        assert table.state_for("a") == Defined("1")
 
     def test_widest_label_drives_width(self):
-        bibliography, _, _ = run_bbl(wrap("Knu84", "\\bibitem{k}\nText."))
+        bibliography = run_bbl(wrap("Knu84", "\\bibitem{k}\nText."))
         assert bibliography.layout.biblabelwidth == Dimension.em(Fraction(7, 2))
 
     def test_alpha_labels_and_alignment(self):
@@ -192,14 +179,13 @@ class TestProcessBbl:
             "Lam86",
             "\\bibitem[Knu84]{knuth}\nOne.\n\n\\bibitem{plain}\nTwo.",
         )
-        bibliography, _, table = run_bbl(content)
-        assert [item.label for item in bibliography.items] == ["Knu84", "1"]
+        bibliography = run_bbl(content)
+        assert keys_and_labels(bibliography) == [("knuth", "Knu84"), ("plain", "1")]
         assert bibliography.alignment is Alignment.LABELS_LEFT
-        assert table.state_for("knuth") == Defined("Knu84")
 
     def test_empty_optional_is_numbered_and_linted(self):
         notes = []
-        bibliography, _, _ = run_bbl(
+        bibliography = run_bbl(
             wrap("9", "\\bibitem[]{k}\nBody."), collect_lint=notes.append
         )
         item = bibliography.items[0]
@@ -210,24 +196,24 @@ class TestProcessBbl:
 
     def test_whitespace_normalized_inside_blocks(self):
         content = wrap("9", "\\bibitem{k}\n  One   two\n\tthree.  ")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert [render_plain(b) for b in bibliography.items[0].body] == [
             "One two three."
         ]
 
     def test_blank_blocks_dropped(self):
         content = wrap("9", "\\bibitem{k}\nBody.\n\\newblock   \n")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert len(bibliography.items[0].body) == 1
 
     def test_comment_joins_words(self):
         content = wrap("9", "\\bibitem{k}\nAuth% linebreak\nor.")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert render_plain(bibliography.items[0].body[0]) == "Author."
 
     def test_style_switch_scoped_to_group(self):
         content = wrap("9", "\\bibitem{k}\nSee {\\em Title Text} after.")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         block = bibliography.items[0].body[0]
         assert block.spans == [
             Span(Style.PLAIN, "See "),
@@ -237,7 +223,7 @@ class TestProcessBbl:
 
     def test_nested_styles_restore(self):
         content = wrap("9", "\\bibitem{k}\n{\\em one {\\tt two} three}")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert bibliography.items[0].body[0].spans == [
             Span(Style.EMPHASIS, "one "),
             Span(Style.TYPEWRITER, "two"),
@@ -249,7 +235,7 @@ class TestProcessBbl:
             "9",
             "\\bibitem{k}\n{\\it a}{\\sc b}{\\tt c}{\\em d{\\rm e}}",
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert bibliography.items[0].body[0].spans == [
             Span(Style.EMPHASIS, "a"),
             Span(Style.SMALLCAPS, "b"),
@@ -260,13 +246,13 @@ class TestProcessBbl:
 
     def test_switch_eats_following_space(self):
         content = wrap("9", "\\bibitem{k}\n{\\em Word}")
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert bibliography.items[0].body[0].spans == [Span(Style.EMPHASIS, "Word")]
 
     def test_unknown_command_passes_through_with_lint(self):
         notes = []
         content = wrap("9", "\\bibitem{k}\nThe \\TeX book.")
-        bibliography, _, _ = run_bbl(content, collect_lint=notes.append)
+        bibliography = run_bbl(content, collect_lint=notes.append)
         assert render_plain(bibliography.items[0].body[0]) == "The \\TeX book."
         assert any("unknown command `\\TeX'" in n for n in notes)
 
@@ -281,7 +267,7 @@ class TestProcessBbl:
     def test_text_outside_environment_linted_and_dropped(self):
         notes = []
         content = wrap("9", "\\bibitem{k}\nBody.") + "Trailing junk.\n"
-        bibliography, _, _ = run_bbl(content, collect_lint=notes.append)
+        bibliography = run_bbl(content, collect_lint=notes.append)
         assert render_plain(bibliography.items[0].body[0]) == "Body."
         assert any("outside thebibliography ignored" in n for n in notes)
 
@@ -309,9 +295,8 @@ class TestProcessBbl:
             "\\begin{thebibliography}{99}\n\\bibitem{b}\nB.\n"
             "\\end{thebibliography}\n"
         )
-        bibliography, _, table = run_bbl(content)
-        assert [item.label for item in bibliography.items] == ["1", "1"]
-        assert table.state_for("b") == Defined("1")
+        bibliography = run_bbl(content)
+        assert keys_and_labels(bibliography) == [("a", "1"), ("b", "1")]
         # the second widest label is the one left standing
         assert bibliography.layout.biblabelwidth == Dimension.em(2)
 
@@ -322,7 +307,7 @@ class TestMacrosInsideBbl:
             "\\newcommand{\\etal}{et al.}\n"
             + wrap("9", "\\bibitem{k}\nSmith \\etal, 1999.")
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert render_plain(bibliography.items[0].body[0]) == "Smith et al., 1999."
 
     def test_gobbler_vanishes(self):
@@ -330,29 +315,28 @@ class TestMacrosInsideBbl:
             "\\newcommand{\\noopsort}[1]{}\n"
             + wrap("9", "\\bibitem{k}\n\\noopsort{key}Visible.")
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert render_plain(bibliography.items[0].body[0]) == "Visible."
 
     def test_macro_in_widest_label(self):
         content = "\\newcommand{\\widest}{MMM}\n" + wrap(
             "\\widest", "\\bibitem{k}\nBody."
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert bibliography.layout.biblabelwidth == Dimension.em(Fraction(5, 2))
 
     def test_macro_in_alpha_label(self):
         content = "\\newcommand{\\yr}{84}\n" + wrap(
             "Knu84", "\\bibitem[Knu\\yr]{k}\nBody."
         )
-        bibliography, _, table = run_bbl(content)
-        assert bibliography.items[0].label == "Knu84"
-        assert table.state_for("k") == Defined("Knu84")
+        bibliography = run_bbl(content)
+        assert keys_and_labels(bibliography) == [("k", "Knu84")]
 
     def test_macro_expanding_to_newblock_splits(self):
         content = "\\newcommand{\\sep}{\\newblock}\n" + wrap(
             "9", "\\bibitem{k}\nOne.\\sep Two."
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert [render_plain(b) for b in bibliography.items[0].body] == [
             "One.",
             "Two.",
@@ -362,7 +346,7 @@ class TestMacrosInsideBbl:
         content = "\\newcommand{\\title}[1]{{\\em #1}}\n" + wrap(
             "9", "\\bibitem{k}\n\\title{Deep Work}."
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert bibliography.items[0].body[0].spans == [
             Span(Style.EMPHASIS, "Deep Work"),
             Span(Style.PLAIN, "."),
@@ -372,7 +356,7 @@ class TestMacrosInsideBbl:
         content = "\\newcommand{\\swap}[2]{#2#1}\n" + wrap(
             "9", "\\bibitem{k}\n\\swap{a}{b}c"
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert render_plain(bibliography.items[0].body[0]) == "bac"
 
     def test_bad_parameter_count_carries_location(self):
@@ -388,14 +372,14 @@ class TestMacrosInsideBbl:
             run_bbl(content)
 
     def test_newcommand_scans_name_count_body(self):
-        state = BblState()
-        run_bbl("\\newcommand{\\shorthand}[2]{#1 and #2}\n", state=state)
-        assert state.macros["shorthand"] == MacroDef("shorthand", 2, "#1 and #2")
+        content = "\\newcommand{\\shorthand}[2]{#1 and #2}\n" + wrap(
+            "9", "\\bibitem{k}\n\\shorthand{A}{B}."
+        )
+        assert render_plain(run_bbl(content).items[0].body[0]) == "A and B."
 
     def test_newcommand_bare_name_form(self):
-        state = BblState()
-        run_bbl("\\newcommand\\x{body}\n", state=state)
-        assert state.macros["x"] == MacroDef("x", 0, "body")
+        content = "\\newcommand\\x{body}\n" + wrap("9", "\\bibitem{k}\n\\x.")
+        assert render_plain(run_bbl(content).items[0].body[0]) == "body."
 
     def test_redefinition_mid_file(self):
         content = (
@@ -406,7 +390,7 @@ class TestMacrosInsideBbl:
             + "\\bibitem{b}\n\\who.\n"
             + "\\end{thebibliography}\n"
         )
-        bibliography, _, _ = run_bbl(content)
+        bibliography = run_bbl(content)
         assert render_plain(bibliography.items[0].body[0]) == "First."
         assert render_plain(bibliography.items[1].body[0]) == "Second."
 
@@ -424,5 +408,5 @@ def test_body_whitespace_collapses_to_single_spaces(word_list, data):
     for word in word_list[1:]:
         body_text += data.draw(gaps) + word
     content = wrap("9", "\\bibitem{k}\n" + body_text)
-    bibliography, _, _ = run_bbl(content)
+    bibliography = run_bbl(content)
     assert render_plain(bibliography.items[0].body[0]) == " ".join(word_list)

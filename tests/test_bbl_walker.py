@@ -1,16 +1,22 @@
 """The token walker in ``process_bbl`` against the character walker it replaced.
 
 The code under "reference" below is the former walk, copied verbatim:
-``process_bbl`` and ``_BlockBuilder`` from ``bbl``, ``skip_filler``,
-``scan_group_arg`` and ``control_at`` from ``scanner``, and
-``Expansion.top``/``_argument`` and ``expand_macros`` from ``macros``.
-While it runs, the real modules' ``expand_macros`` and ``skip_filler``
-are swapped for the copies, so labels, definition bodies and optional
-arguments go through the old paths too.
+``process_bbl``, ``_BlockBuilder``, ``BibItem``, ``BblState``,
+``begin_thebibliography`` and ``bibitem`` from ``bbl``,
+``skip_filler``, ``scan_group_arg`` and ``control_at`` from
+``scanner``, and ``Expansion.top``/``_argument`` and ``expand_macros``
+from ``macros``.  While it runs, the real modules' ``expand_macros``
+and ``skip_filler`` are swapped for the copies, so labels, definition
+bodies and optional arguments go through the old paths too.
 
-Wherever the reference succeeds, the walker must build the same items,
-layout, lint, aux records and label table; wherever it raises, the
-walker must raise the same error, with the same message and location.
+Wherever the reference succeeds, the walker must build the same items
+(each with the line its ``\\bibitem`` was given), layout, lint, and
+label table; wherever it raises, the walker must raise the same error,
+with the same message and location.  The walker's label table is the
+one a pass builds from its items.  The reference queued ``@citedef``
+records as it went; its session here is in no-aux mode, which drops
+them unchecked, because the walker leaves writing them, and reporting
+an unwritable one, to the pass.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 from unittest import mock
 
 import pytest
@@ -28,16 +34,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import bbl, driver, macros, scanner
-from citeforge.auxfile import AuxSession
-from citeforge.bbl import BblState, BibItem, Bibliography
+from citeforge.auxfile import AuxRecord, AuxSession
+from citeforge.bbl import Alignment, Bibliography, LayoutParams, measure_label
 from citeforge.citations import LabelTable
 from citeforge.errors import MacroError, ScanError, StructureError, UnbalancedGroupError
-from citeforge.macros import Expansion, define_newcommand, substitute_params
+from citeforge.macros import (
+    Expansion,
+    ExpansionBudget,
+    MacroDef,
+    define_newcommand,
+    substitute_params,
+)
 from citeforge.rendering import RenderedFragment, Span, Style
 from citeforge.scanner import (
     COMMENT,
     ESCAPE,
     CharStream,
+    OptionalArg,
     _scan_to,
     scan_optional_arg,
     skip_comment,
@@ -53,8 +66,90 @@ _BLOCK_SPACES = " \t\r\n\f\v"
 _TEXT_STOP = re.compile(r"[\\{}%]")
 _TEXT_STOP_NO_COMMENTS = re.compile(r"[\\{}]")
 LintSink = Callable[[str], None]
-begin_thebibliography = bbl.begin_thebibliography
-bibitem = bbl.bibitem
+
+
+class BibItem(NamedTuple):
+    key: str
+    label: str
+    alpha: bool
+    alignment: Alignment
+    body: list[RenderedFragment]
+
+
+class BblState:
+    """Mutable state for a single bbl run; make a fresh one per call.
+
+    Everything starts at its initial value.  ``expansion_budget`` counts
+    the replacement text every expansion of the run queues.
+    """
+
+    __slots__ = (
+        "layout",
+        "item_counter",
+        "alignment",
+        "in_environment",
+        "macros",
+        "items",
+        "expansion_budget",
+    )
+
+    def __init__(self) -> None:
+        self.layout = LayoutParams()
+        self.item_counter = 0
+        self.alignment: Optional[Alignment] = None
+        self.in_environment = False
+        self.macros: dict[str, MacroDef] = {}
+        self.items: list[BibItem] = []
+        self.expansion_budget = ExpansionBudget()
+
+
+def begin_thebibliography(widest: str, state: BblState) -> None:
+    """Open (or reopen) the environment.
+
+    Sets the label box width from the widest label and resets the item
+    counter and the alignment decision.
+    """
+    state.layout = state.layout._replace(biblabelwidth=measure_label(widest))
+    state.item_counter = 0
+    state.alignment = None
+    state.in_environment = True
+
+
+def bibitem(
+    state: BblState,
+    optional: OptionalArg,
+    key: str,
+    session: AuxSession,
+    table: LabelTable,
+    line: Optional[int] = None,
+    source: str = "",
+) -> BibItem:
+    """Start a new item; defines its label and queues the aux record.
+
+    A nonempty optional is the label (alpha shape, left alignment); an
+    absent or empty one numbers the item (right alignment).  Alignment
+    is only decided by the first item of the environment.  Alpha labels
+    are expanded against the file's own macro definitions before use.
+    """
+    if not state.in_environment:
+        raise StructureError("\\bibitem outside thebibliography", line, source)
+    if optional.present_nonempty:
+        label = expand_macros(state.macros, optional.text, budget=state.expansion_budget)
+        alpha = True
+        if state.alignment is None:
+            state.alignment = Alignment.LABELS_LEFT
+    else:
+        state.item_counter += 1
+        label = str(state.item_counter)
+        alpha = False
+        if state.alignment is None:
+            state.alignment = Alignment.LABELS_RIGHT
+    table.define(key, label)
+    session.write(AuxRecord.citedef(key, label))
+    item = BibItem(key, label, alpha, state.alignment, [])
+    state.items.append(item)
+    return item
+
 
 
 def skip_filler(stream: CharStream) -> None:
@@ -322,26 +417,49 @@ def reference_helpers():
 
 
 def outcome(walk, content: str):
-    """What a walk produces and its rendering, or the error it raised."""
-    state, session, table, lint = BblState(), AuxSession(), LabelTable(), []
+    """What a walk produces and its rendering, or the error it raised.
+
+    A walk returns its bibliography, the label table and the line of
+    each item.
+    """
+    lint: list[str] = []
     try:
-        bibliography = walk(content, state, session, table, lint=lint.append, source="refs.bbl")
+        bibliography, table, lines = walk(content, lint.append)
     except Exception as exc:  # the reference decides which errors are expected
         line, source = getattr(exc, "line", None), getattr(exc, "source", None)
         return ("error", type(exc), str(exc), line, source), None
     items = [
-        (item.key, item.label, item.alpha, item.alignment, [block.spans for block in item.body])
-        for item in bibliography.items
+        (item.key, item.label, item.alpha, item.alignment, [block.spans for block in item.body], line)
+        for item, line in zip(bibliography.items, lines, strict=True)
     ]
     labels = list(table.entries.items())
-    result = ("ok", items, bibliography.layout, lint, session.pending_writes, labels)
+    result = ("ok", items, bibliography.layout, lint, labels)
     return result, driver._render_bibliography(bibliography).spans
 
 
+def reference_walk(content: str, lint: LintSink):
+    state, session, table, lines = BblState(), AuxSession(no_aux=True), LabelTable(), []
+    reference_bibitem = bibitem  # the copy above; the patch below replaces the name
+
+    def noting_line(state, optional, key, session, table, line=None, source=""):
+        lines.append(line)
+        return reference_bibitem(state, optional, key, session, table, line, source)
+
+    with reference_helpers(), mock.patch.object(sys.modules[__name__], "bibitem", noting_line):
+        bibliography = process_bbl(content, state, session, table, lint=lint, source="refs.bbl")
+    return bibliography, table, lines
+
+
+def walker(content: str, lint: LintSink):
+    bibliography = bbl.process_bbl(content, lint=lint, source="refs.bbl")
+    table = LabelTable()
+    for item in bibliography.items:
+        table.define(item.key, item.label)
+    return bibliography, table, [item.line for item in bibliography.items]
+
+
 def both(content: str):
-    with reference_helpers():
-        expected = outcome(process_bbl, content)
-    return expected, outcome(bbl.process_bbl, content)
+    return outcome(reference_walk, content), outcome(walker, content)
 
 
 # --- generated bbls ----------------------------------------------------------

@@ -91,11 +91,10 @@ class TestCiteOne:
 
 
 class TestNocite:
-    def test_records_verbatim_and_forces_read(self):
-        reads = []
-        session = AuxSession(loader=reads.append)
+    def test_records_verbatim(self):
+        session = AuxSession()
         nocite(session, "a, b ,c")
-        assert len(reads) == 1
+        assert len(session.pending_writes) == 1
         assert session.pending_writes[0].kind is AuxKind.CITATION
         assert session.pending_writes[0].payload == "a, b ,c"
 

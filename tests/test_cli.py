@@ -258,6 +258,15 @@ def test_output_to_a_full_device_exits_three(workspace, unbuffered):
     assert proc.stderr == "citeforge: error: cannot write output: [Errno 28] No space left on device\n"
 
 
+def test_unwritable_citation_key_exits_three_at_its_line(tmp_path, capsys):
+    (tmp_path / "bad.tex").write_text("\\cite{a\nb}\n", encoding="utf-8")
+    code = main(["resolve", str(tmp_path / "bad.tex")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "citeforge: error: bad.tex:1: citation payload may not contain a newline: 'a\\nb'\n"
+
+
 def test_runaway_expansion_exits_three(workspace, capsys):
     # Each definition doubles the last, and line k queues 2**k characters:
     # one budget for the whole file runs out at line 22, in its first \u.

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from citeforge import files
+from citeforge import driver, files
+from citeforge.auxfile import MISSING_AUX_MESSAGE
 from citeforge.citations import Defined, Fallback
 from citeforge.driver import (
     FixpointResult,
@@ -16,7 +17,7 @@ from citeforge.driver import (
     run_pass,
     run_to_fixpoint,
 )
-from citeforge.errors import AuxCorruptError, ScanError
+from citeforge.errors import AuxCorruptError, AuxFormatError, ScanError, UnbalancedGroupError
 from citeforge.files import DirectoryFiles, MemoryFiles
 from citeforge.rendering import render_annotated, render_plain
 
@@ -57,6 +58,15 @@ class TestJobConfig:
     def test_max_passes_must_be_positive(self):
         with pytest.raises(ValueError):
             JobConfig(jobname="j", max_passes=0)
+
+    @pytest.mark.parametrize("size", [0, -1, "16384", Fraction(10**400)])
+    def test_em_size_must_be_positive_and_at_most_maxdimen(self, size):
+        with pytest.raises(ValueError, match="em size must be positive and at most 16383.99998pt"):
+            JobConfig(jobname="j", em_size_pt=size)
+
+    def test_em_size_of_maxdimen_is_accepted(self):
+        maxdimen = Fraction(2**30 - 1, 2**16)
+        assert JobConfig(jobname="j", em_size_pt=maxdimen).em_size_pt == maxdimen
 
 
 class TestFileAccess:
@@ -123,6 +133,95 @@ class TestRunPass:
         ]
         assert result.warnings == []
         assert render_annotated(result.rendered) == "[\u27e8tt:x\u27e9]"
+
+    @pytest.mark.parametrize("aux", [b"\\@citedef{k}{7}\n", None], ids=["aux", "no-aux-file"])
+    @pytest.mark.parametrize(
+        "first", ["\\cite{k}", "\\nocite{k}", "\\bibliographystyle{plain}", "\\bibliography{refs}"]
+    )
+    def test_aux_read_once_before_the_first_command_writes(self, monkeypatch, first, aux):
+        pending_at_read = []
+        read_aux, handle_missing_aux = driver.read_aux, driver.handle_missing_aux
+
+        def reading(session, content, table):
+            pending_at_read.append(list(session.pending_writes))
+            read_aux(session, content, table)
+
+        def missing(session):
+            pending_at_read.append(list(session.pending_writes))
+            return handle_missing_aux(session)
+
+        monkeypatch.setattr(driver, "read_aux", reading)
+        monkeypatch.setattr(driver, "handle_missing_aux", missing)
+        fs = fs_with_bbl()
+        if aux is not None:
+            fs.files["refs.aux"] = aux
+        doc = first + "\n\\cite{k}\\nocite{k}\\bibliographystyle{s}\\bibliography{refs}\\cite{k}\n"
+        result = run_pass(JobConfig(jobname="refs"), doc, fs)
+        assert pending_at_read == [[]]
+        assert result.aux_read == aux
+        if aux is None:
+            assert result.messages == [MISSING_AUX_MESSAGE]
+        else:
+            assert result.messages == []
+            assert result.table.state_for("k") == Defined("7")
+
+    def test_no_command_reads_no_aux(self):
+        fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{7}\n"})
+        result = run_pass(JobConfig(jobname="doc"), "only text, \\bibitem{k} included\n", fs)
+        assert result.aux_read is None
+        assert result.messages == []
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("cite", "citation"),
+            ("nocite", "citation"),
+            ("bibliographystyle", "bibstyle"),
+            ("bibliography", "bibdata"),
+        ],
+    )
+    def test_unwritable_payload_is_located_at_its_command(self, command, kind):
+        doc = f"text\nmore \\{command}{{a\nb}}\n"
+        with pytest.raises(AuxFormatError) as info:
+            run_pass(JobConfig(jobname="doc"), doc, fs_with_bbl())
+        assert str(info.value) == f"doc.tex:2: {kind} payload may not contain a newline: 'a\\nb'"
+        assert (info.value.source, info.value.line) == ("doc.tex", 2)
+
+    @pytest.mark.parametrize(
+        "bibitem, message",
+        [
+            ("\\bibitem{x\ny}", "@citedef payload may not contain a newline: 'x\\ny'"),
+            ("\\bibitem[A\nB]{k}", "@citedef label may not contain a newline: 'A\\nB'"),
+        ],
+    )
+    def test_unwritable_bbl_item_is_located_at_its_bibitem(self, bibitem, message):
+        bbl = BBL.replace("\\bibitem{b}", bibitem)
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        with pytest.raises(AuxFormatError) as info:
+            run_pass(JobConfig(jobname="refs"), "\n" + DOC, fs)
+        assert str(info.value) == f"refs.bbl:7: {message}"
+
+    def test_bbl_structure_error_wins_over_an_unwritable_key(self):
+        # The walk finishes before any record is written.
+        bbl = BBL.replace("\\bibitem{b}", "\\bibitem{x\ny}") + "}\n"
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        with pytest.raises(UnbalancedGroupError, match="refs.bbl:13: unexpected '}'"):
+            run_pass(JobConfig(jobname="refs"), DOC, fs)
+
+    def test_no_aux_mode_accepts_unwritable_payloads(self):
+        bbl = BBL.replace("\\bibitem{b}", "\\bibitem{x\ny}")
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        config = JobConfig(jobname="refs", no_aux=True)
+        result = run_pass(config, "\\cite{a\nb}\\nocite{c\nd}\n\\bibliography{refs}\n", fs)
+        assert [item.key for item in result.bibliography.items] == ["a", "x\ny"]
+        assert fs.writes == []
+
+    def test_corrupt_aux_keeps_its_byte_offset(self):
+        fs = MemoryFiles({"doc.aux": b"\\citation{a}\ngarbage"})
+        with pytest.raises(AuxCorruptError) as info:
+            run_pass(JobConfig(jobname="doc"), "text\n\\cite{k}", fs)
+        assert str(info.value) == "unrecognized aux content (byte 13)"
+        assert (info.value.offset, info.value.line, info.value.source) == (13, None, "")
 
     def test_stale_definitions_are_honored(self):
         fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{Old99}\n"})

@@ -18,9 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import macros
-from citeforge.auxfile import AuxSession
-from citeforge.bbl import BblState, process_bbl
-from citeforge.citations import Defined, LabelTable
+from citeforge.bbl import process_bbl
 from citeforge.errors import MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
@@ -192,9 +190,7 @@ def test_engine_matches_the_reference_wherever_it_succeeds(defs, text, max_depth
 
 
 def run_bbl(content):
-    table = LabelTable()
-    bibliography = process_bbl(content, BblState(), AuxSession(), table, source="t.bbl")
-    return bibliography, table
+    return process_bbl(content, source="t.bbl")
 
 
 # \wrap is defined first, so its body keeps the call of \pair unexpanded.
@@ -206,14 +202,13 @@ def wrap(items):
 
 
 def test_argument_past_a_replacement_in_a_body():
-    bibliography, _ = run_bbl(WRAP + wrap("\\bibitem{k}\n\\wrap{y}"))
+    bibliography = run_bbl(WRAP + wrap("\\bibitem{k}\n\\wrap{y}"))
     assert render_plain(bibliography.items[0].body[0]) == "(x,y)"
 
 
 def test_argument_past_a_replacement_in_a_label():
-    bibliography, table = run_bbl(WRAP + wrap("\\bibitem[\\wrap{y}]{k}\nB."))
+    bibliography = run_bbl(WRAP + wrap("\\bibitem[\\wrap{y}]{k}\nB."))
     assert bibliography.items[0].label == "(x,y)"
-    assert table.state_for("k") == Defined("(x,y)")
     defs = {"wrap": MacroDef("wrap", 0, "\\pair{x}"), "pair": MacroDef("pair", 2, "(#1,#2)")}
     with pytest.raises(MacroError, match="missing argument for \\\\pair"):
         _expand(defs, "\\wrap{y}", 0, MAX_EXPANSION_DEPTH)
@@ -247,7 +242,7 @@ def test_depth_cap_allows_exactly_max_nested_expansions(where):
         item = f"\\bibitem{{k}}\n\\{top}" if where == "body" else f"\\bibitem[\\{top}]{{k}}\nB."
         content = defs + wrap(item)
         if length == MAX_EXPANSION_DEPTH:
-            bibliography, _ = run_bbl(content)
+            bibliography = run_bbl(content)
             item = bibliography.items[0]
             assert (render_plain(item.body[0]) if where == "body" else item.label) == "leaf"
         else:
@@ -310,7 +305,7 @@ def test_non_ascii_digit_after_hash_is_literal_text():
     assert macros.substitute_params("#²x#1", ["a"]) == "#²xa"
     defs = {"p": MacroDef("p", 1, "[#1]")}
     assert expand_macros(defs, "\\p#²") == "[#]²"
-    bibliography, _ = run_bbl("\\newcommand{\\q}[1]{#1#²}\n" + wrap("\\bibitem{k}\n\\q{a}"))
+    bibliography = run_bbl("\\newcommand{\\q}[1]{#1#²}\n" + wrap("\\bibitem{k}\n\\q{a}"))
     assert render_plain(bibliography.items[0].body[0]) == "a#²"
 
 

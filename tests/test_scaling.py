@@ -12,7 +12,7 @@ import gc
 from time import perf_counter
 
 from citeforge.auxfile import AuxSession, read_aux
-from citeforge.bbl import BblState, process_bbl
+from citeforge.bbl import process_bbl
 from citeforge.citations import LabelTable
 from citeforge.rendering import RenderedFragment, Style
 from citeforge.scanner import CharStream, next_command
@@ -78,7 +78,7 @@ def walk_many_items(count: int) -> None:
         for i in range(count)
     )
     content = f"{BBL_MACROS}\\begin{{thebibliography}}{{99}}\n{items}\\end{{thebibliography}}\n"
-    bibliography = process_bbl(content, BblState(), AuxSession(), LabelTable())
+    bibliography = process_bbl(content)
     assert len(bibliography.items) == count
 
 
