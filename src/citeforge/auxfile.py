@@ -1,4 +1,4 @@
-"""The aux file protocol: typed records and the per-pass session.
+"""The aux file protocol: typed records and the per-pass write queue.
 
 The aux file is the only channel between passes.  It holds four record
 kinds, one per line when written:
@@ -19,20 +19,17 @@ would.  Anything else in the file is an error, byte offset included.
 
 This module knows no files.  The pass fetches the previous aux bytes
 itself, at its first citation-shaped command, and hands them to
-:func:`read_aux` (or calls :func:`handle_missing_aux`).
+:func:`read_aux` with its label map.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
-
-if TYPE_CHECKING:
-    from .citations import LabelTable
 
 __all__ = [
     "AuxKind",
@@ -102,20 +99,14 @@ def format_record(record: AuxRecord) -> str:
     return f"\\{record.kind.value}{{{record.payload}}}\n"
 
 
+# perfbench/spans.py times AuxSession.serialize; until ROADMAP item 2 frees it, the class stays.
 class AuxSession:
-    """Per-pass aux state: the read-once guard and the write queue.
+    """The records a pass writes, in order; ``no_aux`` discards them all."""
 
-    In ``no_aux`` mode the session starts with the read already marked
-    done, warnings disabled, and every write discarded, so no aux file
-    is ever touched.
-    """
-
-    __slots__ = ("no_aux", "read_done", "warnings_enabled", "pending_writes")
+    __slots__ = ("no_aux", "pending_writes")
 
     def __init__(self, no_aux: bool = False) -> None:
         self.no_aux = no_aux
-        self.read_done = no_aux
-        self.warnings_enabled = not no_aux
         self.pending_writes: list[AuxRecord] = []
 
     def write(self, record: AuxRecord) -> None:
@@ -140,30 +131,26 @@ _RECORD_OPENERS = (
 )
 
 
-def read_aux(session: AuxSession, content: bytes, table: "LabelTable") -> None:
-    """Parse aux file bytes and apply its label definitions to ``table``.
+def read_aux(labels: dict[str, Optional[str]], content: bytes, source: str = "") -> None:
+    """Parse aux file bytes and enter each ``@citedef`` label in ``labels``.
 
-    A no-op when the session has already read (the read-once guard).
     Newlines and carriage returns are deleted before parsing, which is
     what makes records immune to being split across lines.  Payloads are
     brace groups as the scanner reads them: escaped braces do not nest,
-    so written payloads like ``{\\em x}`` stay parseable.
+    so written payloads like ``{\\em x}`` stay parseable.  An error names
+    ``source``, the file the bytes came from.
     """
-    if session.read_done:
-        return
-    session.read_done = True
-
     # Latin-1 maps each byte to one character, so positions stay byte positions.
     stripped = content.translate(None, _LINE_BREAKS).decode("latin-1")
     stream = CharStream(stripped, comments=False)
     while not stream.at_end():
         record_start = stream.position
-        problem = _read_record(stream, table)
+        problem = _read_record(stream, labels)
         if problem is not None:
-            raise AuxCorruptError(problem, _original_offset(content, record_start))
+            raise AuxCorruptError(problem, _original_offset(content, record_start), source)
 
 
-def _read_record(stream: CharStream, table: "LabelTable") -> Optional[str]:
+def _read_record(stream: CharStream, labels: dict[str, Optional[str]]) -> Optional[str]:
     """Parse the record at the cursor; what is wrong with it, if it does not parse."""
     start = stream.position
     for kind, opener in _RECORD_OPENERS:
@@ -178,7 +165,7 @@ def _read_record(stream: CharStream, table: "LabelTable") -> Optional[str]:
             if stream.peek() != "{":
                 return "@citedef record missing its label"
             label = scan_group_arg(stream)
-            table.define(_utf8(payload), _utf8(label))
+            labels[_utf8(payload)] = _utf8(label)
     except UnbalancedGroupError:
         return "unterminated record"
     except UnicodeDecodeError:
@@ -206,8 +193,7 @@ def _utf8(text: str) -> str:
     return text.encode("latin-1").decode("utf-8")
 
 
-def handle_missing_aux(session: AuxSession) -> str:
-    """Mark the read done with warnings off; returns the notice to show."""
-    session.read_done = True
-    session.warnings_enabled = False
+# perfbench/spans.py times this call; until ROADMAP item 2 frees it, the function stays.
+def handle_missing_aux() -> str:
+    """The notice a pass shows when there is no aux file to read."""
     return MISSING_AUX_MESSAGE

@@ -1,13 +1,15 @@
-"""Citation resolution: the label table and the cite commands.
+"""Citation resolution: the cite commands over the pass's label map.
 
-Labels live in a table keyed by the raw citation key.  Each key is in
-one of three states:
+A pass keeps its labels in a dict keyed by the raw citation key, in
+first-touched order:
 
-* undefined: never seen; a cite falls back to the raw key in
-  typewriter type and may warn, once.
-* fallback: an undefined key that has already been cited; renders the
-  same way but never warns again.
-* defined: carries the label text to typeset.
+* a key mapped to a string is defined, and renders as that label (an
+  empty label included);
+* a key mapped to ``None`` is a fallback: an undefined key that has
+  already been cited, which renders as the raw key in typewriter type
+  and never warns again;
+* a key that is absent is undefined: the first cite of it falls back
+  the same way and may warn, once.
 
 ``cite`` renders the bracketed list and queues one ``\\citation``
 record whose payload is the raw key text, unsplit and untrimmed; the
@@ -19,68 +21,13 @@ read it before its first citation-shaped command.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from ._value import Value
 from .auxfile import AuxRecord, AuxSession
 from .rendering import RenderedFragment, Style
 from .scanner import OptionalArg, split_comma_list
 
-__all__ = [
-    "Undefined",
-    "Fallback",
-    "Defined",
-    "LabelState",
-    "UNDEFINED",
-    "LabelTable",
-    "undefined_citation_warning",
-    "nocite",
-    "cite",
-]
-
-
-class Undefined(Value):
-    __slots__ = ()
-
-
-class Fallback(Value):
-    __slots__ = ("key",)
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-
-
-class Defined(Value):
-    __slots__ = ("label",)
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-
-
-LabelState = Union[Undefined, Fallback, Defined]
-
-UNDEFINED = Undefined()
-
-
-class LabelTable:
-    """Label states for this pass, keyed by citation key in first-touched order."""
-
-    def __init__(self) -> None:
-        self.entries: dict[str, LabelState] = {}
-
-    def state_for(self, key: str) -> LabelState:
-        return self.entries.get(key, UNDEFINED)
-
-    def define(self, key: str, label: str) -> None:
-        """Install a resolved label, replacing any fallback state."""
-        self.entries[key] = Defined(label)
-
-    def set_fallback(self, key: str) -> None:
-        self.entries[key] = Fallback(key)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
+__all__ = ["undefined_citation_warning", "nocite", "cite"]
 
 _BLANK = re.compile(r"\s")
 
@@ -100,7 +47,7 @@ LintSink = Callable[[str], None]
 
 def cite(
     session: AuxSession,
-    table: LabelTable,
+    labels: dict[str, Optional[str]],
     keys: str,
     note: OptionalArg,
     line: int,
@@ -116,9 +63,9 @@ def cite(
     and all, which the lint sink points out.
 
     A defined key renders as its label.  Any other key renders as the
-    raw key in typewriter type; an undefined one is moved to the
-    fallback state, so later cites of it stay silent, and warns once
-    if the session allows warnings.  The state changes either way.
+    raw key in typewriter type; an undefined one is entered in
+    ``labels`` as a fallback, so later cites of it stay silent, and
+    warns once through ``warn`` when one is given.
     """
     nocite(session, keys)
     fragment = RenderedFragment()
@@ -128,14 +75,14 @@ def cite(
             fragment.append(Style.PLAIN, ", ")
         if lint is not None and _BLANK.search(key):
             lint(f"{line}: citation key `{key}' contains a space")
-        state = table.state_for(key)
-        if isinstance(state, Defined):
-            fragment.append(Style.PLAIN, state.label)
+        label = labels.get(key)
+        if label is not None:
+            fragment.append(Style.PLAIN, label)
             continue
         fragment.append(Style.TYPEWRITER, key)
-        if isinstance(state, Undefined):
-            table.set_fallback(key)
-            if session.warnings_enabled and warn is not None:
+        if key not in labels:
+            labels[key] = None
+            if warn is not None:
                 warn(line, key, undefined_citation_warning(line, key))
     if note.present_nonempty:
         fragment.append(Style.PLAIN, ", " + note.text)

@@ -4,15 +4,14 @@ Lengths carry a rational magnitude and a unit (``pt``, ``em``, ``ex``),
 plus optional stretch and shrink components for glue-like values.  All
 arithmetic stays in :class:`fractions.Fraction`; conversion to points
 happens only at the edge, given the em size in points.  One ex is half
-an em.
+an em.  A :class:`Dimension` is a ``NamedTuple``, so it compares equal
+to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-from ._value import Value
+from typing import NamedTuple, Union
 
 __all__ = ["Numberish", "as_fraction", "format_number", "Dimension"]
 
@@ -55,22 +54,13 @@ def _component(value: Numberish, unit: str) -> tuple[Fraction, str]:
     return as_fraction(value), unit
 
 
-class Dimension(Value):
-    __slots__ = ("value", "unit", "stretch", "shrink")
+class Dimension(NamedTuple):
+    """A length; build one through :meth:`of` to have its units checked."""
 
-    def __init__(
-        self,
-        value: Fraction,
-        unit: str,
-        stretch: tuple[Fraction, str] | None = None,
-        shrink: tuple[Fraction, str] | None = None,
-    ) -> None:
-        if unit not in _UNITS:
-            raise ValueError(f"unknown unit {unit!r}")
-        self.value = value
-        self.unit = unit
-        self.stretch = stretch
-        self.shrink = shrink
+    value: Fraction
+    unit: str
+    stretch: tuple[Fraction, str] | None = None
+    shrink: tuple[Fraction, str] | None = None
 
     @classmethod
     def of(
@@ -82,8 +72,7 @@ class Dimension(Value):
         minus: tuple[Numberish, str] | None = None,
     ) -> "Dimension":
         return cls(
-            as_fraction(value),
-            unit,
+            *_component(value, unit),
             _component(*plus) if plus is not None else None,
             _component(*minus) if minus is not None else None,
         )

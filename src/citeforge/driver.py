@@ -6,10 +6,11 @@ file (or notes that there is none) before acting on that command.  It
 renders text and citations, and at the ``\\bibliography`` site it
 defines each bbl item's label, queues its ``@citedef`` record and adds
 the bbl's lint notes.  Finally it rewrites the aux file from scratch
-with everything recorded this pass.  The label table starts each pass
-empty; its only inputs are the aux file just read and the bbl items
-installed in this very pass.  A record that cannot be written is
-reported at the command (or ``\\bibitem``) it came from.
+with everything recorded this pass.  The label map (key to label, or
+to None for a key that fell back) starts each pass empty; its only
+inputs are the aux file just read and the bbl items installed in this
+very pass.  A record that cannot be written is reported at the command
+(or ``\\bibitem``) it came from.
 
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
 from .bbl import Bibliography, LayoutParams, process_bbl
-from .citations import Defined, Fallback, LabelTable, cite, nocite
+from .citations import cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
 from .errors import AuxFormatError, ScanError
 from .files import FileAccess
@@ -107,6 +108,8 @@ class CiteWarning(NamedTuple):
 class PassResult(NamedTuple):
     """What one pass produced.
 
+    ``labels`` maps each key the pass touched, in first-touched order,
+    to its label, or to None when it fell back to the raw key.
     ``aux_read`` holds the aux bytes the pass read, or None when it read
     none: no file, no-aux mode, or no citation-shaped command.
     """
@@ -118,7 +121,7 @@ class PassResult(NamedTuple):
     messages: list[str]
     lint: list[str]
     undefined_keys: list[str]
-    table: LabelTable
+    labels: dict[str, Optional[str]]
     nobreak_before_bibliography: bool
     aux_read: Optional[bytes] = None
 
@@ -179,7 +182,7 @@ def run_pass(
     """
     if processed_bbls is None:
         processed_bbls = {}
-    table = LabelTable()
+    labels: dict[str, Optional[str]] = {}
     messages: list[str] = []
     lint: list[str] = []
     warnings: list[CiteWarning] = []
@@ -188,6 +191,7 @@ def run_pass(
     rendered = RenderedFragment()
     bibliography: Optional[Bibliography] = None
     nobreak = False
+    read_done = config.no_aux
 
     def warn(line: int, key: str, text: str) -> None:
         warnings.append(CiteWarning(line, key, text))
@@ -199,22 +203,24 @@ def run_pass(
             rendered.append(Style.PLAIN, item)
             continue
         # The scanner returns only the four citation-shaped commands.
-        if not session.read_done:
+        if not read_done:
+            read_done = True
             aux_name = f"{config.jobname}.aux"
             if fs.exists(aux_name):
                 aux_read = fs.read_bytes(aux_name)
-                read_aux(session, aux_read, table)
+                read_aux(labels, aux_read, aux_name)
             else:
-                messages.append(handle_missing_aux(session))
+                messages.append(handle_missing_aux())
         try:
             if item.name == "cite":
                 fragment = cite(
                     session,
-                    table,
+                    labels,
                     item.args[0],
                     item.optional,
                     item.source_line,
-                    warn=warn,
+                    # Undefined citations warn only when an aux file was read.
+                    warn=warn if aux_read is not None else None,
                     lint=lint.append,
                 )
                 rendered.extend(fragment)
@@ -236,7 +242,7 @@ def run_pass(
                     bibliography = processed.bibliography
                     try:
                         for entry in bibliography.items:
-                            table.define(entry.key, entry.label)
+                            labels[entry.key] = entry.label
                             session.write(AuxRecord.citedef(entry.key, entry.label))
                     except AuxFormatError as exc:
                         exc.locate(entry.line, bbl_name)
@@ -251,9 +257,6 @@ def run_pass(
     if not config.no_aux:
         fs.write_bytes(f"{config.jobname}.aux", aux_bytes)
 
-    undefined = [
-        key for key, state in table.entries.items() if isinstance(state, Fallback)
-    ]
     return PassResult(
         rendered=rendered,
         aux_bytes=aux_bytes,
@@ -261,8 +264,8 @@ def run_pass(
         bibliography=bibliography,
         messages=messages,
         lint=lint,
-        undefined_keys=undefined,
-        table=table,
+        undefined_keys=[key for key, label in labels.items() if label is None],
+        labels=labels,
         nobreak_before_bibliography=nobreak,
         aux_read=aux_read,
     )
@@ -279,22 +282,24 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
     ``passes_used`` and the aux history, and it still rewrites the aux
     file, so the outcome is the same as running it.  If the limit is
     hit first, the result says so and keeps the aux history for diffing.
+    Only the aux history outlives a pass: no earlier result is held
+    while the next pass runs.
     """
-    previous: Optional[PassResult] = None
     history: list[bytes] = []
     processed_bbls: dict[str, _ProcessedBbl] = {}
-    for pass_number in range(1, config.max_passes + 1):
+    pass_number = 0
+    while True:
+        pass_number += 1
         result = run_pass(config, document, fs, processed_bbls)
+        converged = bool(history) and history[-1] == result.aux_bytes
         history.append(result.aux_bytes)
-        if previous is not None and result.aux_bytes == previous.aux_bytes:
-            return FixpointResult(result, pass_number, True, history)
-        if result.aux_read == result.aux_bytes and pass_number < config.max_passes:
+        if converged or pass_number == config.max_passes:
+            return FixpointResult(result, pass_number, converged, history)
+        if result.aux_read == result.aux_bytes:
             fs.write_bytes(f"{config.jobname}.aux", result.aux_bytes)
             history.append(result.aux_bytes)
             return FixpointResult(result, pass_number + 1, True, history)
-        previous = result
-    assert previous is not None
-    return FixpointResult(previous, config.max_passes, False, history)
+        del result  # so the next run_pass call does not keep this one alive
 
 
 def _dimension_json(dim: Dimension, em_size_pt: Fraction) -> dict:
@@ -326,12 +331,12 @@ def _layout_json(layout: LayoutParams, em_size_pt: Fraction) -> dict:
 def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
     """A machine-readable account of the final pass."""
     final = outcome.final
-    citations = {}
-    for key, state in final.table.entries.items():
-        if isinstance(state, Defined):
-            citations[key] = {"status": "defined", "label": state.label}
-        elif isinstance(state, Fallback):
-            citations[key] = {"status": "fallback", "label": state.key}
+    citations = {
+        key: {"status": "fallback", "label": key}
+        if label is None
+        else {"status": "defined", "label": label}
+        for key, label in final.labels.items()
+    }
     report: dict = {
         "jobname": config.jobname,
         "passes_used": outcome.passes_used,

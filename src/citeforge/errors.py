@@ -64,11 +64,12 @@ class AuxCorruptError(CiteforgeError):
     """An aux file contains bytes that do not parse as records.
 
     ``offset`` is the byte position in the original file content (before
-    newline stripping) where the unparseable residue begins.
+    newline stripping) where the unparseable residue begins; ``source``
+    names the file, and ``line`` stays None.
     """
 
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (byte {offset})")
+    def __init__(self, message: str, offset: int, source: str = "") -> None:
+        super().__init__(f"{message} (byte {offset})", source=source)
         self.offset = offset
 
 
@@ -81,7 +82,7 @@ class MacroError(CiteforgeError):
 
 
 class MacroRecursionError(MacroError):
-    """Macro expansion exceeded the configured depth cap."""
+    """Macro expansion nested deeper than ``macros.MAX_EXPANSION_DEPTH``."""
 
     def __init__(self, name: str, depth: int) -> None:
         super().__init__(f"expansion of \\{name} exceeded depth {depth}")

@@ -14,9 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from citeforge.auxfile import AuxSession
 from citeforge.bbl import Alignment, process_bbl
-from citeforge.citations import LabelTable
 from citeforge.dimensions import Dimension
 from citeforge.driver import JobConfig, build_report, run_pass, run_to_fixpoint
 from citeforge.errors import MacroError
@@ -251,9 +249,9 @@ def test_08_aux_reader_ignores_line_breaks():
     from citeforge.auxfile import read_aux
 
     def parse(content):
-        table = LabelTable()
-        read_aux(AuxSession(), content, table)
-        return table.entries
+        labels = {}
+        read_aux(labels, content)
+        return labels
 
     raw = b"\\@citedef{knuth:1984}{Knu84}"
     expected = parse(raw)

@@ -1,4 +1,4 @@
-"""Aux record serialization, the session guards, and the byte reader.
+"""Aux record serialization, the write queue, and the byte reader.
 
 The newline-immunity checks are exhaustive where feasible: a record is
 split at every single byte position, not just sampled ones.
@@ -17,7 +17,6 @@ from citeforge.auxfile import (
     handle_missing_aux,
     read_aux,
 )
-from citeforge.citations import Defined, LabelTable
 from citeforge.errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from citeforge.scanner import CharStream, scan_group_arg
 
@@ -78,24 +77,18 @@ class TestSession:
 
     def test_no_aux_mode_discards_everything(self):
         session = AuxSession(no_aux=True)
-        assert session.read_done
-        assert not session.warnings_enabled
         session.write(AuxRecord.citation("x"))
         assert session.pending_writes == []
         assert session.serialize() == b""
 
     def test_missing_aux_notice(self):
-        session = AuxSession()
-        message = handle_missing_aux(session)
-        assert message == MISSING_AUX_MESSAGE
-        assert session.read_done
-        assert not session.warnings_enabled
+        assert handle_missing_aux() == MISSING_AUX_MESSAGE
 
 
-def parse_into_table(content: bytes) -> LabelTable:
-    table = LabelTable()
-    read_aux(AuxSession(), content, table)
-    return table
+def parse_labels(content: bytes) -> dict:
+    labels = {}
+    read_aux(labels, content)
+    return labels
 
 
 class TestReadAux:
@@ -109,61 +102,50 @@ class TestReadAux:
             AuxRecord.citedef("b", "Knu84"),
         ):
             session.write(record)
-        table = parse_into_table(session.serialize())
-        assert table.state_for("a") == Defined("1")
-        assert table.state_for("b") == Defined("Knu84")
-        assert list(table.entries) == ["a", "b"]
+        labels = parse_labels(session.serialize())
+        assert list(labels.items()) == [("a", "1"), ("b", "Knu84")]
 
     def test_later_definition_wins(self):
         content = b"\\@citedef{k}{old}\\@citedef{k}{new}"
-        assert parse_into_table(content).state_for("k") == Defined("new")
+        assert parse_labels(content) == {"k": "new"}
 
     def test_empty_content_defines_nothing(self):
-        assert len(parse_into_table(b"")) == 0
-
-    def test_read_once_guard(self):
-        session = AuxSession()
-        table = LabelTable()
-        read_aux(session, b"\\@citedef{a}{1}\n", table)
-        read_aux(session, b"\\@citedef{b}{2}\n", table)
-        assert list(table.entries) == ["a"]
+        assert parse_labels(b"") == {}
 
     def test_split_anywhere_parses_identically(self):
         raw = b"\\@citedef{key one}{[AB]}\\citation{x,y}\\@citedef{z}{2}"
-        expected = parse_into_table(raw).entries
+        expected = parse_labels(raw)
         for i in range(len(raw) + 1):
             for sep in (b"\n", b"\r\n", b"\r"):
                 split = raw[:i] + sep + raw[i:]
-                assert parse_into_table(split).entries == expected
+                assert parse_labels(split) == expected
 
     def test_braces_in_payload_nest(self):
-        table = parse_into_table(b"\\@citedef{k}{{\\em 9}}")
-        assert table.state_for("k") == Defined("{\\em 9}")
+        assert parse_labels(b"\\@citedef{k}{{\\em 9}}") == {"k": "{\\em 9}"}
 
     def test_escaped_brace_in_payload(self):
-        table = parse_into_table(b"\\@citedef{k}{a\\}b}")
-        assert table.state_for("k") == Defined("a\\}b")
+        assert parse_labels(b"\\@citedef{k}{a\\}b}") == {"k": "a\\}b"}
 
     def test_unrecognized_content_reports_original_offset(self):
         content = b"\\citation{a}\nJUNK"
         with pytest.raises(AuxCorruptError) as info:
-            parse_into_table(content)
+            parse_labels(content)
         assert info.value.offset == 13
         assert "(byte 13)" in str(info.value)
 
     def test_junk_at_start(self):
         with pytest.raises(AuxCorruptError) as info:
-            parse_into_table(b"hello")
+            parse_labels(b"hello")
         assert info.value.offset == 0
 
     def test_unterminated_record(self):
         with pytest.raises(AuxCorruptError, match="unterminated record"):
-            parse_into_table(b"\\citation{a")
+            parse_labels(b"\\citation{a")
 
     def test_citedef_without_label(self):
         content = b"\\citation{ok}\n\\@citedef{k}"
         with pytest.raises(AuxCorruptError) as info:
-            parse_into_table(content)
+            parse_labels(content)
         assert "missing its label" in str(info.value)
         assert info.value.offset == 14
 
@@ -171,7 +153,7 @@ class TestReadAux:
         # The bad byte sits after a record that was itself split in two.
         content = b"\\cita\ntion{a}\nJUNK"
         with pytest.raises(AuxCorruptError) as info:
-            parse_into_table(content)
+            parse_labels(content)
         assert content[info.value.offset : info.value.offset + 4] == b"JUNK"
 
 
@@ -195,7 +177,7 @@ def test_serialized_records_survive_arbitrary_line_splits(records, data):
     for record in records:
         session.write(record)
     raw = session.serialize()
-    expected = parse_into_table(raw).entries
+    expected = parse_labels(raw)
 
     cuts = data.draw(
         st.lists(st.integers(min_value=0, max_value=len(raw)), max_size=6)
@@ -203,7 +185,7 @@ def test_serialized_records_survive_arbitrary_line_splits(records, data):
     mangled = raw
     for cut in sorted(cuts, reverse=True):
         mangled = mangled[:cut] + b"\n" + mangled[cut:]
-    assert parse_into_table(mangled).entries == expected
+    assert parse_labels(mangled) == expected
 
 
 # The reader as it was when it mapped every kept byte to its original
@@ -217,7 +199,7 @@ _REFERENCE_OPENERS = (
 )
 
 
-def reference_read_aux(content: bytes, table: LabelTable) -> None:
+def reference_read_aux(content: bytes, labels: dict) -> None:
     stripped = bytearray()
     origin: list[int] = []
     for index, byte in enumerate(content):
@@ -245,7 +227,7 @@ def reference_read_aux(content: bytes, table: LabelTable) -> None:
                 if stream.peek() != "{":
                     raise AuxCorruptError("@citedef record missing its label", offset)
                 label = scan_group_arg(stream)
-                table.define(utf8(payload), utf8(label))
+                labels[utf8(payload)] = utf8(label)
         except UnbalancedGroupError:
             raise AuxCorruptError("unterminated record", offset) from None
         except UnicodeDecodeError:
@@ -253,12 +235,12 @@ def reference_read_aux(content: bytes, table: LabelTable) -> None:
 
 
 def outcome_of(reader, content: bytes):
-    table = LabelTable()
+    labels = {}
     try:
-        reader(content, table)
+        reader(content, labels)
     except AuxCorruptError as exc:
-        return ("error", str(exc), exc.offset, table.entries)
-    return ("ok", table.entries)
+        return ("error", str(exc), exc.offset, labels)
+    return ("ok", labels)
 
 
 aux_payload = st.text(alphabet="ab9 .é{}\\", max_size=6).map(lambda text: text.encode())
@@ -297,7 +279,7 @@ def test_error_offsets_match_the_origin_list(records, fault, after, data):
     for position, line_break in sorted(breaks, reverse=True):
         content = content[:position] + line_break + content[position:]
 
-    def current(content, table):
-        read_aux(AuxSession(), content, table)
+    def current(content, labels):
+        read_aux(labels, content)
 
     assert outcome_of(current, content) == outcome_of(reference_read_aux, content)

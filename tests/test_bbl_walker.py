@@ -2,7 +2,8 @@
 
 The code under "reference" below is the former walk, copied verbatim:
 ``process_bbl``, ``_BlockBuilder``, ``BibItem``, ``BblState``,
-``begin_thebibliography`` and ``bibitem`` from ``bbl``,
+``begin_thebibliography`` and ``bibitem`` from ``bbl``, the label
+states and ``LabelTable`` from ``citations``,
 ``skip_filler``, ``scan_group_arg`` and ``control_at`` from
 ``scanner``, and ``Expansion.top``/``_argument`` and ``expand_macros``
 from ``macros``.  While it runs, the real modules' ``expand_macros``
@@ -11,9 +12,9 @@ bodies and optional arguments go through the old paths too.
 
 Wherever the reference succeeds, the walker must build the same items
 (each with the line its ``\\bibitem`` was given), layout, lint, and
-label table; wherever it raises, the walker must raise the same error,
-with the same message and location.  The walker's label table is the
-one a pass builds from its items.  The reference queued ``@citedef``
+labels; wherever it raises, the walker must raise the same error, with
+the same message and location.  The walker's labels are the ones a
+pass enters from its items.  The reference queued ``@citedef``
 records as it went; its session here is in no-aux mode, which drops
 them unchecked, because the walker leaves writing them, and reporting
 an unwritable one, to the pass.
@@ -26,7 +27,7 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 from unittest import mock
 
 import pytest
@@ -36,7 +37,6 @@ from hypothesis import strategies as st
 from citeforge import bbl, driver, macros, scanner
 from citeforge.auxfile import AuxRecord, AuxSession
 from citeforge.bbl import Alignment, Bibliography, LayoutParams, measure_label
-from citeforge.citations import LabelTable
 from citeforge.errors import MacroError, ScanError, StructureError, UnbalancedGroupError
 from citeforge.macros import (
     Expansion,
@@ -57,6 +57,77 @@ from citeforge.scanner import (
 )
 
 # --- reference: the character walker, verbatim ------------------------------
+
+
+class Value:
+    """Equality, hash and repr over the fields named in ``__slots__``.
+
+    Instances equal only instances of the very same class, so two value
+    classes with equal fields never compare equal.  Fields are not
+    guarded against assignment; treat instances as immutable, since
+    they may be hashed.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Undefined(Value):
+    __slots__ = ()
+
+
+class Fallback(Value):
+    __slots__ = ("key",)
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+
+class Defined(Value):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+
+LabelState = Union[Undefined, Fallback, Defined]
+
+UNDEFINED = Undefined()
+
+
+class LabelTable:
+    """Label states for this pass, keyed by citation key in first-touched order."""
+
+    def __init__(self) -> None:
+        self.entries: dict[str, LabelState] = {}
+
+    def state_for(self, key: str) -> LabelState:
+        return self.entries.get(key, UNDEFINED)
+
+    def define(self, key: str, label: str) -> None:
+        """Install a resolved label, replacing any fallback state."""
+        self.entries[key] = Defined(label)
+
+    def set_fallback(self, key: str) -> None:
+        self.entries[key] = Fallback(key)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
 
 _WHITESPACE = " \t\r\n\f\v"
 _CONTROL_WORD = re.compile("[A-Za-z]*")
@@ -419,12 +490,12 @@ def reference_helpers():
 def outcome(walk, content: str):
     """What a walk produces and its rendering, or the error it raised.
 
-    A walk returns its bibliography, the label table and the line of
-    each item.
+    A walk returns its bibliography, its labels as (key, label) pairs
+    and the line of each item.
     """
     lint: list[str] = []
     try:
-        bibliography, table, lines = walk(content, lint.append)
+        bibliography, labels, lines = walk(content, lint.append)
     except Exception as exc:  # the reference decides which errors are expected
         line, source = getattr(exc, "line", None), getattr(exc, "source", None)
         return ("error", type(exc), str(exc), line, source), None
@@ -432,7 +503,6 @@ def outcome(walk, content: str):
         (item.key, item.label, item.alpha, item.alignment, [block.spans for block in item.body], line)
         for item, line in zip(bibliography.items, lines, strict=True)
     ]
-    labels = list(table.entries.items())
     result = ("ok", items, bibliography.layout, lint, labels)
     return result, driver._render_bibliography(bibliography).spans
 
@@ -447,15 +517,15 @@ def reference_walk(content: str, lint: LintSink):
 
     with reference_helpers(), mock.patch.object(sys.modules[__name__], "bibitem", noting_line):
         bibliography = process_bbl(content, state, session, table, lint=lint, source="refs.bbl")
-    return bibliography, table, lines
+    return bibliography, [(key, state.label) for key, state in table.entries.items()], lines
 
 
 def walker(content: str, lint: LintSink):
     bibliography = bbl.process_bbl(content, lint=lint, source="refs.bbl")
-    table = LabelTable()
+    labels = {}
     for item in bibliography.items:
-        table.define(item.key, item.label)
-    return bibliography, table, [item.line for item in bibliography.items]
+        labels[item.key] = item.label
+    return bibliography, list(labels.items()), [item.line for item in bibliography.items]
 
 
 def both(content: str):

@@ -1,44 +1,71 @@
-"""Label table states and the rendering of cite/nocite."""
+"""The pass's label map and the rendering of cite/nocite."""
 
 import pytest
 
 from citeforge.auxfile import AuxKind, AuxSession
-from citeforge.citations import (
-    Defined,
-    Fallback,
-    LabelTable,
-    Undefined,
-    cite,
-    nocite,
-    undefined_citation_warning,
-)
+from citeforge.citations import cite, nocite, undefined_citation_warning
+from citeforge.driver import FixpointResult, JobConfig, build_report, run_pass
+from citeforge.files import MemoryFiles
 from citeforge.rendering import Span, Style, render_annotated, render_plain
 from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
+BBL = (
+    "\\begin{thebibliography}{9}\n"
+    "\\bibitem{first} First.\n"
+    "\\bibitem{later} Later.\n"
+    "\\end{thebibliography}\n"
+)
+
+
+def pass_over(document, aux=b""):
+    """One pass over ``document`` with ``aux`` as the aux file read."""
+    config = JobConfig(jobname="doc")
+    fs = MemoryFiles({"doc.aux": aux, "doc.bbl": BBL.encode()})
+    result = run_pass(config, document, fs)
+    return result, build_report(config, FixpointResult(result, 1, False, [result.aux_bytes]))
+
 
 class TestLabelTable:
+    """``PassResult.labels``: a label, None for a fallback, absent if untouched."""
+
     def test_unseen_key_is_undefined(self):
-        assert LabelTable().state_for("x") == Undefined()
+        result, _ = pass_over("\\nocite{x}")
+        assert result.labels == {}
+        result, _ = pass_over("\\cite{x}\\cite{x}")
+        assert result.labels == {"x": None}
+        assert result.warning_texts() == ["1: Undefined citation `x'."]
 
     def test_define_and_lookup(self):
-        table = LabelTable()
-        table.define("k", "7")
-        assert table.state_for("k") == Defined("7")
-        assert table.entries == {"k": Defined("7")}
+        result, report = pass_over("\\cite{k}", aux=b"\\@citedef{k}{7}\n")
+        assert result.labels == {"k": "7"}
+        assert render_plain(result.rendered) == "[7]"
+        assert report["citations"] == {"k": {"status": "defined", "label": "7"}}
 
     def test_fallback_then_define_upgrades(self):
-        table = LabelTable()
-        table.set_fallback("k")
-        assert table.state_for("k") == Fallback("k")
-        table.define("k", "3")
-        assert table.state_for("k") == Defined("3")
+        result, report = pass_over("\\cite{later}\n\\bibliography{refs}\n")
+        assert result.labels == {"later": "2", "first": "1"}
+        assert result.warning_texts() == ["1: Undefined citation `later'."]
+        assert result.undefined_keys == [] and report["undefined"] == []
 
     def test_keys_in_first_touch_order(self):
-        table = LabelTable()
-        table.set_fallback("later")
-        table.define("first", "1")
-        assert list(table.entries) == ["later", "first"]
-        assert len(table) == 2
+        document = "\\cite{miss,later}\n\\bibliography{refs}\n\\cite{gone}\n"
+        result, report = pass_over(document, aux=b"\\@citedef{old}{9}\n")
+        assert list(result.labels) == ["old", "miss", "later", "first", "gone"]
+        assert report["citations"] == {
+            "old": {"status": "defined", "label": "9"},
+            "miss": {"status": "fallback", "label": "miss"},
+            "later": {"status": "defined", "label": "2"},
+            "first": {"status": "defined", "label": "1"},
+            "gone": {"status": "fallback", "label": "gone"},
+        }
+        assert list(report["citations"]) == list(result.labels)
+
+    def test_empty_label_stays_defined(self):
+        result, report = pass_over("\\cite{k}", aux=b"\\@citedef{k}{}\n")
+        assert result.labels == {"k": ""}
+        assert render_plain(result.rendered) == "[]"
+        assert result.warnings == [] and result.undefined_keys == []
+        assert report["citations"] == {"k": {"status": "defined", "label": ""}}
 
 
 class TestWarningText:
@@ -49,42 +76,38 @@ class TestWarningText:
 class TestCiteOne:
     """A cite of one key: its state decides the span and the warning."""
 
-    def cite_key(self, key, table, line, session=None):
+    def cite_key(self, key, labels, line, session=None, warnings_on=True):
         session = session or AuxSession()
         warnings = []
         fragment = cite(
-            session, table, key, EMPTY_OPTIONAL, line,
-            warn=lambda line, key, text: warnings.append(text),
+            session, labels, key, EMPTY_OPTIONAL, line,
+            warn=(lambda line, key, text: warnings.append(text)) if warnings_on else None,
         )
         return fragment, warnings
 
     def test_defined_renders_plain_label(self):
-        table = LabelTable()
-        table.define("k", "12")
-        fragment, warnings = self.cite_key("k", table, 1)
+        fragment, warnings = self.cite_key("k", {"k": "12"}, 1)
         assert fragment.spans == [Span(Style.PLAIN, "[12]")]
         assert warnings == []
 
     def test_undefined_warns_once_and_falls_back(self):
-        table = LabelTable()
+        labels = {}
         session = AuxSession()
-        first, warnings = self.cite_key("x", table, 7, session)
+        first, warnings = self.cite_key("x", labels, 7, session)
         assert first.spans == [
             Span(Style.PLAIN, "["), Span(Style.TYPEWRITER, "x"), Span(Style.PLAIN, "]")
         ]
         assert warnings == ["7: Undefined citation `x'."]
-        assert table.state_for("x") == Fallback("x")
-        second, again = self.cite_key("x", table, 9, session)
+        assert labels == {"x": None}
+        second, again = self.cite_key("x", labels, 9, session)
         assert second.spans == first.spans
         assert again == []
 
     def test_fallback_set_even_with_warnings_disabled(self):
-        table = LabelTable()
-        session = AuxSession()
-        session.warnings_enabled = False
-        fragment, warnings = self.cite_key("x", table, 3, session)
+        labels = {}
+        fragment, warnings = self.cite_key("x", labels, 3, warnings_on=False)
         assert warnings == []
-        assert table.state_for("x") == Fallback("x")
+        assert labels == {"x": None}
         assert fragment.spans == [
             Span(Style.PLAIN, "["), Span(Style.TYPEWRITER, "x"), Span(Style.PLAIN, "]")
         ]
@@ -100,14 +123,14 @@ class TestNocite:
 
 
 class TestCite:
-    def run_cite(self, keys, table=None, note=EMPTY_OPTIONAL, session=None):
-        table = table if table is not None else LabelTable()
+    def run_cite(self, keys, labels=None, note=EMPTY_OPTIONAL, session=None):
+        labels = labels if labels is not None else {}
         session = session or AuxSession()
         warnings = []
         notes = []
         fragment = cite(
             session,
-            table,
+            labels,
             keys,
             note,
             5,
@@ -117,17 +140,12 @@ class TestCite:
         return fragment, warnings, notes, session
 
     def test_defined_pair_renders_bracketed_list(self):
-        table = LabelTable()
-        table.define("a", "1")
-        table.define("b", "2")
-        fragment, warnings, notes, _ = self.run_cite("a,b", table)
+        fragment, warnings, notes, _ = self.run_cite("a,b", {"a": "1", "b": "2"})
         assert render_plain(fragment) == "[1, 2]"
         assert warnings == [] and notes == []
 
     def test_optional_note_appended(self):
-        table = LabelTable()
-        table.define("a", "1")
-        fragment, _, _, _ = self.run_cite("a", table, note=OptionalArg("page 3"))
+        fragment, _, _, _ = self.run_cite("a", {"a": "1"}, note=OptionalArg("page 3"))
         assert render_plain(fragment) == "[1, page 3]"
 
     def test_empty_keys_render_empty_brackets(self):
@@ -152,21 +170,21 @@ class TestCite:
         assert [w for w in warnings if f"`{key}'" in w]
 
     def test_warning_once_per_key_across_cites(self):
-        table = LabelTable()
+        labels = {}
         session = AuxSession()
-        _, first, _, _ = self.run_cite("x", table, session=session)
-        _, second, _, _ = self.run_cite("x", table, session=session)
+        _, first, _, _ = self.run_cite("x", labels, session=session)
+        _, second, _, _ = self.run_cite("x", labels, session=session)
         assert first == ["5: Undefined citation `x'."]
         assert second == []
 
     def test_no_warning_when_session_disabled(self):
-        session = AuxSession(no_aux=True)
-        _, warnings, _, _ = self.run_cite("x", session=session)
-        assert warnings == []
+        # A no-aux pass, like one that found no aux file, cites without warning.
+        fs = MemoryFiles()
+        result = run_pass(JobConfig(jobname="doc", no_aux=True), "\\cite{x}", fs)
+        assert result.warnings == [] and result.labels == {"x": None}
+        assert render_annotated(result.rendered) == "[⟨tt:x⟩]"
 
     def test_mixed_defined_and_fallback(self):
-        table = LabelTable()
-        table.define("a", "1")
-        fragment, warnings, _, _ = self.run_cite("a,miss", table)
+        fragment, warnings, _, _ = self.run_cite("a,miss", {"a": "1"})
         assert render_annotated(fragment) == "[1, ⟨tt:miss⟩]"
         assert warnings == ["5: Undefined citation `miss'."]

@@ -227,7 +227,7 @@ def test_non_utf8_aux_payload_exits_three(workspace):
     code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
     assert code == 3
     assert "Traceback" not in err
-    assert "citeforge: error: @citedef record is not UTF-8 text (byte 13)" in err
+    assert "citeforge: error: paper.aux: @citedef record is not UTF-8 text (byte 13)" in err
 
 
 def test_aux_write_failure_exits_three(workspace):
@@ -265,6 +265,15 @@ def test_unwritable_citation_key_exits_three_at_its_line(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == "citeforge: error: bad.tex:1: citation payload may not contain a newline: 'a\\nb'\n"
+
+
+def test_corrupt_aux_exits_three_naming_the_file(workspace, capsys):
+    (workspace / "paper.aux").write_bytes(b"\\citation{a}\ngarbage")
+    code = main(["resolve", str(workspace / "paper.tex")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "citeforge: error: paper.aux: unrecognized aux content (byte 13)\n"
 
 
 def test_runaway_expansion_exits_three(workspace, capsys):

@@ -2,13 +2,13 @@
 
 import errno
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from citeforge import driver, files
 from citeforge.auxfile import MISSING_AUX_MESSAGE
-from citeforge.citations import Defined, Fallback
 from citeforge.driver import (
     FixpointResult,
     JobConfig,
@@ -139,17 +139,23 @@ class TestRunPass:
         "first", ["\\cite{k}", "\\nocite{k}", "\\bibliographystyle{plain}", "\\bibliography{refs}"]
     )
     def test_aux_read_once_before_the_first_command_writes(self, monkeypatch, first, aux):
-        pending_at_read = []
+        pending_at_read, sessions = [], []
         read_aux, handle_missing_aux = driver.read_aux, driver.handle_missing_aux
 
-        def reading(session, content, table):
-            pending_at_read.append(list(session.pending_writes))
-            read_aux(session, content, table)
+        class Session(driver.AuxSession):
+            def __init__(self, no_aux=False):
+                super().__init__(no_aux)
+                sessions.append(self)
 
-        def missing(session):
-            pending_at_read.append(list(session.pending_writes))
-            return handle_missing_aux(session)
+        def reading(labels, content, source):
+            pending_at_read.append(list(sessions[-1].pending_writes))
+            read_aux(labels, content, source)
 
+        def missing():
+            pending_at_read.append(list(sessions[-1].pending_writes))
+            return handle_missing_aux()
+
+        monkeypatch.setattr(driver, "AuxSession", Session)
         monkeypatch.setattr(driver, "read_aux", reading)
         monkeypatch.setattr(driver, "handle_missing_aux", missing)
         fs = fs_with_bbl()
@@ -163,7 +169,7 @@ class TestRunPass:
             assert result.messages == [MISSING_AUX_MESSAGE]
         else:
             assert result.messages == []
-            assert result.table.state_for("k") == Defined("7")
+            assert result.labels["k"] == "7"
 
     def test_no_command_reads_no_aux(self):
         fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{7}\n"})
@@ -220,8 +226,8 @@ class TestRunPass:
         fs = MemoryFiles({"doc.aux": b"\\citation{a}\ngarbage"})
         with pytest.raises(AuxCorruptError) as info:
             run_pass(JobConfig(jobname="doc"), "text\n\\cite{k}", fs)
-        assert str(info.value) == "unrecognized aux content (byte 13)"
-        assert (info.value.offset, info.value.line, info.value.source) == (13, None, "")
+        assert str(info.value) == "doc.aux: unrecognized aux content (byte 13)"
+        assert (info.value.offset, info.value.line, info.value.source) == (13, None, "doc.aux")
 
     def test_stale_definitions_are_honored(self):
         fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{Old99}\n"})
@@ -313,7 +319,7 @@ class TestRunPass:
         # labels defined mid-pass by the bbl are only visible after the
         # cite site, so the cite itself still falls back this pass
         assert render_plain(result.rendered).startswith("Cites: [a, b].")
-        assert result.table.state_for("a") == Defined("1")
+        assert result.labels["a"] == "1"
         assert fs.writes == []
 
 
@@ -359,6 +365,26 @@ class TestFixpoint:
         second = run_to_fixpoint(config, DOC, fs_with_bbl())
         assert build_report(config, first) == build_report(config, second)
         assert first.aux_history == second.aux_history
+
+    def test_no_earlier_pass_is_kept_while_the_next_one_runs(self):
+        # A cold run's second pass rereads what the first one wrote; if the
+        # first pass's result were still held, it would add about half again.
+        document = "".join(f"\\cite{{u{n}}}\n" for n in range(4000))
+        config = JobConfig(jobname="doc")
+
+        def peak(run, fs):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(config, document, fs)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        fs = MemoryFiles()
+        cold = peak(run_to_fixpoint, fs)
+        warm_pass = peak(run_pass, fs)  # the converged aux is in place now
+        assert cold <= 1.15 * warm_pass
 
 
 class TestReport:

@@ -11,9 +11,8 @@ former same-style span merge) fails by a wide margin.
 import gc
 from time import perf_counter
 
-from citeforge.auxfile import AuxSession, read_aux
+from citeforge.auxfile import read_aux
 from citeforge.bbl import process_bbl
-from citeforge.citations import LabelTable
 from citeforge.rendering import RenderedFragment, Style
 from citeforge.scanner import CharStream, next_command
 
@@ -55,9 +54,9 @@ def read_many_records(count: int) -> None:
     content = b"".join(
         b"\\citation{k%d}\n\\@citedef{k%d}{%d}\n" % (i, i, i) for i in range(count)
     )
-    table = LabelTable()
-    read_aux(AuxSession(), content, table)
-    assert len(table) == count
+    labels = {}
+    read_aux(labels, content)
+    assert len(labels) == count
 
 
 BBL_MACROS = (

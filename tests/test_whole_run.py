@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from citeforge import driver
 from citeforge.auxfile import AuxRecord, AuxSession, read_aux
-from citeforge.citations import Defined, LabelTable
 from citeforge.driver import JobConfig, build_report
 from citeforge.errors import CiteforgeError
 from citeforge.files import MemoryFiles
@@ -144,10 +143,10 @@ def test_runs_end_read_back_and_rerun(document, bbl, aux, max_passes, no_aux):
     if no_aux or not first.converged:
         return
 
-    table = LabelTable()
-    read_aux(AuxSession(), final.aux_bytes, table)
+    labels = {}
+    read_aux(labels, final.aux_bytes)
     items = final.bibliography.items if final.bibliography is not None else []
-    assert table.entries == {item.key: Defined(item.label) for item in items}
+    assert labels == {item.key: item.label for item in items}
 
     calls = []
     run_pass = driver.run_pass
@@ -198,10 +197,10 @@ def test_aux_records_survive_serialize_and_read(written):
     session = AuxSession()
     for record in written:
         session.write(record)
-    table = LabelTable()
-    read_aux(AuxSession(), session.serialize(), table)
+    labels = {}
+    read_aux(labels, session.serialize())
     expected = {}
     for record in written:
         if record.label is not None:
-            expected[record.payload] = Defined(record.label)
-    assert table.entries == expected
+            expected[record.payload] = record.label
+    assert labels == expected
