@@ -10,9 +10,9 @@ commands, the macro engine) are importable from their own modules.
 """
 
 from .bbl import Alignment, BibItem, Bibliography, LayoutParams, process_bbl
+from .citations import CiteWarning
 from .dimensions import Dimension
 from .driver import (
-    CiteWarning,
     FixpointResult,
     JobConfig,
     PassResult,

@@ -1,7 +1,8 @@
-"""The aux file protocol: typed records and the per-pass write queue.
+"""The aux file protocol: records and the per-pass write queue.
 
 The aux file is the only channel between passes.  It holds four record
-kinds, one per line when written:
+kinds, one per line when written, each named by its control word (an
+:class:`AuxRecord`'s ``kind``):
 
     \\citation{keys}      what was cited, payload verbatim
     \\bibdata{databases}  argument of the bibliography command
@@ -24,7 +25,6 @@ itself, at its first citation-shaped command, and hands them to
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import NamedTuple, Optional
 
@@ -32,7 +32,6 @@ from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
 
 __all__ = [
-    "AuxKind",
     "AuxRecord",
     "AuxSession",
     "MISSING_AUX_MESSAGE",
@@ -46,57 +45,54 @@ MISSING_AUX_MESSAGE = (
 )
 
 
-class AuxKind(enum.Enum):
-    CITATION = "citation"
-    BIBDATA = "bibdata"
-    BIBSTYLE = "bibstyle"
-    CITEDEF = "@citedef"
-
-
 class AuxRecord(NamedTuple):
-    """One aux record.  ``label`` is used by CITEDEF records only."""
+    """One aux record, named by its control word.
 
-    kind: AuxKind
+    ``kind`` is ``"citation"``, ``"bibdata"``, ``"bibstyle"`` or
+    ``"@citedef"``; ``label`` is used by ``@citedef`` records only.
+    """
+
+    kind: str
     payload: str
     label: Optional[str] = None
 
     @classmethod
     def citation(cls, keys: str) -> "AuxRecord":
-        return cls(AuxKind.CITATION, keys)
+        return cls("citation", keys)
 
     @classmethod
     def bibdata(cls, databases: str) -> "AuxRecord":
-        return cls(AuxKind.BIBDATA, databases)
+        return cls("bibdata", databases)
 
     @classmethod
     def bibstyle(cls, style: str) -> "AuxRecord":
-        return cls(AuxKind.BIBSTYLE, style)
+        return cls("bibstyle", style)
 
     @classmethod
     def citedef(cls, key: str, label: str) -> "AuxRecord":
-        return cls(AuxKind.CITEDEF, key, label)
+        return cls("@citedef", key, label)
 
 
-def _check_payload(text: str, kind: AuxKind, part: str = "payload") -> None:
+def _check_payload(text: str, kind: str, part: str = "payload") -> None:
     if "\n" in text or "\r" in text:
-        raise AuxFormatError(f"{kind.value} {part} may not contain a newline: {text!r}")
+        raise AuxFormatError(f"{kind} {part} may not contain a newline: {text!r}")
 
 
 def _check_record(record: AuxRecord) -> None:
     """Raise :class:`AuxFormatError` unless the record fits on one line."""
     _check_payload(record.payload, record.kind)
-    if record.kind is AuxKind.CITEDEF:
+    if record.kind == "@citedef":
         if record.label is None:
             raise AuxFormatError("@citedef record requires a label")
-        _check_payload(record.label, AuxKind.CITEDEF, "label")
+        _check_payload(record.label, record.kind, "label")
 
 
 def format_record(record: AuxRecord) -> str:
     """The record's exact one-line serialization, newline terminated."""
     _check_record(record)
-    if record.kind is AuxKind.CITEDEF:
+    if record.kind == "@citedef":
         return f"\\@citedef{{{record.payload}}}{{{record.label}}}\n"
-    return f"\\{record.kind.value}{{{record.payload}}}\n"
+    return f"\\{record.kind}{{{record.payload}}}\n"
 
 
 # perfbench/spans.py times AuxSession.serialize; until ROADMAP item 2 frees it, the class stays.
@@ -123,12 +119,8 @@ class AuxSession:
 _LINE_BREAKS = b"\r\n"
 _KEPT_RUN = re.compile(rb"[^\r\n]+")
 
-_RECORD_OPENERS = (
-    (AuxKind.CITEDEF, "\\@citedef{"),
-    (AuxKind.CITATION, "\\citation{"),
-    (AuxKind.BIBDATA, "\\bibdata{"),
-    (AuxKind.BIBSTYLE, "\\bibstyle{"),
-)
+# A record's control word; the brace after it opens the payload.
+_RECORD_OPENER = re.compile(r"\\(?:@citedef|citation|bibdata|bibstyle)(?=\{)")
 
 
 def read_aux(labels: dict[str, Optional[str]], content: bytes, source: str = "") -> None:
@@ -152,16 +144,13 @@ def read_aux(labels: dict[str, Optional[str]], content: bytes, source: str = "")
 
 def _read_record(stream: CharStream, labels: dict[str, Optional[str]]) -> Optional[str]:
     """Parse the record at the cursor; what is wrong with it, if it does not parse."""
-    start = stream.position
-    for kind, opener in _RECORD_OPENERS:
-        if stream.content.startswith(opener, start):
-            break
-    else:
+    opener = _RECORD_OPENER.match(stream.content, stream.position)
+    if opener is None:
         return "unrecognized aux content"
-    stream.take_to(start + len(opener) - 1)
+    stream.take_to(opener.end())
     try:
         payload = scan_group_arg(stream)
-        if kind is AuxKind.CITEDEF:
+        if opener.group() == "\\@citedef":
             if stream.peek() != "{":
                 return "@citedef record missing its label"
             label = scan_group_arg(stream)

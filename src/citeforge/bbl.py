@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .dimensions import Dimension
 from .errors import MacroError, StructureError, UnbalancedGroupError
@@ -69,6 +69,7 @@ from .scanner import (
     TEXT_TOKEN,
     TOKEN,
     CharStream,
+    LintSink,
     control_at,
     scan_group_arg,
     scan_optional_arg,
@@ -84,8 +85,6 @@ __all__ = [
     "measure_label",
     "process_bbl",
 ]
-
-LintSink = Callable[[str], None]
 
 _STYLE_SWITCHES: Mapping[str, Style] = {
     "em": Style.EMPHASIS,
@@ -224,7 +223,6 @@ def process_bbl(
     in_environment = False
     budget = ExpansionBudget()
     expansion = Expansion(CharStream(content, source=source), budget)
-    streams = expansion.streams
     style_stack: list[Style] = [Style.PLAIN]
     current_item: Optional[BibItem] = None
     block = _BlockBuilder()
@@ -279,9 +277,9 @@ def process_bbl(
                 # A nonempty optional is the label (alpha shape, labels
                 # left); otherwise the item is numbered (labels right).
                 # Only the environment's first item decides the alignment.
-                alpha = optional.present_nonempty
+                alpha = optional != ""
                 if alpha:
-                    label = expand_macros(macros, optional.text, budget=budget)
+                    label = expand_macros(macros, optional, budget=budget)
                     alignment = alignment or Alignment.LABELS_LEFT
                 else:
                     counter += 1
@@ -322,8 +320,7 @@ def process_bbl(
     # One token of the top stream per event, read until the stream ends
     # or a macro call queues its replacement above it.  Outside an item,
     # text is taken as one run up to the next command, brace or comment.
-    while streams:
-        stream = streams[-1]
+    while (stream := expansion.top()) is not None:
         content, content_end = stream.content, len(stream.content)
         match = (TOKEN if stream.comments else TEXT_TOKEN).match
         text_stop = _TEXT_STOP if stream.comments else _TEXT_STOP_NO_COMMENTS
@@ -351,8 +348,6 @@ def process_bbl(
                 skip_comment(stream)
             elif command(stream, token, stream.line):
                 break
-        else:
-            streams.pop()
 
     close_item()
     if in_environment:

@@ -15,25 +15,34 @@ first-touched order:
 record whose payload is the raw key text, unsplit and untrimmed; the
 comma split happens only for rendering.  ``nocite`` does the recording
 without rendering anything.  Neither reads the aux file: the pass has
-read it before its first citation-shaped command.
+read it before its first citation-shaped command.  An undefined key's
+first cite is a :class:`CiteWarning`, its line and key; the warning
+text is worked out from them when it is shown.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession
 from .rendering import RenderedFragment, Style
-from .scanner import OptionalArg, split_comma_list
+from .scanner import LintSink, split_comma_list
 
-__all__ = ["undefined_citation_warning", "nocite", "cite"]
+__all__ = ["CiteWarning", "nocite", "cite"]
 
 _BLANK = re.compile(r"\s")
 
 
-def undefined_citation_warning(line: int, key: str) -> str:
-    return f"{line}: Undefined citation `{key}'."
+class CiteWarning(NamedTuple):
+    """The first cite of an undefined key: where it is, and the key."""
+
+    line: int
+    key: str
+
+    @property
+    def text(self) -> str:
+        return f"{self.line}: Undefined citation `{self.key}'."
 
 
 def nocite(session: AuxSession, keys: str) -> None:
@@ -41,21 +50,19 @@ def nocite(session: AuxSession, keys: str) -> None:
     session.write(AuxRecord.citation(keys))
 
 
-WarnSink = Callable[[int, str, str], None]
-LintSink = Callable[[str], None]
-
-
 def cite(
     session: AuxSession,
     labels: dict[str, Optional[str]],
     keys: str,
-    note: OptionalArg,
+    note: str,
     line: int,
     *,
-    warn: Optional[WarnSink] = None,
+    warnings: Optional[list[CiteWarning]] = None,
     lint: Optional[LintSink] = None,
 ) -> RenderedFragment:
     """Render ``[k1, k2, note]`` and queue the citation record.
+
+    An empty ``note`` renders nothing, the same as no note.
 
     ``keys`` is recorded bytewise before any splitting, so whatever was
     written between the braces is what lands in the aux file.  Split
@@ -65,7 +72,8 @@ def cite(
     A defined key renders as its label.  Any other key renders as the
     raw key in typewriter type; an undefined one is entered in
     ``labels`` as a fallback, so later cites of it stay silent, and
-    warns once through ``warn`` when one is given.
+    warns once: its :class:`CiteWarning` goes on ``warnings`` when
+    that list is given.
     """
     nocite(session, keys)
     fragment = RenderedFragment()
@@ -82,9 +90,9 @@ def cite(
         fragment.append(Style.TYPEWRITER, key)
         if key not in labels:
             labels[key] = None
-            if warn is not None:
-                warn(line, key, undefined_citation_warning(line, key))
-    if note.present_nonempty:
-        fragment.append(Style.PLAIN, ", " + note.text)
+            if warnings is not None:
+                warnings.append(CiteWarning(line, key))
+    if note:
+        fragment.append(Style.PLAIN, ", " + note)
     fragment.append(Style.PLAIN, "]")
     return fragment

@@ -68,18 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     path = Path(args.file)
-    try:
-        document = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"citeforge: cannot read {path}: {exc}", file=sys.stderr)
-        return 3
-    except UnicodeDecodeError:
-        print(f"citeforge: error: {path.name}: not UTF-8 text", file=sys.stderr)
-        return 3
-
     try:
         config = JobConfig(
             jobname=args.jobname or path.stem,
@@ -90,7 +82,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             document_name=path.name,
         )
     except ValueError as exc:
-        print(f"citeforge: {exc}", file=sys.stderr)
+        parser.error(str(exc))  # a usage error: exits 2
+
+    try:
+        document = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"citeforge: error: cannot read {path}: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError:
+        print(f"citeforge: error: {path.name}: not UTF-8 text", file=sys.stderr)
         return 3
 
     fs = DirectoryFiles(path.parent)

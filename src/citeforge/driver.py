@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
 from .bbl import Bibliography, LayoutParams, process_bbl
-from .citations import cite, nocite
+from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
 from .errors import AuxFormatError, ScanError
 from .files import FileAccess
@@ -97,14 +97,6 @@ class JobConfig:
             raise ValueError("max_passes must be at least 1")
 
 
-class CiteWarning(NamedTuple):
-    """One undefined-citation warning, with its location data."""
-
-    line: int
-    key: str
-    text: str
-
-
 class PassResult(NamedTuple):
     """What one pass produced.
 
@@ -120,10 +112,13 @@ class PassResult(NamedTuple):
     bibliography: Optional[Bibliography]
     messages: list[str]
     lint: list[str]
-    undefined_keys: list[str]
     labels: dict[str, Optional[str]]
-    nobreak_before_bibliography: bool
     aux_read: Optional[bytes] = None
+
+    @property
+    def undefined_keys(self) -> list[str]:
+        """The keys that fell back to the raw key, in first-touched order."""
+        return [key for key, label in self.labels.items() if label is None]
 
     def warning_texts(self) -> list[str]:
         return [w.text for w in self.warnings]
@@ -190,11 +185,7 @@ def run_pass(
     session = AuxSession(no_aux=config.no_aux)
     rendered = RenderedFragment()
     bibliography: Optional[Bibliography] = None
-    nobreak = False
     read_done = config.no_aux
-
-    def warn(line: int, key: str, text: str) -> None:
-        warnings.append(CiteWarning(line, key, text))
 
     stream = CharStream(document, source=config.document_name)
     while not stream.at_end():
@@ -216,20 +207,20 @@ def run_pass(
                 fragment = cite(
                     session,
                     labels,
-                    item.args[0],
+                    item.arg,
                     item.optional,
                     item.source_line,
                     # Undefined citations warn only when an aux file was read.
-                    warn=warn if aux_read is not None else None,
+                    warnings=warnings if aux_read is not None else None,
                     lint=lint.append,
                 )
                 rendered.extend(fragment)
             elif item.name == "nocite":
-                nocite(session, item.args[0])
+                nocite(session, item.arg)
             elif item.name == "bibliographystyle":
-                session.write(AuxRecord.bibstyle(item.args[0]))
+                session.write(AuxRecord.bibstyle(item.arg))
             elif item.name == "bibliography":
-                session.write(AuxRecord.bibdata(item.args[0]))
+                session.write(AuxRecord.bibdata(item.arg))
                 bbl_name = f"{config.bbl_basename}.bbl"
                 processed = processed_bbls.get(bbl_name)
                 if processed is None and fs.exists(bbl_name):
@@ -238,7 +229,6 @@ def run_pass(
                 if processed is None:
                     messages.append(f"No file {bbl_name}.")
                 else:
-                    nobreak = True
                     bibliography = processed.bibliography
                     try:
                         for entry in bibliography.items:
@@ -264,9 +254,7 @@ def run_pass(
         bibliography=bibliography,
         messages=messages,
         lint=lint,
-        undefined_keys=[key for key, label in labels.items() if label is None],
         labels=labels,
-        nobreak_before_bibliography=nobreak,
         aux_read=aux_read,
     )
 
@@ -354,7 +342,7 @@ def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
     if final.bibliography is not None:
         bibliography = final.bibliography
         report["bibliography"] = {
-            "nobreak_before": final.nobreak_before_bibliography,
+            "nobreak_before": True,
             "alignment": (
                 bibliography.alignment.value if bibliography.alignment else None
             ),

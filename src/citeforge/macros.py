@@ -28,14 +28,7 @@ import re
 from typing import Dict, NamedTuple, Optional
 
 from .errors import MacroError, MacroRecursionError, UnbalancedGroupError
-from .scanner import (
-    ESCAPE,
-    CharStream,
-    OptionalArg,
-    control_at,
-    scan_group_arg,
-    skip_filler,
-)
+from .scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
 
 __all__ = [
     "MAX_EXPANSION_DEPTH",
@@ -55,9 +48,11 @@ MAX_EXPANSION_DEPTH = 256
 #: 2,000-item bbl with 5,600 macro calls queues about 68,000.
 MAX_EXPANSION_CHARS = 1 << 22
 
-# Parameter markers take ASCII digits only: "²".isdigit() is true too.
+# Parameter markers and counts take ASCII digits only: "²".isdigit() is
+# true too, and int() reads "٣", "１" and "1_0".
 _DIGITS = frozenset("0123456789")
 _PARAMETER = re.compile("#([0-9])")
+_COUNT = re.compile("[+-]?[0-9]+")
 
 
 class MacroDef(NamedTuple):
@@ -72,26 +67,24 @@ MacroTable = Dict[str, MacroDef]
 def define_newcommand(
     defs: MacroTable,
     name: str,
-    nparams: OptionalArg,
+    nparams: str,
     body: str,
     *,
     budget: Optional[ExpansionBudget] = None,
 ) -> MacroDef:
     """Define ``name``; redefinition silently overwrites.
 
-    An absent (or empty) parameter count means zero parameters.  The
-    body is expanded now against ``defs``, so macros used inside it are
-    frozen at their current meaning.
+    ``nparams`` is the text of the ``[...]`` parameter count: ASCII
+    digits, with an optional sign and blanks around them.  An absent
+    (or empty) count, ``""``, means zero parameters.  The body is
+    expanded now against ``defs``, so macros used inside it are frozen
+    at their current meaning.
     """
-    if nparams.present_nonempty:
-        try:
-            count = int(nparams.text.strip())
-        except ValueError:
-            raise MacroError(
-                f"parameter count `{nparams.text}' is not a number"
-            ) from None
-    else:
-        count = 0
+    count = 0
+    if nparams:
+        if not _COUNT.fullmatch(nparams.strip()):
+            raise MacroError(f"parameter count `{nparams}' is not a number")
+        count = int(nparams)
     if count > 9:
         raise MacroError(f"{count} is too many parameters")
     if count < 0:
@@ -143,8 +136,7 @@ class ExpansionBudget:
 class Expansion:
     """The stream stack of one reading: the text and pending replacements.
 
-    A reader reads the last of ``streams``, through :meth:`top` or by
-    popping the streams it reads to the end itself; on reading a macro
+    A reader reads the stream that :meth:`top` gives; on reading a macro
     call it collects :meth:`arguments` and hands the substituted body to
     :meth:`push`.  What it queues is charged to ``budget``, a
     fresh one unless the reading shares one.

@@ -21,21 +21,21 @@ Only the commands in :data:`DOCUMENT_COMMANDS` are recognized by
 :func:`next_command`.  Everything else, including unknown commands,
 passes through byte-for-byte as plain text, which is what makes
 scanning safe on documents full of markup this package does not
-understand.
+understand.  Each recognized command takes one ``{...}`` argument, and
+``cite`` alone also takes an optional ``[...]`` note before it.  The
+scanner hands plain strings on: an optional argument is its text, and
+``""`` when it is absent or empty.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ScanError, UnbalancedGroupError, _located
 
 __all__ = [
     "CharStream",
-    "OptionalArg",
-    "EMPTY_OPTIONAL",
-    "CommandSpec",
     "CommandInvocation",
     "DOCUMENT_COMMANDS",
     "control_at",
@@ -70,6 +70,7 @@ _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
 _TEXT_STOP = re.compile(r"[\\%]")
 _ESCAPE_STOP = re.compile(r"\\")
 
+#: Where lint notes go, one line of text each.
 LintSink = Callable[[str], None]
 
 
@@ -122,48 +123,17 @@ class CharStream:
         return text
 
 
-class OptionalArg(NamedTuple):
-    """A bracketed optional argument.
-
-    An empty ``[]`` and an absent argument both produce ``text == ""``
-    and are deliberately indistinguishable here; the scanner reports the
-    empty-bracket case through its lint sink instead.
-    """
-
-    text: str = ""
-
-    @property
-    def present_nonempty(self) -> bool:
-        return self.text != ""
-
-    def __bool__(self) -> bool:
-        return self.present_nonempty
-
-
-EMPTY_OPTIONAL = OptionalArg()
-
-
-class CommandSpec(NamedTuple):
-    takes_optional: bool
-    arg_count: int
-
-
 #: The commands acted on while scanning a document body.  Bibliography
 #: structure commands are only meaningful inside a bbl file (the bbl
 #: reader dispatches them itself); in a document they fall back to
 #: pass-through like any unknown command.
-DOCUMENT_COMMANDS: Mapping[str, CommandSpec] = {
-    "cite": CommandSpec(True, 1),
-    "nocite": CommandSpec(False, 1),
-    "bibliography": CommandSpec(False, 1),
-    "bibliographystyle": CommandSpec(False, 1),
-}
+DOCUMENT_COMMANDS = frozenset(("cite", "nocite", "bibliography", "bibliographystyle"))
 
 
 class CommandInvocation(NamedTuple):
     name: str
-    optional: OptionalArg
-    args: list[str]
+    optional: str  # the ``[...]`` of ``cite``; "" when absent, empty, or another command
+    arg: str
     source_line: int
 
 
@@ -230,25 +200,25 @@ def _scan_to(stream: CharStream, close: str) -> str:
     raise UnbalancedGroupError("unbalanced group ('{' never closed)", open_line, stream.source)
 
 
-def scan_optional_arg(stream: CharStream, lint: LintSink | None = None) -> OptionalArg:
-    """Scan ``[...]`` if the next non-space character opens one.
+def scan_optional_arg(stream: CharStream, lint: LintSink | None = None) -> str:
+    """Scan ``[...]`` if the next non-space character opens one; its text.
 
     Spaces, line breaks, and comments before the bracket are consumed
     during lookahead.  When no bracket follows, nothing else is
-    consumed and the empty argument is returned.  A ``]`` nested inside
-    a brace group does not close the argument.
+    consumed and ``""`` is returned.  An empty ``[]`` returns ``""``
+    too, so it is the same as no argument; the lint sink points it
+    out.  A ``]`` nested inside a brace group does not close the
+    argument.
     """
     skip_filler(stream)
     if stream.peek() != "[":
-        return EMPTY_OPTIONAL
+        return ""
     open_line = stream.line
     text = _scan_to(stream, "]")
-    if text == "":
-        if lint is not None:
-            message = "empty optional argument '[]' treated as absent"
-            lint(_located(message, open_line, stream.source))
-        return EMPTY_OPTIONAL
-    return OptionalArg(text)
+    if text == "" and lint is not None:
+        message = "empty optional argument '[]' treated as absent"
+        lint(_located(message, open_line, stream.source))
+    return text
 
 
 def scan_group_arg(stream: CharStream) -> str:
@@ -288,9 +258,9 @@ def next_command(
     Text runs are maximal: they carry everything (unknown commands
     included, byte-for-byte) up to the next command found in
     :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands
-    come back with their optional and mandatory arguments already
-    scanned; whitespace after the command name is consumed, mirroring
-    how a reader that tokenizes control words would behave.
+    come back with their arguments already scanned; whitespace after the
+    command name is consumed, mirroring how a reader that tokenizes
+    control words would behave.
     """
     parts: list[str] = []
     text_stop = _TEXT_STOP if stream.comments else _ESCAPE_STOP
@@ -301,8 +271,7 @@ def next_command(
             skip_comment(stream)
             continue
         name, end = control_at(stream.content, stream.position)
-        spec = DOCUMENT_COMMANDS.get(name)
-        if spec is None:
+        if name not in DOCUMENT_COMMANDS:
             parts.append(stream.take_to(end))
             continue
         if parts:
@@ -310,9 +279,8 @@ def next_command(
         command_line = stream.line
         stream.take_to(end)
         skip_filler(stream)
-        optional = scan_optional_arg(stream, lint) if spec.takes_optional else EMPTY_OPTIONAL
-        args = [scan_group_arg(stream) for _ in range(spec.arg_count)]
-        return CommandInvocation(name, optional, args, command_line)
+        optional = scan_optional_arg(stream, lint) if name == "cite" else ""
+        return CommandInvocation(name, optional, scan_group_arg(stream), command_line)
     if not stream.at_end():
         parts.append(stream.take_to(len(stream.content)))
     return "".join(parts)

@@ -21,7 +21,6 @@ from citeforge.errors import MacroError
 from citeforge.files import MemoryFiles
 from citeforge.macros import define_newcommand, expand_macros
 from citeforge.rendering import render_annotated, render_plain
-from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
 GOLDEN_DOC = (
     "\\bibliographystyle{plain}\n"
@@ -235,13 +234,13 @@ def test_07_newcommand_emulation_on_random_bodies():
                 text if kind == "lit" else args[text - 1] for kind, text in pieces
             )
             defs = {}
-            count = OptionalArg(str(num_params)) if num_params else EMPTY_OPTIONAL
+            count = str(num_params) if num_params else ""
             define_newcommand(defs, "probe", count, body)
             call = "\\probe" + "".join("{" + arg + "}" for arg in args)
             assert expand_macros(defs, call) == expected
 
     with pytest.raises(MacroError) as info:
-        define_newcommand({}, "wide", OptionalArg("10"), "#1")
+        define_newcommand({}, "wide", "10", "#1")
     assert "is too many parameters" in str(info.value)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from citeforge.auxfile import (
     MISSING_AUX_MESSAGE,
-    AuxKind,
     AuxRecord,
     AuxSession,
     format_record,
@@ -40,7 +39,15 @@ class TestFormatRecord:
 
     def test_citedef_requires_label(self):
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord(AuxKind.CITEDEF, "k"))
+            format_record(AuxRecord("@citedef", "k"))
+
+    def test_kind_is_the_control_word(self):
+        records = [
+            AuxRecord.citation("a"), AuxRecord.bibdata("r"), AuxRecord.bibstyle("s"),
+            AuxRecord.citedef("k", "1"),
+        ]
+        assert [r.kind for r in records] == ["citation", "bibdata", "bibstyle", "@citedef"]
+        assert AuxRecord.citedef("k", "1") == ("@citedef", "k", "1")
 
 
 class TestSession:
@@ -61,8 +68,8 @@ class TestSession:
         [
             (AuxRecord.citation("a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
             (AuxRecord.bibstyle("a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
-            (AuxRecord(AuxKind.CITEDEF, "k\n"), "@citedef payload may not contain a newline"),
-            (AuxRecord(AuxKind.CITEDEF, "k"), "@citedef record requires a label"),
+            (AuxRecord("@citedef", "k\n"), "@citedef payload may not contain a newline"),
+            (AuxRecord("@citedef", "k"), "@citedef record requires a label"),
             (AuxRecord.citedef("k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
         ],
     )
@@ -192,10 +199,10 @@ def test_serialized_records_survive_arbitrary_line_splits(records, data):
 # offset up front (the ``origin`` list), kept as the reference for the
 # offsets now worked out only when an error is raised.
 _REFERENCE_OPENERS = (
-    (AuxKind.CITEDEF, "\\@citedef{"),
-    (AuxKind.CITATION, "\\citation{"),
-    (AuxKind.BIBDATA, "\\bibdata{"),
-    (AuxKind.BIBSTYLE, "\\bibstyle{"),
+    ("@citedef", "\\@citedef{"),
+    ("citation", "\\citation{"),
+    ("bibdata", "\\bibdata{"),
+    ("bibstyle", "\\bibstyle{"),
 )
 
 
@@ -223,7 +230,7 @@ def reference_read_aux(content: bytes, labels: dict) -> None:
         offset = origin[record_start]
         try:
             payload = scan_group_arg(stream)
-            if kind is AuxKind.CITEDEF:
+            if kind == "@citedef":
                 if stream.peek() != "{":
                     raise AuxCorruptError("@citedef record missing its label", offset)
                 label = scan_group_arg(stream)

@@ -4,11 +4,14 @@ The code under "reference" below is the former walk, copied verbatim:
 ``process_bbl``, ``_BlockBuilder``, ``BibItem``, ``BblState``,
 ``begin_thebibliography`` and ``bibitem`` from ``bbl``, the label
 states and ``LabelTable`` from ``citations``,
-``skip_filler``, ``scan_group_arg`` and ``control_at`` from
-``scanner``, and ``Expansion.top``/``_argument`` and ``expand_macros``
-from ``macros``.  While it runs, the real modules' ``expand_macros``
-and ``skip_filler`` are swapped for the copies, so labels, definition
-bodies and optional arguments go through the old paths too.
+``OptionalArg``, ``skip_filler``, ``scan_group_arg`` and ``control_at``
+from ``scanner``, and ``Expansion.top``/``_argument`` and
+``expand_macros`` from ``macros``.  While it runs, the real modules'
+``expand_macros`` and ``skip_filler`` are swapped for the copies, so
+labels, definition bodies and optional arguments go through the old
+paths too.  The scanner now hands optional arguments on as plain
+strings, so the reference's ``bibitem`` gets each one wrapped in the
+copied ``OptionalArg``.
 
 Wherever the reference succeeds, the walker must build the same items
 (each with the line its ``\\bibitem`` was given), layout, lint, and
@@ -50,7 +53,6 @@ from citeforge.scanner import (
     COMMENT,
     ESCAPE,
     CharStream,
-    OptionalArg,
     _scan_to,
     scan_optional_arg,
     skip_comment,
@@ -127,6 +129,24 @@ class LabelTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class OptionalArg(NamedTuple):
+    """A bracketed optional argument.
+
+    An empty ``[]`` and an absent argument both produce ``text == ""``
+    and are deliberately indistinguishable here; the scanner reports the
+    empty-bracket case through its lint sink instead.
+    """
+
+    text: str = ""
+
+    @property
+    def present_nonempty(self) -> bool:
+        return self.text != ""
+
+    def __bool__(self) -> bool:
+        return self.present_nonempty
 
 
 _WHITESPACE = " \t\r\n\f\v"
@@ -513,6 +533,7 @@ def reference_walk(content: str, lint: LintSink):
 
     def noting_line(state, optional, key, session, table, line=None, source=""):
         lines.append(line)
+        optional = OptionalArg(optional)  # the scanner's string, as the copy takes it
         return reference_bibitem(state, optional, key, session, table, line, source)
 
     with reference_helpers(), mock.patch.object(sys.modules[__name__], "bibitem", noting_line):

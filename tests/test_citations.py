@@ -2,12 +2,11 @@
 
 import pytest
 
-from citeforge.auxfile import AuxKind, AuxSession
-from citeforge.citations import cite, nocite, undefined_citation_warning
+from citeforge.auxfile import AuxSession
+from citeforge.citations import CiteWarning, cite, nocite
 from citeforge.driver import FixpointResult, JobConfig, build_report, run_pass
 from citeforge.files import MemoryFiles
 from citeforge.rendering import Span, Style, render_annotated, render_plain
-from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
 BBL = (
     "\\begin{thebibliography}{9}\n"
@@ -70,7 +69,8 @@ class TestLabelTable:
 
 class TestWarningText:
     def test_with_line_number(self):
-        assert undefined_citation_warning(42, "x") == "42: Undefined citation `x'."
+        assert CiteWarning(42, "x").text == "42: Undefined citation `x'."
+        assert CiteWarning(42, "x") == (42, "x")
 
 
 class TestCiteOne:
@@ -80,10 +80,9 @@ class TestCiteOne:
         session = session or AuxSession()
         warnings = []
         fragment = cite(
-            session, labels, key, EMPTY_OPTIONAL, line,
-            warn=(lambda line, key, text: warnings.append(text)) if warnings_on else None,
+            session, labels, key, "", line, warnings=warnings if warnings_on else None
         )
-        return fragment, warnings
+        return fragment, [w.text for w in warnings]
 
     def test_defined_renders_plain_label(self):
         fragment, warnings = self.cite_key("k", {"k": "12"}, 1)
@@ -118,12 +117,12 @@ class TestNocite:
         session = AuxSession()
         nocite(session, "a, b ,c")
         assert len(session.pending_writes) == 1
-        assert session.pending_writes[0].kind is AuxKind.CITATION
+        assert session.pending_writes[0].kind == "citation"
         assert session.pending_writes[0].payload == "a, b ,c"
 
 
 class TestCite:
-    def run_cite(self, keys, labels=None, note=EMPTY_OPTIONAL, session=None):
+    def run_cite(self, keys, labels=None, note="", session=None):
         labels = labels if labels is not None else {}
         session = session or AuxSession()
         warnings = []
@@ -134,10 +133,10 @@ class TestCite:
             keys,
             note,
             5,
-            warn=lambda line, key, text: warnings.append(text),
+            warnings=warnings,
             lint=notes.append,
         )
-        return fragment, warnings, notes, session
+        return fragment, [w.text for w in warnings], notes, session
 
     def test_defined_pair_renders_bracketed_list(self):
         fragment, warnings, notes, _ = self.run_cite("a,b", {"a": "1", "b": "2"})
@@ -145,8 +144,13 @@ class TestCite:
         assert warnings == [] and notes == []
 
     def test_optional_note_appended(self):
-        fragment, _, _, _ = self.run_cite("a", {"a": "1"}, note=OptionalArg("page 3"))
+        fragment, _, _, _ = self.run_cite("a", {"a": "1"}, note="page 3")
         assert render_plain(fragment) == "[1, page 3]"
+
+    def test_warnings_are_appended_as_line_and_key(self):
+        warnings = [CiteWarning(1, "old")]
+        cite(AuxSession(), {"a": "1"}, "miss,a,miss,new", "", 8, warnings=warnings)
+        assert warnings == [CiteWarning(1, "old"), CiteWarning(8, "miss"), CiteWarning(8, "new")]
 
     def test_empty_keys_render_empty_brackets(self):
         fragment, warnings, _, session = self.run_cite("")

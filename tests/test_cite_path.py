@@ -4,26 +4,54 @@
 ``citations`` functions, copied verbatim: ``cite`` built a fragment per
 key with ``cite_one`` and extended its own with it.  So are the label
 states, the label table and the session they used, which held the
-warnings flag that the pass now keeps itself.  Over any sequence of
+warnings flag that the pass now keeps itself, the ``OptionalArg`` note
+from ``scanner`` and the warning text.  Over any sequence of
 cites sharing a table and a session, the real ``cite`` over a label
 dict (a label, or None for a fallback) must render the same spans and
-leave the same labels, warnings, lint and queued aux records.
+leave the same labels, warnings, lint and queued aux records.  The real
+``cite`` takes the note as a string and appends ``CiteWarning`` values
+to a list; :func:`current_cite` gives it the reference's interface.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import auxfile, citations
 from citeforge.auxfile import AuxRecord, _check_record, format_record
-from citeforge.citations import _BLANK, nocite, undefined_citation_warning
+from citeforge.citations import _BLANK, nocite
 from citeforge.rendering import RenderedFragment, Style
-from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg, split_comma_list
+from citeforge.scanner import split_comma_list
 
 # --- reference: the former cite path, verbatim ------------------------------
+
+
+class OptionalArg(NamedTuple):
+    """A bracketed optional argument.
+
+    An empty ``[]`` and an absent argument both produce ``text == ""``
+    and are deliberately indistinguishable here; the scanner reports the
+    empty-bracket case through its lint sink instead.
+    """
+
+    text: str = ""
+
+    @property
+    def present_nonempty(self) -> bool:
+        return self.text != ""
+
+    def __bool__(self) -> bool:
+        return self.present_nonempty
+
+
+EMPTY_OPTIONAL = OptionalArg()
+
+
+def undefined_citation_warning(line: int, key: str) -> str:
+    return f"{line}: Undefined citation `{key}'."
 
 
 class Value:
@@ -192,6 +220,16 @@ def cite(
 
 # --- the differential property -----------------------------------------------
 
+
+def current_cite(session, labels, keys, note, line, *, warn=None, lint=None):
+    """The real ``cite`` behind the reference's interface."""
+    warnings = None if warn is None else []
+    fragment = citations.cite(session, labels, keys, note.text, line, warnings=warnings, lint=lint)
+    for warning in warnings or ():
+        warn(warning.line, warning.key, warning.text)
+    return fragment
+
+
 DEFINED = {"d1": "1", "d2": "Knu84", "sp ace": "7", "": "0", "e": ""}
 FALLBACK = ("f1", "f 2")
 # Undefined at the start; blank-containing and empty keys included.
@@ -250,6 +288,6 @@ def test_cite_matches_the_reference(with_empty_defined, warnings_on, sinks, call
 
     # The pass passes no warn sink when warnings are off.
     labels = {**defined, **dict.fromkeys(FALLBACK)}
-    actual = run(citations.cite, auxfile.AuxSession(), labels, warnings_on, sinks, calls)
+    actual = run(current_cite, auxfile.AuxSession(), labels, warnings_on, sinks, calls)
     assert actual == expected
     assert list(labels.items()) == list(expected_labels.items())

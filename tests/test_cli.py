@@ -64,7 +64,28 @@ def test_unreadable_file_exits_three(tmp_path, capsys):
     code = main(["resolve", str(tmp_path / "absent.tex")])
     _, err = capsys.readouterr()
     assert code == 3
-    assert "cannot read" in err
+    assert err.startswith(f"citeforge: error: cannot read {tmp_path / 'absent.tex'}: ")
+    assert err.count("\n") == 1
+
+
+def test_directory_as_document_exits_three(tmp_path, capsys):
+    code = main(["resolve", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith(f"citeforge: error: cannot read {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("passes", ["0", "-3"])
+def test_max_passes_below_one_is_a_usage_error(workspace, capsys, passes):
+    with pytest.raises(SystemExit) as info:
+        main(["resolve", str(workspace / "paper.tex"), "--max-passes", passes])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: citeforge")
+    assert err.endswith("citeforge: error: max_passes must be at least 1\n")
+    assert not (workspace / "paper.aux").exists()
 
 
 def test_scan_error_exits_three(workspace, capsys):

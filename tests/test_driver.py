@@ -242,6 +242,13 @@ class TestRunPass:
         assert result.warning_texts() == ["2: Undefined citation `gone'."]
         assert result.undefined_keys == ["gone"]
 
+    def test_undefined_keys_are_derived_from_labels(self):
+        fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{1}\n"})
+        result = run_pass(JobConfig(jobname="doc"), "\\cite{gone,k}\\cite{miss}", fs)
+        assert result.undefined_keys == ["gone", "miss"]
+        assert result._replace(labels={"a": None, "b": "2"}).undefined_keys == ["a"]
+        assert "undefined_keys" not in result._fields
+
     def test_corrupt_aux_aborts(self):
         fs = MemoryFiles({"doc.aux": b"garbage"})
         with pytest.raises(AuxCorruptError):
@@ -275,13 +282,16 @@ class TestRunPass:
         result = run_pass(JobConfig(jobname="doc"), "\\bibliography{refs}", fs)
         assert "No file doc.bbl." in result.messages
         assert result.bibliography is None
-        assert result.nobreak_before_bibliography is False
+        report = build_report(JobConfig(jobname="doc"), FixpointResult(result, 1, False, []))
+        assert report["bibliography"] is None
 
     def test_bbl_found_renders_and_marks_nobreak(self):
         fs = fs_with_bbl()
-        result = run_pass(JobConfig(jobname="refs"), DOC, fs)
-        assert result.nobreak_before_bibliography is True
+        config = JobConfig(jobname="refs")
+        result = run_pass(config, DOC, fs)
         assert result.bibliography is not None
+        report = build_report(config, FixpointResult(result, 1, False, []))
+        assert report["bibliography"]["nobreak_before"] is True
         assert render_plain(result.rendered) == (
             "Cites: [a, b].\n"
             "[1] AuthorA. TitleA.\n"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import macros
+from citeforge.bbl import process_bbl
 from citeforge.errors import MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_DEPTH,
@@ -20,51 +21,72 @@ from citeforge.macros import (
     expand_macros,
     substitute_params,
 )
-from citeforge.scanner import EMPTY_OPTIONAL, OptionalArg
 
 
 class TestDefine:
     def test_zero_params_by_default(self):
         defs = {}
-        made = define_newcommand(defs, "etal", EMPTY_OPTIONAL, "et al.")
+        made = define_newcommand(defs, "etal", "", "et al.")
         assert made == MacroDef("etal", 0, "et al.")
         assert defs["etal"] is made
 
     def test_param_count_parsed(self):
         defs = {}
-        assert define_newcommand(defs, "f", OptionalArg("2"), "#1#2").num_params == 2
-        assert define_newcommand(defs, "g", OptionalArg(" 9 "), "#9").num_params == 9
+        assert define_newcommand(defs, "f", "2", "#1#2").num_params == 2
+        assert define_newcommand(defs, "g", " 9 ", "#9").num_params == 9
 
     def test_param_count_must_be_numeric(self):
         with pytest.raises(MacroError, match="`two' is not a number"):
-            define_newcommand({}, "f", OptionalArg("two"), "x")
+            define_newcommand({}, "f", "two", "x")
+
+    def test_param_count_keeps_its_sign_and_blanks(self):
+        assert define_newcommand({}, "f", "+3", "#3").num_params == 3
+        assert define_newcommand({}, "g", "\t2\n", "#2").num_params == 2
+
+    @pytest.mark.parametrize("count", ["\u0663", "\uff11", "1_0", "\u00b2", "- 1", " "])
+    def test_param_count_takes_ascii_digits_only(self, count):
+        # int() reads the first three as 3, 1 and 10.
+        with pytest.raises(MacroError, match=f"parameter count `{count}' is not a number"):
+            define_newcommand({}, "f", count, "x")
+
+    def test_non_ascii_param_count_fails_at_its_line(self):
+        content = (
+            "\\begin{thebibliography}{9}\n"
+            "\\newcommand{\\x}[\u0663]{<#1>}\n"
+            "\\bibitem{k} \\x{a}\n"
+            "\\end{thebibliography}\n"
+        )
+        with pytest.raises(MacroError) as info:
+            process_bbl(content, source="refs.bbl")
+        assert str(info.value) == "refs.bbl:2: parameter count `\u0663' is not a number"
+        assert (info.value.line, info.value.source) == (2, "refs.bbl")
 
     def test_too_many_parameters(self):
         with pytest.raises(MacroError, match="10 is too many parameters"):
-            define_newcommand({}, "f", OptionalArg("10"), "x")
+            define_newcommand({}, "f", "10", "x")
 
     def test_too_few_parameters(self):
         with pytest.raises(MacroError, match="-1 is too few parameters"):
-            define_newcommand({}, "f", OptionalArg("-1"), "x")
+            define_newcommand({}, "f", "-1", "x")
 
     def test_redefinition_overwrites_silently(self):
         defs = {}
-        define_newcommand(defs, "v", EMPTY_OPTIONAL, "one")
-        define_newcommand(defs, "v", EMPTY_OPTIONAL, "two")
+        define_newcommand(defs, "v", "", "one")
+        define_newcommand(defs, "v", "", "two")
         assert defs["v"].body == "two"
 
     def test_body_expands_at_definition_time(self):
         defs = {}
-        define_newcommand(defs, "a", EMPTY_OPTIONAL, "A")
-        made = define_newcommand(defs, "b", OptionalArg("1"), "\\a#1")
+        define_newcommand(defs, "a", "", "A")
+        made = define_newcommand(defs, "b", "1", "\\a#1")
         assert made.body == "A#1"
         # later redefinition of the ingredient does not reach back
-        define_newcommand(defs, "a", EMPTY_OPTIONAL, "CHANGED")
+        define_newcommand(defs, "a", "", "CHANGED")
         assert expand_macros(defs, "\\b{x}") == "Ax"
 
     def test_own_markers_survive_definition(self):
         defs = {}
-        made = define_newcommand(defs, "wrap", OptionalArg("2"), "(#1|#2)")
+        made = define_newcommand(defs, "wrap", "2", "(#1|#2)")
         assert made.body == "(#1|#2)"
 
 
@@ -89,55 +111,55 @@ class TestExpand:
 
     def test_simple_call(self):
         defs = {}
-        define_newcommand(defs, "name", EMPTY_OPTIONAL, "Ada")
+        define_newcommand(defs, "name", "", "Ada")
         assert expand_macros(defs, "by \\name!") == "by Ada!"
 
     def test_braced_argument(self):
         defs = {}
-        define_newcommand(defs, "emph", OptionalArg("1"), "<#1>")
+        define_newcommand(defs, "emph", "1", "<#1>")
         assert expand_macros(defs, "\\emph{some text}") == "<some text>"
 
     def test_single_character_argument(self):
         defs = {}
-        define_newcommand(defs, "sq", OptionalArg("1"), "#1#1")
+        define_newcommand(defs, "sq", "1", "#1#1")
         assert expand_macros(defs, "\\sq ab") == "aab"
 
     def test_control_sequence_argument(self):
         defs = {}
-        define_newcommand(defs, "hold", OptionalArg("1"), "[#1]")
+        define_newcommand(defs, "hold", "1", "[#1]")
         assert expand_macros(defs, "\\hold\\TeX x") == "[\\TeX] x"
 
     def test_argument_may_be_a_macro_call(self):
         defs = {}
-        define_newcommand(defs, "inner", EMPTY_OPTIONAL, "I")
-        define_newcommand(defs, "outer", OptionalArg("1"), "(#1)")
+        define_newcommand(defs, "inner", "", "I")
+        define_newcommand(defs, "outer", "1", "(#1)")
         assert expand_macros(defs, "\\outer{\\inner}") == "(I)"
 
     def test_spaces_between_arguments_skipped(self):
         defs = {}
-        define_newcommand(defs, "pair", OptionalArg("2"), "#1+#2")
+        define_newcommand(defs, "pair", "2", "#1+#2")
         assert expand_macros(defs, "\\pair {a} {b}") == "a+b"
 
     def test_missing_argument(self):
         defs = {}
-        define_newcommand(defs, "need", OptionalArg("1"), "#1")
+        define_newcommand(defs, "need", "1", "#1")
         with pytest.raises(MacroError, match="missing argument for \\\\need"):
             expand_macros(defs, "\\need")
 
     def test_unbalanced_argument_group(self):
         defs = {}
-        define_newcommand(defs, "need", OptionalArg("1"), "#1")
+        define_newcommand(defs, "need", "1", "#1")
         with pytest.raises(MacroError, match="unbalanced braces"):
             expand_macros(defs, "\\need{oops")
 
     def test_gobbler_discards_its_argument(self):
         defs = {}
-        define_newcommand(defs, "noopsort", OptionalArg("1"), "")
+        define_newcommand(defs, "noopsort", "1", "")
         assert expand_macros(defs, "a\\noopsort{1984}b") == "ab"
 
     def test_self_reference_hits_the_depth_cap(self):
         defs = {}
-        define_newcommand(defs, "loop", EMPTY_OPTIONAL, "\\loop")
+        define_newcommand(defs, "loop", "", "\\loop")
         with pytest.raises(MacroRecursionError) as info:
             expand_macros(defs, "\\loop")
         assert info.value.name == "loop"
@@ -156,7 +178,7 @@ class TestExpand:
         # Control words are letter runs, so the chained names are too.
         names = ["deep" + "i" * n for n in range(40)]
         defs = {}
-        define_newcommand(defs, names[0], EMPTY_OPTIONAL, "leaf")
+        define_newcommand(defs, names[0], "", "leaf")
         for prev, name in zip(names, names[1:]):
             defs[name] = MacroDef(name, 0, "\\" + prev)
         assert expand_macros(defs, "\\" + names[-1]) == "leaf"
@@ -205,7 +227,7 @@ def test_expansion_matches_piecewise_assembly(scenario):
         text if kind == "lit" else args[text - 1] for kind, text in pieces
     )
     defs = {}
-    count = OptionalArg(str(num_params)) if num_params else EMPTY_OPTIONAL
+    count = str(num_params) if num_params else ""
     define_newcommand(defs, "probe", count, body)
     call = "\\probe" + "".join("{" + arg + "}" for arg in args)
     assert expand_macros(defs, call) == expected

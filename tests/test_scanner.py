@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from citeforge.errors import ScanError, UnbalancedGroupError
 from citeforge.scanner import (
     DOCUMENT_COMMANDS,
-    EMPTY_OPTIONAL,
     CharStream,
     CommandInvocation,
     control_at,
@@ -123,19 +122,18 @@ class TestFiller:
 class TestOptionalArg:
     def test_absent_when_next_is_not_bracket(self):
         stream = CharStream("{group}")
-        assert scan_optional_arg(stream) is EMPTY_OPTIONAL
+        assert scan_optional_arg(stream) == ""
         assert stream.position == 0
 
     def test_simple(self):
         stream = CharStream("[page 9]rest")
         arg = scan_optional_arg(stream)
-        assert arg.text == "page 9"
-        assert arg.present_nonempty
+        assert arg == "page 9"
         assert stream.content[stream.position :] == "rest"
 
     def test_lookahead_skips_filler(self):
         stream = CharStream("  % comment\n [x]")
-        assert scan_optional_arg(stream).text == "x"
+        assert scan_optional_arg(stream) == "x"
 
     def test_braced_close_bracket_does_not_close(self):
         text = "[a{]}b]tail"
@@ -143,25 +141,24 @@ class TestOptionalArg:
         assert verdict == ("ok", "a{]}b", 7)
         stream = CharStream(text)
         arg = scan_optional_arg(stream)
-        assert arg.text == verdict[1]
+        assert arg == verdict[1]
         assert stream.position == verdict[2]
 
     def test_escaped_bracket_is_literal(self):
         text = "[a\\]b]"
         verdict = bracket_reference(text)
         assert verdict == ("ok", "a\\]b", 6)
-        assert scan_optional_arg(CharStream(text)).text == verdict[1]
+        assert scan_optional_arg(CharStream(text)) == verdict[1]
 
     def test_comment_inside_is_stripped(self):
         arg = scan_optional_arg(CharStream("[one% gone\ntwo]"))
-        assert arg.text == "onetwo"
+        assert arg == "onetwo"
 
     def test_empty_brackets_act_absent_and_lint(self):
         notes = []
         stream = CharStream("[]x")
         arg = scan_optional_arg(stream, notes.append)
-        assert arg is EMPTY_OPTIONAL
-        assert not arg
+        assert arg == ""
         assert stream.peek() == "x"
         assert notes == ["1: empty optional argument '[]' treated as absent"]
 
@@ -193,7 +190,7 @@ class TestOptionalArg:
         stream = CharStream(text)
         if verdict[0] == "ok":
             arg = scan_optional_arg(stream)
-            assert arg.text == verdict[1]
+            assert arg == verdict[1]
             assert stream.position == verdict[2]
         elif verdict[0] == "stray_close":
             with pytest.raises(UnbalancedGroupError):
@@ -206,7 +203,7 @@ class TestOptionalArg:
     def test_never_consumes_without_bracket(self, tail):
         text = "x" + tail
         stream = CharStream(text)
-        assert scan_optional_arg(stream) is EMPTY_OPTIONAL
+        assert scan_optional_arg(stream) == ""
         assert stream.position == 0
 
 
@@ -267,7 +264,7 @@ class TestNextCommand:
         second = next_command(stream)
         assert isinstance(second, CommandInvocation)
         assert second.name == "cite"
-        assert second.args == ["k"]
+        assert second.arg == "k"
         assert next_command(stream) == " three"
 
     def test_unknown_prefix_of_known_name_passes_through(self):
@@ -282,13 +279,28 @@ class TestNextCommand:
     def test_optional_and_note_scanned(self):
         stream = CharStream("\\cite[page 4]{a,b}")
         invocation = next_command(stream)
-        assert invocation.optional.text == "page 4"
-        assert invocation.args == ["a,b"]
+        assert invocation.optional == "page 4"
+        assert invocation.arg == "a,b"
+
+    def test_the_four_commands_are_recognized(self):
+        assert DOCUMENT_COMMANDS == {"cite", "nocite", "bibliography", "bibliographystyle"}
+        for name in sorted(DOCUMENT_COMMANDS):
+            invocation = next_command(CharStream(f"\\{name} {{x}}"))
+            assert invocation == CommandInvocation(name, "", "x", 1)
+
+    @pytest.mark.parametrize("name", ["nocite", "bibliography", "bibliographystyle"])
+    def test_only_cite_takes_an_optional_argument(self, name):
+        stream = CharStream(f"text\n\\{name}[x]{{k}}", source="doc.tex")
+        assert next_command(stream) == "text\n"
+        with pytest.raises(ScanError) as info:
+            next_command(stream)
+        assert str(info.value) == "doc.tex:2: expected '{' but found '['"
+        assert next_command(CharStream("\\cite[x]{k}")) == CommandInvocation("cite", "x", "k", 1)
 
     def test_filler_after_name_is_skipped(self):
         stream = CharStream("\\cite % wrapped\n  {key}")
         invocation = next_command(stream)
-        assert invocation.args == ["key"]
+        assert invocation.arg == "key"
 
     def test_source_line_is_where_the_command_started(self):
         stream = CharStream("line one\ntwo \\cite{k}\n")
@@ -351,7 +363,7 @@ class TestNextCommand:
         while not stream.at_end():
             item = next_command(stream)
             if isinstance(item, CommandInvocation):
-                seen.append((item.optional.text if item.optional else None, item.args[0]))
+                seen.append((item.optional or None, item.arg))
         expected = [
             (note if note is not None else None, keys) for _, keys, note in entries
         ]
