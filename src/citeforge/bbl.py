@@ -111,8 +111,8 @@ class LayoutParams(NamedTuple):
     stored separately, so the two cannot drift apart.
     """
 
-    biblabelwidth: Dimension = Dimension.pt(0)
-    biblabelextraspace: Dimension = Dimension.em(Fraction(1, 2))
+    biblabelwidth: Dimension = Dimension.of(0, "pt")
+    biblabelextraspace: Dimension = Dimension.of(Fraction(1, 2), "em")
     parskip: Dimension = Dimension.of("1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex"))
     newblock_glue: Dimension = Dimension.of(
         "0.11", "em", plus=("0.33", "em"), minus=("0.07", "em")
@@ -120,7 +120,7 @@ class LayoutParams(NamedTuple):
     clubpenalty: int = 4000
     widowpenalty: int = 4000
     tolerance: int = 10000
-    hfuzz: Dimension = Dimension.pt(Fraction(1, 2))
+    hfuzz: Dimension = Dimension.of(Fraction(1, 2), "pt")
     frenchspacing: bool = True
 
     def hangindent(self, em_size_pt: Fraction | None = None) -> Dimension:
@@ -150,7 +150,7 @@ def measure_label(label: str) -> Dimension:
 
     Every character, the brackets included, is half an em wide.
     """
-    return Dimension.em(Fraction(len(label) + 2, 2))
+    return Dimension.of(Fraction(len(label) + 2, 2), "em")
 
 
 class _BlockBuilder:

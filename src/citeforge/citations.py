@@ -13,25 +13,24 @@ first-touched order:
 
 ``cite`` renders the bracketed list and queues one ``\\citation``
 record whose payload is the raw key text, unsplit and untrimmed; the
-comma split happens only for rendering.  ``nocite`` does the recording
-without rendering anything.  Neither reads the aux file: the pass has
-read it before its first citation-shaped command.  An undefined key's
-first cite is a :class:`CiteWarning`, its line and key; the warning
-text is worked out from them when it is shown.
+comma split happens only for rendering, and a split key keeps its
+blanks.  The scanner's ``next_command`` lints such keys while it reads
+the ``\\cite``, so ``cite`` takes no lint sink.  ``nocite`` does the
+recording without rendering anything.  Neither reads the aux file: the
+pass has read it before its first citation-shaped command.  An
+undefined key's first cite is a :class:`CiteWarning`, its line and key;
+the warning text is worked out from them when it is shown.
 """
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession
 from .rendering import RenderedFragment, Style
-from .scanner import LintSink, split_comma_list
+from .scanner import split_comma_list
 
 __all__ = ["CiteWarning", "nocite", "cite"]
-
-_BLANK = re.compile(r"\s")
 
 
 class CiteWarning(NamedTuple):
@@ -58,7 +57,6 @@ def cite(
     line: int,
     *,
     warnings: Optional[list[CiteWarning]] = None,
-    lint: Optional[LintSink] = None,
 ) -> RenderedFragment:
     """Render ``[k1, k2, note]`` and queue the citation record.
 
@@ -67,7 +65,7 @@ def cite(
     ``keys`` is recorded bytewise before any splitting, so whatever was
     written between the braces is what lands in the aux file.  Split
     items are not trimmed either: ``a, b`` cites the key `` b``, space
-    and all, which the lint sink points out.
+    and all, which the scanner's lint points out.
 
     A defined key renders as its label.  Any other key renders as the
     raw key in typewriter type; an undefined one is entered in
@@ -81,8 +79,6 @@ def cite(
     for index, key in enumerate(split_comma_list(keys)):
         if index:
             fragment.append(Style.PLAIN, ", ")
-        if lint is not None and _BLANK.search(key):
-            lint(f"{line}: citation key `{key}' contains a space")
         label = labels.get(key)
         if label is not None:
             fragment.append(Style.PLAIN, label)

@@ -22,22 +22,27 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .driver import JobConfig, check_em_size, report_json, run_to_fixpoint
+from .driver import JobConfig, check_em_size, check_max_passes, report_json, run_to_fixpoint
 from .errors import CiteforgeError
 from .files import DirectoryFiles
 from .rendering import render_annotated, render_plain
 
 __all__ = ["main", "build_parser"]
 
-def _em_size(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid length in points: {text!r}")
-    try:
-        return check_em_size(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(parse, check, what: str):
+    """An argparse type: ``parse`` the text, then apply the library's ``check``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}") from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,10 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="never read or write an aux file; disables undefined-citation warnings",
     )
-    resolve.add_argument("--max-passes", type=int, default=4, metavar="K")
     resolve.add_argument(
-        "--em-size", type=_em_size, default=Fraction(10), metavar="PT",
-        help="em size in points used for layout arithmetic (default 10)",
+        "--max-passes", type=_checked(int, check_max_passes, "int value"), default=4, metavar="K"
+    )
+    resolve.add_argument(
+        "--em-size", type=_checked(Fraction, check_em_size, "length in points"), metavar="PT",
+        default=Fraction(10), help="em size in points used for layout arithmetic (default 10)",
     )
     resolve.add_argument("--report", choices=("json", "none"), default="none")
     resolve.add_argument("--render", choices=("plain", "annotated"), default="plain")
@@ -68,21 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     path = Path(args.file)
-    try:
-        config = JobConfig(
-            jobname=args.jobname or path.stem,
-            bbl_basename=args.bbl_basename,
-            no_aux=args.no_aux_file,
-            max_passes=args.max_passes,
-            em_size_pt=args.em_size,
-            document_name=path.name,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))  # a usage error: exits 2
+    config = JobConfig(
+        jobname=args.jobname or path.stem,
+        bbl_basename=args.bbl_basename,
+        no_aux=args.no_aux_file,
+        max_passes=args.max_passes,
+        em_size_pt=args.em_size,
+        document_name=path.name,
+    )
 
     try:
         document = path.read_text(encoding="utf-8")

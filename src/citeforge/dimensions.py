@@ -1,11 +1,13 @@
 """Length values with exact rational arithmetic.
 
-Lengths carry a rational magnitude and a unit (``pt``, ``em``, ``ex``),
-plus optional stretch and shrink components for glue-like values.  All
-arithmetic stays in :class:`fractions.Fraction`; conversion to points
-happens only at the edge, given the em size in points.  One ex is half
-an em.  A :class:`Dimension` is a ``NamedTuple``, so it compares equal
-to a plain tuple of the same fields.
+A :class:`Dimension` carries a rational magnitude and a unit (``pt``,
+``em``, ``ex``), plus an optional stretch and shrink for glue; each of
+those is a :class:`Dimension` too.  :meth:`Dimension.of` is the one
+constructor that checks units.  All arithmetic stays in
+:class:`fractions.Fraction`; conversion to points happens only at the
+edge, in :meth:`Dimension.to_pt`, given the em size in points.  One ex
+is half an em.  A :class:`Dimension` is a ``NamedTuple``, so it compares
+equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -48,19 +50,17 @@ def format_number(q: Fraction) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def _component(value: Numberish, unit: str) -> tuple[Fraction, str]:
-    if unit not in _UNITS:
-        raise ValueError(f"unknown unit {unit!r}")
-    return as_fraction(value), unit
-
-
 class Dimension(NamedTuple):
-    """A length; build one through :meth:`of` to have its units checked."""
+    """A length; build one through :meth:`of` to have its units checked.
+
+    A glue's ``stretch`` and ``shrink`` are lengths too, with no glue of
+    their own.
+    """
 
     value: Fraction
     unit: str
-    stretch: tuple[Fraction, str] | None = None
-    shrink: tuple[Fraction, str] | None = None
+    stretch: Dimension | None = None
+    shrink: Dimension | None = None
 
     @classmethod
     def of(
@@ -71,36 +71,23 @@ class Dimension(NamedTuple):
         plus: tuple[Numberish, str] | None = None,
         minus: tuple[Numberish, str] | None = None,
     ) -> "Dimension":
+        if unit not in _UNITS:
+            raise ValueError(f"unknown unit {unit!r}")
         return cls(
-            *_component(value, unit),
-            _component(*plus) if plus is not None else None,
-            _component(*minus) if minus is not None else None,
+            as_fraction(value),
+            unit,
+            cls.of(*plus) if plus is not None else None,
+            cls.of(*minus) if minus is not None else None,
         )
 
-    @classmethod
-    def pt(cls, value: Numberish) -> "Dimension":
-        return cls(as_fraction(value), "pt")
-
-    @classmethod
-    def em(cls, value: Numberish) -> "Dimension":
-        return cls(as_fraction(value), "em")
-
-    @classmethod
-    def ex(cls, value: Numberish) -> "Dimension":
-        return cls(as_fraction(value), "ex")
-
     def to_pt(self, em_size_pt: Fraction) -> Fraction:
-        return _scalar_pt(self.value, self.unit, em_size_pt)
-
-    def stretch_pt(self, em_size_pt: Fraction) -> Fraction | None:
-        if self.stretch is None:
-            return None
-        return _scalar_pt(self.stretch[0], self.stretch[1], em_size_pt)
-
-    def shrink_pt(self, em_size_pt: Fraction) -> Fraction | None:
-        if self.shrink is None:
-            return None
-        return _scalar_pt(self.shrink[0], self.shrink[1], em_size_pt)
+        if self.unit == "pt":
+            return self.value
+        if self.unit == "em":
+            return self.value * em_size_pt
+        if self.unit == "ex":
+            return self.value * em_size_pt / 2
+        raise ValueError(f"unknown unit {self.unit!r}")
 
     def add(self, other: "Dimension", em_size_pt: Fraction | None = None) -> "Dimension":
         """Sum of the base values; same-unit sums keep the unit.
@@ -117,18 +104,7 @@ class Dimension(NamedTuple):
     def __str__(self) -> str:
         text = f"{format_number(self.value)}{self.unit}"
         if self.stretch is not None:
-            text += f" plus {format_number(self.stretch[0])}{self.stretch[1]}"
+            text += f" plus {self.stretch}"
         if self.shrink is not None:
-            text += f" minus {format_number(self.shrink[0])}{self.shrink[1]}"
+            text += f" minus {self.shrink}"
         return text
-
-
-def _scalar_pt(value: Fraction, unit: str, em_size_pt: Fraction) -> Fraction:
-    if unit == "pt":
-        return value
-    if unit == "em":
-        return value * em_size_pt
-    if unit == "ex":
-        return value * em_size_pt / 2
-    raise ValueError(f"unknown unit {unit!r}")
-

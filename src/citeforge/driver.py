@@ -44,6 +44,7 @@ from .scanner import CharStream, next_command
 __all__ = [
     "JobConfig",
     "check_em_size",
+    "check_max_passes",
     "PassResult",
     "FixpointResult",
     "CiteWarning",
@@ -64,6 +65,13 @@ def check_em_size(value: Numberish) -> Fraction:
     if not 0 < size <= _MAX_DIMEN_PT:
         raise ValueError("em size must be positive and at most 16383.99998pt")
     return size
+
+
+def check_max_passes(value: int) -> int:
+    """``value``; ValueError unless it is at least 1."""
+    if value < 1:
+        raise ValueError("max passes must be at least 1")
+    return value
 
 
 class JobConfig:
@@ -90,11 +98,9 @@ class JobConfig:
         self.jobname = jobname
         self.bbl_basename = jobname if bbl_basename is None else bbl_basename
         self.no_aux = no_aux
-        self.max_passes = max_passes
         self.em_size_pt = check_em_size(em_size_pt)
+        self.max_passes = check_max_passes(max_passes)
         self.document_name = document_name or f"{jobname}.tex"
-        if max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
 
 
 class PassResult(NamedTuple):
@@ -212,7 +218,6 @@ def run_pass(
                     item.source_line,
                     # Undefined citations warn only when an aux file was read.
                     warnings=warnings if aux_read is not None else None,
-                    lint=lint.append,
                 )
                 rendered.extend(fragment)
             elif item.name == "nocite":
@@ -292,28 +297,22 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
 
 def _dimension_json(dim: Dimension, em_size_pt: Fraction) -> dict:
     data: dict = {"pt": float(dim.to_pt(em_size_pt)), "source": str(dim)}
-    stretch = dim.stretch_pt(em_size_pt)
-    if stretch is not None:
-        data["stretch_pt"] = float(stretch)
-    shrink = dim.shrink_pt(em_size_pt)
-    if shrink is not None:
-        data["shrink_pt"] = float(shrink)
+    if dim.stretch is not None:
+        data["stretch_pt"] = float(dim.stretch.to_pt(em_size_pt))
+    if dim.shrink is not None:
+        data["shrink_pt"] = float(dim.shrink.to_pt(em_size_pt))
     return data
 
 
 def _layout_json(layout: LayoutParams, em_size_pt: Fraction) -> dict:
-    return {
-        "biblabelwidth": _dimension_json(layout.biblabelwidth, em_size_pt),
-        "biblabelextraspace": _dimension_json(layout.biblabelextraspace, em_size_pt),
-        "hangindent": _dimension_json(layout.hangindent(em_size_pt), em_size_pt),
-        "parskip": _dimension_json(layout.parskip, em_size_pt),
-        "newblock_glue": _dimension_json(layout.newblock_glue, em_size_pt),
-        "clubpenalty": layout.clubpenalty,
-        "widowpenalty": layout.widowpenalty,
-        "tolerance": layout.tolerance,
-        "hfuzz": _dimension_json(layout.hfuzz, em_size_pt),
-        "frenchspacing": layout.frenchspacing,
-    }
+    data: dict = {}
+    for name, value in layout._asdict().items():
+        if isinstance(value, Dimension):
+            value = _dimension_json(value, em_size_pt)
+        data[name] = value
+        if name == "biblabelextraspace":  # the derived hangindent follows its parts
+            data["hangindent"] = _dimension_json(layout.hangindent(em_size_pt), em_size_pt)
+    return data
 
 
 def build_report(config: JobConfig, outcome: FixpointResult) -> dict:

@@ -69,6 +69,7 @@ _PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
 _TEXT_STOP = re.compile(r"[\\%]")
 _ESCAPE_STOP = re.compile(r"\\")
+_BLANK = re.compile(r"\s")
 
 #: Where lint notes go, one line of text each.
 LintSink = Callable[[str], None]
@@ -260,7 +261,9 @@ def next_command(
     :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands
     come back with their arguments already scanned; whitespace after the
     command name is consumed, mirroring how a reader that tokenizes
-    control words would behave.
+    control words would behave.  The lint sink hears of an empty ``[]``
+    (at its line) and of each ``\\cite`` key with a blank in it (at the
+    command's line).
     """
     parts: list[str] = []
     text_stop = _TEXT_STOP if stream.comments else _ESCAPE_STOP
@@ -280,7 +283,12 @@ def next_command(
         stream.take_to(end)
         skip_filler(stream)
         optional = scan_optional_arg(stream, lint) if name == "cite" else ""
-        return CommandInvocation(name, optional, scan_group_arg(stream), command_line)
+        arg = scan_group_arg(stream)
+        if name == "cite" and lint is not None and _BLANK.search(arg):
+            for key in filter(_BLANK.search, split_comma_list(arg)):
+                message = f"citation key `{key}' contains a space"
+                lint(_located(message, command_line, stream.source))
+        return CommandInvocation(name, optional, arg, command_line)
     if not stream.at_end():
         parts.append(stream.take_to(len(stream.content)))
     return "".join(parts)

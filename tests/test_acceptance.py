@@ -166,7 +166,7 @@ def test_05_quirks():
     # a space after the comma stays part of the key, and gets pointed out
     fs = MemoryFiles({"doc.aux": b""})
     result = run_pass(JobConfig(jobname="doc"), "\\cite{a, b}", fs)
-    assert "1: citation key ` b' contains a space" in result.lint
+    assert "doc.tex:1: citation key ` b' contains a space" in result.lint
     assert fs.files["doc.aux"] == b"\\citation{a, b}\n"
 
     # citing nothing still draws its brackets
@@ -191,7 +191,7 @@ def test_06_layout_arithmetic_is_exact():
     outcome = run_to_fixpoint(config, doc, MemoryFiles({"refs.bbl": bbl.encode()}))
 
     layout = outcome.final.bibliography.layout
-    assert layout.biblabelwidth == Dimension.em(width_em)
+    assert layout.biblabelwidth == Dimension.of(width_em, "em")
     assert layout.biblabelwidth.to_pt(em_size) == width_em * em_size == Fraction(35)
     expected_hang = Fraction(35) + Fraction(1, 2) * em_size
     assert layout.hangindent(em_size).to_pt(em_size) == expected_hang == Fraction(40)

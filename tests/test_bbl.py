@@ -36,24 +36,24 @@ def wrap(widest, body):
 
 
 class TestMeasureLabel:
-    def test_uniform_metric_counts_brackets(self):
+    def test_label_counts_brackets(self):
         """Every character, the brackets included, is half an em wide."""
         label = "Knu84"
         per_char = Fraction(1, 2)
         expected = sum(per_char for _ in "[" + label + "]")
         measured = measure_label(label)
-        assert measured == Dimension.em(expected)
+        assert measured == Dimension.of(expected, "em")
         assert expected == Fraction(7, 2)
 
     def test_empty_label_is_just_the_brackets(self):
-        assert measure_label("") == Dimension.em(1)
+        assert measure_label("") == Dimension.of(1, "em")
 
     @given(st.text(max_size=40))
     def test_equals_the_per_character_sum(self, label):
         expected = Fraction(0)
         for _ in "[" + label + "]":
             expected += Fraction(1, 2)
-        assert measure_label(label) == Dimension.em(expected)
+        assert measure_label(label) == Dimension.of(expected, "em")
 
     def test_a_long_label_is_measured_at_once(self):
         size = 1 << 20
@@ -61,7 +61,7 @@ class TestMeasureLabel:
         start = perf_counter()
         measured = measure_label(label)
         assert perf_counter() - start < 0.3
-        assert measured == Dimension.em(Fraction(size + 2, 2))
+        assert measured == Dimension.of(Fraction(size + 2, 2), "em")
 
 
 class TestEnvironmentSetup:
@@ -74,8 +74,8 @@ class TestEnvironmentSetup:
             "\\begin{thebibliography}{99}\n\\bibitem{c}\nC.\n"
         )
         bibliography = run_bbl(content)
-        assert bibliography.layout.biblabelwidth == Dimension.em(2)
-        assert bibliography.layout.biblabelextraspace == Dimension.em(Fraction(1, 2))
+        assert bibliography.layout.biblabelwidth == Dimension.of(2, "em")
+        assert bibliography.layout.biblabelextraspace == Dimension.of(Fraction(1, 2), "em")
         assert [(item.label, item.alignment) for item in bibliography.items] == [
             ("T", Alignment.LABELS_LEFT),
             ("1", Alignment.LABELS_LEFT),
@@ -87,16 +87,16 @@ class TestEnvironmentSetup:
         assert layout.clubpenalty == 4000
         assert layout.widowpenalty == 4000
         assert layout.tolerance == 10000
-        assert layout.hfuzz == Dimension.pt(Fraction(1, 2))
+        assert layout.hfuzz == Dimension.of(Fraction(1, 2), "pt")
         assert layout.frenchspacing is True
         assert str(layout.parskip) == "1.5ex plus 0.5ex minus 0.5ex"
         assert str(layout.newblock_glue) == "0.11em plus 0.33em minus 0.07em"
 
     def test_hangindent_is_width_plus_extraspace(self):
-        layout = LayoutParams(biblabelwidth=Dimension.em(Fraction(7, 2)))
-        assert layout.hangindent() == Dimension.em(4)
-        layout = layout._replace(biblabelextraspace=Dimension.pt(1))
-        assert layout.hangindent(Fraction(10)) == Dimension.pt(36)
+        layout = LayoutParams(biblabelwidth=Dimension.of(Fraction(7, 2), "em"))
+        assert layout.hangindent() == Dimension.of(4, "em")
+        layout = layout._replace(biblabelextraspace=Dimension.of(1, "pt"))
+        assert layout.hangindent(Fraction(10)) == Dimension.of(36, "pt")
 
 
 class TestBibitem:
@@ -172,7 +172,7 @@ class TestProcessBbl:
 
     def test_widest_label_drives_width(self):
         bibliography = run_bbl(wrap("Knu84", "\\bibitem{k}\nText."))
-        assert bibliography.layout.biblabelwidth == Dimension.em(Fraction(7, 2))
+        assert bibliography.layout.biblabelwidth == Dimension.of(Fraction(7, 2), "em")
 
     def test_alpha_labels_and_alignment(self):
         content = wrap(
@@ -298,7 +298,7 @@ class TestProcessBbl:
         bibliography = run_bbl(content)
         assert keys_and_labels(bibliography) == [("a", "1"), ("b", "1")]
         # the second widest label is the one left standing
-        assert bibliography.layout.biblabelwidth == Dimension.em(2)
+        assert bibliography.layout.biblabelwidth == Dimension.of(2, "em")
 
 
 class TestMacrosInsideBbl:
@@ -323,7 +323,7 @@ class TestMacrosInsideBbl:
             "\\widest", "\\bibitem{k}\nBody."
         )
         bibliography = run_bbl(content)
-        assert bibliography.layout.biblabelwidth == Dimension.em(Fraction(5, 2))
+        assert bibliography.layout.biblabelwidth == Dimension.of(Fraction(5, 2), "em")
 
     def test_macro_in_alpha_label(self):
         content = "\\newcommand{\\yr}{84}\n" + wrap(

@@ -7,6 +7,7 @@ from citeforge.citations import CiteWarning, cite, nocite
 from citeforge.driver import FixpointResult, JobConfig, build_report, run_pass
 from citeforge.files import MemoryFiles
 from citeforge.rendering import Span, Style, render_annotated, render_plain
+from citeforge.scanner import CharStream, next_command
 
 BBL = (
     "\\begin{thebibliography}{9}\n"
@@ -123,19 +124,13 @@ class TestNocite:
 
 class TestCite:
     def run_cite(self, keys, labels=None, note="", session=None):
+        """Cite ``keys`` at line 5; ``notes`` is what scanning ``\\cite{keys}`` lints."""
         labels = labels if labels is not None else {}
         session = session or AuxSession()
         warnings = []
         notes = []
-        fragment = cite(
-            session,
-            labels,
-            keys,
-            note,
-            5,
-            warnings=warnings,
-            lint=notes.append,
-        )
+        next_command(CharStream(f"\\cite{{{keys}}}", line=5), lint=notes.append)
+        fragment = cite(session, labels, keys, note, 5, warnings=warnings)
         return fragment, [w.text for w in warnings], notes, session
 
     def test_defined_pair_renders_bracketed_list(self):

@@ -5,12 +5,14 @@
 key with ``cite_one`` and extended its own with it.  So are the label
 states, the label table and the session they used, which held the
 warnings flag that the pass now keeps itself, the ``OptionalArg`` note
-from ``scanner`` and the warning text.  Over any sequence of
-cites sharing a table and a session, the real ``cite`` over a label
-dict (a label, or None for a fallback) must render the same spans and
-leave the same labels, warnings, lint and queued aux records.  The real
-``cite`` takes the note as a string and appends ``CiteWarning`` values
-to a list; :func:`current_cite` gives it the reference's interface.
+from ``scanner`` and the warning text; the reference lints with
+``scanner._BLANK``, the pattern ``next_command`` lints keys with.  Over
+any sequence of cites sharing a table and a session, the real ``cite``
+over a label dict (a label, or None for a fallback) must render the
+same spans and leave the same labels, warnings, lint and queued aux
+records.  The real ``cite`` takes the note as a string and appends
+``CiteWarning`` values to a list; :func:`current_cite` gives it the
+reference's interface.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from hypothesis import strategies as st
 
 from citeforge import auxfile, citations
 from citeforge.auxfile import AuxRecord, _check_record, format_record
-from citeforge.citations import _BLANK, nocite
+from citeforge.citations import nocite
 from citeforge.rendering import RenderedFragment, Style
-from citeforge.scanner import split_comma_list
+from citeforge.scanner import _BLANK, CharStream, next_command, split_comma_list
 
 # --- reference: the former cite path, verbatim ------------------------------
 
@@ -222,9 +224,17 @@ def cite(
 
 
 def current_cite(session, labels, keys, note, line, *, warn=None, lint=None):
-    """The real ``cite`` behind the reference's interface."""
+    """The real ``cite`` behind the reference's interface.
+
+    The real ``cite`` lints nothing: the scanner lints the keys while it
+    reads ``\\cite{keys}``.  Scanned here from a stream that starts at
+    ``line`` and names no file, its notes carry the same ``line:``
+    prefix as the reference's; in a pass they start with the file name.
+    """
+    if lint is not None:
+        assert next_command(CharStream(f"\\cite{{{keys}}}", line), lint=lint).arg == keys
     warnings = None if warn is None else []
-    fragment = citations.cite(session, labels, keys, note.text, line, warnings=warnings, lint=lint)
+    fragment = citations.cite(session, labels, keys, note.text, line, warnings=warnings)
     for warning in warnings or ():
         warn(warning.line, warning.key, warning.text)
     return fragment

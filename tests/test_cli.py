@@ -83,8 +83,10 @@ def test_max_passes_below_one_is_a_usage_error(workspace, capsys, passes):
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("usage: citeforge")
-    assert err.endswith("citeforge: error: max_passes must be at least 1\n")
+    assert err.startswith("usage: citeforge resolve ")
+    assert err.endswith(
+        "citeforge resolve: error: argument --max-passes: max passes must be at least 1\n"
+    )
     assert not (workspace / "paper.aux").exists()
 
 
@@ -169,6 +171,24 @@ def test_em_size_flag_scales_layout(workspace, capsys):
 def test_invalid_em_size_is_a_usage_error(workspace, capsys):
     with pytest.raises(SystemExit):
         main(["resolve", str(workspace / "paper.tex"), "--em-size", "zero"])
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--max-passes", "x", "invalid int value: 'x'"),
+        ("--max-passes", "2.5", "invalid int value: '2.5'"),
+        ("--em-size", "x", "invalid length in points: 'x'"),
+        ("--em-size", "1/0", "invalid length in points: '1/0'"),
+    ],
+)
+def test_unparsable_flag_value_is_a_usage_error(workspace, capsys, flag, text, message):
+    with pytest.raises(SystemExit) as info:
+        main(["resolve", str(workspace / "paper.tex"), flag, text])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: citeforge resolve ")
+    assert err.endswith(f"citeforge resolve: error: argument {flag}: {message}\n")
 
 
 @pytest.mark.parametrize("size", ["1e400", "16384", "16383.99999"])

@@ -1,4 +1,4 @@
-"""Exact length arithmetic and the character width table."""
+"""Exact length arithmetic."""
 
 from fractions import Fraction
 
@@ -46,50 +46,61 @@ class TestFormatNumber:
 
 class TestDimension:
     def test_constructors_and_units(self):
-        assert Dimension.pt(1).unit == "pt"
-        assert Dimension.em("0.5").value == Fraction(1, 2)
-        assert Dimension.ex(3).unit == "ex"
+        assert Dimension.of(1, "pt").unit == "pt"
+        assert Dimension.of("0.5", "em").value == Fraction(1, 2)
+        assert Dimension.of(3, "ex").unit == "ex"
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError):
             Dimension.of(1, "cm")
         with pytest.raises(ValueError):
             Dimension.of(1, "pt", plus=(1, "mm"))
+        with pytest.raises(ValueError):
+            Dimension.of(1, "pt", minus=(1, "cm"))
+
+    def test_bare_constructed_bad_unit_fails_on_conversion(self):
+        with pytest.raises(ValueError, match="unknown unit 'cm'"):
+            Dimension(Fraction(1), "cm").to_pt(Fraction(10))
 
     def test_conversion_to_points(self):
         em = Fraction(10)
-        assert Dimension.pt("2.5").to_pt(em) == Fraction(5, 2)
-        assert Dimension.em(2).to_pt(em) == Fraction(20)
-        assert Dimension.ex(3).to_pt(em) == Fraction(15)
+        assert Dimension.of("2.5", "pt").to_pt(em) == Fraction(5, 2)
+        assert Dimension.of(2, "em").to_pt(em) == Fraction(20)
+        assert Dimension.of(3, "ex").to_pt(em) == Fraction(15)
 
     def test_ex_is_half_an_em(self):
         em = Fraction(12)
-        assert Dimension.ex(1).to_pt(em) * 2 == Dimension.em(1).to_pt(em)
+        assert Dimension.of(1, "ex").to_pt(em) * 2 == Dimension.of(1, "em").to_pt(em)
 
     def test_stretch_and_shrink_convert_too(self):
         glue = Dimension.of("1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex"))
         em = Fraction(10)
         assert glue.to_pt(em) == Fraction(15, 2)
-        assert glue.stretch_pt(em) == Fraction(5, 2)
-        assert glue.shrink_pt(em) == Fraction(5, 2)
-        rigid = Dimension.pt(1)
-        assert rigid.stretch_pt(em) is None
-        assert rigid.shrink_pt(em) is None
+        assert glue.stretch.to_pt(em) == Fraction(5, 2)
+        assert glue.shrink.to_pt(em) == Fraction(5, 2)
+        rigid = Dimension.of(1, "pt")
+        assert rigid.stretch is None
+        assert rigid.shrink is None
+
+    def test_glue_parts_are_lengths_without_glue(self):
+        glue = Dimension.of("1.5", "ex", plus=("0.5", "ex"), minus=(1, "pt"))
+        assert glue.stretch == Dimension.of("0.5", "ex") == (Fraction(1, 2), "ex", None, None)
+        assert glue.shrink == Dimension.of(1, "pt")
 
     def test_add_same_unit_keeps_unit(self):
-        total = Dimension.em(Fraction(7, 2)).add(Dimension.em(Fraction(1, 2)))
-        assert total == Dimension.em(4)
+        total = Dimension.of(Fraction(7, 2), "em").add(Dimension.of(Fraction(1, 2), "em"))
+        assert total == Dimension.of(4, "em")
 
     def test_add_mixed_units_needs_em_size(self):
-        width = Dimension.em(1)
-        extra = Dimension.pt(2)
+        width = Dimension.of(1, "em")
+        extra = Dimension.of(2, "pt")
         with pytest.raises(ValueError):
             width.add(extra)
-        assert width.add(extra, Fraction(10)) == Dimension.pt(12)
+        assert width.add(extra, Fraction(10)) == Dimension.of(12, "pt")
 
     def test_str_of_plain_length(self):
-        assert str(Dimension.pt(Fraction(1, 2))) == "0.5pt"
-        assert str(Dimension.em(Fraction(7, 2))) == "3.5em"
+        assert str(Dimension.of(Fraction(1, 2), "pt")) == "0.5pt"
+        assert str(Dimension.of(Fraction(7, 2), "em")) == "3.5em"
 
     def test_str_of_glue(self):
         glue = Dimension.of("1.5", "ex", plus=("0.5", "ex"), minus=("0.5", "ex"))

@@ -4,6 +4,7 @@ import errno
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +57,7 @@ class TestJobConfig:
         assert JobConfig(jobname="j", em_size_pt="10.5").em_size_pt == Fraction(21, 2)
 
     def test_max_passes_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max passes must be at least 1"):
             JobConfig(jobname="j", max_passes=0)
 
     @pytest.mark.parametrize("size", [0, -1, "16384", Fraction(10**400)])
@@ -459,6 +460,19 @@ class TestReport:
         layout = build_report(config, outcome)["bibliography"]["layout"]
         assert layout["biblabelwidth"]["pt"] == 30.0
         assert layout["hangindent"]["pt"] == 40.0
+
+    def test_readme_example_layout_is_the_report(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = json.loads(readme.split("```json\n", 1)[1].split("\n```", 1)[0])
+        bbl = "\\begin{thebibliography}{9}\n\\bibitem{a} A.\n\\end{thebibliography}\n"
+        config, outcome = self.make_outcome(
+            doc="\\cite{a}\n\\bibliography{refs}\n",
+            fs=MemoryFiles({"refs.bbl": bbl.encode()}),
+            em_size_pt=10,
+        )
+        layout = build_report(config, outcome)["bibliography"]["layout"]
+        # Dict equality ignores key order; the serialized text does not.
+        assert json.dumps(layout) == json.dumps(example["bibliography"]["layout"])
 
     def test_report_json_round_trips(self):
         config, outcome = self.make_outcome()

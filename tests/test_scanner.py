@@ -297,6 +297,35 @@ class TestNextCommand:
         assert str(info.value) == "doc.tex:2: expected '{' but found '['"
         assert next_command(CharStream("\\cite[x]{k}")) == CommandInvocation("cite", "x", "k", 1)
 
+    def test_cite_keys_with_blanks_are_linted_in_key_order(self):
+        notes = []
+        stream = CharStream("\n\\cite[]{ a,b,c d,\te,\u3000f}", source="doc.tex")
+        assert next_command(stream, lint=notes.append) == "\n"
+        invocation = next_command(stream, lint=notes.append)
+        assert invocation.arg == " a,b,c d,\te,\u3000f"
+        assert notes == [
+            "doc.tex:2: empty optional argument '[]' treated as absent",
+            "doc.tex:2: citation key ` a' contains a space",
+            "doc.tex:2: citation key `c d' contains a space",
+            "doc.tex:2: citation key `\te' contains a space",
+            "doc.tex:2: citation key `\u3000f' contains a space",
+        ]
+
+    def test_key_lint_is_at_the_command_line(self):
+        notes = []
+        next_command(CharStream("\\cite\n{a,\n b}", source="doc.tex"), lint=notes.append)
+        assert notes == ["doc.tex:1: citation key `\n b' contains a space"]
+
+    @pytest.mark.parametrize("name", ["nocite", "bibliography", "bibliographystyle"])
+    def test_only_cite_keys_are_linted(self, name):
+        notes = []
+        invocation = next_command(CharStream(f"\\{name}{{a, b}}"), lint=notes.append)
+        assert invocation.arg == "a, b"
+        assert notes == []
+
+    def test_key_lint_needs_a_sink(self):
+        assert next_command(CharStream("\\cite{a, b}")).arg == "a, b"
+
     def test_filler_after_name_is_skipped(self):
         stream = CharStream("\\cite % wrapped\n  {key}")
         invocation = next_command(stream)
