@@ -17,6 +17,10 @@ newline inside a payload, which :func:`format_record` enforces.
 Only ``\\@citedef`` carries information forward; the other three are
 parsed and discarded, exactly as a reader that defines them as gobblers
 would.  Anything else in the file is an error, byte offset included.
+A record whose groups hold no escape or brace, which is every record a
+pass writes for plain keys and labels, is matched whole by one pattern;
+any other record goes through the scanner, which reads plain records
+the same way and finds the errors.
 
 This module knows no files.  The pass fetches the previous aux bytes
 itself, at its first citation-shaped command, and hands them to
@@ -121,6 +125,11 @@ _KEPT_RUN = re.compile(rb"[^\r\n]+")
 
 # A record's control word; the brace after it opens the payload.
 _RECORD_OPENER = re.compile(r"\\(?:@citedef|citation|bibdata|bibstyle)(?=\{)")
+# A record whose groups hold no escape or brace, so need no scanner.
+_PLAIN_RECORD = re.compile(
+    r"\\@citedef\{([^\\{}]*)\}\{([^\\{}]*)\}|\\(?:citation|bibdata|bibstyle)\{[^\\{}]*\}"
+)
+_NOT_UTF8 = "@citedef record is not UTF-8 text"
 
 
 def read_aux(labels: dict[str, Optional[str]], content: bytes, source: str = "") -> None:
@@ -137,7 +146,18 @@ def read_aux(labels: dict[str, Optional[str]], content: bytes, source: str = "")
     stream = CharStream(stripped, comments=False)
     while not stream.at_end():
         record_start = stream.position
-        problem = _read_record(stream, labels)
+        plain = _PLAIN_RECORD.match(stripped, record_start)
+        if plain is None:
+            problem = _read_record(stream, labels)
+        else:
+            stream.position = plain.end()
+            problem = None
+            key, label = plain.group(1, 2)
+            if label is not None:
+                try:
+                    labels[_utf8(key)] = _utf8(label)
+                except UnicodeDecodeError:
+                    problem = _NOT_UTF8
         if problem is not None:
             raise AuxCorruptError(problem, _original_offset(content, record_start), source)
 
@@ -158,7 +178,7 @@ def _read_record(stream: CharStream, labels: dict[str, Optional[str]]) -> Option
     except UnbalancedGroupError:
         return "unterminated record"
     except UnicodeDecodeError:
-        return "@citedef record is not UTF-8 text"
+        return _NOT_UTF8
     # citation/bibdata/bibstyle records are consumed and discarded
     return None
 

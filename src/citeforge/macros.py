@@ -10,7 +10,11 @@ being read at the bottom and above it the replacements of calls not yet
 read to the end.  The bbl reader walks it directly; :func:`expand_macros`
 walks it to expand a string.  Arguments are scanned the undelimited way:
 skip blanks, then take a brace group (braces stripped), a whole control
-sequence, a ``#n`` marker, or a single character.  An argument missing at
+sequence, a ``#n`` marker, or a single character.  Plain groups come
+first: the leading arguments that match one pattern at the cursor of the
+top stream (blanks, then braces around text with no escape, brace,
+``%`` or line break) are taken with one move of the stream, and the
+rest are read the general way, one at a time.  An argument missing at
 the end of a replacement is read from the text pending below it, so with
 ``\\wrap`` expanding to ``\\pair{x}``, ``\\wrap{y}`` gives ``\\pair`` the
 arguments ``x`` and ``y``.  Up to :data:`MAX_EXPANSION_DEPTH` nested
@@ -53,6 +57,8 @@ MAX_EXPANSION_CHARS = 1 << 22
 _DIGITS = frozenset("0123456789")
 _PARAMETER = re.compile("#([0-9])")
 _COUNT = re.compile("[+-]?[0-9]+")
+# Blanks and a group that _argument would read as scan_group_arg's plain group.
+_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\{}%\n]*)\}")
 
 
 class MacroDef(NamedTuple):
@@ -154,8 +160,25 @@ class Expansion:
         return streams[-1] if streams else None
 
     def arguments(self, macro: MacroDef) -> list[str]:
-        """Scan the call's arguments, crossing into pending text if need be."""
-        return [self._argument(macro.name) for _ in range(macro.num_params)]
+        """Scan the call's arguments, crossing into pending text if need be.
+
+        Leading plain groups on the top stream are matched one pattern
+        each and taken in one move; from the first argument that is not
+        one on, :meth:`_argument` reads them.
+        """
+        stream = self.streams[-1]
+        content, position = stream.content, stream.position
+        args: list[str] = []
+        while len(args) < macro.num_params:
+            plain = _PLAIN_ARGUMENT.match(content, position)
+            if plain is None:
+                break
+            args.append(plain.group(1))
+            position = plain.end()
+        stream.take_to(position)
+        while len(args) < macro.num_params:
+            args.append(self._argument(macro.name))
+        return args
 
     def _argument(self, name: str) -> str:
         streams = self.streams

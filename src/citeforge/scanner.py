@@ -25,6 +25,14 @@ understand.  Each recognized command takes one ``{...}`` argument, and
 ``cite`` alone also takes an optional ``[...]`` note before it.  The
 scanner hands plain strings on: an optional argument is its text, and
 ``""`` when it is absent or empty.
+
+Both argument readers first try one pattern at the cursor, for the
+shapes real files are made of: :func:`scan_group_arg` a group with no
+escape, brace, ``%`` or line break in it, and
+:func:`scan_optional_arg` a ``[...]`` of plain text, escape pairs and
+such groups, as in ``[{Doe et~al.}(2009)]`` or ``[\\lab{Qus}{27}{c}]``.
+Anything else, errors included, goes to ``_scan_to``, the one
+brace-group scanner, which reads the common shapes the same way.
 """
 
 from __future__ import annotations
@@ -66,6 +74,11 @@ _FILLER = re.compile(r"(?:[ \t\r\n\f\v]+|%[^\n]*\n?)*")
 _BLANKS = re.compile(r"[ \t\r\n\f\v]*")
 # A group with nothing in it that _scan_to would treat specially.
 _PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
+# An optional argument with no %, no escape before a line break and no
+# group of depth two: plain text, escape pairs, and plain groups.  The
+# loop is unrolled (each branch starts with a different character), so
+# a failed match backtracks in linear time.
+_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*(?:(?:\\[^\n]|\{[^\\{}%\n]*\})[^\\{}\]%]*)*\]")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
 _TEXT_STOP = re.compile(r"[\\%]")
 _ESCAPE_STOP = re.compile(r"\\")
@@ -209,13 +222,18 @@ def scan_optional_arg(stream: CharStream, lint: LintSink | None = None) -> str:
     consumed and ``""`` is returned.  An empty ``[]`` returns ``""``
     too, so it is the same as no argument; the lint sink points it
     out.  A ``]`` nested inside a brace group does not close the
-    argument.
+    argument.  A plain argument (see the module docstring) is matched
+    in one go; the rest are scanned a special character at a time.
     """
     skip_filler(stream)
     if stream.peek() != "[":
         return ""
     open_line = stream.line
-    text = _scan_to(stream, "]")
+    plain = _PLAIN_OPTIONAL.match(stream.content, stream.position)
+    if plain is not None:
+        text = stream.take_to(plain.end())[1:-1]
+    else:
+        text = _scan_to(stream, "]")
     if text == "" and lint is not None:
         message = "empty optional argument '[]' treated as absent"
         lint(_located(message, open_line, stream.source))

@@ -1,13 +1,19 @@
 """Aux record serialization, the write queue, and the byte reader.
 
 The newline-immunity checks are exhaustive where feasible: a record is
-split at every single byte position, not just sampled ones.
+split at every single byte position, not just sampled ones.  The fast
+path for plain records is checked against a verbatim copy of the
+record reader it sits in front of.
 """
+
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citeforge import auxfile
 from citeforge.auxfile import (
     MISSING_AUX_MESSAGE,
     AuxRecord,
@@ -16,7 +22,12 @@ from citeforge.auxfile import (
     handle_missing_aux,
     read_aux,
 )
-from citeforge.errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
+from citeforge.errors import (
+    AuxCorruptError,
+    AuxFormatError,
+    CiteforgeError,
+    UnbalancedGroupError,
+)
 from citeforge.scanner import CharStream, scan_group_arg
 
 
@@ -290,3 +301,102 @@ def test_error_offsets_match_the_origin_list(records, fault, after, data):
         read_aux(labels, content)
 
     assert outcome_of(current, content) == outcome_of(reference_read_aux, content)
+
+
+# --- the fast path of read_aux against its general path -------------------
+
+# read_aux as it was before its plain-record fast path, copied verbatim
+# with the parts it called: every record then went through _read_record.
+_GENERAL_OPENER = re.compile(r"\\(?:@citedef|citation|bibdata|bibstyle)(?=\{)")
+_GENERAL_KEPT_RUN = re.compile(rb"[^\r\n]+")
+
+
+def general_read_aux(labels: dict, content: bytes, source: str = "") -> None:
+    stripped = content.translate(None, b"\r\n").decode("latin-1")
+    stream = CharStream(stripped, comments=False)
+    while not stream.at_end():
+        record_start = stream.position
+        problem = general_read_record(stream, labels)
+        if problem is not None:
+            raise AuxCorruptError(problem, general_offset(content, record_start), source)
+
+
+def general_read_record(stream: CharStream, labels: dict):
+    opener = _GENERAL_OPENER.match(stream.content, stream.position)
+    if opener is None:
+        return "unrecognized aux content"
+    stream.take_to(opener.end())
+    try:
+        payload = scan_group_arg(stream)
+        if opener.group() == "\\@citedef":
+            if stream.peek() != "{":
+                return "@citedef record missing its label"
+            label = scan_group_arg(stream)
+            labels[general_utf8(payload)] = general_utf8(label)
+    except UnbalancedGroupError:
+        return "unterminated record"
+    except UnicodeDecodeError:
+        return "@citedef record is not UTF-8 text"
+    return None
+
+
+def general_offset(content: bytes, position: int) -> int:
+    for run in _GENERAL_KEPT_RUN.finditer(content):
+        length = run.end() - run.start()
+        if position < length:
+            return run.start() + position
+        position -= length
+    return len(content)
+
+
+def general_utf8(text: str) -> str:
+    return text.encode("latin-1").decode("utf-8")
+
+
+def read_through(reader, content: bytes):
+    """The labels entered, in order, and the error if there was one."""
+    labels: dict = {}
+    try:
+        reader(labels, content, "x.aux")
+    except CiteforgeError as exc:
+        return list(labels.items()), type(exc), str(exc), getattr(exc, "offset", None)
+    return list(labels.items()), None
+
+
+aux_text = st.lists(
+    st.sampled_from(
+        ["[", "]", "{", "}", "\\", "%", "#", "\n", " ", "\t", "é", "\xff", "\\lab", "k", "1"]
+    ),
+    max_size=5,
+).map("".join)
+raw_record = st.one_of(
+    st.tuples(st.sampled_from(["citation", "bibdata", "bibstyle"]), aux_text).map(
+        lambda record: "\\%s{%s}" % record
+    ),
+    st.tuples(aux_text, aux_text).map(lambda pair: "\\@citedef{%s}{%s}" % pair),
+    aux_text,
+)
+
+
+def aux_bytes(text: str) -> bytes:
+    # "\xff" stands for a lone byte that is not UTF-8; the rest is UTF-8.
+    return b"\xff".join(part.encode() for part in text.split("\xff"))
+
+
+@given(st.lists(raw_record, max_size=6).map("".join).map(aux_bytes))
+@settings(max_examples=1000)
+def test_read_aux_reads_like_the_general_path(content):
+    assert read_through(read_aux, content) == read_through(general_read_aux, content)
+
+
+def test_plain_records_skip_the_general_path():
+    content = b"\\citation{a,b}\n\\bibstyle{plain}\\bibdata{refs}\\@citedef{a}{[Do\xc3\xa9 09]}"
+    with mock.patch.object(auxfile, "_read_record", side_effect=AssertionError):
+        assert parse_labels(content) == {"a": "[Doé 09]"}
+
+
+def test_plain_record_not_utf8_is_located():
+    content = b"\\citation{a}\n\\@citedef{a}{\xff}"
+    with pytest.raises(AuxCorruptError) as info:
+        parse_labels(content)
+    assert str(info.value) == "@citedef record is not UTF-8 text (byte 13)"

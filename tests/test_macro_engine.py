@@ -6,7 +6,9 @@ expander, copied verbatim, as the reference.  Wherever it succeeds,
 two may differ is an argument read past the end of a replacement: the
 reference expands each replacement in isolation and fails there, the
 engine reads on into the pending text, as the bbl reader always did.
-The remaining tests pin the behaviour the two readers now share.
+The remaining tests pin the behaviour the two readers now share, and
+check the plain-group fast path of :meth:`Expansion.arguments` against
+a verbatim copy of the general argument reader, seams included.
 """
 
 import string
@@ -19,15 +21,22 @@ from hypothesis import strategies as st
 
 from citeforge import macros
 from citeforge.bbl import process_bbl
-from citeforge.errors import MacroError, MacroRecursionError
+from citeforge.errors import (
+    CiteforgeError,
+    MacroError,
+    MacroRecursionError,
+    UnbalancedGroupError,
+)
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
     MAX_EXPANSION_DEPTH,
+    Expansion,
     MacroDef,
     MacroTable,
     expand_macros,
 )
 from citeforge.rendering import render_plain
+from citeforge.scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
 
 _LETTERS = frozenset(string.ascii_letters)
 _SPACES = " \t\r\n\f\v"
@@ -312,6 +321,115 @@ def test_non_ascii_digit_after_hash_is_literal_text():
 def test_percent_is_literal_in_scanned_text():
     defs = {"p": MacroDef("p", 1, "<#1>")}
     assert expand_macros(defs, "50% \\p{a%b} \\p%") == "50% <a%b> <%>"
+
+
+# --- the fast path of Expansion.arguments against its general path -------
+
+_DIGITS = frozenset("0123456789")
+
+
+# Expansion._argument as it was before arguments gained its fast path,
+# copied verbatim; arguments then read every argument through it.
+def general_argument(expansion: Expansion, name: str) -> str:
+    streams = expansion.streams
+    stream = streams[-1]
+    skip_filler(stream)
+    while stream.at_end():
+        if len(streams) == 1:
+            raise MacroError(f"missing argument for \\{name}")
+        streams.pop()
+        stream = streams[-1]
+        skip_filler(stream)
+    ch = stream.peek()
+    if ch == "{":
+        try:
+            return scan_group_arg(stream)
+        except UnbalancedGroupError:
+            raise MacroError(f"unbalanced braces in argument of \\{name}") from None
+    if ch == ESCAPE:
+        return stream.take_to(control_at(stream.content, stream.position)[1])
+    if ch == "#" and stream.peek(1) in _DIGITS:
+        return stream.take_to(stream.position + 2)
+    return stream.take()
+
+
+def general_arguments(expansion: Expansion, macro: MacroDef) -> list[str]:
+    return [general_argument(expansion, macro.name) for _ in range(macro.num_params)]
+
+
+def read_arguments(reader, texts: list[str], comments: bool, num_params: int):
+    """The arguments (or error) and every stream's cursor and line after."""
+    expansion = Expansion(CharStream(texts[0], line=5, comments=comments))
+    for line, text in enumerate(texts[1:], start=7):
+        expansion.streams.append(CharStream(text, line=line, comments=False))
+    try:
+        outcome = ("ok", reader(expansion, MacroDef("lab", num_params, "")))
+    except CiteforgeError as exc:
+        outcome = (type(exc), str(exc))
+    cursors = [(stream.position, stream.line) for stream in expansion.streams]
+    return outcome, cursors
+
+
+argument_text = st.lists(
+    st.sampled_from(
+        ["[", "]", "{", "}", "\\", "%", "#", "#1", "\n", " ", "\t", "é", "\\lab", "a"]
+        + ["{a}", "{Qus}", " {27}", "\n{c}", "{u%v}"]  # groups, plain and not
+    ),
+    max_size=10,
+).map("".join)
+
+
+@given(
+    st.lists(argument_text, min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=1000)
+def test_arguments_read_like_the_general_path(texts, comments, num_params):
+    assert read_arguments(Expansion.arguments, texts, comments, num_params) == read_arguments(
+        general_arguments, texts, comments, num_params
+    )
+
+
+LAB = "\\newcommand{\\lab}[3]{#1#3#2}\n"
+
+
+def body_of(definitions, item):
+    bibliography = run_bbl(definitions + wrap("\\bibitem{k}\n" + item))
+    return render_plain(bibliography.items[0].body[0])
+
+
+def test_arguments_split_across_streams():
+    # \two is defined first, so its body keeps the call of \lab: two
+    # arguments come from the replacement and the third from below it.
+    two = "\\newcommand{\\two}{\\lab{a}{b}}\n"
+    assert body_of(two + LAB, "\\two{c}") == "acb"
+    defs = {"two": MacroDef("two", 0, "\\lab{a}{b}"), "lab": MacroDef("lab", 3, "#1#3#2")}
+    assert expand_macros(defs, "\\two{c}") == "acb"
+
+
+def test_comment_between_arguments():
+    assert body_of(LAB, "\\lab{a}%\n{b}{c}") == "acb"
+    stream = CharStream("\\lab{a}%\n{b}{c} rest")
+    stream.take_to(4)
+    expansion = Expansion(stream)
+    assert expansion.arguments(MacroDef("lab", 3, "")) == ["a", "b", "c"]
+    assert stream.line == 2
+    assert stream.content[stream.position :] == " rest"
+    notes = []
+    item = "\\bibitem{k}\n\\lab{a}%\n{b}{c}\n\\odd"
+    process_bbl(LAB + wrap(item), lint=notes.append, source="t.bbl")
+    assert notes == ["t.bbl:6: unknown command `\\odd' passed through"]
+
+
+def test_parameter_argument_in_a_body_takes_the_general_path():
+    # A body is expanded when it is defined, with its own #n markers as
+    # arguments; plain groups before and after one still read right.
+    definitions = LAB + "\\newcommand{\\wrap}[1]{\\lab{x}#1{y}}\n"
+    bibliography = run_bbl(definitions + wrap("\\bibitem{k}\n\\wrap{Q}"))
+    assert render_plain(bibliography.items[0].body[0]) == "xyQ"
+    defs = {"lab": MacroDef("lab", 3, "#1#3#2")}
+    assert expand_macros(defs, "\\lab#1{x}{y}") == "#1yx"
 
 
 # --- one expansion budget per bbl ----------------------------------------

@@ -5,16 +5,22 @@ the minimum of three timings of each, and requires the larger input to
 take less than 48 times as long.  Linear growth gives about 16x; the
 other 3x absorbs timer noise and cache effects at these modest sizes,
 while quadratic growth (about 256x, more than 200x measured for the
-former same-style span merge) fails by a wide margin.
+former same-style span merge) fails by a wide margin.  The argument
+readers' fast paths are gated on their failure side too: an input that
+the pattern reads to its end and then hands to the general path.
 """
 
 import gc
 from time import perf_counter
 
+import pytest
+
 from citeforge.auxfile import read_aux
 from citeforge.bbl import process_bbl
+from citeforge.errors import MacroError, ScanError
+from citeforge.macros import MacroDef, expand_macros
 from citeforge.rendering import RenderedFragment, Style
-from citeforge.scanner import CharStream, next_command
+from citeforge.scanner import CharStream, next_command, scan_optional_arg
 
 GROWTH = 16
 MAX_TIME_RATIO = 48
@@ -59,6 +65,45 @@ def read_many_records(count: int) -> None:
     assert len(labels) == count
 
 
+def read_escaped_records(count: int) -> None:
+    # Escaped braces in every payload, so each record takes the scanner.
+    content = b"".join(
+        b"\\citation{k%d\\}}\n\\@citedef{k%d}{\\{%d}\n" % (i, i, i) for i in range(count)
+    )
+    labels = {}
+    read_aux(labels, content)
+    assert len(labels) == count
+
+
+def read_plain_then_other_records(count: int) -> None:
+    plain = b"".join(b"\\@citedef{k%d}{%d}\n" % (i, i) for i in range(count))
+    other = b"".join(b"\\@citedef{e%d}{{\\em %d}}\n" % (i, i) for i in range(count))
+    labels = {}
+    read_aux(labels, plain + other)
+    assert len(labels) == 2 * count
+
+
+# Plain text, escape pairs and one-level groups: the fast path's shape.
+PLAIN_OPTIONAL = "Smith et~al. \\lab{Qus}{27}{c} (2001), \\] "
+
+
+def scan_plain_optional(units: int) -> None:
+    stream = CharStream("[" + PLAIN_OPTIONAL * units + "]{key}")
+    assert len(scan_optional_arg(stream)) == len(PLAIN_OPTIONAL) * units
+
+
+def scan_unclosed_optional(units: int) -> None:
+    stream = CharStream("[" + PLAIN_OPTIONAL * units)
+    with pytest.raises(ScanError, match="never closed"):
+        scan_optional_arg(stream)
+
+
+def expand_unclosed_argument(units: int) -> None:
+    defs = {"lab": MacroDef("lab", 3, "#1#3#2")}
+    with pytest.raises(MacroError, match="unbalanced braces"):
+        expand_macros(defs, "\\lab{a} {" + "words and more words " * units)
+
+
 BBL_MACROS = (
     "\\newcommand{\\lab}[3]{#1#3#2}\n"
     "\\newcommand{\\surname}[1]{{\\sc #1}}\n"
@@ -91,6 +136,26 @@ def test_next_command_over_one_long_text_run_is_linear():
 
 def test_read_aux_over_many_records_is_linear():
     assert time_ratio(read_many_records, 500) < MAX_TIME_RATIO
+
+
+def test_read_aux_over_many_escaped_records_is_linear():
+    assert time_ratio(read_escaped_records, 500) < MAX_TIME_RATIO
+
+
+def test_read_aux_over_plain_then_other_records_is_linear():
+    assert time_ratio(read_plain_then_other_records, 500) < MAX_TIME_RATIO
+
+
+def test_plain_optional_argument_is_linear():
+    assert time_ratio(scan_plain_optional, 2000) < MAX_TIME_RATIO
+
+
+def test_unclosed_optional_argument_is_linear():
+    assert time_ratio(scan_unclosed_optional, 500) < MAX_TIME_RATIO
+
+
+def test_unclosed_macro_argument_is_linear():
+    assert time_ratio(expand_unclosed_argument, 2000) < MAX_TIME_RATIO
 
 
 def test_process_bbl_over_many_items_is_linear():

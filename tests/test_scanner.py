@@ -2,16 +2,21 @@
 
 The optional-argument cases are checked against a small reference
 walker written independently of the scanner, so the bracket/brace
-interaction has an oracle rather than a copied expectation.
+interaction has an oracle rather than a copied expectation.  The
+plain-shape fast path is checked against a verbatim copy of the general
+path it sits in front of.
 """
 
+import re
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeforge.errors import ScanError, UnbalancedGroupError
+from citeforge import scanner
+from citeforge.errors import ScanError, UnbalancedGroupError, _located
 from citeforge.scanner import (
     DOCUMENT_COMMANDS,
     CharStream,
@@ -205,6 +210,106 @@ class TestOptionalArg:
         stream = CharStream(text)
         assert scan_optional_arg(stream) == ""
         assert stream.position == 0
+
+
+# --- the fast path of scan_optional_arg against its general path ---------
+
+# scan_optional_arg and _scan_to as they were before the plain-shape fast
+# path, copied verbatim: every input must read the same through both.
+_GENERAL_STOP = re.compile(r"[\\{}\]%]")
+
+
+def general_scan_to(stream: CharStream, close: str) -> str:
+    open_line = stream.line
+    stream.take()
+    depth = 0
+    parts: list[str] = []
+    while (stop := _GENERAL_STOP.search(stream.content, stream.position)) is not None:
+        parts.append(stream.take_to(stop.start()))
+        ch = stop.group()
+        if ch == close and depth == 0:
+            stream.take()
+            return "".join(parts)
+        if ch == "%" and stream.comments:
+            skip_comment(stream)
+            continue
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            if depth == 0:
+                raise UnbalancedGroupError(
+                    "unexpected '}' inside optional argument", stream.line, stream.source
+                )
+            depth -= 1
+        parts.append(stream.take())
+        if ch == "\\" and not stream.at_end():
+            parts.append(stream.take())
+    if close == "]":
+        raise ScanError(
+            "unterminated optional argument ('[' never closed)", open_line, stream.source
+        )
+    raise UnbalancedGroupError("unbalanced group ('{' never closed)", open_line, stream.source)
+
+
+def general_optional_arg(stream: CharStream, lint=None) -> str:
+    skip_filler(stream)
+    if stream.peek() != "[":
+        return ""
+    open_line = stream.line
+    text = general_scan_to(stream, "]")
+    if text == "" and lint is not None:
+        message = "empty optional argument '[]' treated as absent"
+        lint(_located(message, open_line, stream.source))
+    return text
+
+
+def read_through(reader, text: str, comments: bool):
+    """Everything a reading shows: value or error, cursor, line and lint."""
+    stream = CharStream(text, line=3, source="f.tex", comments=comments)
+    notes: list[str] = []
+    try:
+        outcome = ("ok", reader(stream, notes.append))
+    except ScanError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, stream.position, stream.line, notes
+
+
+# Common shapes first, so that plenty of inputs take the fast path.
+optional_piece = st.sampled_from(
+    ["[", "]", "{", "}", "\\", "%", "#", "\n", " ", "\t", "é", "\\lab", "a"]
+    + ["{Qus}", "\\]", "{u%v}", "{\n}"]
+)
+
+
+class TestOptionalArgFastPath:
+    @given(
+        st.sampled_from(["", " ", "\n", "% c\n"]),
+        st.lists(optional_piece, max_size=12).map("".join),
+        st.sampled_from(["]", "]tail", "", "}]"]),
+        st.booleans(),
+    )
+    @settings(max_examples=1000)
+    def test_reads_like_the_general_path(self, before, inside, after, comments):
+        text = before + "[" + inside + after
+        assert read_through(scan_optional_arg, text, comments) == read_through(
+            general_optional_arg, text, comments
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[Smith(2001)]",
+            "[{Doe et~al.}(2009)]",
+            "[\\lab{Qus}{27}{c}]",
+            "[\\natexlab{a}]",
+            "[2]",
+            "[p.~7]",
+            "[]",
+        ],
+    )
+    def test_common_shapes_skip_the_general_path(self, text):
+        with mock.patch.object(scanner, "_scan_to", side_effect=AssertionError):
+            assert scan_optional_arg(CharStream(text + "{k}")) == text[1:-1]
 
 
 class TestGroupArg:
