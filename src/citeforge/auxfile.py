@@ -94,6 +94,10 @@ def _check_record(record: AuxRecord) -> None:
 def format_record(record: AuxRecord) -> str:
     """The record's exact one-line serialization, newline terminated."""
     _check_record(record)
+    return _format(record)
+
+
+def _format(record: AuxRecord) -> str:
     if record.kind == "@citedef":
         return f"\\@citedef{{{record.payload}}}{{{record.label}}}\n"
     return f"\\{record.kind}{{{record.payload}}}\n"
@@ -117,7 +121,8 @@ class AuxSession:
         self.pending_writes.append(record)
 
     def serialize(self) -> bytes:
-        return b"".join(format_record(r).encode("utf-8") for r in self.pending_writes)
+        """The aux file's bytes; each record was checked when it was written."""
+        return "".join(map(_format, self.pending_writes)).encode("utf-8")
 
 
 _LINE_BREAKS = b"\r\n"

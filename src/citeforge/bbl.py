@@ -43,7 +43,10 @@ definition bodies are expanded by the same engine through
 at the end of a replacement is read from the text after the call, and
 the same depth cap applies.  All of them share one expansion budget per
 :func:`process_bbl` call, so what a file can make the engine queue, and
-store in definitions, is capped for the file as a whole.
+store in definitions, is capped for the file as a whole.  A call
+substitutes its arguments into the template its definition keeps, and
+a style switch or ``\\newblock`` skips the blanks after it in the same
+move as its name, since its token marked where they end.
 """
 
 from __future__ import annotations
@@ -255,7 +258,7 @@ def process_bbl(
         try:
             if name in _STYLE_SWITCHES:
                 style_stack[-1] = _STYLE_SWITCHES[name]
-                skip_filler(stream)
+                stream.take_to(token.end("after"))
             elif name == "begin":
                 close_item()
                 scan_group_arg(stream)  # environment name; any counts as ours
@@ -289,7 +292,7 @@ def process_bbl(
                 items.append(current_item)
                 skip_filler(stream)
             elif name == "newblock":
-                skip_filler(stream)
+                stream.take_to(token.end("after"))
                 if current_item is not None:
                     close_block()
             elif name == "newcommand":
@@ -300,7 +303,7 @@ def process_bbl(
             elif name in macros:
                 macro = macros[name]
                 args = expansion.arguments(macro)
-                expansion.push(name, substitute_params(macro.body, args), line)
+                expansion.push(name, substitute_params(macro.template, args), line)
                 return True
             else:
                 raw = token.group()

@@ -15,7 +15,8 @@ very pass.  A record that cannot be written is reported at the command
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
 and its processing reads nothing a pass changes, so every pass (the
-first included) installs the same items in the same order.
+first included) installs the same items in the same order.  Its render
+is worked out once too, in one walk that joins each plain run once.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -38,7 +39,7 @@ from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
 from .errors import AuxFormatError, ScanError
 from .files import FileAccess
-from .rendering import RenderedFragment, Style, render_annotated, render_plain
+from .rendering import RenderedFragment, Span, Style, render_annotated, render_plain
 from .scanner import CharStream, next_command
 
 __all__ = [
@@ -138,15 +139,36 @@ class FixpointResult(NamedTuple):
 
 
 def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
-    fragment = RenderedFragment()
+    """Each item as ``[label] ``, its blocks joined by spaces, and a newline.
+
+    Only plain spans can merge here, since every piece between blocks is
+    plain, so one walk keeps the texts of the plain run still open and
+    joins each run once: no span is appended or rebuilt piece by piece.
+    """
+    spans: list[Span] = []
+    plain: list[str] = []  # the texts of the plain run still open
     for item in bibliography.items:
-        fragment.append(Style.PLAIN, f"[{item.label}] ")
+        plain.append(f"[{item.label}] ")
         for index, block in enumerate(item.body):
             if index:
-                fragment.append(Style.PLAIN, " ")
-            fragment.extend(block)
-        fragment.append(Style.PLAIN, "\n")
-    return fragment
+                plain.append(" ")
+            rest = block.spans
+            if rest and rest[0].style is Style.PLAIN:
+                plain.append(rest[0].text)
+                rest = rest[1:]
+            if not rest:
+                continue
+            spans.append(Span(Style.PLAIN, "".join(plain)))
+            if rest[-1].style is Style.PLAIN:
+                spans += rest[:-1]
+                plain = [rest[-1].text]
+            else:
+                spans += rest
+                plain = []
+        plain.append("\n")
+    if plain:
+        spans.append(Span(Style.PLAIN, "".join(plain)))
+    return RenderedFragment.of_merged(spans)
 
 
 class _ProcessedBbl(NamedTuple):

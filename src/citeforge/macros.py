@@ -2,15 +2,20 @@
 
 Definitions take 0 to 9 positional parameters.  The body is expanded
 once at definition time against the macros already defined, with the
-new macro's own ``#n`` markers left in place; a call then substitutes
-its arguments textually and the result is read again.
+new macro's own ``#n`` markers left in place, and split at those markers
+once into the definition's template; a call then substitutes its
+arguments into the template and the result is read again.  Templates
+live in the definitions, so nothing is kept from one table to the next.
 
 :class:`Expansion` is the one engine: a stack of streams, the text
 being read at the bottom and above it the replacements of calls not yet
 read to the end.  The bbl reader walks it directly; :func:`expand_macros`
-walks it to expand a string.  Arguments are scanned the undelimited way:
-skip blanks, then take a brace group (braces stripped), a whole control
-sequence, a ``#n`` marker, or a single character.  Plain groups come
+walks it to expand a string, and copies a replacement with no escape
+straight to its output, since nothing in it can call a macro: no stream
+is built for it, but it is charged and depth-checked as any other.
+Arguments are scanned the undelimited way: skip blanks, then take a
+brace group (braces stripped), a whole control sequence, a ``#n``
+marker, or a single character.  Plain groups come
 first: the leading arguments that match one pattern at the cursor of the
 top stream (blanks, then braces around text with no escape, brace,
 ``%`` or line break) are taken with one move of the stream, and the
@@ -29,7 +34,7 @@ it was handling.
 from __future__ import annotations
 
 import re
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Union
 
 from .errors import MacroError, MacroRecursionError, UnbalancedGroupError
 from .scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
@@ -65,6 +70,10 @@ class MacroDef(NamedTuple):
     name: str
     num_params: int
     body: str
+    #: ``body`` split at its ``#n`` markers: text, index, text, ..., text.
+    #: :func:`define_newcommand` makes it once per definition; without it
+    #: the body is split at each call.  A changed ``body`` needs a new one.
+    template: Optional[tuple] = None
 
 
 MacroTable = Dict[str, MacroDef]
@@ -96,26 +105,33 @@ def define_newcommand(
     if count < 0:
         raise MacroError(f"{count} is too few parameters")
     expanded = expand_macros(defs, body, budget=budget)
-    definition = MacroDef(name, count, expanded)
+    definition = MacroDef(name, count, expanded, _template(expanded))
     defs[name] = definition
     return definition
 
 
-def substitute_params(body: str, args: list[str]) -> str:
-    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments.
-
-    A result longer than :data:`MAX_EXPANSION_CHARS` could never be
-    queued, so it is refused before it is built: a short body that
-    repeats one long argument would otherwise take gigabytes.
-    """
+def _template(body: str) -> tuple:
     # Text and marker digits alternate: text, digit, text, ..., text.
     pieces = _PARAMETER.split(body)
+    pieces[1::2] = map(int, pieces[1::2])
+    return tuple(pieces)
+
+
+def substitute_params(body: Union[str, tuple], args: list[str]) -> str:
+    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments.
+
+    ``body`` is a definition's text or its :attr:`MacroDef.template`.  A
+    body with no marker comes back as it is.  A result longer than
+    :data:`MAX_EXPANSION_CHARS` could never be queued, so it is refused
+    before it is built: a short body that repeats one long argument
+    would otherwise take gigabytes.
+    """
+    pieces = [*(_template(body) if body.__class__ is str else body)]
+    count = len(args)
     for i in range(1, len(pieces), 2):
-        index = int(pieces[i])
-        if index < 1 or index > len(args):
-            raise MacroError(
-                f"parameter #{index} used but only {len(args)} argument(s) supplied"
-            )
+        index = pieces[i]
+        if not 0 < index <= count:
+            raise MacroError(f"parameter #{index} used but only {count} argument(s) supplied")
         pieces[i] = args[index - 1]
     if sum(map(len, pieces)) > MAX_EXPANSION_CHARS:
         raise MacroError(f"replacement text exceeded {MAX_EXPANSION_CHARS} characters")
@@ -130,14 +146,6 @@ class ExpansionBudget:
     def __init__(self) -> None:
         self.queued = 0
 
-    def spend(self, name: str, chars: int) -> None:
-        """Count ``chars`` queued by a call of ``name``; raise past the cap."""
-        self.queued += chars
-        if self.queued > MAX_EXPANSION_CHARS:
-            raise MacroError(
-                f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters"
-            )
-
 
 class Expansion:
     """The stream stack of one reading: the text and pending replacements.
@@ -147,6 +155,8 @@ class Expansion:
     :meth:`push`.  What it queues is charged to ``budget``, a
     fresh one unless the reading shares one.
     """
+
+    __slots__ = ("streams", "budget")
 
     def __init__(self, text: CharStream, budget: Optional[ExpansionBudget] = None) -> None:
         self.streams = [text]
@@ -202,16 +212,27 @@ class Expansion:
             return stream.take_to(stream.position + 2)
         return stream.take()
 
-    def push(self, name: str, replacement: str, line: int) -> None:
-        """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
-        if len(self.streams) > MAX_EXPANSION_DEPTH:
+    def push(
+        self, name: str, replacement: str, line: int, out: Optional[list[str]] = None
+    ) -> None:
+        """Read ``replacement`` next; the call of ``name`` sits at ``line``.
+
+        A reading that copies what it reads to ``out`` gives that list:
+        a replacement with no escape cannot call a macro, so it goes
+        there, charged and depth-checked all the same, and no stream is
+        built for it.
+        """
+        streams = self.streams
+        if len(streams) > MAX_EXPANSION_DEPTH:
             raise MacroRecursionError(name, MAX_EXPANSION_DEPTH)
-        self.budget.spend(name, len(replacement))
-        if replacement:
-            source = self.streams[0].source
-            self.streams.append(
-                CharStream(replacement, line=line, source=source, comments=False)
-            )
+        budget = self.budget
+        budget.queued += len(replacement)
+        if budget.queued > MAX_EXPANSION_CHARS:
+            raise MacroError(f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters")
+        if out is not None and ESCAPE not in replacement:
+            out.append(replacement)
+        elif replacement:
+            streams.append(CharStream(replacement, line, streams[0].source, False))
 
 
 def expand_macros(
@@ -244,5 +265,6 @@ def expand_macros(
             out.append(raw)
         else:
             args = expansion.arguments(macro)
-            expansion.push(name, substitute_params(macro.body, args), stream.line)
+            replacement = substitute_params(macro.template or macro.body, args)
+            expansion.push(name, replacement, stream.line, out)
     return "".join(out)

@@ -9,7 +9,9 @@ tests and on the command line.
 Fragments are built by appending, and most appends merge into the last
 span (a document body is one long plain span).  The merged text is
 kept as chunks and joined once when the spans are read, so building a
-fragment takes time linear in its text rather than quadratic.
+fragment takes time linear in its text rather than quadratic.  A caller
+that merged its spans itself hands them over whole with
+:meth:`RenderedFragment.of_merged`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ class RenderedFragment:
         self._spans: list[Span] = []
         # The last span's text as chunks, once something was merged into it.
         self._tail: Optional[list[str]] = None
+
+    @classmethod
+    def of_merged(cls, spans: list[Span]) -> "RenderedFragment":
+        """The fragment of ``spans``, which must be in normal form already."""
+        fragment = cls()
+        fragment._spans = spans
+        return fragment
 
     @property
     def spans(self) -> list[Span]:

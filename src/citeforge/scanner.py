@@ -7,9 +7,10 @@ non-letter character otherwise).  One token pattern, :data:`TOKEN`
 (:data:`TEXT_TOKEN` for text without comments), lexes all of it: a
 match at a position is a word run, a blank run, a control sequence, a
 brace or a comment, and ``lastgroup`` names which.  The bbl reader
-walks its text one such match at a time, and :func:`control_at`, the
-lexer of the document scanner and the macro engine, is the same
-pattern matched at an escape.  Comments are stripped wherever the
+walks its text one such match at a time (after a control word, the
+``after`` group spans the filler that follows it), and
+:func:`control_at`, the lexer of the document scanner and the macro
+engine, is the same pattern matched at an escape.  Comments are stripped wherever the
 scanner reads file text, including inside arguments; the comment
 consumes its newline, so a line split with a trailing ``%`` joins
 seamlessly.  Text scanned once already
@@ -58,8 +59,11 @@ __all__ = [
 ESCAPE = "\\"
 COMMENT = "%"
 _FILLER_START = " \t\r\n\f\v%"
-# A control word, a control symbol, or a lone escape at the end of the text.
-_CONTROL = r"\\(?P<control>[A-Za-z]+|.?)"
+_FILLER = re.compile(r"(?:[ \t\r\n\f\v]+|%[^\n]*\n?)*")
+_BLANKS = re.compile(r"[ \t\r\n\f\v]*")
+# A control word, a control symbol, or a lone escape at the end of the
+# text.  After a control word, ``after`` ends where skip_filler would stop.
+_CONTROL = r"\\(?P<control>[A-Za-z]+(?=(?P<after>%(filler)s))|.?)"
 # Words joined by single spaces, which need no normalizing, form one word run.
 _WORD = r"[^%(stops)s \t\r\n\f\v]+"
 _TOKEN = (
@@ -67,11 +71,9 @@ _TOKEN = (
     r"|(?P<open>\{)|(?P<close>\})|(?P<comment>%%)"
 )
 #: The token at a position of text with comments; ``lastgroup`` names its kind.
-TOKEN = re.compile(_TOKEN % {"stops": r"\\{}%"}, re.DOTALL)
+TOKEN = re.compile(_TOKEN % {"stops": r"\\{}%", "filler": _FILLER.pattern}, re.DOTALL)
 #: The same for text without comments, where ``%`` belongs to words.
-TEXT_TOKEN = re.compile(_TOKEN % {"stops": r"\\{}"}, re.DOTALL)
-_FILLER = re.compile(r"(?:[ \t\r\n\f\v]+|%[^\n]*\n?)*")
-_BLANKS = re.compile(r"[ \t\r\n\f\v]*")
+TEXT_TOKEN = re.compile(_TOKEN % {"stops": r"\\{}", "filler": _BLANKS.pattern}, re.DOTALL)
 # A group with nothing in it that _scan_to would treat specially.
 _PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
 # An optional argument with no %, no escape before a line break and no

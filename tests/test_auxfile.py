@@ -93,6 +93,34 @@ class TestSession:
         assert str(written.value) == str(formatted.value)
         assert str(written.value).startswith(message)
 
+    @given(
+        st.lists(
+            st.builds(
+                AuxRecord,
+                st.sampled_from(["citation", "bibdata", "bibstyle", "@citedef"]),
+                st.text(alphabet="ab,{}\\ é€😀\x00", max_size=6),
+                st.text(alphabet="1aé😀", max_size=3),
+            ),
+            max_size=6,
+        )
+    )
+    def test_serialize_joins_then_encodes_once(self, records):
+        # The bytes of the former serializer: each record formatted, checked
+        # and encoded on its own, then joined.
+        session = AuxSession()
+        for record in records:
+            session.write(record)
+        expected = b"".join(format_record(r).encode("utf-8") for r in records)
+        assert session.serialize() == expected
+
+    def test_newline_payload_still_refused_at_write_time(self):
+        session = AuxSession()
+        session.write(AuxRecord.citation("ok"))
+        with pytest.raises(AuxFormatError) as info:
+            session.write(AuxRecord.citedef("k", "two\nlines"))
+        assert str(info.value) == "@citedef label may not contain a newline: 'two\\nlines'"
+        assert session.serialize() == b"\\citation{ok}\n"
+
     def test_no_aux_mode_discards_everything(self):
         session = AuxSession(no_aux=True)
         session.write(AuxRecord.citation("x"))

@@ -1,0 +1,278 @@
+"""The cheaper bbl paths against verbatim copies of the code they replaced.
+
+Three paths are checked, each against a copy of the former code:
+
+* ``driver._render_bibliography``, which now merges every item in one
+  walk, against the former render that appended each piece to a
+  :class:`RenderedFragment`; the spans must be equal, styles and
+  boundaries included;
+* :func:`substitute_params` on a body and on the template
+  :func:`define_newcommand` keeps, against the former substitution that
+  split the body at each call; the value or the error text must match;
+* :func:`expand_macros`, whose replacements with no escape go straight
+  to the output, against the former loop that read every replacement
+  from a stream; the value or the error text must match at the depth
+  and budget caps, and so must the budget's total afterwards.
+"""
+
+import re
+import string
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from citeforge import macros
+from citeforge.bbl import Alignment, BibItem, Bibliography, LayoutParams
+from citeforge.driver import _render_bibliography
+from citeforge.errors import CiteforgeError, MacroError, MacroRecursionError
+from citeforge.macros import (
+    MAX_EXPANSION_CHARS,
+    MAX_EXPANSION_DEPTH,
+    Expansion,
+    ExpansionBudget,
+    MacroDef,
+    define_newcommand,
+    expand_macros,
+    substitute_params,
+)
+from citeforge.rendering import RenderedFragment, Style
+from citeforge.scanner import ESCAPE, CharStream, control_at
+
+# --- the render ---------------------------------------------------------
+
+
+# driver._render_bibliography as it was, verbatim.
+def reference_render(bibliography: Bibliography) -> RenderedFragment:
+    fragment = RenderedFragment()
+    for item in bibliography.items:
+        fragment.append(Style.PLAIN, f"[{item.label}] ")
+        for index, block in enumerate(item.body):
+            if index:
+                fragment.append(Style.PLAIN, " ")
+            fragment.extend(block)
+        fragment.append(Style.PLAIN, "\n")
+    return fragment
+
+
+def fragment_of(pieces):
+    fragment = RenderedFragment()
+    for style, text in pieces:
+        fragment.append(style, text)
+    return fragment
+
+
+piece = st.tuples(st.sampled_from(list(Style)), st.sampled_from(["", " ", "a", "b c", "\n"]))
+block = st.lists(piece, max_size=5).map(fragment_of)
+plain_block = st.lists(st.sampled_from(["a", " b", "c. "]), min_size=1, max_size=3).map(
+    lambda texts: fragment_of((Style.PLAIN, text) for text in texts)
+)
+items = st.builds(
+    lambda label, body: BibItem("k", label, bool(label), Alignment.LABELS_LEFT, body, 1),
+    st.sampled_from(["", "1", "Ab12", " "]),
+    st.one_of(st.lists(block, max_size=4), st.lists(plain_block, max_size=4)),
+)
+
+
+@given(st.lists(items, max_size=8))
+@settings(max_examples=1000)
+def test_render_matches_the_reference(entries):
+    bibliography = Bibliography(entries, LayoutParams())
+    spans = _render_bibliography(bibliography).spans
+    assert spans == reference_render(bibliography).spans
+    assert all(type(span) is type(spans[0]) for span in spans)
+
+
+def test_render_keeps_styled_edges_and_empty_items():
+    em = fragment_of([(Style.EMPHASIS, "Title")])
+    mixed = fragment_of([(Style.SMALLCAPS, "Doe"), (Style.PLAIN, ", 2001.")])
+    bibliography = Bibliography(
+        [
+            BibItem("a", "", True, Alignment.LABELS_LEFT, [], 1),
+            BibItem("b", "2", False, Alignment.LABELS_LEFT, [em, mixed, em], 2),
+            BibItem("c", "3", False, Alignment.LABELS_LEFT, [RenderedFragment(), em], 3),
+        ],
+        LayoutParams(),
+    )
+    rendered = _render_bibliography(bibliography)
+    assert rendered == reference_render(bibliography)
+    assert rendered.spans[0] == (Style.PLAIN, "[] \n[2] ")
+
+
+def test_render_of_no_items_is_empty():
+    assert _render_bibliography(Bibliography([], LayoutParams())).spans == []
+
+
+# --- substitution -------------------------------------------------------
+
+_PARAMETER = re.compile("#([0-9])")
+
+
+# macros.substitute_params as it was, verbatim.
+def reference_substitute(body: str, args: list[str]) -> str:
+    # Text and marker digits alternate: text, digit, text, ..., text.
+    pieces = _PARAMETER.split(body)
+    for i in range(1, len(pieces), 2):
+        index = int(pieces[i])
+        if index < 1 or index > len(args):
+            raise MacroError(
+                f"parameter #{index} used but only {len(args)} argument(s) supplied"
+            )
+        pieces[i] = args[index - 1]
+    if sum(map(len, pieces)) > MAX_EXPANSION_CHARS:
+        raise MacroError(f"replacement text exceeded {MAX_EXPANSION_CHARS} characters")
+    return "".join(pieces)
+
+
+def outcome(call, *args):
+    try:
+        return ("ok", call(*args))
+    except CiteforgeError as exc:
+        return (type(exc), str(exc))
+
+
+body_text = st.lists(
+    st.sampled_from(["#0", "#1", "#2", "#3", "#9", "#", "#²", "##1", "a", " ", "{\\em x}", "é"]),
+    max_size=8,
+).map("".join)
+
+
+@given(body_text, st.lists(st.sampled_from(["", "x", "#1", "long arg"]), max_size=4))
+@settings(max_examples=1000)
+def test_substitution_matches_the_reference(body, args):
+    expected = outcome(reference_substitute, body, args)
+    assert outcome(substitute_params, body, args) == expected
+    template = define_newcommand({}, "m", "", body).template
+    assert outcome(substitute_params, template, args) == expected
+
+
+def test_a_body_with_no_marker_comes_back_as_it_is():
+    body = "{\\sc Doe} and # and #²"
+    template = define_newcommand({}, "m", "", body).template
+    assert template == (body,)
+    assert substitute_params(template, []) is template[0]
+    assert substitute_params(body, ["unused"]) == body
+
+
+def test_a_long_body_with_no_marker_is_refused():
+    body = "x" * (MAX_EXPANSION_CHARS + 1)
+    with pytest.raises(MacroError, match=f"^replacement text exceeded {MAX_EXPANSION_CHARS}"):
+        substitute_params((body,), [])
+
+
+# --- expansion ----------------------------------------------------------
+
+
+class ReferenceExpansion(Expansion):
+    # Expansion.push as it was, verbatim, with ExpansionBudget.spend
+    # (its charge and its check) inlined where push called it.
+    def push(self, name: str, replacement: str, line: int) -> None:
+        """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
+        if len(self.streams) > MAX_EXPANSION_DEPTH:
+            raise MacroRecursionError(name, MAX_EXPANSION_DEPTH)
+        self.budget.queued += len(replacement)
+        if self.budget.queued > MAX_EXPANSION_CHARS:
+            raise MacroError(
+                f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters"
+            )
+        if replacement:
+            source = self.streams[0].source
+            self.streams.append(
+                CharStream(replacement, line=line, source=source, comments=False)
+            )
+
+
+# macros.expand_macros as it was, verbatim, over the expansion above.
+def reference_expand(defs, text, *, budget=None) -> str:
+    expansion = ReferenceExpansion(CharStream(text, comments=False), budget)
+    out: list[str] = []
+    while (stream := expansion.top()) is not None:
+        content, start = stream.content, stream.position
+        escape = content.find(ESCAPE, start)
+        if escape != start:
+            out.append(stream.take_to(len(content) if escape < 0 else escape))
+            continue
+        name, end = control_at(content, start)
+        raw = stream.take_to(end)
+        macro = defs.get(name)
+        if macro is None:
+            out.append(raw)
+        else:
+            args = expansion.arguments(macro)
+            expansion.push(name, reference_substitute(macro.body, args), stream.line)
+    return "".join(out)
+
+
+def expanded(expand, defs, text, queued):
+    budget = ExpansionBudget()
+    budget.queued = queued
+    return outcome(lambda: expand(defs, text, budget=budget)), budget.queued
+
+
+NAMES = ("a", "b", "c", "d")
+call = st.tuples(st.sampled_from(NAMES), st.sampled_from(["", "{x}", "{\\a}", " {yz}{w}"])).map(
+    lambda parts: "\\" + parts[0] + parts[1]
+)
+text = st.lists(
+    st.one_of(call, st.sampled_from(["", "plain ", "#1", "\\TeX", "{", "}", "%", "\\"])),
+    max_size=6,
+).map("".join)
+body_piece = st.sampled_from(["", "x", "#1", "#2", "{#1}", "\\TeX", "\\b", "\\c{#1}", "\\d"])
+
+
+@st.composite
+def definitions(draw):
+    """Bodies made by define_newcommand, by hand, or left for the fallback split."""
+    defs = {}
+    for name in NAMES:
+        count = draw(st.integers(min_value=0, max_value=2))
+        body = "".join(draw(st.lists(body_piece, max_size=4)))
+        if draw(st.booleans()):
+            defs[name] = MacroDef(name, count, body, macros._template(body))
+        else:
+            defs[name] = MacroDef(name, count, body)
+    return defs
+
+
+@given(
+    definitions(),
+    text,
+    st.sampled_from([0, MAX_EXPANSION_CHARS - 12, MAX_EXPANSION_CHARS - 3, MAX_EXPANSION_CHARS]),
+    st.sampled_from([MAX_EXPANSION_DEPTH, 0, 1, 2]),
+)
+@settings(max_examples=1000, deadline=None)
+def test_expansion_matches_the_reference(defs, source, queued, depth):
+    # The cap as each copy reads it: the engine's module and this one.
+    with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", depth), mock.patch.dict(
+        globals(), MAX_EXPANSION_DEPTH=depth
+    ):
+        expected = expanded(reference_expand, defs, source, queued)
+        assert expanded(expand_macros, defs, source, queued) == expected
+
+
+def chain(length, leaf):
+    """Macros ``m0`` .. ``m<length - 1>``: each calls the one before, and ``m0`` is ``leaf``."""
+    names = ["m" + "".join(string.ascii_letters[int(d)] for d in str(n)) for n in range(length)]
+    defs = {names[0]: MacroDef(names[0], 0, leaf)}
+    for prev, name in zip(names, names[1:]):
+        defs[name] = MacroDef(name, 0, "\\" + prev)
+    return defs, "\\" + names[-1]
+
+
+@pytest.mark.parametrize("length", [MAX_EXPANSION_DEPTH, MAX_EXPANSION_DEPTH + 1])
+@pytest.mark.parametrize("leaf", ["leaf", "\\relax"])
+def test_depth_cap_on_an_escape_free_leaf(length, leaf):
+    defs, top = chain(length, leaf)
+    assert expanded(expand_macros, defs, top, 0) == expanded(reference_expand, defs, top, 0)
+
+
+def test_budget_cap_on_an_escape_free_replacement():
+    defs = {"p": MacroDef("p", 1, "#1#1", macros._template("#1#1"))}
+    for queued in (MAX_EXPANSION_CHARS - 4, MAX_EXPANSION_CHARS - 3):
+        result = expanded(expand_macros, defs, "a\\p{xy}b", queued)
+        assert result == expanded(reference_expand, defs, "a\\p{xy}b", queued)
+    assert result == (
+        (MacroError, f"expansion of \\p exceeded {MAX_EXPANSION_CHARS} characters"),
+        MAX_EXPANSION_CHARS + 1,
+    )

@@ -27,7 +27,7 @@ class TestDefine:
     def test_zero_params_by_default(self):
         defs = {}
         made = define_newcommand(defs, "etal", "", "et al.")
-        assert made == MacroDef("etal", 0, "et al.")
+        assert made == MacroDef("etal", 0, "et al.", ("et al.",))
         assert defs["etal"] is made
 
     def test_param_count_parsed(self):

@@ -7,18 +7,30 @@ other 3x absorbs timer noise and cache effects at these modest sizes,
 while quadratic growth (about 256x, more than 200x measured for the
 former same-style span merge) fails by a wide margin.  The argument
 readers' fast paths are gated on their failure side too: an input that
-the pattern reads to its end and then hands to the general path.
+the pattern reads to its end and then hands to the general path.  The
+bibliography render is gated on the shape that would be quadratic if
+it grew its one span by concatenation: every item plain.  A refused
+substitution is gated on memory instead: it must be refused before its
+text is built.
 """
 
 import gc
+import tracemalloc
 from time import perf_counter
 
 import pytest
 
 from citeforge.auxfile import read_aux
-from citeforge.bbl import process_bbl
+from citeforge.bbl import Alignment, BibItem, Bibliography, LayoutParams, process_bbl
+from citeforge.driver import _render_bibliography
 from citeforge.errors import MacroError, ScanError
-from citeforge.macros import MacroDef, expand_macros
+from citeforge.macros import (
+    MAX_EXPANSION_CHARS,
+    MacroDef,
+    define_newcommand,
+    expand_macros,
+    substitute_params,
+)
 from citeforge.rendering import RenderedFragment, Style
 from citeforge.scanner import CharStream, next_command, scan_optional_arg
 
@@ -126,6 +138,23 @@ def walk_many_items(count: int) -> None:
     assert len(bibliography.items) == count
 
 
+def render_plain_items(count: int) -> None:
+    block = RenderedFragment()
+    block.append(Style.PLAIN, "A. Author. A title of some length. 2020.")
+    items = [
+        BibItem(f"k{i}", str(i), False, Alignment.LABELS_RIGHT, [block], i) for i in range(count)
+    ]
+    rendered = _render_bibliography(Bibliography(items, LayoutParams()))
+    assert len(rendered.spans) == 1
+
+
+def call_one_macro_many_times(count: int) -> None:
+    item = "\\bibitem{k}\n" + "\\lab{Au}{27}{c} text, " * count
+    content = f"{BBL_MACROS}\\begin{{thebibliography}}{{9}}\n{item}\n\\end{{thebibliography}}\n"
+    bibliography = process_bbl(content)
+    assert len(bibliography.items[0].body) == 1
+
+
 def test_same_style_append_is_linear():
     assert time_ratio(append_same_style, 10_000) < MAX_TIME_RATIO
 
@@ -160,3 +189,27 @@ def test_unclosed_macro_argument_is_linear():
 
 def test_process_bbl_over_many_items_is_linear():
     assert time_ratio(walk_many_items, 100) < MAX_TIME_RATIO
+
+
+def test_render_of_an_all_plain_bibliography_is_linear():
+    assert time_ratio(render_plain_items, 500) < MAX_TIME_RATIO
+
+
+def test_many_calls_of_a_three_parameter_macro_are_linear():
+    assert time_ratio(call_one_macro_many_times, 200) < MAX_TIME_RATIO
+
+
+def test_refused_substitution_peaks_far_below_its_size():
+    # 400 copies of a 64 Ki-character argument: 26 Mi characters, past the cap.
+    template = define_newcommand({}, "w", "1", "#1" * 400).template
+    argument = "x" * (1 << 16)
+    would_be = 400 * len(argument)
+    assert would_be > MAX_EXPANSION_CHARS
+    tracemalloc.start()
+    try:
+        with pytest.raises(MacroError, match="replacement text exceeded"):
+            substitute_params(template, [argument])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < would_be // 1000
