@@ -60,22 +60,6 @@ class AuxRecord(NamedTuple):
     payload: str
     label: Optional[str] = None
 
-    @classmethod
-    def citation(cls, keys: str) -> "AuxRecord":
-        return cls("citation", keys)
-
-    @classmethod
-    def bibdata(cls, databases: str) -> "AuxRecord":
-        return cls("bibdata", databases)
-
-    @classmethod
-    def bibstyle(cls, style: str) -> "AuxRecord":
-        return cls("bibstyle", style)
-
-    @classmethod
-    def citedef(cls, key: str, label: str) -> "AuxRecord":
-        return cls("@citedef", key, label)
-
 
 def _check_payload(text: str, kind: str, part: str = "payload") -> None:
     if "\n" in text or "\r" in text:

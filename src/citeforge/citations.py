@@ -20,6 +20,11 @@ recording without rendering anything.  Neither reads the aux file: the
 pass has read it before its first citation-shaped command.  An
 undefined key's first cite is a :class:`CiteWarning`, its line and key;
 the warning text is worked out from them when it is shown.
+
+A cite's spans are built the way the bibliography's are: the texts of
+each plain run are collected and joined once, and the spans go to
+:meth:`RenderedFragment.of_merged` whole, with no append.  An empty
+key with no label renders nothing between its separators.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession
-from .rendering import RenderedFragment, Style
+from .rendering import RenderedFragment, Span, Style
 from .scanner import split_comma_list
 
 __all__ = ["CiteWarning", "nocite", "cite"]
@@ -46,7 +51,7 @@ class CiteWarning(NamedTuple):
 
 def nocite(session: AuxSession, keys: str) -> None:
     """Record ``keys`` as cited, verbatim, rendering nothing."""
-    session.write(AuxRecord.citation(keys))
+    session.write(AuxRecord("citation", keys))
 
 
 def cite(
@@ -74,21 +79,24 @@ def cite(
     that list is given.
     """
     nocite(session, keys)
-    fragment = RenderedFragment()
-    fragment.append(Style.PLAIN, "[")
+    spans: list[Span] = []
+    plain = ["["]  # the texts of the plain run still open
     for index, key in enumerate(split_comma_list(keys)):
         if index:
-            fragment.append(Style.PLAIN, ", ")
+            plain.append(", ")
         label = labels.get(key)
         if label is not None:
-            fragment.append(Style.PLAIN, label)
+            plain.append(label)
             continue
-        fragment.append(Style.TYPEWRITER, key)
+        if key:
+            spans += (Span(Style.PLAIN, "".join(plain)), Span(Style.TYPEWRITER, key))
+            plain = []
         if key not in labels:
             labels[key] = None
             if warnings is not None:
                 warnings.append(CiteWarning(line, key))
     if note:
-        fragment.append(Style.PLAIN, ", " + note)
-    fragment.append(Style.PLAIN, "]")
-    return fragment
+        plain.append(", " + note)
+    plain.append("]")
+    spans.append(Span(Style.PLAIN, "".join(plain)))
+    return RenderedFragment.of_merged(spans)

@@ -245,9 +245,9 @@ def run_pass(
             elif item.name == "nocite":
                 nocite(session, item.arg)
             elif item.name == "bibliographystyle":
-                session.write(AuxRecord.bibstyle(item.arg))
+                session.write(AuxRecord("bibstyle", item.arg))
             elif item.name == "bibliography":
-                session.write(AuxRecord.bibdata(item.arg))
+                session.write(AuxRecord("bibdata", item.arg))
                 bbl_name = f"{config.bbl_basename}.bbl"
                 processed = processed_bbls.get(bbl_name)
                 if processed is None and fs.exists(bbl_name):
@@ -260,7 +260,7 @@ def run_pass(
                     try:
                         for entry in bibliography.items:
                             labels[entry.key] = entry.label
-                            session.write(AuxRecord.citedef(entry.key, entry.label))
+                            session.write(AuxRecord("@citedef", entry.key, entry.label))
                     except AuxFormatError as exc:
                         exc.locate(entry.line, bbl_name)
                         raise

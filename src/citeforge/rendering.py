@@ -98,9 +98,6 @@ class RenderedFragment:
                 self._join_tail()
             self._spans.extend(rest)
 
-    def plain_text(self) -> str:
-        return "".join(span.text for span in self.spans)
-
     def __bool__(self) -> bool:
         return bool(self._spans)
 
@@ -117,7 +114,7 @@ class RenderedFragment:
 
 def render_plain(fragment: RenderedFragment) -> str:
     """Concatenated span texts with styling dropped."""
-    return fragment.plain_text()
+    return "".join(span.text for span in fragment.spans)
 
 
 def render_annotated(fragment: RenderedFragment) -> str:

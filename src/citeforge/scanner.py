@@ -8,15 +8,17 @@ non-letter character otherwise).  One token pattern, :data:`TOKEN`
 match at a position is a word run, a blank run, a control sequence, a
 brace or a comment, and ``lastgroup`` names which.  The bbl reader
 walks its text one such match at a time (after a control word, the
-``after`` group spans the filler that follows it), and
-:func:`control_at`, the lexer of the document scanner and the macro
-engine, is the same pattern matched at an escape.  Comments are stripped wherever the
-scanner reads file text, including inside arguments; the comment
-consumes its newline, so a line split with a trailing ``%`` joins
-seamlessly.  Text scanned once already
-(labels, macro bodies, replacement texts) has no comments left, so a
-stream over it sets ``comments`` false and any ``%`` there is an
-ordinary character.
+``after`` group spans the filler that follows it).  The document
+scanner searches with the same control-sequence pattern, blanks as its
+filler, and with a comment as the other alternative, so each stop of
+its search names the control sequence there; the macro engine's
+:func:`control_at` is that pattern matched at an escape.  Comments are
+stripped wherever the scanner reads file text, including inside
+arguments; the comment consumes its newline, so a line split with a
+trailing ``%`` joins seamlessly.  Text scanned once already (labels,
+macro bodies, replacement texts) has no comments left, so a stream
+over it sets ``comments`` false and any ``%`` there is an ordinary
+character.
 
 Only the commands in :data:`DOCUMENT_COMMANDS` are recognized by
 :func:`next_command`.  Everything else, including unknown commands,
@@ -25,7 +27,14 @@ scanning safe on documents full of markup this package does not
 understand.  Each recognized command takes one ``{...}`` argument, and
 ``cite`` alone also takes an optional ``[...]`` note before it.  The
 scanner hands plain strings on: an optional argument is its text, and
-``""`` when it is absent or empty.
+``""`` when it is absent or empty.  A text run moves a local cursor
+over the document and updates the stream's position and line once,
+at its end.
+
+After a recognized name, one pattern reads the plain shape whole:
+blanks, for ``cite`` a non-empty note, blanks, and the group, with no
+escape, brace, ``%`` or line break in the note or the group, as in
+``\\cite[p.~3]{a,b}``.  Anything else goes to the argument readers.
 
 Both argument readers first try one pattern at the cursor, for the
 shapes real files are made of: :func:`scan_group_arg` a group with no
@@ -82,8 +91,16 @@ _PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
 # a failed match backtracks in linear time.
 _PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*(?:(?:\\[^\n]|\{[^\\{}%\n]*\})[^\\{}\]%]*)*\]")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
-_TEXT_STOP = re.compile(r"[\\%]")
-_ESCAPE_STOP = re.compile(r"\\")
+# The next control sequence, and for text with comments the next comment
+# through its line break.
+_CONTROL_STOP = re.compile(_CONTROL % {"filler": _BLANKS.pattern}, re.DOTALL)
+_STOP = re.compile(rf"{_CONTROL_STOP.pattern}|%[^\n]*\n?", re.DOTALL)
+# A recognized command's arguments, from after the blanks that follow its
+# name, when they are plain: an optional non-empty note (``cite`` only),
+# blanks, and a group, with no escape, brace, % or line break in either.
+_PLAIN_ARGUMENTS = re.compile(
+    r"(?:\[(?P<note>[^\\{}\]%\n]+)\][ \t\r\n\f\v]*)?\{(?P<arg>[^\\{}%\n]*)\}"
+)
 _BLANK = re.compile(r"\s")
 
 #: Where lint notes go, one line of text each.
@@ -115,10 +132,7 @@ class CharStream:
 
     def peek(self, offset: int = 0) -> str:
         """The character ``offset`` places ahead, or '' past the end."""
-        index = self.position + offset
-        if index >= len(self.content):
-            return ""
-        return self.content[index]
+        return self.content[self.position + offset : self.position + offset + 1]
 
     def take(self) -> str:
         ch = self.content[self.position]
@@ -285,31 +299,41 @@ def next_command(
     (at its line) and of each ``\\cite`` key with a blank in it (at the
     command's line).
     """
-    parts: list[str] = []
-    text_stop = _TEXT_STOP if stream.comments else _ESCAPE_STOP
-    while (stop := text_stop.search(stream.content, stream.position)) is not None:
-        if stop.start() > stream.position:
-            parts.append(stream.take_to(stop.start()))
-        if stop.group() == COMMENT:
-            skip_comment(stream)
+    content, begin = stream.content, stream.position
+    search = (_STOP if stream.comments else _CONTROL_STOP).search
+    parts: list[str] = []  # the comment-free pieces of the run before ``start``
+    start = position = begin
+    while (stop := search(content, position)) is not None:
+        position = stop.end()
+        name = stop.group("control")
+        if name is None:  # a comment, which ends a piece
+            if stop.start() > start:
+                parts.append(content[start : stop.start()])
+            start = position
             continue
-        name, end = control_at(stream.content, stream.position)
         if name not in DOCUMENT_COMMANDS:
-            parts.append(stream.take_to(end))
             continue
-        if parts:
+        at = stop.start()
+        stream.line += content.count("\n", begin, at)
+        stream.position = at
+        if parts or at > start:
+            parts.append(content[start:at])
             return "".join(parts)
         command_line = stream.line
-        stream.take_to(end)
-        skip_filler(stream)
-        optional = scan_optional_arg(stream, lint) if name == "cite" else ""
-        arg = scan_group_arg(stream)
+        plain = _PLAIN_ARGUMENTS.match(content, stop.end("after"))
+        if plain is not None and (name == "cite" or plain["note"] is None):
+            optional, arg = plain["note"] or "", plain["arg"]
+            stream.take_to(plain.end())
+        else:
+            stream.take_to(position)
+            optional = scan_optional_arg(stream, lint) if name == "cite" else ""
+            arg = scan_group_arg(stream)
         if name == "cite" and lint is not None and _BLANK.search(arg):
             for key in filter(_BLANK.search, split_comma_list(arg)):
                 message = f"citation key `{key}' contains a space"
                 lint(_located(message, command_line, stream.source))
         return CommandInvocation(name, optional, arg, command_line)
-    if not stream.at_end():
-        parts.append(stream.take_to(len(stream.content)))
+    parts.append(content[start:])
+    stream.line += content.count("\n", begin)
+    stream.position = len(content)
     return "".join(parts)
-

@@ -33,55 +33,52 @@ from citeforge.scanner import CharStream, scan_group_arg
 
 class TestFormatRecord:
     def test_each_kind_has_its_line_form(self):
-        assert format_record(AuxRecord.citation("a,b")) == "\\citation{a,b}\n"
-        assert format_record(AuxRecord.bibdata("refs")) == "\\bibdata{refs}\n"
-        assert format_record(AuxRecord.bibstyle("plain")) == "\\bibstyle{plain}\n"
-        assert format_record(AuxRecord.citedef("k", "12")) == "\\@citedef{k}{12}\n"
+        assert format_record(AuxRecord("citation", "a,b")) == "\\citation{a,b}\n"
+        assert format_record(AuxRecord("bibdata", "refs")) == "\\bibdata{refs}\n"
+        assert format_record(AuxRecord("bibstyle", "plain")) == "\\bibstyle{plain}\n"
+        assert format_record(AuxRecord("@citedef", "k", "12")) == "\\@citedef{k}{12}\n"
 
     def test_payload_is_verbatim(self):
-        assert format_record(AuxRecord.citation("a, b ,,c")) == "\\citation{a, b ,,c}\n"
-        assert format_record(AuxRecord.citation("")) == "\\citation{}\n"
+        assert format_record(AuxRecord("citation", "a, b ,,c")) == "\\citation{a, b ,,c}\n"
+        assert format_record(AuxRecord("citation", "")) == "\\citation{}\n"
 
     def test_newlines_in_payload_rejected(self):
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord.citation("a\nb"))
+            format_record(AuxRecord("citation", "a\nb"))
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord.citedef("k", "1\r2"))
+            format_record(AuxRecord("@citedef", "k", "1\r2"))
 
     def test_citedef_requires_label(self):
         with pytest.raises(AuxFormatError):
             format_record(AuxRecord("@citedef", "k"))
 
     def test_kind_is_the_control_word(self):
-        records = [
-            AuxRecord.citation("a"), AuxRecord.bibdata("r"), AuxRecord.bibstyle("s"),
-            AuxRecord.citedef("k", "1"),
-        ]
-        assert [r.kind for r in records] == ["citation", "bibdata", "bibstyle", "@citedef"]
-        assert AuxRecord.citedef("k", "1") == ("@citedef", "k", "1")
+        for kind in ("citation", "bibdata", "bibstyle", "@citedef"):
+            assert format_record(AuxRecord(kind, "k", "1")).startswith(f"\\{kind}{{k}}")
+        assert AuxRecord("@citedef", "k", "1") == ("@citedef", "k", "1")
 
 
 class TestSession:
     def test_writes_accumulate_in_order(self):
         session = AuxSession()
-        session.write(AuxRecord.bibstyle("plain"))
-        session.write(AuxRecord.citation("x"))
+        session.write(AuxRecord("bibstyle", "plain"))
+        session.write(AuxRecord("citation", "x"))
         assert session.serialize() == b"\\bibstyle{plain}\n\\citation{x}\n"
 
     def test_write_validates_immediately(self):
         session = AuxSession()
         with pytest.raises(AuxFormatError):
-            session.write(AuxRecord.citation("bad\npayload"))
+            session.write(AuxRecord("citation", "bad\npayload"))
         assert session.pending_writes == []
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            (AuxRecord.citation("a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
-            (AuxRecord.bibstyle("a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
+            (AuxRecord("citation", "a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
+            (AuxRecord("bibstyle", "a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
             (AuxRecord("@citedef", "k\n"), "@citedef payload may not contain a newline"),
             (AuxRecord("@citedef", "k"), "@citedef record requires a label"),
-            (AuxRecord.citedef("k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
+            (AuxRecord("@citedef", "k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
         ],
     )
     def test_write_and_format_reject_alike(self, record, message):
@@ -115,15 +112,15 @@ class TestSession:
 
     def test_newline_payload_still_refused_at_write_time(self):
         session = AuxSession()
-        session.write(AuxRecord.citation("ok"))
+        session.write(AuxRecord("citation", "ok"))
         with pytest.raises(AuxFormatError) as info:
-            session.write(AuxRecord.citedef("k", "two\nlines"))
+            session.write(AuxRecord("@citedef", "k", "two\nlines"))
         assert str(info.value) == "@citedef label may not contain a newline: 'two\\nlines'"
         assert session.serialize() == b"\\citation{ok}\n"
 
     def test_no_aux_mode_discards_everything(self):
         session = AuxSession(no_aux=True)
-        session.write(AuxRecord.citation("x"))
+        session.write(AuxRecord("citation", "x"))
         assert session.pending_writes == []
         assert session.serialize() == b""
 
@@ -141,11 +138,11 @@ class TestReadAux:
     def test_round_trip_applies_citedefs_only(self):
         session = AuxSession()
         for record in (
-            AuxRecord.bibstyle("plain"),
-            AuxRecord.citation("a,b"),
-            AuxRecord.bibdata("refs"),
-            AuxRecord.citedef("a", "1"),
-            AuxRecord.citedef("b", "Knu84"),
+            AuxRecord("bibstyle", "plain"),
+            AuxRecord("citation", "a,b"),
+            AuxRecord("bibdata", "refs"),
+            AuxRecord("@citedef", "a", "1"),
+            AuxRecord("@citedef", "b", "Knu84"),
         ):
             session.write(record)
         labels = parse_labels(session.serialize())
@@ -207,12 +204,12 @@ payload_text = st.text(
     alphabet="abcdefgh XYZ0123456789.,:-", max_size=10
 )
 record_strategy = st.one_of(
-    payload_text.map(AuxRecord.citation),
-    payload_text.map(AuxRecord.bibdata),
-    payload_text.map(AuxRecord.bibstyle),
+    payload_text.map(lambda keys: AuxRecord("citation", keys)),
+    payload_text.map(lambda databases: AuxRecord("bibdata", databases)),
+    payload_text.map(lambda style: AuxRecord("bibstyle", style)),
     st.tuples(
         st.text(alphabet="abcdef.:-0123456789", min_size=1, max_size=8), payload_text
-    ).map(lambda pair: AuxRecord.citedef(*pair)),
+    ).map(lambda pair: AuxRecord("@citedef", *pair)),
 )
 
 

@@ -236,7 +236,7 @@ def bibitem(
         if state.alignment is None:
             state.alignment = Alignment.LABELS_RIGHT
     table.define(key, label)
-    session.write(AuxRecord.citedef(key, label))
+    session.write(AuxRecord("@citedef", key, label))
     item = BibItem(key, label, alpha, state.alignment, [])
     state.items.append(item)
     return item

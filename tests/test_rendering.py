@@ -62,7 +62,7 @@ def test_fragment_normal_form(pieces):
     assert all(span.text for span in fragment.spans)
     for first, second in zip(fragment.spans, fragment.spans[1:]):
         assert first.style is not second.style
-    assert fragment.plain_text() == "".join(text for _, text in pieces)
+    assert render_plain(fragment) == "".join(text for _, text in pieces)
 
 
 def test_render_plain_drops_styling():

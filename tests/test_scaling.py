@@ -7,11 +7,12 @@ other 3x absorbs timer noise and cache effects at these modest sizes,
 while quadratic growth (about 256x, more than 200x measured for the
 former same-style span merge) fails by a wide margin.  The argument
 readers' fast paths are gated on their failure side too: an input that
-the pattern reads to its end and then hands to the general path.  The
-bibliography render is gated on the shape that would be quadratic if
-it grew its one span by concatenation: every item plain.  A refused
-substitution is gated on memory instead: it must be refused before its
-text is built.
+the pattern reads to its end and then hands to the general path, such
+as a ``\\cite`` whose long note fails the one-match pattern only at
+its end.  The bibliography render is gated on the shape that would be
+quadratic if it grew its one span by concatenation: every item plain.
+A refused substitution is gated on memory instead: it must be refused
+before its text is built.
 """
 
 import gc
@@ -22,8 +23,9 @@ import pytest
 
 from citeforge.auxfile import read_aux
 from citeforge.bbl import Alignment, BibItem, Bibliography, LayoutParams, process_bbl
-from citeforge.driver import _render_bibliography
+from citeforge.driver import JobConfig, _render_bibliography, run_pass
 from citeforge.errors import MacroError, ScanError
+from citeforge.files import MemoryFiles
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
     MacroDef,
@@ -66,6 +68,29 @@ def scan_one_text_run(units: int) -> None:
     stream = CharStream(text)
     assert isinstance(next_command(stream), str)
     assert stream.at_end()
+
+
+def scan_unknown_controls(units: int) -> None:
+    # Unknown control words, control symbols and comments only: one text
+    # run, in which every escape and comment is a stop of the search.
+    text = "An \\emph{x} and \\ref{y}, 50\\% of \\textbf{z}. % a comment\n" * units
+    stream = CharStream(text)
+    assert next_command(stream) == text.replace(" % a comment\n", " ")
+    assert stream.line == units + 1
+
+
+def pass_over_plain_cites(count: int) -> None:
+    document = "Prose \\cite[p.~3]{a,b} more.\n" * count
+    aux = b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"
+    result = run_pass(JobConfig("doc"), document, MemoryFiles({"doc.aux": aux}))
+    assert len(result.rendered.spans) == 1
+
+
+def scan_cite_failing_at_the_end(units: int) -> None:
+    # The note is plain up to its last character, an escape, so the
+    # one-match pattern fails there and the general path reads it again.
+    stream = CharStream("\\cite[" + "p.~3, " * units + "\\x]{a}")
+    assert len(next_command(stream).optional) == 6 * units + 2
 
 
 def read_many_records(count: int) -> None:
@@ -161,6 +186,18 @@ def test_same_style_append_is_linear():
 
 def test_next_command_over_one_long_text_run_is_linear():
     assert time_ratio(scan_one_text_run, 500) < MAX_TIME_RATIO
+
+
+def test_next_command_over_unknown_controls_and_comments_is_linear():
+    assert time_ratio(scan_unknown_controls, 500) < MAX_TIME_RATIO
+
+
+def test_pass_over_many_plain_cites_is_linear():
+    assert time_ratio(pass_over_plain_cites, 200) < MAX_TIME_RATIO
+
+
+def test_cite_whose_note_fails_the_plain_pattern_at_its_end_is_linear():
+    assert time_ratio(scan_cite_failing_at_the_end, 2000) < MAX_TIME_RATIO
 
 
 def test_read_aux_over_many_records_is_linear():

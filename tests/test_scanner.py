@@ -502,3 +502,109 @@ class TestNextCommand:
             (note if note is not None else None, keys) for _, keys, note in entries
         ]
         assert seen == expected
+
+
+# --- next_command against its former loop ----------------------------------
+
+# next_command, skip_comment and control_at as they were before the stop
+# search named the control sequence and plain commands were read in one
+# match, copied verbatim.  control_at matched scanner.TEXT_TOKEN at the
+# escape; only its ``control`` group and end were used, which this
+# pattern gives the same.
+_FORMER_CONTROL = re.compile(r"\\(?P<control>[A-Za-z]+|.?)", re.DOTALL)
+_FORMER_TEXT_STOP = re.compile(r"[\\%]")
+_FORMER_ESCAPE_STOP = re.compile(r"\\")
+_FORMER_BLANK = re.compile(r"\s")
+
+
+def former_skip_comment(stream: CharStream) -> None:
+    end = stream.content.find("\n", stream.position)
+    stream.take_to(len(stream.content) if end < 0 else end + 1)
+
+
+def former_control_at(text: str, i: int) -> tuple[str, int]:
+    control = _FORMER_CONTROL.match(text, i)
+    return control.group("control"), control.end()
+
+
+def former_next_command(stream: CharStream, *, lint=None):
+    parts: list[str] = []
+    text_stop = _FORMER_TEXT_STOP if stream.comments else _FORMER_ESCAPE_STOP
+    while (stop := text_stop.search(stream.content, stream.position)) is not None:
+        if stop.start() > stream.position:
+            parts.append(stream.take_to(stop.start()))
+        if stop.group() == "%":
+            former_skip_comment(stream)
+            continue
+        name, end = former_control_at(stream.content, stream.position)
+        if name not in DOCUMENT_COMMANDS:
+            parts.append(stream.take_to(end))
+            continue
+        if parts:
+            return "".join(parts)
+        command_line = stream.line
+        stream.take_to(end)
+        skip_filler(stream)
+        optional = scan_optional_arg(stream, lint) if name == "cite" else ""
+        arg = scan_group_arg(stream)
+        if name == "cite" and lint is not None and _FORMER_BLANK.search(arg):
+            for key in filter(_FORMER_BLANK.search, split_comma_list(arg)):
+                message = f"citation key `{key}' contains a space"
+                lint(_located(message, command_line, stream.source))
+        return CommandInvocation(name, optional, arg, command_line)
+    if not stream.at_end():
+        parts.append(stream.take_to(len(stream.content)))
+    return "".join(parts)
+
+
+def scan_all(scan, text: str, comments: bool):
+    """Every step of scanning ``text`` to its end: item, cursor and line, then lint."""
+    stream = CharStream(text, line=2, source="f.tex", comments=comments)
+    notes: list[str] = []
+    steps = []
+    try:
+        while not stream.at_end():
+            steps.append((scan(stream, lint=notes.append), stream.position, stream.line))
+    except ScanError as exc:
+        steps.append((type(exc), str(exc), exc.line))
+    return steps, notes
+
+
+document_piece = st.sampled_from(
+    ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\bibliography", "\\emph", "\\%"]
+    + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "%", "% c\n", "\\\n"]
+    + [" ", "\t", "\n", "a", ",", "é"]
+)
+
+
+class TestNextCommandFastPath:
+    @given(
+        st.lists(document_piece, max_size=16).map("".join),
+        st.sampled_from(["", "\\"]),
+        st.booleans(),
+    )
+    @settings(max_examples=1000)
+    def test_scans_like_the_former_loop(self, body, tail, comments):
+        text = body + tail
+        assert scan_all(next_command, text, comments) == scan_all(
+            former_next_command, text, comments
+        )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\\cite[p.~3]{a,b}", CommandInvocation("cite", "p.~3", "a,b", 1)),
+            ("\\cite{a}", CommandInvocation("cite", "", "a", 1)),
+            ("\\cite \n [Ch.~3] \n{a}", CommandInvocation("cite", "Ch.~3", "a", 1)),
+            ("\\nocite{x,y}", CommandInvocation("nocite", "", "x,y", 1)),
+            ("\\bibliographystyle{plain}", CommandInvocation("bibliographystyle", "", "plain", 1)),
+            ("\\bibliography {refs}", CommandInvocation("bibliography", "", "refs", 1)),
+        ],
+    )
+    def test_common_shapes_skip_the_general_path(self, text, expected):
+        readers = ("skip_filler", "scan_optional_arg", "scan_group_arg")
+        general = {name: mock.Mock(side_effect=AssertionError) for name in readers}
+        with mock.patch.multiple(scanner, **general):
+            stream = CharStream(text + "\nrest")
+            assert next_command(stream) == expected
+        assert (stream.position, stream.line) == (len(text), 1 + text.count("\n"))

@@ -184,10 +184,10 @@ def payloads():
 
 
 records = st.one_of(
-    st.builds(AuxRecord.citation, payloads()),
-    st.builds(AuxRecord.bibdata, payloads()),
-    st.builds(AuxRecord.bibstyle, payloads()),
-    st.builds(AuxRecord.citedef, payloads(), payloads()),
+    payloads().map(lambda keys: AuxRecord("citation", keys)),
+    payloads().map(lambda databases: AuxRecord("bibdata", databases)),
+    payloads().map(lambda style: AuxRecord("bibstyle", style)),
+    st.builds(lambda key, label: AuxRecord("@citedef", key, label), payloads(), payloads()),
 )
 
 
