@@ -12,7 +12,9 @@ kinds, one per line when written, each named by its control word (an
 Reading is immune to line breaks: all newline bytes are deleted first
 and the concatenation is parsed, so a record split anywhere across
 lines (even mid-name) still parses.  Writers must therefore never put a
-newline inside a payload, which :func:`format_record` enforces.
+newline inside a payload, which :func:`format_record` enforces; it also
+refuses a record the reader would not read back as written: a kind
+other than the four, or a label on any kind but ``@citedef``.
 
 Only ``\\@citedef`` carries information forward; the other three are
 parsed and discarded, exactly as a reader that defines them as gobblers
@@ -53,7 +55,8 @@ class AuxRecord(NamedTuple):
     """One aux record, named by its control word.
 
     ``kind`` is ``"citation"``, ``"bibdata"``, ``"bibstyle"`` or
-    ``"@citedef"``; ``label`` is used by ``@citedef`` records only.
+    ``"@citedef"``; ``label`` is required on ``@citedef`` records and
+    refused on the others.
     """
 
     kind: str
@@ -66,13 +69,24 @@ def _check_payload(text: str, kind: str, part: str = "payload") -> None:
         raise AuxFormatError(f"{kind} {part} may not contain a newline: {text!r}")
 
 
+_KINDS = frozenset(("citation", "bibdata", "bibstyle", "@citedef"))
+
+
 def _check_record(record: AuxRecord) -> None:
-    """Raise :class:`AuxFormatError` unless the record fits on one line."""
+    """Raise :class:`AuxFormatError` unless the reader reads the record back whole.
+
+    That takes one of the four kinds, a label on ``@citedef`` and on no
+    other kind, and no line break in the payload or the label.
+    """
+    if record.kind not in _KINDS:
+        raise AuxFormatError(f"unknown aux record kind {record.kind!r}")
     _check_payload(record.payload, record.kind)
     if record.kind == "@citedef":
         if record.label is None:
             raise AuxFormatError("@citedef record requires a label")
         _check_payload(record.label, record.kind, "label")
+    elif record.label is not None:
+        raise AuxFormatError(f"{record.kind} record takes no label")
 
 
 def format_record(record: AuxRecord) -> str:

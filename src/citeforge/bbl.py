@@ -4,10 +4,12 @@ A bbl file is one ``thebibliography`` environment, usually preceded by
 macro definitions.  Processing walks it once and produces:
 
 * a :class:`BibItem` per ``\\bibitem``, each carrying its key, label,
-  alignment, body blocks (split at ``\\newblock``) and the line of its
-  ``\\bibitem``;
+  alignment and the line of its ``\\bibitem``;
 * the :class:`LayoutParams` in force, the widest-label measurement
-  included.
+  included;
+* the rendering of the list, one :class:`RenderedFragment` written as
+  the walk reads: each item as ``[label] ``, its body blocks (split at
+  ``\\newblock``) joined by single plain spaces, and a newline.
 
 The result is a value: the walk defines no labels and writes no aux
 records.  The pass that meets ``\\bibliography`` does both from the
@@ -29,10 +31,13 @@ commands pass through as text with a lint note.
 
 The walk takes one token of :data:`~citeforge.scanner.TOKEN` per step:
 a word run (words joined by single spaces), a blank run, a control
-sequence, a brace or a comment.  Inside an item, word and blank runs go
-to the block whole, so a block costs a step per run, not per
-character.  Outside an item, text is taken as one run up to the next
-command, brace or comment, and stray text is reported once per run.
+sequence, a brace or a comment.  A group that is a style switch and one
+word run, ``{\\sc Proceedings}``, is one token too, and the walk does
+with it what it does with its four tokens.  Inside an item, word and
+blank runs go to the rendering whole, so a block costs a step per run,
+not per character.  Outside an item, text is taken as one run up to
+the next command, brace or comment, and stray text is reported once
+per run.
 
 Macros have one meaning everywhere.  The walk reads the file through
 the macro engine (:class:`~citeforge.macros.Expansion`), so a call in
@@ -54,7 +59,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dimensions import Dimension
 from .errors import MacroError, StructureError, UnbalancedGroupError
@@ -66,7 +71,7 @@ from .macros import (
     expand_macros,
     substitute_params,
 )
-from .rendering import RenderedFragment, Style
+from .rendering import STYLE_SWITCHES, RenderedFragment, Style
 from .scanner import (
     ESCAPE,
     TEXT_TOKEN,
@@ -88,14 +93,6 @@ __all__ = [
     "measure_label",
     "process_bbl",
 ]
-
-_STYLE_SWITCHES: Mapping[str, Style] = {
-    "em": Style.EMPHASIS,
-    "it": Style.EMPHASIS,
-    "sc": Style.SMALLCAPS,
-    "tt": Style.TYPEWRITER,
-    "rm": Style.PLAIN,
-}
 
 _BLOCK_SPACES = " \t\r\n\f\v"
 _TEXT_STOP = re.compile(r"[\\{}%]")
@@ -135,13 +132,13 @@ class BibItem(NamedTuple):
     label: str
     alpha: bool
     alignment: Alignment
-    body: list[RenderedFragment]
     line: int  # of its \bibitem, or of the macro call that opened it
 
 
 class Bibliography(NamedTuple):
     items: list[BibItem]
     layout: LayoutParams
+    rendered: RenderedFragment
 
     @property
     def alignment(self) -> Optional[Alignment]:
@@ -156,14 +153,15 @@ def measure_label(label: str) -> Dimension:
     return Dimension.of(Fraction(len(label) + 2, 2), "em")
 
 
-class _BlockBuilder:
-    """Accumulates one body block, normalizing whitespace as it goes.
+class _Writer:
+    """Renders the bibliography while the walk reads it, normalizing blanks.
 
-    It takes word runs and blank runs whole.  A blank run becomes a
-    single space, and leading and trailing blanks disappear.  A space
-    keeps the style in force where it occurred, the way a space token
-    is set in the current font, so the gap before ``{\\em ...}`` stays
-    plain.
+    Each item is ``[label] ``, its blocks joined by plain spaces, and a
+    newline.  Word runs and blank runs come whole.  A blank run becomes
+    a single space; the blanks at either edge of a block disappear, and
+    so does a block with no word.  A space keeps the style in force
+    where it occurred, the way a space token is set in the current font,
+    so the gap before ``{\\em ...}`` stays plain.
     """
 
     __slots__ = ("fragment", "_pending_space")
@@ -171,8 +169,20 @@ class _BlockBuilder:
     def __init__(self) -> None:
         self.fragment = RenderedFragment()
         # The style of the space before the next word: None for no space,
-        # and False until the first word, since leading blanks vanish.
+        # and False until the item's first word, since leading blanks
+        # vanish.  A block closed after a word leaves a plain one pending.
         self._pending_space: Union[Style, None, bool] = False
+
+    def open_item(self, label: str) -> None:
+        self.fragment.append(Style.PLAIN, f"[{label}] ")
+        self._pending_space = False
+
+    def close_item(self) -> None:
+        self.fragment.append(Style.PLAIN, "\n")
+
+    def close_block(self) -> None:
+        if self._pending_space is not False:
+            self._pending_space = Style.PLAIN
 
     def word(self, text: str, style: Style) -> None:
         pending = self._pending_space
@@ -186,9 +196,6 @@ class _BlockBuilder:
     def space(self, style: Style) -> None:
         if self._pending_space is None:
             self._pending_space = style
-
-    def finish(self) -> Optional[RenderedFragment]:
-        return None if self._pending_space is False else self.fragment
 
 
 def _scan_macro_name_arg(stream: CharStream) -> str:
@@ -227,20 +234,14 @@ def process_bbl(
     budget = ExpansionBudget()
     expansion = Expansion(CharStream(content, source=source), budget)
     style_stack: list[Style] = [Style.PLAIN]
-    current_item: Optional[BibItem] = None
-    block = _BlockBuilder()
-
-    def close_block() -> None:
-        nonlocal block
-        finished = block.finish()
-        if finished is not None and current_item is not None:
-            current_item.body.append(finished)
-        block = _BlockBuilder()
+    in_item = False
+    writer = _Writer()
 
     def close_item() -> None:
-        nonlocal current_item
-        close_block()
-        current_item = None
+        nonlocal in_item
+        if in_item:
+            writer.close_item()
+            in_item = False
 
     def outside_item(text: str, line: int) -> None:
         if text.strip(_BLOCK_SPACES) == "":
@@ -251,13 +252,13 @@ def process_bbl(
 
     def command(stream: CharStream, token: re.Match[str], line: int) -> bool:
         """Act on a control sequence token; true when it queued a replacement."""
-        nonlocal current_item, layout, counter, alignment, in_environment
+        nonlocal in_item, layout, counter, alignment, in_environment
         name = token.group("control")
         if name == "\n":
             stream.line += 1
         try:
-            if name in _STYLE_SWITCHES:
-                style_stack[-1] = _STYLE_SWITCHES[name]
+            if name in STYLE_SWITCHES:
+                style_stack[-1] = STYLE_SWITCHES[name]
                 stream.take_to(token.end("after"))
             elif name == "begin":
                 close_item()
@@ -288,13 +289,13 @@ def process_bbl(
                     counter += 1
                     label = str(counter)
                     alignment = alignment or Alignment.LABELS_RIGHT
-                current_item = BibItem(key, label, alpha, alignment, [], line)
-                items.append(current_item)
+                items.append(BibItem(key, label, alpha, alignment, line))
+                writer.open_item(label)
+                in_item = True
                 skip_filler(stream)
             elif name == "newblock":
                 stream.take_to(token.end("after"))
-                if current_item is not None:
-                    close_block()
+                writer.close_block()
             elif name == "newcommand":
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
@@ -308,13 +309,13 @@ def process_bbl(
             else:
                 raw = token.group()
                 note(f"{source}:{line}: unknown command `{raw}' passed through")
-                if current_item is None:
+                if not in_item:
                     outside_item(raw, line)
                 elif raw[-1] in _BLOCK_SPACES:  # a control space: escape, then a space
-                    block.word(ESCAPE, style_stack[-1])
-                    block.space(style_stack[-1])
+                    writer.word(ESCAPE, style_stack[-1])
+                    writer.space(style_stack[-1])
                 else:
-                    block.word(raw, style_stack[-1])
+                    writer.word(raw, style_stack[-1])
         except MacroError as exc:
             exc.locate(line, source)
             raise
@@ -330,17 +331,22 @@ def process_bbl(
         while (position := stream.position) < content_end:
             token = match(content, position)
             kind = token.lastgroup
-            if current_item is None and (kind == "word" or kind == "space"):
+            if not in_item and (kind == "word" or kind == "space"):
                 stop = text_stop.search(content, position)
                 line = stream.line
                 outside_item(stream.take_to(content_end if stop is None else stop.start()), line)
                 continue
             stream.position = token.end()
             if kind == "word":
-                block.word(token.group(), style_stack[-1])
+                writer.word(token.group(), style_stack[-1])
             elif kind == "space":
                 stream.line += token.group().count("\n")
-                block.space(style_stack[-1])
+                writer.space(style_stack[-1])
+            elif kind == "styled":  # the same as its four tokens: open, switch, word, close
+                if in_item:
+                    writer.word(token.group("styled"), STYLE_SWITCHES[token.group("switch")])
+                else:
+                    outside_item(token.group("styled"), stream.line)
             elif kind == "open":
                 style_stack.append(style_stack[-1])
             elif kind == "close":
@@ -357,5 +363,5 @@ def process_bbl(
         note(f"{source}: thebibliography environment never closed")
     if len(style_stack) != 1:
         note(f"{source}: unbalanced group at end of file")
-    return Bibliography(items, layout)
+    return Bibliography(items, layout, writer.fragment)
 

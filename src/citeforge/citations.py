@@ -21,8 +21,8 @@ pass has read it before its first citation-shaped command.  An
 undefined key's first cite is a :class:`CiteWarning`, its line and key;
 the warning text is worked out from them when it is shown.
 
-A cite's spans are built the way the bibliography's are: the texts of
-each plain run are collected and joined once, and the spans go to
+A cite's spans are built in one go: the texts of each plain run are
+collected and joined once, and the spans go to
 :meth:`RenderedFragment.of_merged` whole, with no append.  An empty
 key with no label renders nothing between its separators.
 """

@@ -1,22 +1,22 @@
 """Pass orchestration: scan a document, keep the aux file honest, repeat.
 
 One pass scans the document left to right.  When the scanner first
-returns a citation-shaped command, the pass reads the previous aux
-file (or notes that there is none) before acting on that command.  It
-renders text and citations, and at the ``\\bibliography`` site it
-defines each bbl item's label, queues its ``@citedef`` record and adds
-the bbl's lint notes.  Finally it rewrites the aux file from scratch
-with everything recorded this pass.  The label map (key to label, or
-to None for a key that fell back) starts each pass empty; its only
-inputs are the aux file just read and the bbl items installed in this
-very pass.  A record that cannot be written is reported at the command
-(or ``\\bibitem``) it came from.
+returns a citation-shaped command, the pass reads the previous aux file
+(or notes that there is none) before acting on that command.  It renders
+text and citations, and at the ``\\bibliography`` site it defines each
+bbl item's label, queues its ``@citedef`` record and adds the bbl's
+rendering and lint notes.  Finally it rewrites the aux file from scratch
+with everything recorded this pass.  The label map (key to label, or to
+None for a key that fell back) starts each pass empty; its only inputs
+are the aux file just read and the bbl items installed in this very
+pass.  A record that cannot be written is reported at the command (or
+``\\bibitem``) it came from.
 
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
 and its processing reads nothing a pass changes, so every pass (the
-first included) installs the same items in the same order.  Its render
-is worked out once too, in one walk that joins each plain run once.
+first included) installs the same items in the same order, and adds
+the same rendering, which the bbl walk wrote as it read the file.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -39,7 +39,7 @@ from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
 from .errors import AuxFormatError, ScanError
 from .files import FileAccess
-from .rendering import RenderedFragment, Span, Style, render_annotated, render_plain
+from .rendering import RenderedFragment, Style, render_annotated, render_plain
 from .scanner import CharStream, next_command
 
 __all__ = [
@@ -138,44 +138,10 @@ class FixpointResult(NamedTuple):
     aux_history: list[bytes]
 
 
-def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
-    """Each item as ``[label] ``, its blocks joined by spaces, and a newline.
-
-    Only plain spans can merge here, since every piece between blocks is
-    plain, so one walk keeps the texts of the plain run still open and
-    joins each run once: no span is appended or rebuilt piece by piece.
-    """
-    spans: list[Span] = []
-    plain: list[str] = []  # the texts of the plain run still open
-    for item in bibliography.items:
-        plain.append(f"[{item.label}] ")
-        for index, block in enumerate(item.body):
-            if index:
-                plain.append(" ")
-            rest = block.spans
-            if rest and rest[0].style is Style.PLAIN:
-                plain.append(rest[0].text)
-                rest = rest[1:]
-            if not rest:
-                continue
-            spans.append(Span(Style.PLAIN, "".join(plain)))
-            if rest[-1].style is Style.PLAIN:
-                spans += rest[:-1]
-                plain = [rest[-1].text]
-            else:
-                spans += rest
-                plain = []
-        plain.append("\n")
-    if plain:
-        spans.append(Span(Style.PLAIN, "".join(plain)))
-    return RenderedFragment.of_merged(spans)
-
-
 class _ProcessedBbl(NamedTuple):
     """What a bbl file contributes to each pass, worked out once per run."""
 
     bibliography: Bibliography
-    rendered: RenderedFragment
     lint: list[str]
 
 
@@ -187,7 +153,7 @@ def _process_bbl_file(fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
         raise ScanError(message, source=bbl_name) from None
     lint: list[str] = []
     bibliography = process_bbl(content, lint=lint.append, source=bbl_name)
-    return _ProcessedBbl(bibliography, _render_bibliography(bibliography), lint)
+    return _ProcessedBbl(bibliography, lint)
 
 
 def run_pass(
@@ -265,7 +231,7 @@ def run_pass(
                         exc.locate(entry.line, bbl_name)
                         raise
                     lint.extend(processed.lint)
-                    rendered.extend(processed.rendered)
+                    rendered.extend(bibliography.rendered)
         except AuxFormatError as exc:
             exc.locate(item.source_line, config.document_name)
             raise

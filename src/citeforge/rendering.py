@@ -9,15 +9,19 @@ tests and on the command line.
 Fragments are built by appending, and most appends merge into the last
 span (a document body is one long plain span).  The merged text is
 kept as chunks and joined once when the spans are read, so building a
-fragment takes time linear in its text rather than quadratic.  A caller
+fragment takes time linear in its text rather than quadratic.  The bbl
+walk appends the whole bibliography to one fragment this way.  A caller
 that merged its spans itself hands them over whole with
 :meth:`RenderedFragment.of_merged`.
+
+:data:`STYLE_SWITCHES` names the commands that set a style, for the
+scanner's token pattern and the bbl walk alike.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 __all__ = [
     "Style",
@@ -33,6 +37,17 @@ class Style(enum.Enum):
     TYPEWRITER = "tt"
     EMPHASIS = "em"
     SMALLCAPS = "sc"
+
+
+#: The commands that set the style for the rest of their group, and the
+#: style each sets.
+STYLE_SWITCHES: Mapping[str, Style] = {
+    "em": Style.EMPHASIS,
+    "it": Style.EMPHASIS,
+    "sc": Style.SMALLCAPS,
+    "tt": Style.TYPEWRITER,
+    "rm": Style.PLAIN,
+}
 
 
 class Span(NamedTuple):

@@ -1,24 +1,26 @@
 """Document scanning: commands, arguments, and plain text runs.
 
 The scanner works on a fixed character regime: ``\\`` starts a command,
-``{``/``}`` delimit groups, ``%`` starts a comment running to the end of
-the line, and command names are maximal ASCII letter runs (a single
+``{``/``}`` delimit groups, ``%`` starts a comment running to the end
+of the line, and command names are maximal ASCII letter runs (a single
 non-letter character otherwise).  One token pattern, :data:`TOKEN`
 (:data:`TEXT_TOKEN` for text without comments), lexes all of it: a
 match at a position is a word run, a blank run, a control sequence, a
-brace or a comment, and ``lastgroup`` names which.  The bbl reader
-walks its text one such match at a time (after a control word, the
-``after`` group spans the filler that follows it).  The document
-scanner searches with the same control-sequence pattern, blanks as its
-filler, and with a comment as the other alternative, so each stop of
-its search names the control sequence there; the macro engine's
-:func:`control_at` is that pattern matched at an escape.  Comments are
-stripped wherever the scanner reads file text, including inside
-arguments; the comment consumes its newline, so a line split with a
-trailing ``%`` joins seamlessly.  Text scanned once already (labels,
-macro bodies, replacement texts) has no comments left, so a stream
-over it sets ``comments`` false and any ``%`` there is an ordinary
-character.
+brace or a comment, and ``lastgroup`` names which.  The bbl reader walks
+its text one such match at a time (after a control word, the ``after``
+group spans the filler that follows it).  One more kind, ``styled``, is
+a whole group of a style switch, blanks on its line and one word run,
+as in ``{\\sc Proceedings}``; anything else after ``{`` is the ``open``
+kind.  The document scanner searches with the same control-sequence
+pattern, blanks as its filler, and with a comment as the other
+alternative, so each stop of its search names the control sequence
+there; the macro engine's :func:`control_at` is that pattern matched at
+an escape.  Comments are stripped wherever the scanner reads file text,
+including inside arguments; the comment consumes its newline, so a line
+split with a trailing ``%`` joins seamlessly.  Text scanned once already
+(labels, macro bodies, replacement texts) has no comments left, so a
+stream over it sets ``comments`` false and any ``%`` there is an
+ordinary character.
 
 Only the commands in :data:`DOCUMENT_COMMANDS` are recognized by
 :func:`next_command`.  Everything else, including unknown commands,
@@ -51,6 +53,7 @@ import re
 from typing import Callable, NamedTuple, Union
 
 from .errors import ScanError, UnbalancedGroupError, _located
+from .rendering import STYLE_SWITCHES
 
 __all__ = [
     "CharStream",
@@ -75,8 +78,15 @@ _BLANKS = re.compile(r"[ \t\r\n\f\v]*")
 _CONTROL = r"\\(?P<control>[A-Za-z]+(?=(?P<after>%(filler)s))|.?)"
 # Words joined by single spaces, which need no normalizing, form one word run.
 _WORD = r"[^%(stops)s \t\r\n\f\v]+"
+_WORD_RUN = rf"{_WORD}(?: {_WORD})*"
+# A group that is a style switch, blanks on one line, and one word run,
+# as in ``{\sc Proceedings}``: the open, switch, word and close in one token.
+_STYLED = (
+    rf"\{{\\(?P<switch>{'|'.join(STYLE_SWITCHES)})(?![A-Za-z])"
+    rf"[ \t\r\f\v]*(?P<styled>{_WORD_RUN})\}}"
+)
 _TOKEN = (
-    rf"(?P<word>{_WORD}(?: {_WORD})*)|(?P<space>[ \t\r\n\f\v]+)|{_CONTROL}"
+    rf"(?P<word>{_WORD_RUN})|(?P<space>[ \t\r\n\f\v]+)|{_CONTROL}|{_STYLED}"
     r"|(?P<open>\{)|(?P<close>\})|(?P<comment>%%)"
 )
 #: The token at a position of text with comments; ``lastgroup`` names its kind.

@@ -54,8 +54,27 @@ class TestFormatRecord:
 
     def test_kind_is_the_control_word(self):
         for kind in ("citation", "bibdata", "bibstyle", "@citedef"):
-            assert format_record(AuxRecord(kind, "k", "1")).startswith(f"\\{kind}{{k}}")
+            label = "1" if kind == "@citedef" else None
+            assert format_record(AuxRecord(kind, "k", label)).startswith(f"\\{kind}{{k}}")
         assert AuxRecord("@citedef", "k", "1") == ("@citedef", "k", "1")
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (AuxRecord("bogus", "x"), "unknown aux record kind 'bogus'"),
+            (AuxRecord("\\citation", "x"), "unknown aux record kind '\\\\citation'"),
+            (AuxRecord("citation", "a", "L"), "citation record takes no label"),
+            (AuxRecord("bibdata", "refs", ""), "bibdata record takes no label"),
+            (AuxRecord("bibstyle", "plain", "x"), "bibstyle record takes no label"),
+        ],
+    )
+    def test_writer_refuses_what_the_reader_would_not_read_back(self, record, message):
+        with pytest.raises(AuxFormatError, match=f"^{re.escape(message)}$"):
+            format_record(record)
+        session = AuxSession()
+        with pytest.raises(AuxFormatError, match=f"^{re.escape(message)}$"):
+            session.write(record)
+        assert session.pending_writes == []
 
 
 class TestSession:
@@ -79,6 +98,8 @@ class TestSession:
             (AuxRecord("@citedef", "k\n"), "@citedef payload may not contain a newline"),
             (AuxRecord("@citedef", "k"), "@citedef record requires a label"),
             (AuxRecord("@citedef", "k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
+            (AuxRecord("cite", "a\nb"), "unknown aux record kind 'cite'"),
+            (AuxRecord("citation", "a\nb", "L"), "citation payload may not contain a newline"),
         ],
     )
     def test_write_and_format_reject_alike(self, record, message):
@@ -93,7 +114,10 @@ class TestSession:
     @given(
         st.lists(
             st.builds(
-                AuxRecord,
+                # A label on @citedef records only, the one kind that takes one.
+                lambda kind, payload, label: AuxRecord(
+                    kind, payload, label if kind == "@citedef" else None
+                ),
                 st.sampled_from(["citation", "bibdata", "bibstyle", "@citedef"]),
                 st.text(alphabet="ab,{}\\ é€😀\x00", max_size=6),
                 st.text(alphabet="1aé😀", max_size=3),

@@ -20,7 +20,7 @@ from citeforge.errors import (
     StructureError,
     UnbalancedGroupError,
 )
-from citeforge.rendering import Span, Style, render_annotated, render_plain
+from citeforge.rendering import Span, Style
 
 
 def run_bbl(content, *, collect_lint=None):
@@ -29,6 +29,10 @@ def run_bbl(content, *, collect_lint=None):
 
 def keys_and_labels(bibliography):
     return [(item.key, item.label) for item in bibliography.items]
+
+
+def plain(text):
+    return [Span(Style.PLAIN, text)]
 
 
 def wrap(widest, body):
@@ -159,16 +163,9 @@ class TestProcessBbl:
         bibliography = run_bbl(content)
         assert keys_and_labels(bibliography) == [("a", "1"), ("b", "2")]
         assert bibliography.alignment is Alignment.LABELS_RIGHT
-        first, second = bibliography.items
-        assert [render_plain(block) for block in first.body] == [
-            "Author One.",
-            "Title One.",
-        ]
-        assert [render_plain(block) for block in second.body] == [
-            "Author Two.",
-            "Title Two.",
-            "Extra.",
-        ]
+        assert bibliography.rendered.spans == plain(
+            "[1] Author One. Title One.\n[2] Author Two. Title Two. Extra.\n"
+        )
 
     def test_widest_label_drives_width(self):
         bibliography = run_bbl(wrap("Knu84", "\\bibitem{k}\nText."))
@@ -197,37 +194,36 @@ class TestProcessBbl:
     def test_whitespace_normalized_inside_blocks(self):
         content = wrap("9", "\\bibitem{k}\n  One   two\n\tthree.  ")
         bibliography = run_bbl(content)
-        assert [render_plain(b) for b in bibliography.items[0].body] == [
-            "One two three."
-        ]
+        assert bibliography.rendered.spans == plain("[1] One two three.\n")
 
     def test_blank_blocks_dropped(self):
         content = wrap("9", "\\bibitem{k}\nBody.\n\\newblock   \n")
         bibliography = run_bbl(content)
-        assert len(bibliography.items[0].body) == 1
+        assert bibliography.rendered.spans == plain("[1] Body.\n")
 
     def test_comment_joins_words(self):
         content = wrap("9", "\\bibitem{k}\nAuth% linebreak\nor.")
         bibliography = run_bbl(content)
-        assert render_plain(bibliography.items[0].body[0]) == "Author."
+        assert bibliography.rendered.spans == plain("[1] Author.\n")
 
     def test_style_switch_scoped_to_group(self):
         content = wrap("9", "\\bibitem{k}\nSee {\\em Title Text} after.")
         bibliography = run_bbl(content)
-        block = bibliography.items[0].body[0]
-        assert block.spans == [
-            Span(Style.PLAIN, "See "),
+        assert bibliography.rendered.spans == [
+            Span(Style.PLAIN, "[1] See "),
             Span(Style.EMPHASIS, "Title Text"),
-            Span(Style.PLAIN, " after."),
+            Span(Style.PLAIN, " after.\n"),
         ]
 
     def test_nested_styles_restore(self):
         content = wrap("9", "\\bibitem{k}\n{\\em one {\\tt two} three}")
         bibliography = run_bbl(content)
-        assert bibliography.items[0].body[0].spans == [
+        assert bibliography.rendered.spans == [
+            Span(Style.PLAIN, "[1] "),
             Span(Style.EMPHASIS, "one "),
             Span(Style.TYPEWRITER, "two"),
             Span(Style.EMPHASIS, " three"),
+            Span(Style.PLAIN, "\n"),
         ]
 
     def test_all_switches_map(self):
@@ -236,24 +232,29 @@ class TestProcessBbl:
             "\\bibitem{k}\n{\\it a}{\\sc b}{\\tt c}{\\em d{\\rm e}}",
         )
         bibliography = run_bbl(content)
-        assert bibliography.items[0].body[0].spans == [
+        assert bibliography.rendered.spans == [
+            Span(Style.PLAIN, "[1] "),
             Span(Style.EMPHASIS, "a"),
             Span(Style.SMALLCAPS, "b"),
             Span(Style.TYPEWRITER, "c"),
             Span(Style.EMPHASIS, "d"),
-            Span(Style.PLAIN, "e"),
+            Span(Style.PLAIN, "e\n"),
         ]
 
     def test_switch_eats_following_space(self):
         content = wrap("9", "\\bibitem{k}\n{\\em Word}")
         bibliography = run_bbl(content)
-        assert bibliography.items[0].body[0].spans == [Span(Style.EMPHASIS, "Word")]
+        assert bibliography.rendered.spans == [
+            Span(Style.PLAIN, "[1] "),
+            Span(Style.EMPHASIS, "Word"),
+            Span(Style.PLAIN, "\n"),
+        ]
 
     def test_unknown_command_passes_through_with_lint(self):
         notes = []
         content = wrap("9", "\\bibitem{k}\nThe \\TeX book.")
         bibliography = run_bbl(content, collect_lint=notes.append)
-        assert render_plain(bibliography.items[0].body[0]) == "The \\TeX book."
+        assert bibliography.rendered.spans == plain("[1] The \\TeX book.\n")
         assert any("unknown command `\\TeX'" in n for n in notes)
 
     def test_text_before_first_bibitem_rejected(self):
@@ -268,7 +269,7 @@ class TestProcessBbl:
         notes = []
         content = wrap("9", "\\bibitem{k}\nBody.") + "Trailing junk.\n"
         bibliography = run_bbl(content, collect_lint=notes.append)
-        assert render_plain(bibliography.items[0].body[0]) == "Body."
+        assert bibliography.rendered.spans == plain("[1] Body.\n")
         assert any("outside thebibliography ignored" in n for n in notes)
 
     def test_stray_close_brace_rejected(self):
@@ -308,7 +309,7 @@ class TestMacrosInsideBbl:
             + wrap("9", "\\bibitem{k}\nSmith \\etal, 1999.")
         )
         bibliography = run_bbl(content)
-        assert render_plain(bibliography.items[0].body[0]) == "Smith et al., 1999."
+        assert bibliography.rendered.spans == plain("[1] Smith et al., 1999.\n")
 
     def test_gobbler_vanishes(self):
         content = (
@@ -316,7 +317,7 @@ class TestMacrosInsideBbl:
             + wrap("9", "\\bibitem{k}\n\\noopsort{key}Visible.")
         )
         bibliography = run_bbl(content)
-        assert render_plain(bibliography.items[0].body[0]) == "Visible."
+        assert bibliography.rendered.spans == plain("[1] Visible.\n")
 
     def test_macro_in_widest_label(self):
         content = "\\newcommand{\\widest}{MMM}\n" + wrap(
@@ -337,19 +338,17 @@ class TestMacrosInsideBbl:
             "9", "\\bibitem{k}\nOne.\\sep Two."
         )
         bibliography = run_bbl(content)
-        assert [render_plain(b) for b in bibliography.items[0].body] == [
-            "One.",
-            "Two.",
-        ]
+        assert bibliography.rendered.spans == plain("[1] One. Two.\n")
 
     def test_macro_with_styled_body(self):
         content = "\\newcommand{\\title}[1]{{\\em #1}}\n" + wrap(
             "9", "\\bibitem{k}\n\\title{Deep Work}."
         )
         bibliography = run_bbl(content)
-        assert bibliography.items[0].body[0].spans == [
+        assert bibliography.rendered.spans == [
+            Span(Style.PLAIN, "[1] "),
             Span(Style.EMPHASIS, "Deep Work"),
-            Span(Style.PLAIN, "."),
+            Span(Style.PLAIN, ".\n"),
         ]
 
     def test_arguments_cross_into_pending_text(self):
@@ -357,7 +356,7 @@ class TestMacrosInsideBbl:
             "9", "\\bibitem{k}\n\\swap{a}{b}c"
         )
         bibliography = run_bbl(content)
-        assert render_plain(bibliography.items[0].body[0]) == "bac"
+        assert bibliography.rendered.spans == plain("[1] bac\n")
 
     def test_bad_parameter_count_carries_location(self):
         content = "\\newcommand{\\f}[10]{x}\n" + wrap("9", "\\bibitem{k}\nBody.")
@@ -375,11 +374,11 @@ class TestMacrosInsideBbl:
         content = "\\newcommand{\\shorthand}[2]{#1 and #2}\n" + wrap(
             "9", "\\bibitem{k}\n\\shorthand{A}{B}."
         )
-        assert render_plain(run_bbl(content).items[0].body[0]) == "A and B."
+        assert run_bbl(content).rendered.spans == plain("[1] A and B.\n")
 
     def test_newcommand_bare_name_form(self):
         content = "\\newcommand\\x{body}\n" + wrap("9", "\\bibitem{k}\n\\x.")
-        assert render_plain(run_bbl(content).items[0].body[0]) == "body."
+        assert run_bbl(content).rendered.spans == plain("[1] body.\n")
 
     def test_redefinition_mid_file(self):
         content = (
@@ -391,8 +390,7 @@ class TestMacrosInsideBbl:
             + "\\end{thebibliography}\n"
         )
         bibliography = run_bbl(content)
-        assert render_plain(bibliography.items[0].body[0]) == "First."
-        assert render_plain(bibliography.items[1].body[0]) == "Second."
+        assert bibliography.rendered.spans == plain("[1] First.\n[2] Second.\n")
 
 
 words = st.lists(
@@ -409,4 +407,4 @@ def test_body_whitespace_collapses_to_single_spaces(word_list, data):
         body_text += data.draw(gaps) + word
     content = wrap("9", "\\bibitem{k}\n" + body_text)
     bibliography = run_bbl(content)
-    assert render_plain(bibliography.items[0].body[0]) == " ".join(word_list)
+    assert bibliography.rendered.spans == plain(f"[1] {' '.join(word_list)}\n")

@@ -2,10 +2,12 @@
 
 Three paths are checked, each against a copy of the former code:
 
-* ``driver._render_bibliography``, which now merges every item in one
-  walk, against the former render that appended each piece to a
-  :class:`RenderedFragment`; the spans must be equal, styles and
-  boundaries included;
+* the bibliography's rendering, which :func:`process_bbl` now writes
+  into one fragment as it reads the bbl, against the former per-block
+  builder and the former render that appended each block to a
+  :class:`RenderedFragment`; the bbl is written from generated items,
+  so the events each former block took are known, and the spans must
+  be equal, styles and boundaries included;
 * :func:`substitute_params` on a body and on the template
   :func:`define_newcommand` keeps, against the former substitution that
   split the body at each call; the value or the error text must match;
@@ -17,6 +19,7 @@ Three paths are checked, each against a copy of the former code:
 
 import re
 import string
+from typing import NamedTuple, Optional, Union
 from unittest import mock
 
 import pytest
@@ -24,8 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import macros
-from citeforge.bbl import Alignment, BibItem, Bibliography, LayoutParams
-from citeforge.driver import _render_bibliography
+from citeforge.bbl import process_bbl
 from citeforge.errors import CiteforgeError, MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
@@ -37,14 +39,59 @@ from citeforge.macros import (
     expand_macros,
     substitute_params,
 )
-from citeforge.rendering import RenderedFragment, Style
+from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
 from citeforge.scanner import ESCAPE, CharStream, control_at
 
 # --- the render ---------------------------------------------------------
 
 
-# driver._render_bibliography as it was, verbatim.
-def reference_render(bibliography: Bibliography) -> RenderedFragment:
+# bbl._BlockBuilder as it was, verbatim: one body block.
+class _BlockBuilder:
+    """Accumulates one body block, normalizing whitespace as it goes.
+
+    It takes word runs and blank runs whole.  A blank run becomes a
+    single space, and leading and trailing blanks disappear.  A space
+    keeps the style in force where it occurred, the way a space token
+    is set in the current font, so the gap before ``{\\em ...}`` stays
+    plain.
+    """
+
+    __slots__ = ("fragment", "_pending_space")
+
+    def __init__(self) -> None:
+        self.fragment = RenderedFragment()
+        # The style of the space before the next word: None for no space,
+        # and False until the first word, since leading blanks vanish.
+        self._pending_space: Union[Style, None, bool] = False
+
+    def word(self, text: str, style: Style) -> None:
+        pending = self._pending_space
+        if pending is style:
+            text = " " + text
+        elif pending:
+            self.fragment.append(pending, " ")
+        self._pending_space = None
+        self.fragment.append(style, text)
+
+    def space(self, style: Style) -> None:
+        if self._pending_space is None:
+            self._pending_space = style
+
+    def finish(self) -> Optional[RenderedFragment]:
+        return None if self._pending_space is False else self.fragment
+
+
+class ReferenceItem(NamedTuple):
+    label: str
+    body: list[RenderedFragment]
+
+
+class ReferenceBibliography(NamedTuple):
+    items: list[ReferenceItem]
+
+
+# driver._render_bibliography as it was first, verbatim.
+def reference_render(bibliography: ReferenceBibliography) -> RenderedFragment:
     fragment = RenderedFragment()
     for item in bibliography.items:
         fragment.append(Style.PLAIN, f"[{item.label}] ")
@@ -56,52 +103,113 @@ def reference_render(bibliography: Bibliography) -> RenderedFragment:
     return fragment
 
 
-def fragment_of(pieces):
-    fragment = RenderedFragment()
-    for style, text in pieces:
-        fragment.append(style, text)
-    return fragment
+_RUNS = re.compile(r"[ \n]+|[^ \n]+")
 
 
-piece = st.tuples(st.sampled_from(list(Style)), st.sampled_from(["", " ", "a", "b c", "\n"]))
-block = st.lists(piece, max_size=5).map(fragment_of)
-plain_block = st.lists(st.sampled_from(["a", " b", "c. "]), min_size=1, max_size=3).map(
-    lambda texts: fragment_of((Style.PLAIN, text) for text in texts)
+def write_piece(switch: str, text: str) -> str:
+    """One group, ``{\\sw text}``, or ``{\\sw{}text}`` when ``text`` starts blank.
+
+    The brace pair keeps the switch from skipping the blanks; a word run
+    with no blank at its edges and no double blank is one token.
+    """
+    if text[:1] in ("", " ", "\n"):
+        return f"{{\\{switch}{{}}{text}}}"
+    return f"{{\\{switch} {text}}}"
+
+
+def bbl_of(entries) -> str:
+    """A bbl whose items are ``entries``: (label, blocks), a block being pieces."""
+    items = "".join(
+        f"\\bibitem[{label}]{{k}}"
+        + "\\newblock ".join("".join(write_piece(*piece) for piece in pieces) for pieces in blocks)
+        + "\n"
+        for label, blocks in entries
+    )
+    return f"\\begin{{thebibliography}}{{9}}\n{items}\\end{{thebibliography}}\n"
+
+
+def reference_of(entries) -> RenderedFragment:
+    """The former blocks and render of ``bbl_of(entries)``."""
+    items, counter = [], 0
+    for label, blocks in entries:
+        if not label:
+            counter += 1
+            label = str(counter)
+        body = []
+        for index, pieces in enumerate(blocks):
+            block = _BlockBuilder()
+            for switch, text in pieces:
+                for run in _RUNS.findall(text):
+                    if run.isspace():
+                        block.space(STYLE_SWITCHES[switch])
+                    else:
+                        block.word(run, STYLE_SWITCHES[switch])
+            if index == len(blocks) - 1:
+                block.space(Style.PLAIN)  # the line break that ends the item
+            finished = block.finish()
+            if finished is not None:
+                body.append(finished)
+        items.append(ReferenceItem(label, body))
+    return reference_render(ReferenceBibliography(items))
+
+
+piece = st.tuples(
+    st.sampled_from(sorted(STYLE_SWITCHES)),
+    st.sampled_from(["", " ", "a", "b c", "\n", " d ", "e  f", "g. "]),
 )
-items = st.builds(
-    lambda label, body: BibItem("k", label, bool(label), Alignment.LABELS_LEFT, body, 1),
-    st.sampled_from(["", "1", "Ab12", " "]),
-    st.one_of(st.lists(block, max_size=4), st.lists(plain_block, max_size=4)),
+entries = st.lists(
+    st.tuples(
+        st.sampled_from(["", "1", "Ab12", " "]),
+        st.lists(st.lists(piece, max_size=5), max_size=4),
+    ),
+    max_size=8,
 )
 
 
-@given(st.lists(items, max_size=8))
+@given(entries)
 @settings(max_examples=1000)
 def test_render_matches_the_reference(entries):
-    bibliography = Bibliography(entries, LayoutParams())
-    spans = _render_bibliography(bibliography).spans
-    assert spans == reference_render(bibliography).spans
-    assert all(type(span) is type(spans[0]) for span in spans)
+    spans = process_bbl(bbl_of(entries)).rendered.spans
+    assert spans == reference_of(entries).spans
+    assert all(type(span) is Span for span in spans)
 
 
 def test_render_keeps_styled_edges_and_empty_items():
-    em = fragment_of([(Style.EMPHASIS, "Title")])
-    mixed = fragment_of([(Style.SMALLCAPS, "Doe"), (Style.PLAIN, ", 2001.")])
-    bibliography = Bibliography(
-        [
-            BibItem("a", "", True, Alignment.LABELS_LEFT, [], 1),
-            BibItem("b", "2", False, Alignment.LABELS_LEFT, [em, mixed, em], 2),
-            BibItem("c", "3", False, Alignment.LABELS_LEFT, [RenderedFragment(), em], 3),
-        ],
-        LayoutParams(),
-    )
-    rendered = _render_bibliography(bibliography)
-    assert rendered == reference_render(bibliography)
-    assert rendered.spans[0] == (Style.PLAIN, "[] \n[2] ")
+    em, sc, rm = ("em", "Title"), ("sc", "Doe"), ("rm", ", 2001.")
+    entries = [("A", []), ("B", [[em], [sc, rm], [em]]), ("C", [[], [("tt", " ")], [em]])]
+    rendered = process_bbl(bbl_of(entries)).rendered
+    assert rendered == reference_of(entries)
+    assert rendered.spans == [
+        Span(Style.PLAIN, "[A] \n[B] "),
+        Span(Style.EMPHASIS, "Title"),
+        Span(Style.PLAIN, " "),
+        Span(Style.SMALLCAPS, "Doe"),
+        Span(Style.PLAIN, ", 2001. "),
+        Span(Style.EMPHASIS, "Title"),
+        Span(Style.PLAIN, "\n[C] "),
+        Span(Style.EMPHASIS, "Title"),
+        Span(Style.PLAIN, "\n"),
+    ]
 
 
 def test_render_of_no_items_is_empty():
-    assert _render_bibliography(Bibliography([], LayoutParams())).spans == []
+    assert process_bbl("").rendered.spans == []
+    assert process_bbl(bbl_of([])).rendered.spans == []
+
+
+def test_one_walk_makes_one_fragment():
+    made = []
+    make = RenderedFragment.__init__
+
+    def counting(self):
+        made.append(self)
+        make(self)
+
+    entries = [("", [[("em", "a")], [("rm", "b c")]]), ("L", [[("sc", "d")], [], [("tt", "e")]])]
+    with mock.patch.object(RenderedFragment, "__init__", counting):
+        bibliography = process_bbl(bbl_of(entries))
+    assert len(made) == 1
+    assert made[0] is bibliography.rendered
 
 
 # --- substitution -------------------------------------------------------

@@ -1,11 +1,11 @@
 """The token walker in ``process_bbl`` against the character walker it replaced.
 
 The code under "reference" below is the former walk, copied verbatim:
-``process_bbl``, ``_BlockBuilder``, ``BibItem``, ``BblState``,
-``begin_thebibliography`` and ``bibitem`` from ``bbl``, the label
-states and ``LabelTable`` from ``citations``,
-``OptionalArg``, ``skip_filler``, ``scan_group_arg`` and ``control_at``
-from ``scanner``, and ``Expansion.top``/``_argument`` and
+``process_bbl``, ``_BlockBuilder``, ``BibItem``, ``Bibliography``,
+``BblState``, ``begin_thebibliography`` and ``bibitem`` from ``bbl``,
+``_render_bibliography`` from ``driver``, the label states and
+``LabelTable`` from ``citations``, ``OptionalArg``, ``skip_filler``,
+``scan_group_arg`` and ``control_at`` from ``scanner``, and ``Expansion.top``/``_argument`` and
 ``expand_macros`` from ``macros``.  While it runs, the real modules'
 ``expand_macros`` and ``skip_filler`` are swapped for the copies, so
 labels, definition bodies and optional arguments go through the old
@@ -15,12 +15,19 @@ copied ``OptionalArg``.
 
 Wherever the reference succeeds, the walker must build the same items
 (each with the line its ``\\bibitem`` was given), layout, lint, and
-labels; wherever it raises, the walker must raise the same error, with
-the same message and location.  The walker's labels are the ones a
+labels, and the rendering it writes as it reads must have the spans
+that the former render made of the reference's blocks, styles and
+boundaries included; wherever it raises, the walker must raise the
+same error, with the same message and location.  The walker's labels are the ones a
 pass enters from its items.  The reference queued ``@citedef``
 records as it went; its session here is in no-aux mode, which drops
 them unchecked, because the walker leaves writing them, and reporting
 an unwritable one, to the pass.
+
+A group that is a style switch and one word run, ``{\\sc Proceedings}``,
+is one token of the walker.  The last test walks bbls of that shape and
+its near misses once with the scanner's patterns and once with the same
+patterns less the styled-group branch, and requires equal results.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeforge import bbl, driver, macros, scanner
+from citeforge import bbl, macros, scanner
 from citeforge.auxfile import AuxRecord, AuxSession
-from citeforge.bbl import Alignment, Bibliography, LayoutParams, measure_label
+from citeforge.bbl import Alignment, LayoutParams, measure_label
 from citeforge.errors import MacroError, ScanError, StructureError, UnbalancedGroupError
 from citeforge.macros import (
     Expansion,
@@ -48,7 +55,7 @@ from citeforge.macros import (
     define_newcommand,
     substitute_params,
 )
-from citeforge.rendering import RenderedFragment, Span, Style
+from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
 from citeforge.scanner import (
     COMMENT,
     ESCAPE,
@@ -152,7 +159,7 @@ class OptionalArg(NamedTuple):
 _WHITESPACE = " \t\r\n\f\v"
 _CONTROL_WORD = re.compile("[A-Za-z]*")
 _DIGITS = frozenset("0123456789")
-_STYLE_SWITCHES = bbl._STYLE_SWITCHES
+_STYLE_SWITCHES = STYLE_SWITCHES
 _BLOCK_SPACES = " \t\r\n\f\v"
 _TEXT_STOP = re.compile(r"[\\{}%]")
 _TEXT_STOP_NO_COMMENTS = re.compile(r"[\\{}]")
@@ -165,6 +172,49 @@ class BibItem(NamedTuple):
     alpha: bool
     alignment: Alignment
     body: list[RenderedFragment]
+
+
+class Bibliography(NamedTuple):
+    items: list[BibItem]
+    layout: LayoutParams
+
+    @property
+    def alignment(self) -> Optional[Alignment]:
+        return self.items[0].alignment if self.items else None
+
+
+# driver._render_bibliography as it was before the walk rendered as it read.
+def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
+    """Each item as ``[label] ``, its blocks joined by spaces, and a newline.
+
+    Only plain spans can merge here, since every piece between blocks is
+    plain, so one walk keeps the texts of the plain run still open and
+    joins each run once: no span is appended or rebuilt piece by piece.
+    """
+    spans: list[Span] = []
+    plain: list[str] = []  # the texts of the plain run still open
+    for item in bibliography.items:
+        plain.append(f"[{item.label}] ")
+        for index, block in enumerate(item.body):
+            if index:
+                plain.append(" ")
+            rest = block.spans
+            if rest and rest[0].style is Style.PLAIN:
+                plain.append(rest[0].text)
+                rest = rest[1:]
+            if not rest:
+                continue
+            spans.append(Span(Style.PLAIN, "".join(plain)))
+            if rest[-1].style is Style.PLAIN:
+                spans += rest[:-1]
+                plain = [rest[-1].text]
+            else:
+                spans += rest
+                plain = []
+        plain.append("\n")
+    if plain:
+        spans.append(Span(Style.PLAIN, "".join(plain)))
+    return RenderedFragment.of_merged(spans)
 
 
 class BblState:
@@ -510,21 +560,21 @@ def reference_helpers():
 def outcome(walk, content: str):
     """What a walk produces and its rendering, or the error it raised.
 
-    A walk returns its bibliography, its labels as (key, label) pairs
-    and the line of each item.
+    A walk returns its bibliography, its labels as (key, label) pairs,
+    the line of each item and the spans of its rendering.
     """
     lint: list[str] = []
     try:
-        bibliography, labels, lines = walk(content, lint.append)
+        bibliography, labels, lines, spans = walk(content, lint.append)
     except Exception as exc:  # the reference decides which errors are expected
         line, source = getattr(exc, "line", None), getattr(exc, "source", None)
         return ("error", type(exc), str(exc), line, source), None
     items = [
-        (item.key, item.label, item.alpha, item.alignment, [block.spans for block in item.body], line)
+        (item.key, item.label, item.alpha, item.alignment, line)
         for item, line in zip(bibliography.items, lines, strict=True)
     ]
     result = ("ok", items, bibliography.layout, lint, labels)
-    return result, driver._render_bibliography(bibliography).spans
+    return result, spans
 
 
 def reference_walk(content: str, lint: LintSink):
@@ -538,7 +588,8 @@ def reference_walk(content: str, lint: LintSink):
 
     with reference_helpers(), mock.patch.object(sys.modules[__name__], "bibitem", noting_line):
         bibliography = process_bbl(content, state, session, table, lint=lint, source="refs.bbl")
-    return bibliography, [(key, state.label) for key, state in table.entries.items()], lines
+    labels = [(key, state.label) for key, state in table.entries.items()]
+    return bibliography, labels, lines, _render_bibliography(bibliography).spans
 
 
 def walker(content: str, lint: LintSink):
@@ -546,7 +597,8 @@ def walker(content: str, lint: LintSink):
     labels = {}
     for item in bibliography.items:
         labels[item.key] = item.label
-    return bibliography, list(labels.items()), [item.line for item in bibliography.items]
+    lines = [item.line for item in bibliography.items]
+    return bibliography, list(labels.items()), lines, bibliography.rendered.spans
 
 
 def both(content: str):
@@ -587,7 +639,20 @@ STRUCTURE = (
     "\\newblock",
     "\\newblock ",
 )
-STYLE = ("\\em", "\\em ", "\\sc", "\\tt ", "\\rm", "\\it", "{", "}", "{\\em ", "{\\sc x}")
+STYLE = (
+    "\\em",
+    "\\em ",
+    "\\sc",
+    "\\tt ",
+    "\\rm",
+    "\\it",
+    "{",
+    "}",
+    "{\\em ",
+    "{\\sc x}",
+    "{\\tt 50% two}",
+    "{\\rm\tx}",
+)
 TEXT = (
     "word",
     "two words",
@@ -680,3 +745,87 @@ def test_benchmark_bibliographies_render_identically(workload):
     expected, actual = both(content)
     assert expected[0][0] == "ok"
     assert actual == expected
+
+
+# --- the styled-group token against the four tokens it stands for ---------
+
+
+def token_patterns(template: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """``template`` compiled as the scanner compiles TOKEN and TEXT_TOKEN."""
+    return (
+        re.compile(template % {"stops": r"\\{}%", "filler": scanner._FILLER.pattern}, re.DOTALL),
+        re.compile(template % {"stops": r"\\{}", "filler": scanner._BLANKS.pattern}, re.DOTALL),
+    )
+
+
+FOUR_TOKEN, FOUR_TEXT_TOKEN = token_patterns(scanner._TOKEN.replace("|" + scanner._STYLED, ""))
+
+
+def test_four_token_patterns_differ_from_the_scanners_by_the_styled_branch_only():
+    assert FOUR_TOKEN.pattern != scanner.TOKEN.pattern
+    assert [pattern.pattern for pattern in token_patterns(scanner._TOKEN)] == [
+        scanner.TOKEN.pattern,
+        scanner.TEXT_TOKEN.pattern,
+    ]
+
+
+def walk_result(content: str):
+    lint: list[str] = []
+    try:
+        bibliography = bbl.process_bbl(content, lint=lint.append, source="refs.bbl")
+    except Exception as exc:  # the four-token walk decides which errors are expected
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return bibliography.items, bibliography.layout, bibliography.rendered.spans, lint
+
+
+# Shapes the styled token reads, and near misses that must stay four tokens:
+# another control word, no word, double blanks, a line break, a comment,
+# an escape, a nested brace, a blank before the close, no close.
+STYLED_SHAPES = (
+    "{\\em x}",
+    "{\\it two words}",
+    "{\\sc\tx.}",
+    "{\\tt 50%}",
+    "{\\rm  a}",
+    "{\\emph x}",
+    "{\\em}",
+    "{\\em x  y}",
+    "{\\em\nx}",
+    "{\\em x\ny}",
+    "{\\em x%c\n}",
+    "{\\em x\\y}",
+    "{\\em x\\ y}",
+    "{\\em {x}}",
+    "{\\em x }",
+    "{\\sc x",
+    "\\{\\em x}",
+    "\\zs{a}",
+    "\\zs{b c}",
+    "\\zt",
+    "\\bibitem{k}",
+    "\\newblock ",
+    "word",
+    " ",
+    "\n",
+    "{",
+    "}",
+)
+STYLED_PREFIXES = (
+    "",
+    "\\newcommand{\\zs}[1]{{\\sc #1}}\\newcommand{\\zt}{{\\em x}{\\tt a  b}}\n",
+    "\\newcommand{\\zs}[1]{{\\sc #1}}\\newcommand{\\zt}{{\\em x}{\\tt a  b}}\n"
+    "\\begin{thebibliography}{9}\n",
+    "\\newcommand{\\zs}[1]{{\\sc #1}}\\newcommand{\\zt}{{\\em x}{\\tt a  b}}\n"
+    "\\begin{thebibliography}{9}\n\\bibitem{a} ",
+)
+
+
+@given(st.sampled_from(STYLED_PREFIXES), st.lists(st.sampled_from(STYLED_SHAPES), max_size=12))
+@settings(max_examples=600, deadline=None)
+def test_styled_group_token_walks_like_its_four_tokens(prefix, shapes):
+    content = prefix + "".join(shapes)
+    with mock.patch.object(bbl, "TOKEN", FOUR_TOKEN), mock.patch.object(
+        bbl, "TEXT_TOKEN", FOUR_TEXT_TOKEN
+    ):
+        expected = walk_result(content)
+    assert walk_result(content) == expected

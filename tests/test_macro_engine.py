@@ -35,7 +35,7 @@ from citeforge.macros import (
     MacroTable,
     expand_macros,
 )
-from citeforge.rendering import render_plain
+from citeforge.rendering import Span, Style
 from citeforge.scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
 
 _LETTERS = frozenset(string.ascii_letters)
@@ -210,9 +210,14 @@ def wrap(items):
     return f"\\begin{{thebibliography}}{{9}}\n{items}\n\\end{{thebibliography}}\n"
 
 
+def first_item(text):
+    """The rendering of a bibliography whose one item is numbered 1 and reads ``text``."""
+    return [Span(Style.PLAIN, f"[1] {text}\n")]
+
+
 def test_argument_past_a_replacement_in_a_body():
     bibliography = run_bbl(WRAP + wrap("\\bibitem{k}\n\\wrap{y}"))
-    assert render_plain(bibliography.items[0].body[0]) == "(x,y)"
+    assert bibliography.rendered.spans == first_item("(x,y)")
 
 
 def test_argument_past_a_replacement_in_a_label():
@@ -252,8 +257,10 @@ def test_depth_cap_allows_exactly_max_nested_expansions(where):
         content = defs + wrap(item)
         if length == MAX_EXPANSION_DEPTH:
             bibliography = run_bbl(content)
-            item = bibliography.items[0]
-            assert (render_plain(item.body[0]) if where == "body" else item.label) == "leaf"
+            if where == "body":
+                assert bibliography.rendered.spans == first_item("leaf")
+            else:
+                assert bibliography.items[0].label == "leaf"
         else:
             with pytest.raises(MacroRecursionError) as info:
                 run_bbl(content)
@@ -315,7 +322,7 @@ def test_non_ascii_digit_after_hash_is_literal_text():
     defs = {"p": MacroDef("p", 1, "[#1]")}
     assert expand_macros(defs, "\\p#²") == "[#]²"
     bibliography = run_bbl("\\newcommand{\\q}[1]{#1#²}\n" + wrap("\\bibitem{k}\n\\q{a}"))
-    assert render_plain(bibliography.items[0].body[0]) == "a#²"
+    assert bibliography.rendered.spans == first_item("a#²")
 
 
 def test_percent_is_literal_in_scanned_text():
@@ -394,22 +401,21 @@ def test_arguments_read_like_the_general_path(texts, comments, num_params):
 LAB = "\\newcommand{\\lab}[3]{#1#3#2}\n"
 
 
-def body_of(definitions, item):
-    bibliography = run_bbl(definitions + wrap("\\bibitem{k}\n" + item))
-    return render_plain(bibliography.items[0].body[0])
+def rendered_item(definitions, item):
+    return run_bbl(definitions + wrap("\\bibitem{k}\n" + item)).rendered.spans
 
 
 def test_arguments_split_across_streams():
     # \two is defined first, so its body keeps the call of \lab: two
     # arguments come from the replacement and the third from below it.
     two = "\\newcommand{\\two}{\\lab{a}{b}}\n"
-    assert body_of(two + LAB, "\\two{c}") == "acb"
+    assert rendered_item(two + LAB, "\\two{c}") == first_item("acb")
     defs = {"two": MacroDef("two", 0, "\\lab{a}{b}"), "lab": MacroDef("lab", 3, "#1#3#2")}
     assert expand_macros(defs, "\\two{c}") == "acb"
 
 
 def test_comment_between_arguments():
-    assert body_of(LAB, "\\lab{a}%\n{b}{c}") == "acb"
+    assert rendered_item(LAB, "\\lab{a}%\n{b}{c}") == first_item("acb")
     stream = CharStream("\\lab{a}%\n{b}{c} rest")
     stream.take_to(4)
     expansion = Expansion(stream)
@@ -427,7 +433,7 @@ def test_parameter_argument_in_a_body_takes_the_general_path():
     # arguments; plain groups before and after one still read right.
     definitions = LAB + "\\newcommand{\\wrap}[1]{\\lab{x}#1{y}}\n"
     bibliography = run_bbl(definitions + wrap("\\bibitem{k}\n\\wrap{Q}"))
-    assert render_plain(bibliography.items[0].body[0]) == "xyQ"
+    assert bibliography.rendered.spans == first_item("xyQ")
     defs = {"lab": MacroDef("lab", 3, "#1#3#2")}
     assert expand_macros(defs, "\\lab#1{x}{y}") == "#1yx"
 

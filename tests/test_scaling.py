@@ -9,8 +9,10 @@ former same-style span merge) fails by a wide margin.  The argument
 readers' fast paths are gated on their failure side too: an input that
 the pattern reads to its end and then hands to the general path, such
 as a ``\\cite`` whose long note fails the one-match pattern only at
-its end.  The bibliography render is gated on the shape that would be
-quadratic if it grew its one span by concatenation: every item plain.
+its end.  The bibliography's rendering is gated on the shape that would
+be quadratic if it grew its one span by concatenation: every item
+plain.  So is a run of unclosed style groups, each read to its end by
+the styled-group token before that token fails.
 A refused substitution is gated on memory instead: it must be refused
 before its text is built.
 """
@@ -22,8 +24,8 @@ from time import perf_counter
 import pytest
 
 from citeforge.auxfile import read_aux
-from citeforge.bbl import Alignment, BibItem, Bibliography, LayoutParams, process_bbl
-from citeforge.driver import JobConfig, _render_bibliography, run_pass
+from citeforge.bbl import process_bbl
+from citeforge.driver import JobConfig, run_pass
 from citeforge.errors import MacroError, ScanError
 from citeforge.files import MemoryFiles
 from citeforge.macros import (
@@ -33,7 +35,7 @@ from citeforge.macros import (
     expand_macros,
     substitute_params,
 )
-from citeforge.rendering import RenderedFragment, Style
+from citeforge.rendering import RenderedFragment, Span, Style
 from citeforge.scanner import CharStream, next_command, scan_optional_arg
 
 GROWTH = 16
@@ -164,20 +166,32 @@ def walk_many_items(count: int) -> None:
 
 
 def render_plain_items(count: int) -> None:
-    block = RenderedFragment()
-    block.append(Style.PLAIN, "A. Author. A title of some length. 2020.")
-    items = [
-        BibItem(f"k{i}", str(i), False, Alignment.LABELS_RIGHT, [block], i) for i in range(count)
-    ]
-    rendered = _render_bibliography(Bibliography(items, LayoutParams()))
-    assert len(rendered.spans) == 1
+    items = "".join(
+        f"\\bibitem{{k{i}}}\nA. Author. A title of some length. 2020.\n" for i in range(count)
+    )
+    content = f"\\begin{{thebibliography}}{{9}}\n{items}\\end{{thebibliography}}\n"
+    assert len(process_bbl(content).rendered.spans) == 1
 
 
 def call_one_macro_many_times(count: int) -> None:
     item = "\\bibitem{k}\n" + "\\lab{Au}{27}{c} text, " * count
     content = f"{BBL_MACROS}\\begin{{thebibliography}}{{9}}\n{item}\n\\end{{thebibliography}}\n"
     bibliography = process_bbl(content)
-    assert len(bibliography.items[0].body) == 1
+    rendered = "[1] " + ("Auc27 text, " * count).rstrip() + "\n"
+    assert bibliography.rendered.spans == [Span(Style.PLAIN, rendered)]
+
+
+def walk_unclosed_styled_groups(count: int) -> None:
+    # Each group is a switch and a word run that the styled-group token
+    # reads to its end before failing there, at a blank and a brace.
+    item = "\\bibitem{k}\n" + "{\\em word word word word word word word word " * count
+    content = f"\\begin{{thebibliography}}{{9}}\n{item}\n\\end{{thebibliography}}\n"
+    words = " ".join(["word"] * (8 * count))
+    assert process_bbl(content).rendered.spans == [
+        Span(Style.PLAIN, "[1] "),
+        Span(Style.EMPHASIS, words),
+        Span(Style.PLAIN, "\n"),
+    ]
 
 
 def test_same_style_append_is_linear():
@@ -234,6 +248,10 @@ def test_render_of_an_all_plain_bibliography_is_linear():
 
 def test_many_calls_of_a_three_parameter_macro_are_linear():
     assert time_ratio(call_one_macro_many_times, 200) < MAX_TIME_RATIO
+
+
+def test_many_unclosed_styled_groups_are_linear():
+    assert time_ratio(walk_unclosed_styled_groups, 200) < MAX_TIME_RATIO
 
 
 def test_refused_substitution_peaks_far_below_its_size():
