@@ -32,7 +32,7 @@ itself, at its first citation-shaped command, and hands them to
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
@@ -103,13 +103,17 @@ def _format(record: AuxRecord) -> str:
 
 # perfbench/spans.py times AuxSession.serialize; until ROADMAP item 2 frees it, the class stays.
 class AuxSession:
-    """The records a pass writes, in order; ``no_aux`` discards them all."""
+    """The records a pass writes, in order; ``no_aux`` discards them all.
+
+    ``pending_writes`` holds each record written alone and, in its place
+    in the order, each list of records queued whole.
+    """
 
     __slots__ = ("no_aux", "pending_writes")
 
     def __init__(self, no_aux: bool = False) -> None:
         self.no_aux = no_aux
-        self.pending_writes: list[AuxRecord] = []
+        self.pending_writes: list[Union[AuxRecord, list[AuxRecord]]] = []
 
     def write(self, record: AuxRecord) -> None:
         """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
@@ -118,9 +122,21 @@ class AuxSession:
         _check_record(record)  # reject unserializable records at write time
         self.pending_writes.append(record)
 
+    def write_checked(self, records: list[AuxRecord]) -> None:
+        """Queue ``records``, each checked by a :meth:`write` already.
+
+        The list itself is queued, not a copy, so records checked once
+        can be queued by every pass without another list of them.
+        """
+        if not self.no_aux:
+            self.pending_writes.append(records)
+
     def serialize(self) -> bytes:
         """The aux file's bytes; each record was checked when it was written."""
-        return "".join(map(_format, self.pending_writes)).encode("utf-8")
+        return "".join([
+            "".join(map(_format, entry)) if entry.__class__ is list else _format(entry)
+            for entry in self.pending_writes
+        ]).encode("utf-8")
 
 
 _LINE_BREAKS = b"\r\n"

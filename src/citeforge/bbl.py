@@ -7,13 +7,17 @@ macro definitions.  Processing walks it once and produces:
   alignment and the line of its ``\\bibitem``;
 * the :class:`LayoutParams` in force, the widest-label measurement
   included;
-* the rendering of the list, one :class:`RenderedFragment` written as
-  the walk reads: each item as ``[label] ``, its body blocks (split at
-  ``\\newblock``) joined by single plain spaces, and a newline.
+* the rendering of the list, written as the walk reads: each item as
+  ``[label] ``, its body blocks (split at ``\\newblock``) joined by
+  single plain spaces, and a newline.  The writer is itself the
+  :class:`RenderedFragment`: the walk makes one call per word, which
+  adds the word to the open span's texts when the style matches, and
+  through the fragment's merge rule otherwise.
 
 The result is a value: the walk defines no labels and writes no aux
-records.  The pass that meets ``\\bibliography`` does both from the
-items, in order.
+records.  The driver builds the items' ``@citedef`` records once per
+run, and each pass that meets ``\\bibliography`` defines the labels and
+queues those records, in item order.
 
 Labeling follows the two classic shapes.  A bare ``\\bibitem{key}``
 counts: 1, 2, 3, ...; the label box pads on the left so the numbers
@@ -153,7 +157,7 @@ def measure_label(label: str) -> Dimension:
     return Dimension.of(Fraction(len(label) + 2, 2), "em")
 
 
-class _Writer:
+class _Writer(RenderedFragment):
     """Renders the bibliography while the walk reads it, normalizing blanks.
 
     Each item is ``[label] ``, its blocks joined by plain spaces, and a
@@ -162,36 +166,43 @@ class _Writer:
     so does a block with no word.  A space keeps the style in force
     where it occurred, the way a space token is set in the current font,
     so the gap before ``{\\em ...}`` stays plain.
+
+    A word in the open span's style joins its texts in the one call
+    ``word``; any other goes through the fragment's merge rule.
     """
 
-    __slots__ = ("fragment", "_pending_space")
+    __slots__ = ("_pending_space",)
 
     def __init__(self) -> None:
-        self.fragment = RenderedFragment()
+        super().__init__()
         # The style of the space before the next word: None for no space,
         # and False until the item's first word, since leading blanks
         # vanish.  A block closed after a word leaves a plain one pending.
         self._pending_space: Union[Style, None, bool] = False
 
     def open_item(self, label: str) -> None:
-        self.fragment.append(Style.PLAIN, f"[{label}] ")
+        self.append(Style.PLAIN, f"[{label}] ")
         self._pending_space = False
 
     def close_item(self) -> None:
-        self.fragment.append(Style.PLAIN, "\n")
+        self.append(Style.PLAIN, "\n")
 
     def close_block(self) -> None:
         if self._pending_space is not False:
             self._pending_space = Style.PLAIN
 
     def word(self, text: str, style: Style) -> None:
+        """Add a word run (never empty) and the space pending before it."""
         pending = self._pending_space
         if pending is style:
             text = " " + text
         elif pending:
-            self.fragment.append(pending, " ")
+            self.append(pending, " ")
         self._pending_space = None
-        self.fragment.append(style, text)
+        if style is self._style:
+            self._texts.append(text)
+        else:
+            self._switch(style, text)
 
     def space(self, style: Style) -> None:
         if self._pending_space is None:
@@ -363,5 +374,5 @@ def process_bbl(
         note(f"{source}: thebibliography environment never closed")
     if len(style_stack) != 1:
         note(f"{source}: unbalanced group at end of file")
-    return Bibliography(items, layout, writer.fragment)
+    return Bibliography(items, layout, writer)
 

@@ -35,15 +35,13 @@ def format_number(q: Fraction) -> str:
         return "-" + format_number(-q)
     if q.denominator == 1:
         return str(q.numerator)
-    rest = q.denominator
-    for prime in (2, 5):
-        while rest % prime == 0:
-            rest //= prime
-    if rest != 1:
-        return f"{q.numerator}/{q.denominator}"
     digits = 0
     scaled = q
     while scaled.denominator != 1:
+        # Each step takes one 2 and one 5 out of the denominator; once
+        # neither divides it, another prime does, and no decimal is finite.
+        if scaled.denominator % 2 and scaled.denominator % 5:
+            return f"{q.numerator}/{q.denominator}"
         scaled *= 10
         digits += 1
     text = str(scaled.numerator).rjust(digits + 1, "0")

@@ -4,19 +4,23 @@ One pass scans the document left to right.  When the scanner first
 returns a citation-shaped command, the pass reads the previous aux file
 (or notes that there is none) before acting on that command.  It renders
 text and citations, and at the ``\\bibliography`` site it defines each
-bbl item's label, queues its ``@citedef`` record and adds the bbl's
-rendering and lint notes.  Finally it rewrites the aux file from scratch
-with everything recorded this pass.  The label map (key to label, or to
-None for a key that fell back) starts each pass empty; its only inputs
-are the aux file just read and the bbl items installed in this very
-pass.  A record that cannot be written is reported at the command (or
-``\\bibitem``) it came from.
+bbl item's label, queues the items' ``@citedef`` records and adds the
+bbl's rendering and lint notes.  Finally it rewrites the aux file from
+scratch with everything recorded this pass.  The label map (key to
+label, or to None for a key that fell back) starts each pass empty;
+its only inputs are the aux file just read and the bbl items installed
+in this very pass.  A record that cannot be written is reported at the
+command (or ``\\bibitem``) it came from.
 
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
 and its processing reads nothing a pass changes, so every pass (the
 first included) installs the same items in the same order, and adds
-the same rendering, which the bbl walk wrote as it read the file.
+the same rendering, which the bbl walk wrote as it read the file.  The
+items' ``@citedef`` records are built and checked there too, once, so
+a key or label the aux file cannot hold fails the first pass at its
+``\\bibitem``; each site queues that one list of records whole.  A
+no-aux run writes no records, so it builds and checks none.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -139,13 +143,18 @@ class FixpointResult(NamedTuple):
 
 
 class _ProcessedBbl(NamedTuple):
-    """What a bbl file contributes to each pass, worked out once per run."""
+    """What a bbl file contributes to each pass, worked out once per run.
+
+    ``records`` are the items' ``@citedef`` records in item order, each
+    checked once; a no-aux run, which writes no records, has none.
+    """
 
     bibliography: Bibliography
     lint: list[str]
+    records: list[AuxRecord]
 
 
-def _process_bbl_file(fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
+def _process_bbl_file(fs: FileAccess, bbl_name: str, no_aux: bool) -> _ProcessedBbl:
     try:
         content = fs.read_bytes(bbl_name).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -153,7 +162,14 @@ def _process_bbl_file(fs: FileAccess, bbl_name: str) -> _ProcessedBbl:
         raise ScanError(message, source=bbl_name) from None
     lint: list[str] = []
     bibliography = process_bbl(content, lint=lint.append, source=bbl_name)
-    return _ProcessedBbl(bibliography, lint)
+    checked = AuxSession(no_aux=no_aux)
+    try:
+        for entry in bibliography.items:
+            checked.write(AuxRecord("@citedef", entry.key, entry.label))
+    except AuxFormatError as exc:
+        exc.locate(entry.line, bbl_name)
+        raise
+    return _ProcessedBbl(bibliography, lint, checked.pending_writes)
 
 
 def run_pass(
@@ -217,19 +233,15 @@ def run_pass(
                 bbl_name = f"{config.bbl_basename}.bbl"
                 processed = processed_bbls.get(bbl_name)
                 if processed is None and fs.exists(bbl_name):
-                    processed = _process_bbl_file(fs, bbl_name)
+                    processed = _process_bbl_file(fs, bbl_name, config.no_aux)
                     processed_bbls[bbl_name] = processed
                 if processed is None:
                     messages.append(f"No file {bbl_name}.")
                 else:
                     bibliography = processed.bibliography
-                    try:
-                        for entry in bibliography.items:
-                            labels[entry.key] = entry.label
-                            session.write(AuxRecord("@citedef", entry.key, entry.label))
-                    except AuxFormatError as exc:
-                        exc.locate(entry.line, bbl_name)
-                        raise
+                    for entry in bibliography.items:
+                        labels[entry.key] = entry.label
+                    session.write_checked(processed.records)
                     lint.extend(processed.lint)
                     rendered.extend(bibliography.rendered)
         except AuxFormatError as exc:
@@ -285,10 +297,9 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
 
 def _dimension_json(dim: Dimension, em_size_pt: Fraction) -> dict:
     data: dict = {"pt": float(dim.to_pt(em_size_pt)), "source": str(dim)}
-    if dim.stretch is not None:
-        data["stretch_pt"] = float(dim.stretch.to_pt(em_size_pt))
-    if dim.shrink is not None:
-        data["shrink_pt"] = float(dim.shrink.to_pt(em_size_pt))
+    for name, part in (("stretch_pt", dim.stretch), ("shrink_pt", dim.shrink)):
+        if part is not None:
+            data[name] = float(part.to_pt(em_size_pt))
     return data
 
 
@@ -325,6 +336,7 @@ def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
         "undefined": list(final.undefined_keys),
         "rendered": render_plain(final.rendered),
         "rendered_annotated": render_annotated(final.rendered),
+        "bibliography": None,
     }
     if final.bibliography is not None:
         bibliography = final.bibliography
@@ -339,8 +351,6 @@ def build_report(config: JobConfig, outcome: FixpointResult) -> dict:
             ],
             "layout": _layout_json(bibliography.layout, config.em_size_pt),
         }
-    else:
-        report["bibliography"] = None
     return report
 
 

@@ -7,11 +7,15 @@ wraps styled spans in visible markers so fidelity can be checked in
 tests and on the command line.
 
 Fragments are built by appending, and most appends merge into the last
-span (a document body is one long plain span).  The merged text is
-kept as chunks and joined once when the spans are read, so building a
-fragment takes time linear in its text rather than quadratic.  The bbl
-walk appends the whole bibliography to one fragment this way.  A caller
-that merged its spans itself hands them over whole with
+span (a document body is one long plain span).  A fragment keeps its
+finished spans in a list and its last span open, as a style and a list
+of texts; the texts are joined once, when a text of another style
+closes the span or when the spans are read, so building a fragment
+takes time linear in its text rather than quadratic.  The bbl walk's
+writer is a fragment that adds a word of the open span's style straight
+to its texts, in the one call it makes per word, and sends a word of
+another style through the fragment's merge rule.  A caller that merged
+its spans itself hands them over whole with
 :meth:`RenderedFragment.of_merged`.
 
 :data:`STYLE_SWITCHES` names the commands that set a style, for the
@@ -55,22 +59,28 @@ class Span(NamedTuple):
     text: str
 
 
+# Span(style, text) without the Python-level ``__new__`` of a NamedTuple.
+_new_span = tuple.__new__
+
+
 class RenderedFragment:
     """An ordered run of styled spans, built by appending.
 
     ``append`` merges adjacent spans of equal style, so a fragment is
     always in normal form: no empty spans, no two neighbours sharing a
-    style.  Text merged into the last span waits in a chunk list and is
-    joined when ``spans`` is next read, so a span built from many
-    appends costs time linear in its length.
+    style.  The finished spans are kept in a list; the last span stays
+    open as its style and a list of texts, and becomes one :class:`Span`
+    when a text of another style closes it or when ``spans`` is read.
+    So a span built from many appends costs time linear in its length.
     """
 
-    __slots__ = ("_spans", "_tail")
+    __slots__ = ("_spans", "_style", "_texts")
 
     def __init__(self) -> None:
         self._spans: list[Span] = []
-        # The last span's text as chunks, once something was merged into it.
-        self._tail: Optional[list[str]] = None
+        # The open span, or None: its texts wait to be joined once.
+        self._style: Optional[Style] = None
+        self._texts: list[str] = []
 
     @classmethod
     def of_merged(cls, spans: list[Span]) -> "RenderedFragment":
@@ -81,43 +91,50 @@ class RenderedFragment:
 
     @property
     def spans(self) -> list[Span]:
-        if self._tail is not None:
-            self._join_tail()
+        if self._style is not None:
+            self._spans.append(_new_span(Span, (self._style, "".join(self._texts))))
+            self._style, self._texts = None, []
         return self._spans
-
-    def _join_tail(self) -> None:
-        self._spans[-1] = Span(self._spans[-1].style, "".join(self._tail))
-        self._tail = None
 
     def append(self, style: Style, text: str) -> None:
         if not text:
             return
-        spans = self._spans
-        if spans and spans[-1].style is style:
-            if self._tail is None:
-                self._tail = [spans[-1].text, text]
-            else:
-                self._tail.append(text)
+        if style is self._style:
+            self._texts.append(text)
         else:
-            if self._tail is not None:
-                self._join_tail()
-            spans.append(Span(style, text))
+            self._switch(style, text)
+
+    def _switch(self, style: Style, text: str) -> None:
+        """The merge rule for a nonempty ``text`` not of the open span's style.
+
+        The open span, if any, becomes a finished one and ``text`` opens
+        the next; with no open span, a finished last span of ``style``
+        (one just read) is reopened.
+        """
+        if self._style is not None:
+            self._spans.append(_new_span(Span, (self._style, "".join(self._texts))))
+            self._texts = [text]
+        elif self._spans and self._spans[-1].style is style:
+            self._texts = [self._spans.pop().text, text]
+        else:
+            self._texts = [text]
+        self._style = style
 
     def extend(self, other: "RenderedFragment") -> None:
+        """Append ``other``'s spans; ``other`` shares no list with this fragment."""
         spans = other.spans
         if spans:
             # Only the first span can merge; the rest already alternate.
             rest = spans[1:]
             self.append(*spans[0])
-            if rest and self._tail is not None:
-                self._join_tail()
-            self._spans.extend(rest)
+            if rest:
+                self.spans.extend(rest)
 
     def __bool__(self) -> bool:
-        return bool(self._spans)
+        return self._style is not None or bool(self._spans)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, RenderedFragment):
             return NotImplemented
         return self.spans == other.spans
 

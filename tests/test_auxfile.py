@@ -84,6 +84,24 @@ class TestSession:
         session.write(AuxRecord("citation", "x"))
         assert session.serialize() == b"\\bibstyle{plain}\n\\citation{x}\n"
 
+    def test_checked_records_are_queued_whole_in_their_place(self):
+        checked = AuxSession()
+        for key, label in (("a", "1"), ("b", "2")):
+            checked.write(AuxRecord("@citedef", key, label))
+        records = checked.pending_writes
+        session = AuxSession()
+        session.write(AuxRecord("bibdata", "refs"))
+        session.write_checked(records)
+        session.write(AuxRecord("citation", "a"))
+        session.write_checked(records)
+        assert session.pending_writes[1] is records
+        block = b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"
+        assert session.serialize() == b"\\bibdata{refs}\n" + block + b"\\citation{a}\n" + block
+        assert records == [AuxRecord("@citedef", "a", "1"), AuxRecord("@citedef", "b", "2")]
+        dropped = AuxSession(no_aux=True)
+        dropped.write_checked(records)
+        assert dropped.pending_writes == []
+
     def test_write_validates_immediately(self):
         session = AuxSession()
         with pytest.raises(AuxFormatError):

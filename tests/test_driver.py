@@ -10,6 +10,7 @@ import pytest
 
 from citeforge import driver, files
 from citeforge.auxfile import MISSING_AUX_MESSAGE
+from citeforge.bbl import process_bbl
 from citeforge.driver import (
     FixpointResult,
     JobConfig,
@@ -396,6 +397,67 @@ class TestFixpoint:
         cold = peak(run_to_fixpoint, fs)
         warm_pass = peak(run_pass, fs)  # the converged aux is in place now
         assert cold <= 1.15 * warm_pass
+
+
+class TestBibliographySites:
+    """What each ``\\bibliography`` site installs: labels, records, rendering."""
+
+    STYLED_BBL = BBL.replace("TitleB.", "{\\em TitleB}.")
+    TWO_SITES = (
+        "Cites: \\cite{a,b}.\n\\bibliography{refs}\nAgain: \\cite{b}.\n\\bibliography{refs}\nEnd.\n"
+    )
+
+    def test_two_sites_install_the_same_items(self):
+        fs = MemoryFiles({"refs.bbl": self.STYLED_BBL.encode()})
+        outcome = run_to_fixpoint(JobConfig(jobname="refs"), self.TWO_SITES, fs)
+        assert (outcome.converged, outcome.passes_used) == (True, 2)
+        block = b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"
+        assert outcome.final.aux_bytes == (
+            b"\\citation{a,b}\n\\bibdata{refs}\n" + block
+            + b"\\citation{b}\n\\bibdata{refs}\n" + block
+        )
+        assert fs.files["refs.aux"] == outcome.final.aux_bytes
+        assert outcome.final.labels == {"a": "1", "b": "2"}
+        bibliography = "[1] AuthorA. TitleA.\n[2] AuthorB. \u27e8em:TitleB\u27e9.\n\n"
+        assert render_annotated(outcome.final.rendered) == (
+            f"Cites: [1, 2].\n{bibliography}Again: [2].\n{bibliography}End.\n"
+        )
+
+    def test_a_cold_run_leaves_the_bibliography_as_processed(self):
+        # Both passes extend their rendering with the bibliography's and
+        # then append more text of the style it ends in.
+        fs = MemoryFiles({"refs.bbl": self.STYLED_BBL.encode()})
+        outcome = run_to_fixpoint(JobConfig(jobname="refs"), self.TWO_SITES, fs)
+        assert outcome.passes_used == 2
+        fresh = process_bbl(self.STYLED_BBL, source="refs.bbl")
+        assert outcome.final.bibliography.rendered == fresh.rendered
+        assert outcome.final.bibliography.rendered.spans == fresh.rendered.spans
+
+    def test_unwritable_bbl_key_fails_the_first_pass(self, monkeypatch):
+        bbl = BBL.replace("\\bibitem{b}", "\\bibitem{x\ny}")
+        fs = MemoryFiles({"refs.bbl": bbl.encode(), "refs.aux": b"\\@citedef{a}{1}\n"})
+        passes = []
+        run_pass = driver.run_pass
+
+        def counting_pass(*args):
+            passes.append(args)
+            return run_pass(*args)
+
+        monkeypatch.setattr(driver, "run_pass", counting_pass)
+        with pytest.raises(AuxFormatError) as info:
+            run_to_fixpoint(JobConfig(jobname="refs"), "\n" + self.TWO_SITES, fs)
+        assert str(info.value) == "refs.bbl:7: @citedef payload may not contain a newline: 'x\\ny'"
+        assert (info.value.source, info.value.line) == ("refs.bbl", 7)
+        assert len(passes) == 1
+        assert fs.writes == []
+
+    def test_unwritable_bbl_key_is_no_error_without_an_aux_file(self):
+        bbl = BBL.replace("\\bibitem{b}", "\\bibitem{x\ny}")
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        outcome = run_to_fixpoint(JobConfig(jobname="refs", no_aux=True), self.TWO_SITES, fs)
+        assert outcome.converged
+        assert outcome.final.labels == {"a": "1", "b": None, "x\ny": "2"}
+        assert fs.writes == []
 
 
 class TestReport:

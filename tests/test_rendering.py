@@ -150,3 +150,29 @@ def test_equality_compares_spans_only_between_fragments():
     assert built != build(RenderedFragment, [(Style.PLAIN, "a"), (Style.EMPHASIS, "b")])
     assert built != ReferenceFragment([Span(Style.PLAIN, "ab")])
     assert repr(built) == "RenderedFragment(spans=[Span(style=<Style.PLAIN: 'plain'>, text='ab')])"
+
+
+@given(PIECES, OPERATIONS)
+def test_extended_fragments_keep_their_spans(initial, operations):
+    """A fragment passed to ``extend`` shares no list with the target.
+
+    Appends to the target after the extend, and reads of it, leave every
+    fragment it was extended with as it was.  Those fragments are read
+    only at the end, so that a read cannot undo a shared list first.
+    """
+    fragment = build(RenderedFragment, initial)
+    extended = []
+    for operation in operations:
+        kind = operation[0]
+        if kind == "append":
+            fragment.append(operation[1], operation[2])
+        elif kind == "extend-appended":
+            other = build(RenderedFragment, operation[1])
+            fragment.extend(other)
+            extended.append((other, build(RenderedFragment, operation[1]).spans))
+        else:
+            fragment.spans
+    for style in STYLES:
+        fragment.append(style, "tail")
+    for other, spans in extended:
+        assert other.spans == spans

@@ -11,8 +11,10 @@ the pattern reads to its end and then hands to the general path, such
 as a ``\\cite`` whose long note fails the one-match pattern only at
 its end.  The bibliography's rendering is gated on the shape that would
 be quadratic if it grew its one span by concatenation: every item
-plain.  So is a run of unclosed style groups, each read to its end by
-the styled-group token before that token fails.
+plain.  It is gated too on one item whose words alternate styles, so
+that every word closes a span, which must be joined once.  So is a run
+of unclosed style groups, each read to its end by the styled-group
+token before that token fails.
 A refused substitution is gated on memory instead: it must be refused
 before its text is built.
 """
@@ -173,6 +175,16 @@ def render_plain_items(count: int) -> None:
     assert len(process_bbl(content).rendered.spans) == 1
 
 
+def render_alternating_styles(count: int) -> None:
+    # One item whose words alternate between emphasis and plain, so that
+    # every word closes the open span and opens the next.
+    item = "\\bibitem{k}\n" + "{\\em a} b " * count
+    content = f"\\begin{{thebibliography}}{{9}}\n{item}\n\\end{{thebibliography}}\n"
+    spans = process_bbl(content).rendered.spans
+    assert len(spans) == 2 * count + 1
+    assert spans[-1] == Span(Style.PLAIN, " b\n")
+
+
 def call_one_macro_many_times(count: int) -> None:
     item = "\\bibitem{k}\n" + "\\lab{Au}{27}{c} text, " * count
     content = f"{BBL_MACROS}\\begin{{thebibliography}}{{9}}\n{item}\n\\end{{thebibliography}}\n"
@@ -244,6 +256,10 @@ def test_process_bbl_over_many_items_is_linear():
 
 def test_render_of_an_all_plain_bibliography_is_linear():
     assert time_ratio(render_plain_items, 500) < MAX_TIME_RATIO
+
+
+def test_render_of_an_item_alternating_styles_is_linear():
+    assert time_ratio(render_alternating_styles, 500) < MAX_TIME_RATIO
 
 
 def test_many_calls_of_a_three_parameter_macro_are_linear():

@@ -80,7 +80,13 @@ def bytes_from(tokens):
 
 documents = st.tuples(
     text_from(DOCUMENT_PIECES, DOCUMENT_TOKENS, 30),
-    st.sampled_from(["", "\\bibliography{refs}\n", "\\bibliographystyle{plain}\\bibliography{refs}"]),
+    st.sampled_from([
+        "",
+        "\\bibliography{refs}\n",
+        "\\bibliographystyle{plain}\\bibliography{refs}",
+        # Two sites: each installs the items, records and rendering again.
+        "\\bibliography{refs}\nMore \\cite{a}.\n\\bibliography{refs}\nEnd.",
+    ]),
 ).map("".join)
 
 
