@@ -11,7 +11,7 @@ macro definitions.  Processing walks it once and produces:
   ``[label] ``, its body blocks (split at ``\\newblock``) joined by
   single plain spaces, and a newline.  The writer is itself the
   :class:`RenderedFragment`: the walk makes one call per word, which
-  adds the word to the open span's texts when the style matches, and
+  adds the word to the open span's pieces when the style matches, and
   through the fragment's merge rule otherwise.
 
 The result is a value: the walk defines no labels and writes no aux
@@ -167,7 +167,7 @@ class _Writer(RenderedFragment):
     where it occurred, the way a space token is set in the current font,
     so the gap before ``{\\em ...}`` stays plain.
 
-    A word in the open span's style joins its texts in the one call
+    A word in the open span's style joins its pieces in the one call
     ``word``; any other goes through the fragment's merge rule.
     """
 
@@ -200,7 +200,7 @@ class _Writer(RenderedFragment):
             self.append(pending, " ")
         self._pending_space = None
         if style is self._style:
-            self._texts.append(text)
+            self._pieces.append(text)
         else:
             self._switch(style, text)
 

@@ -21,10 +21,10 @@ pass has read it before its first citation-shaped command.  An
 undefined key's first cite is a :class:`CiteWarning`, its line and key;
 the warning text is worked out from them when it is shown.
 
-A cite's spans are built in one go: the texts of each plain run are
-collected and joined once, and the spans go to
-:meth:`RenderedFragment.of_merged` whole, with no append.  An empty
-key with no label renders nothing between its separators.
+A cite's fragment is built with one append per span: the texts of each
+plain run are collected and joined once, so a cite whose keys are all
+defined makes one append.  An empty key with no label renders nothing
+between its separators.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession
-from .rendering import RenderedFragment, Span, Style
+from .rendering import RenderedFragment, Style
 from .scanner import split_comma_list
 
 __all__ = ["CiteWarning", "nocite", "cite"]
@@ -79,7 +79,7 @@ def cite(
     that list is given.
     """
     nocite(session, keys)
-    spans: list[Span] = []
+    fragment = RenderedFragment()
     plain = ["["]  # the texts of the plain run still open
     for index, key in enumerate(split_comma_list(keys)):
         if index:
@@ -89,7 +89,8 @@ def cite(
             plain.append(label)
             continue
         if key:
-            spans += (Span(Style.PLAIN, "".join(plain)), Span(Style.TYPEWRITER, key))
+            fragment.append(Style.PLAIN, "".join(plain))
+            fragment.append(Style.TYPEWRITER, key)
             plain = []
         if key not in labels:
             labels[key] = None
@@ -98,5 +99,5 @@ def cite(
     if note:
         plain.append(", " + note)
     plain.append("]")
-    spans.append(Span(Style.PLAIN, "".join(plain)))
-    return RenderedFragment.of_merged(spans)
+    fragment.append(Style.PLAIN, "".join(plain))
+    return fragment

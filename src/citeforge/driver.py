@@ -238,6 +238,12 @@ def run_pass(
                 if processed is None:
                     messages.append(f"No file {bbl_name}.")
                 else:
+                    if aux_read is not None and bibliography is None:
+                        # The aux file's keys give way to the items' own
+                        # strings, in the same order, so none is kept twice.
+                        own = {entry.key: entry.key for entry in processed.bibliography.items}
+                        labels = {own.get(key, key): label for key, label in labels.items()}
+                        del own  # else it stays alive through the pass's serialize
                     bibliography = processed.bibliography
                     for entry in bibliography.items:
                         labels[entry.key] = entry.label

@@ -8,14 +8,16 @@ tests and on the command line.
 
 Fragments are built by appending, and most appends merge into the last
 span (a document body is one long plain span).  A fragment keeps its
-finished spans in a list and its last span open, as a style and a list
-of texts; the texts are joined once, when a text of another style
-closes the span or when the spans are read, so building a fragment
-takes time linear in its text rather than quadratic.  The bbl walk's
-writer is a fragment that adds a word of the open span's style straight
-to its texts, in the one call it makes per word, and sends a word of
-another style through the fragment's merge rule.  A caller that merged
-its spans itself hands them over whole with
+finished spans as two parallel lists, styles and texts, and its last
+span open, as a style and a list of pieces; the pieces are joined once,
+when a text of another style closes the span or when the fragment is
+read, so building a fragment takes time linear in its text rather than
+quadratic.  No :class:`Span` is stored: ``spans`` builds them on each
+read, and ``render_plain`` joins the texts and pieces as they are.  The
+bbl walk's writer is a fragment that adds a word of the open span's
+style straight to its pieces, in the one call it makes per word, and
+sends a word of another style through the fragment's merge rule.  Spans
+already in normal form make a fragment whole with
 :meth:`RenderedFragment.of_merged`.
 
 :data:`STYLE_SWITCHES` names the commands that set a style, for the
@@ -68,70 +70,83 @@ class RenderedFragment:
 
     ``append`` merges adjacent spans of equal style, so a fragment is
     always in normal form: no empty spans, no two neighbours sharing a
-    style.  The finished spans are kept in a list; the last span stays
-    open as its style and a list of texts, and becomes one :class:`Span`
-    when a text of another style closes it or when ``spans`` is read.
-    So a span built from many appends costs time linear in its length.
+    style.  The finished spans are kept as two parallel lists, their
+    styles and their texts, and no :class:`Span` is stored.  The last
+    span stays open as its style and a list of pieces, joined once when
+    a text of another style or a read closes it.  So a span built from
+    many appends costs time linear in its length.  ``spans`` builds a
+    fresh list of :class:`Span` on each read; changing that list leaves
+    the fragment as it was.
     """
 
-    __slots__ = ("_spans", "_style", "_texts")
+    __slots__ = ("_styles", "_texts", "_style", "_pieces")
 
     def __init__(self) -> None:
-        self._spans: list[Span] = []
-        # The open span, or None: its texts wait to be joined once.
-        self._style: Optional[Style] = None
+        self._styles: list[Style] = []
         self._texts: list[str] = []
+        # The open span, or None: its pieces wait to be joined once.
+        self._style: Optional[Style] = None
+        self._pieces: list[str] = []
 
     @classmethod
     def of_merged(cls, spans: list[Span]) -> "RenderedFragment":
         """The fragment of ``spans``, which must be in normal form already."""
         fragment = cls()
-        fragment._spans = spans
+        fragment._styles = [span.style for span in spans]
+        fragment._texts = [span.text for span in spans]
         return fragment
 
     @property
     def spans(self) -> list[Span]:
+        self._close()
+        return [_new_span(Span, pair) for pair in zip(self._styles, self._texts)]
+
+    def _close(self) -> None:
+        """Join the open span, if any, into the finished lists."""
         if self._style is not None:
-            self._spans.append(_new_span(Span, (self._style, "".join(self._texts))))
-            self._style, self._texts = None, []
-        return self._spans
+            self._styles.append(self._style)
+            self._texts.append("".join(self._pieces))
+            self._style, self._pieces = None, []
 
     def append(self, style: Style, text: str) -> None:
         if not text:
             return
         if style is self._style:
-            self._texts.append(text)
+            self._pieces.append(text)
         else:
             self._switch(style, text)
 
     def _switch(self, style: Style, text: str) -> None:
         """The merge rule for a nonempty ``text`` not of the open span's style.
 
-        The open span, if any, becomes a finished one and ``text`` opens
-        the next; with no open span, a finished last span of ``style``
-        (one just read) is reopened.
+        The open span, if any, is closed and ``text`` opens the next,
+        unless the last finished span is of ``style`` (with no span open
+        after a read or an ``extend``): that one is reopened.
         """
-        if self._style is not None:
-            self._spans.append(_new_span(Span, (self._style, "".join(self._texts))))
-            self._texts = [text]
-        elif self._spans and self._spans[-1].style is style:
-            self._texts = [self._spans.pop().text, text]
+        self._close()
+        if self._styles and self._styles[-1] is style:
+            self._styles.pop()
+            self._pieces = [self._texts.pop(), text]
         else:
-            self._texts = [text]
+            self._pieces = [text]
         self._style = style
 
     def extend(self, other: "RenderedFragment") -> None:
-        """Append ``other``'s spans; ``other`` shares no list with this fragment."""
-        spans = other.spans
-        if spans:
-            # Only the first span can merge; the rest already alternate.
-            rest = spans[1:]
-            self.append(*spans[0])
-            if rest:
-                self.spans.extend(rest)
+        """Append ``other``'s spans, copied: the two share no list."""
+        other._close()
+        # Only the first span can merge; the rest already alternate.  They
+        # are copied first, since the merge may reopen ``other``'s last span
+        # when ``other`` is this fragment.
+        styles, texts = other._styles[1:], other._texts[1:]
+        if other._styles:
+            self.append(other._styles[0], other._texts[0])
+        if styles:
+            self._close()
+            self._styles += styles
+            self._texts += texts
 
     def __bool__(self) -> bool:
-        return self._style is not None or bool(self._spans)
+        return self._style is not None or bool(self._styles)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RenderedFragment):
@@ -146,15 +161,13 @@ class RenderedFragment:
 
 def render_plain(fragment: RenderedFragment) -> str:
     """Concatenated span texts with styling dropped."""
-    return "".join(span.text for span in fragment.spans)
+    return "".join(fragment._texts + fragment._pieces)
 
 
 def render_annotated(fragment: RenderedFragment) -> str:
     """Span texts with non-plain styles wrapped as ⟨tt:...⟩ markers."""
-    parts: list[str] = []
-    for span in fragment.spans:
-        if span.style is Style.PLAIN:
-            parts.append(span.text)
-        else:
-            parts.append(f"⟨{span.style.value}:{span.text}⟩")
-    return "".join(parts)
+    fragment._close()
+    return "".join(
+        text if style is Style.PLAIN else f"⟨{style.value}:{text}⟩"
+        for style, text in zip(fragment._styles, fragment._texts)
+    )

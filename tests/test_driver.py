@@ -19,9 +19,15 @@ from citeforge.driver import (
     run_pass,
     run_to_fixpoint,
 )
-from citeforge.errors import AuxCorruptError, AuxFormatError, ScanError, UnbalancedGroupError
+from citeforge.errors import (
+    AuxCorruptError,
+    AuxFormatError,
+    CiteforgeError,
+    ScanError,
+    UnbalancedGroupError,
+)
 from citeforge.files import DirectoryFiles, MemoryFiles
-from citeforge.rendering import render_annotated, render_plain
+from citeforge.rendering import RenderedFragment, Style, render_annotated, render_plain
 
 BBL = (
     "\\begin{thebibliography}{9}\n"
@@ -231,6 +237,16 @@ class TestRunPass:
         assert str(info.value) == "doc.aux: unrecognized aux content (byte 13)"
         assert (info.value.offset, info.value.line, info.value.source) == (13, None, "doc.aux")
 
+    def test_the_aux_file_is_read_before_the_rest_of_the_document_is_scanned(self):
+        # The aux file is read at the first citation-shaped command, so a
+        # corrupt one fails the pass before the unclosed group after it.
+        fs = MemoryFiles({"doc.aux": b"\\citation{a}\ngarbage"})
+        with pytest.raises(CiteforgeError) as info:
+            run_to_fixpoint(JobConfig(jobname="doc"), "See \\cite{a}.\n\\cite{b", fs)
+        assert type(info.value) is AuxCorruptError
+        assert (info.value.offset, info.value.source) == (13, "doc.aux")
+        assert fs.writes == []
+
     def test_stale_definitions_are_honored(self):
         fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{Old99}\n"})
         result = run_pass(JobConfig(jobname="doc"), "\\cite{k}", fs)
@@ -425,13 +441,49 @@ class TestBibliographySites:
 
     def test_a_cold_run_leaves_the_bibliography_as_processed(self):
         # Both passes extend their rendering with the bibliography's and
-        # then append more text of the style it ends in.
+        # then append more text of the style it ends in; one more fragment
+        # extended here gets text of every style.
         fs = MemoryFiles({"refs.bbl": self.STYLED_BBL.encode()})
         outcome = run_to_fixpoint(JobConfig(jobname="refs"), self.TWO_SITES, fs)
         assert outcome.passes_used == 2
+        rendered = outcome.final.bibliography.rendered
+        fragment = RenderedFragment()
+        fragment.extend(rendered)
+        for style in Style:
+            fragment.append(style, "after")
         fresh = process_bbl(self.STYLED_BBL, source="refs.bbl")
-        assert outcome.final.bibliography.rendered == fresh.rendered
-        assert outcome.final.bibliography.rendered.spans == fresh.rendered.spans
+        assert rendered == fresh.rendered
+        assert rendered.spans == fresh.rendered.spans
+
+    def test_a_pass_that_read_the_aux_file_keys_each_label_by_its_item(self):
+        # Keys of more than one character: CPython shares the one-character
+        # strings, so those would be the same object either way.
+        bbl = self.STYLED_BBL.replace("{a}", "{alpha}").replace("{b}", "{beta}")
+        document = "Cites: \\cite{alpha,gone}.\n\\bibliography{refs}\n"
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        outcome = run_to_fixpoint(JobConfig(jobname="refs"), document, fs)
+        assert (outcome.passes_used, outcome.final.aux_read is not None) == (2, True)
+        items = {item.key: item for item in outcome.final.bibliography.items}
+        assert list(outcome.final.labels) == ["alpha", "beta", "gone"]
+        for key in outcome.final.labels:
+            if key in items:
+                assert key is items[key].key
+
+    def test_the_label_map_keeps_its_first_touched_order(self):
+        # The aux file defines k1 before k2, the document cites the
+        # undefined x, and the bbl lists k2 before k1.
+        bbl = BBL.replace("{a}", "{k2}").replace("{b}", "{k1}")
+        aux = b"\\@citedef{k1}{7}\n\\@citedef{k2}{8}\n"
+        fs = MemoryFiles({"refs.bbl": bbl.encode(), "refs.aux": aux})
+        config = JobConfig(jobname="refs", max_passes=1)
+        outcome = run_to_fixpoint(config, "See \\cite{x}.\n\\bibliography{refs}\n", fs)
+        assert list(build_report(config, outcome)["citations"].items()) == [
+            ("k1", {"status": "defined", "label": "2"}),
+            ("k2", {"status": "defined", "label": "1"}),
+            ("x", {"status": "fallback", "label": "x"}),
+        ]
+        items = {item.key: item for item in outcome.final.bibliography.items}
+        assert [key is items[key].key for key in outcome.final.labels if key in items] == [True] * 2
 
     def test_unwritable_bbl_key_fails_the_first_pass(self, monkeypatch):
         bbl = BBL.replace("\\bibitem{b}", "\\bibitem{x\ny}")

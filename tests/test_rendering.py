@@ -49,6 +49,30 @@ def test_extend_merges_at_the_seam():
     assert left.spans == [Span(Style.PLAIN, "ab"), Span(Style.EMPHASIS, "c")]
 
 
+def test_a_fragment_extended_by_itself_repeats_its_spans():
+    pieces = [(Style.PLAIN, "a"), (Style.EMPHASIS, "b"), (Style.PLAIN, "c")]
+    fragment = build(RenderedFragment, pieces)
+    fragment.extend(fragment)
+    assert fragment.spans == build(RenderedFragment, pieces + pieces).spans
+
+
+def test_spans_is_a_fresh_list_on_each_read():
+    fragment = build(RenderedFragment, [(Style.PLAIN, "a"), (Style.EMPHASIS, "b")])
+    first, second = fragment.spans, fragment.spans
+    assert first == second == [Span(Style.PLAIN, "a"), Span(Style.EMPHASIS, "b")]
+    assert first is not second
+
+
+def test_changing_the_spans_read_leaves_the_fragment():
+    fragment = build(RenderedFragment, [(Style.PLAIN, "a"), (Style.EMPHASIS, "b")])
+    spans = fragment.spans
+    spans.append(Span(Style.PLAIN, "c"))
+    spans[0] = Span(Style.TYPEWRITER, "z")
+    del spans[1]
+    assert fragment.spans == [Span(Style.PLAIN, "a"), Span(Style.EMPHASIS, "b")]
+    assert render_plain(fragment) == "ab"
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from(STYLES), st.text(max_size=8)),
