@@ -106,14 +106,14 @@ class AuxSession:
     """The records a pass writes, in order; ``no_aux`` discards them all.
 
     ``pending_writes`` holds each record written alone and, in its place
-    in the order, each list of records queued whole.
+    in the order, each run of lines queued whole, already formatted.
     """
 
     __slots__ = ("no_aux", "pending_writes")
 
     def __init__(self, no_aux: bool = False) -> None:
         self.no_aux = no_aux
-        self.pending_writes: list[Union[AuxRecord, list[AuxRecord]]] = []
+        self.pending_writes: list[Union[AuxRecord, str]] = []
 
     def write(self, record: AuxRecord) -> None:
         """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
@@ -122,19 +122,19 @@ class AuxSession:
         _check_record(record)  # reject unserializable records at write time
         self.pending_writes.append(record)
 
-    def write_checked(self, records: list[AuxRecord]) -> None:
-        """Queue ``records``, each checked by a :meth:`write` already.
+    def write_checked(self, lines: str) -> None:
+        """Queue ``lines``, records that :func:`format_record` formatted.
 
-        The list itself is queued, not a copy, so records checked once
-        can be queued by every pass without another list of them.
+        The string itself is queued and written as it is, so records
+        checked and formatted once can be queued by every pass.
         """
         if not self.no_aux:
-            self.pending_writes.append(records)
+            self.pending_writes.append(lines)
 
     def serialize(self) -> bytes:
         """The aux file's bytes; each record was checked when it was written."""
         return "".join([
-            "".join(map(_format, entry)) if entry.__class__ is list else _format(entry)
+            entry if entry.__class__ is str else _format(entry)
             for entry in self.pending_writes
         ]).encode("utf-8")
 

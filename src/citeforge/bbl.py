@@ -11,13 +11,14 @@ macro definitions.  Processing walks it once and produces:
   ``[label] ``, its body blocks (split at ``\\newblock``) joined by
   single plain spaces, and a newline.  The writer is itself the
   :class:`RenderedFragment`: the walk makes one call per word, which
-  adds the word to the open span's pieces when the style matches, and
-  through the fragment's merge rule otherwise.
+  adds the word to the fragment's chunks when its style is the last
+  span's, and goes through the fragment's merge rule otherwise.  The
+  chunks are joined as the walk goes, into one string at its end.
 
 The result is a value: the walk defines no labels and writes no aux
-records.  The driver builds the items' ``@citedef`` records once per
+records.  The driver formats the items' ``@citedef`` records once per
 run, and each pass that meets ``\\bibliography`` defines the labels and
-queues those records, in item order.
+queues those records' lines, in item order.
 
 Labeling follows the two classic shapes.  A bare ``\\bibitem{key}``
 counts: 1, 2, 3, ...; the label box pads on the left so the numbers
@@ -167,11 +168,14 @@ class _Writer(RenderedFragment):
     where it occurred, the way a space token is set in the current font,
     so the gap before ``{\\em ...}`` stays plain.
 
-    A word in the open span's style joins its pieces in the one call
-    ``word``; any other goes through the fragment's merge rule.
+    A word of the last span's style is one more chunk, added in the one
+    call ``word``; any other goes through the fragment's merge rule.
+    Span lengths do not depend on the chunks, so the chunks are joined
+    as the walk goes, and once more at its end: the rendering keeps its
+    text as one string.
     """
 
-    __slots__ = ("_pending_space",)
+    __slots__ = ("_pending_space", "_joined")
 
     def __init__(self) -> None:
         super().__init__()
@@ -179,6 +183,7 @@ class _Writer(RenderedFragment):
         # and False until the item's first word, since leading blanks
         # vanish.  A block closed after a word leaves a plain one pending.
         self._pending_space: Union[Style, None, bool] = False
+        self._joined = 0  # the chunks before this index are joined ones
 
     def open_item(self, label: str) -> None:
         self.append(Style.PLAIN, f"[{label}] ")
@@ -186,6 +191,16 @@ class _Writer(RenderedFragment):
 
     def close_item(self) -> None:
         self.append(Style.PLAIN, "\n")
+        # Once 64 chunks have piled up since the last join, they are joined:
+        # a word's own string then lives for a few items only, and one join
+        # covers several items.
+        if len(self._chunks) > self._joined + 64:
+            self.join(self._joined)
+
+    def join(self, start: int = 0) -> None:
+        """Join the chunks from ``start`` on into one."""
+        self._chunks[start:] = ["".join(self._chunks[start:])]
+        self._joined = start + 1
 
     def close_block(self) -> None:
         if self._pending_space is not False:
@@ -200,7 +215,8 @@ class _Writer(RenderedFragment):
             self.append(pending, " ")
         self._pending_space = None
         if style is self._style:
-            self._pieces.append(text)
+            self._chunks.append(text)
+            self._lengths[-1] += len(text)
         else:
             self._switch(style, text)
 
@@ -370,6 +386,7 @@ def process_bbl(
                 break
 
     close_item()
+    writer.join()
     if in_environment:
         note(f"{source}: thebibliography environment never closed")
     if len(style_stack) != 1:

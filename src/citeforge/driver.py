@@ -17,9 +17,9 @@ The bbl file is read and processed once per run, at the first
 and its processing reads nothing a pass changes, so every pass (the
 first included) installs the same items in the same order, and adds
 the same rendering, which the bbl walk wrote as it read the file.  The
-items' ``@citedef`` records are built and checked there too, once, so
-a key or label the aux file cannot hold fails the first pass at its
-``\\bibitem``; each site queues that one list of records whole.  A
+items' ``@citedef`` records are checked and formatted there too, once,
+so a key or label the aux file cannot hold fails the first pass at its
+``\\bibitem``; each site queues their one string of aux lines whole.  A
 no-aux run writes no records, so it builds and checks none.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .auxfile import AuxRecord, AuxSession, handle_missing_aux, read_aux
+from .auxfile import AuxRecord, AuxSession, format_record, handle_missing_aux, read_aux
 from .bbl import Bibliography, LayoutParams, process_bbl
 from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
@@ -145,13 +145,14 @@ class FixpointResult(NamedTuple):
 class _ProcessedBbl(NamedTuple):
     """What a bbl file contributes to each pass, worked out once per run.
 
-    ``records`` are the items' ``@citedef`` records in item order, each
-    checked once; a no-aux run, which writes no records, has none.
+    ``citedefs`` holds the items' ``@citedef`` records in item order,
+    each checked once and formatted as its aux line; a no-aux run, which
+    writes no records, has none.
     """
 
     bibliography: Bibliography
     lint: list[str]
-    records: list[AuxRecord]
+    citedefs: str
 
 
 def _process_bbl_file(fs: FileAccess, bbl_name: str, no_aux: bool) -> _ProcessedBbl:
@@ -162,14 +163,14 @@ def _process_bbl_file(fs: FileAccess, bbl_name: str, no_aux: bool) -> _Processed
         raise ScanError(message, source=bbl_name) from None
     lint: list[str] = []
     bibliography = process_bbl(content, lint=lint.append, source=bbl_name)
-    checked = AuxSession(no_aux=no_aux)
+    lines: list[str] = []
     try:
-        for entry in bibliography.items:
-            checked.write(AuxRecord("@citedef", entry.key, entry.label))
+        for entry in [] if no_aux else bibliography.items:
+            lines.append(format_record(AuxRecord("@citedef", entry.key, entry.label)))
     except AuxFormatError as exc:
         exc.locate(entry.line, bbl_name)
         raise
-    return _ProcessedBbl(bibliography, lint, checked.pending_writes)
+    return _ProcessedBbl(bibliography, lint, "".join(lines))
 
 
 def run_pass(
@@ -247,7 +248,7 @@ def run_pass(
                     bibliography = processed.bibliography
                     for entry in bibliography.items:
                         labels[entry.key] = entry.label
-                    session.write_checked(processed.records)
+                    session.write_checked(processed.citedefs)
                     lint.extend(processed.lint)
                     rendered.extend(bibliography.rendered)
         except AuxFormatError as exc:

@@ -8,17 +8,18 @@ tests and on the command line.
 
 Fragments are built by appending, and most appends merge into the last
 span (a document body is one long plain span).  A fragment keeps its
-finished spans as two parallel lists, styles and texts, and its last
-span open, as a style and a list of pieces; the pieces are joined once,
-when a text of another style closes the span or when the fragment is
-read, so building a fragment takes time linear in its text rather than
-quadratic.  No :class:`Span` is stored: ``spans`` builds them on each
-read, and ``render_plain`` joins the texts and pieces as they are.  The
-bbl walk's writer is a fragment that adds a word of the open span's
-style straight to its pieces, in the one call it makes per word, and
-sends a word of another style through the fragment's merge rule.  Spans
-already in normal form make a fragment whole with
-:meth:`RenderedFragment.of_merged`.
+text as a list of chunks, whose concatenation is the text, and its
+spans as two parallel lists: each span's style and each span's length.
+Span boundaries do not depend on how the text is chunked, so an append
+adds its text as one more chunk and moves no text: a text of the last
+span's style adds its length to that span's, and so does a first span
+of that style when one fragment extends another.  No :class:`Span` and
+no string per span is stored: ``spans`` builds them on each read from
+the joined text, and ``render_plain`` joins the chunks.  The bbl walk's
+writer is a fragment that adds a word of the last span's style straight
+to its chunks, in the one call it makes per word, and sends a word of
+another style through the fragment's merge rule.  It joins its chunks
+as it goes, so a bibliography's rendering keeps its text as one string.
 
 :data:`STYLE_SWITCHES` names the commands that set a style, for the
 scanner's token pattern and the bbl walk alike.
@@ -27,7 +28,7 @@ scanner's token pattern and the bbl walk alike.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
     "Style",
@@ -70,83 +71,77 @@ class RenderedFragment:
 
     ``append`` merges adjacent spans of equal style, so a fragment is
     always in normal form: no empty spans, no two neighbours sharing a
-    style.  The finished spans are kept as two parallel lists, their
-    styles and their texts, and no :class:`Span` is stored.  The last
-    span stays open as its style and a list of pieces, joined once when
-    a text of another style or a read closes it.  So a span built from
-    many appends costs time linear in its length.  ``spans`` builds a
-    fresh list of :class:`Span` on each read; changing that list leaves
-    the fragment as it was.
+    style.  The text is kept as chunks whose concatenation is the
+    fragment's text, and the spans as two parallel lists, their styles
+    and their lengths; no :class:`Span` is stored.  An append adds one
+    chunk, and either adds its length to the last span's or opens a
+    span, so a span built from many appends costs time linear in its
+    length.  ``spans`` builds a fresh list of :class:`Span` on each
+    read; changing that list leaves the fragment as it was.
     """
 
-    __slots__ = ("_styles", "_texts", "_style", "_pieces")
+    __slots__ = ("_chunks", "_styles", "_lengths", "_style")
 
     def __init__(self) -> None:
+        self._chunks: list[str] = []
         self._styles: list[Style] = []
-        self._texts: list[str] = []
-        # The open span, or None: its pieces wait to be joined once.
-        self._style: Optional[Style] = None
-        self._pieces: list[str] = []
-
-    @classmethod
-    def of_merged(cls, spans: list[Span]) -> "RenderedFragment":
-        """The fragment of ``spans``, which must be in normal form already."""
-        fragment = cls()
-        fragment._styles = [span.style for span in spans]
-        fragment._texts = [span.text for span in spans]
-        return fragment
+        self._lengths: list[int] = []
+        self._style: Optional[Style] = None  # the last span's, None with no span
 
     @property
     def spans(self) -> list[Span]:
-        self._close()
-        return [_new_span(Span, pair) for pair in zip(self._styles, self._texts)]
+        return [_new_span(Span, pair) for pair in self._pairs()]
 
-    def _close(self) -> None:
-        """Join the open span, if any, into the finished lists."""
-        if self._style is not None:
-            self._styles.append(self._style)
-            self._texts.append("".join(self._pieces))
-            self._style, self._pieces = None, []
+    def _pairs(self) -> Iterator[tuple[Style, str]]:
+        """Each span's style and text, cut from the chunks joined once."""
+        text, start = "".join(self._chunks), 0
+        for style, length in zip(self._styles, self._lengths):
+            yield style, text[start : start + length]
+            start += length
 
     def append(self, style: Style, text: str) -> None:
         if not text:
             return
         if style is self._style:
-            self._pieces.append(text)
+            self._chunks.append(text)
+            self._lengths[-1] += len(text)
         else:
             self._switch(style, text)
 
     def _switch(self, style: Style, text: str) -> None:
-        """The merge rule for a nonempty ``text`` not of the open span's style.
-
-        The open span, if any, is closed and ``text`` opens the next,
-        unless the last finished span is of ``style`` (with no span open
-        after a read or an ``extend``): that one is reopened.
-        """
-        self._close()
-        if self._styles and self._styles[-1] is style:
-            self._styles.pop()
-            self._pieces = [self._texts.pop(), text]
-        else:
-            self._pieces = [text]
+        """Open the next span with a nonempty ``text`` not of the last span's style."""
+        self._chunks.append(text)
+        self._styles.append(style)
+        self._lengths.append(len(text))
         self._style = style
 
     def extend(self, other: "RenderedFragment") -> None:
-        """Append ``other``'s spans, copied: the two share no list."""
-        other._close()
-        # Only the first span can merge; the rest already alternate.  They
-        # are copied first, since the merge may reopen ``other``'s last span
-        # when ``other`` is this fragment.
-        styles, texts = other._styles[1:], other._texts[1:]
-        if other._styles:
-            self.append(other._styles[0], other._texts[0])
-        if styles:
-            self._close()
-            self._styles += styles
-            self._texts += texts
+        """Append ``other``'s spans: its chunks are shared, its two lists copied.
+
+        One span of the last span's style adds its chunks and its length.
+        Otherwise only the first span can merge, since the rest already
+        alternate: the lists are extended whole and a merged first span is
+        folded into the span before it, so that no slice is copied and
+        ``other`` may be this fragment.
+        """
+        styles = other._styles
+        if not styles:
+            return
+        if len(styles) == 1 and styles[0] is self._style:
+            self._chunks += other._chunks
+            self._lengths[-1] += other._lengths[0]
+            return
+        count = len(self._styles)
+        self._chunks += other._chunks
+        self._styles += styles
+        self._lengths += other._lengths
+        if styles[0] is self._style:  # still the style before ``other``'s spans
+            del self._styles[count]
+            self._lengths[count - 1] += self._lengths.pop(count)
+        self._style = self._styles[-1]
 
     def __bool__(self) -> bool:
-        return self._style is not None or bool(self._styles)
+        return bool(self._styles)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RenderedFragment):
@@ -161,13 +156,12 @@ class RenderedFragment:
 
 def render_plain(fragment: RenderedFragment) -> str:
     """Concatenated span texts with styling dropped."""
-    return "".join(fragment._texts + fragment._pieces)
+    return "".join(fragment._chunks)
 
 
 def render_annotated(fragment: RenderedFragment) -> str:
     """Span texts with non-plain styles wrapped as ⟨tt:...⟩ markers."""
-    fragment._close()
     return "".join(
         text if style is Style.PLAIN else f"⟨{style.value}:{text}⟩"
-        for style, text in zip(fragment._styles, fragment._texts)
+        for style, text in fragment._pairs()
     )

@@ -85,21 +85,20 @@ class TestSession:
         assert session.serialize() == b"\\bibstyle{plain}\n\\citation{x}\n"
 
     def test_checked_records_are_queued_whole_in_their_place(self):
-        checked = AuxSession()
-        for key, label in (("a", "1"), ("b", "2")):
-            checked.write(AuxRecord("@citedef", key, label))
-        records = checked.pending_writes
+        lines = "".join(
+            format_record(AuxRecord("@citedef", key, label)) for key, label in (("a", "1"), ("b", "2"))
+        )
         session = AuxSession()
         session.write(AuxRecord("bibdata", "refs"))
-        session.write_checked(records)
+        session.write_checked(lines)
         session.write(AuxRecord("citation", "a"))
-        session.write_checked(records)
-        assert session.pending_writes[1] is records
+        session.write_checked(lines)
+        assert session.pending_writes[1] is lines
         block = b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"
+        assert lines.encode("utf-8") == block
         assert session.serialize() == b"\\bibdata{refs}\n" + block + b"\\citation{a}\n" + block
-        assert records == [AuxRecord("@citedef", "a", "1"), AuxRecord("@citedef", "b", "2")]
         dropped = AuxSession(no_aux=True)
-        dropped.write_checked(records)
+        dropped.write_checked(lines)
         assert dropped.pending_writes == []
 
     def test_write_validates_immediately(self):

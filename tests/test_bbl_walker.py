@@ -24,6 +24,10 @@ records as it went; its session here is in no-aux mode, which drops
 them unchecked, because the walker leaves writing them, and reporting
 an unwritable one, to the pass.
 
+The hypothesis examples are too small for the writer to join its
+chunks as it goes, so a bbl of 300 items, styles alternating inside
+each, is walked by both, and its rendering is then extended by itself.
+
 A group that is a style switch and one word run, ``{\\sc Proceedings}``,
 is one token of the walker.  The last test walks bbls of that shape and
 its near misses once with the scanner's patterns and once with the same
@@ -55,7 +59,14 @@ from citeforge.macros import (
     define_newcommand,
     substitute_params,
 )
-from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
+from citeforge.rendering import (
+    STYLE_SWITCHES,
+    RenderedFragment,
+    Span,
+    Style,
+    render_annotated,
+    render_plain,
+)
 from citeforge.scanner import (
     COMMENT,
     ESCAPE,
@@ -183,8 +194,9 @@ class Bibliography(NamedTuple):
         return self.items[0].alignment if self.items else None
 
 
-# driver._render_bibliography as it was before the walk rendered as it read.
-def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
+# driver._render_bibliography as it was before the walk rendered as it read,
+# returning the spans it made, which are in normal form, as they are.
+def _render_bibliography(bibliography: Bibliography) -> list[Span]:
     """Each item as ``[label] ``, its blocks joined by spaces, and a newline.
 
     Only plain spans can merge here, since every piece between blocks is
@@ -214,7 +226,7 @@ def _render_bibliography(bibliography: Bibliography) -> RenderedFragment:
         plain.append("\n")
     if plain:
         spans.append(Span(Style.PLAIN, "".join(plain)))
-    return RenderedFragment.of_merged(spans)
+    return spans
 
 
 class BblState:
@@ -589,7 +601,7 @@ def reference_walk(content: str, lint: LintSink):
     with reference_helpers(), mock.patch.object(sys.modules[__name__], "bibitem", noting_line):
         bibliography = process_bbl(content, state, session, table, lint=lint, source="refs.bbl")
     labels = [(key, state.label) for key, state in table.entries.items()]
-    return bibliography, labels, lines, _render_bibliography(bibliography).spans
+    return bibliography, labels, lines, _render_bibliography(bibliography)
 
 
 def walker(content: str, lint: LintSink):
@@ -745,6 +757,51 @@ def test_benchmark_bibliographies_render_identically(workload):
     expected, actual = both(content)
     assert expected[0][0] == "ok"
     assert actual == expected
+
+
+def long_bbl(items: int) -> str:
+    """A bbl whose items alternate styles inside them; the eighth is opened by a macro."""
+    body = "".join(
+        f"\\bibitem{{k{i}}} A. Author{i} and {{\\em Title {i}}} in {{\\sc Proc}}\n"
+        f"\\newblock {{\\tt {i}}} more  {{\\em x}}\\em y {{\\rm z}} w.\n"
+        if i != 7
+        else "\\zi A {\\tt b} c.\n"
+        for i in range(items)
+    )
+    return (
+        "\\newcommand{\\zi}{\\bibitem{zk}}\n"
+        f"\\begin{{thebibliography}}{{99}}\n{body}\\end{{thebibliography}}\n"
+    )
+
+
+def test_a_walk_past_the_writers_chunk_joins_matches_the_reference():
+    content = long_bbl(300)
+    joins = []
+    join = bbl._Writer.join
+
+    def counting(self, start=0):
+        joins.append(start)
+        join(self, start)
+
+    with mock.patch.object(bbl._Writer, "join", counting):
+        expected, actual = both(content)
+    assert expected[0][0] == "ok"
+    assert actual == expected
+    assert len(joins) > 10 and joins[-1] == 0  # joined as it went, and at the end
+    assert ("zk", "8") in expected[0][4]  # the item the macro opened
+    spans = expected[1]
+    text = "".join(span.text for span in spans)
+    rendered = bbl.process_bbl(content).rendered
+    reference = RenderedFragment()
+    for span in spans:
+        reference.append(span.style, span.text)
+    assert render_plain(rendered) == text
+    assert render_annotated(rendered) == render_annotated(reference)
+    rendered.extend(rendered)
+    reference.extend(reference)
+    assert rendered.spans == reference.spans
+    assert len(rendered.spans) == 2 * len(spans) - 1  # the plain seam merges
+    assert render_plain(rendered) == 2 * text
 
 
 # --- the styled-group token against the four tokens it stands for ---------
