@@ -214,11 +214,11 @@ class _Writer(RenderedFragment):
         elif pending:
             self.append(pending, " ")
         self._pending_space = None
+        self._chunks.append(text)
         if style is self._style:
-            self._chunks.append(text)
             self._lengths[-1] += len(text)
         else:
-            self._switch(style, text)
+            self._switch(style, len(text))
 
     def space(self, style: Style) -> None:
         if self._pending_space is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .auxfile import AuxRecord, AuxSession
-from .rendering import RenderedFragment, Style
+from .rendering import _PLAIN, RenderedFragment, Style
 from .scanner import split_comma_list
 
 __all__ = ["CiteWarning", "nocite", "cite"]
@@ -89,7 +89,7 @@ def cite(
             plain.append(label)
             continue
         if key:
-            fragment.append(Style.PLAIN, "".join(plain))
+            fragment.append(_PLAIN, "".join(plain))
             fragment.append(Style.TYPEWRITER, key)
             plain = []
         if key not in labels:
@@ -99,5 +99,5 @@ def cite(
     if note:
         plain.append(", " + note)
     plain.append("]")
-    fragment.append(Style.PLAIN, "".join(plain))
+    fragment.append(_PLAIN, "".join(plain))
     return fragment

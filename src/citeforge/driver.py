@@ -3,7 +3,9 @@
 One pass scans the document left to right.  When the scanner first
 returns a citation-shaped command, the pass reads the previous aux file
 (or notes that there is none) before acting on that command.  It renders
-text and citations, and at the ``\\bibliography`` site it defines each
+text and citations; the text runs are not copied, but kept in the
+rendering as positions in the document, which the rendering then holds
+(see :mod:`.rendering`).  At the ``\\bibliography`` site it defines each
 bbl item's label, queues the items' ``@citedef`` records and adds the
 bbl's rendering and lint notes.  Finally it rewrites the aux file from
 scratch with everything recorded this pass.  The label map (key to
@@ -43,7 +45,7 @@ from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
 from .errors import AuxFormatError, ScanError
 from .files import FileAccess
-from .rendering import RenderedFragment, Style, render_annotated, render_plain
+from .rendering import _PLAIN, RenderedFragment, render_annotated, render_plain
 from .scanner import CharStream, next_command
 
 __all__ = [
@@ -115,6 +117,8 @@ class PassResult(NamedTuple):
     to its label, or to None when it fell back to the raw key.
     ``aux_read`` holds the aux bytes the pass read, or None when it read
     none: no file, no-aux mode, or no citation-shaped command.
+    ``rendered`` keeps the document's text as positions in it, so it
+    holds the document string it was scanned from.
     """
 
     rendered: RenderedFragment
@@ -163,6 +167,7 @@ def _process_bbl_file(fs: FileAccess, bbl_name: str, no_aux: bool) -> _Processed
         raise ScanError(message, source=bbl_name) from None
     lint: list[str] = []
     bibliography = process_bbl(content, lint=lint.append, source=bbl_name)
+    del content  # else it stays alive while the records are formatted
     lines: list[str] = []
     try:
         for entry in [] if no_aux else bibliography.items:
@@ -201,8 +206,8 @@ def run_pass(
     stream = CharStream(document, source=config.document_name)
     while not stream.at_end():
         item = next_command(stream, lint=lint.append)
-        if isinstance(item, str):
-            rendered.append(Style.PLAIN, item)
+        if isinstance(item, list):  # a text run's pieces, kept as positions
+            rendered.append_slices(_PLAIN, document, item)
             continue
         # The scanner returns only the four citation-shaped commands.
         if not read_done:

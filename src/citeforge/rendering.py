@@ -13,13 +13,18 @@ spans as two parallel lists: each span's style and each span's length.
 Span boundaries do not depend on how the text is chunked, so an append
 adds its text as one more chunk and moves no text: a text of the last
 span's style adds its length to that span's, and so does a first span
-of that style when one fragment extends another.  No :class:`Span` and
-no string per span is stored: ``spans`` builds them on each read from
-the joined text, and ``render_plain`` joins the chunks.  The bbl walk's
-writer is a fragment that adds a word of the last span's style straight
-to its chunks, in the one call it makes per word, and sends a word of
-another style through the fragment's merge rule.  It joins its chunks
-as it goes, so a bibliography's rendering keeps its text as one string.
+of that style when one fragment extends another.  Text that already
+lies in a string, as a pass's text runs lie in its document, is not
+copied at all: ``append_slices`` keeps each piece as its start and end
+in that string, the fragment's one source, and a ``None`` chunk stands
+for the piece where it falls in the text.  No :class:`Span` and no
+string per span or per piece is stored: ``spans`` builds them on each
+read from the joined text, and ``render_plain`` joins the chunks, each
+piece cut from the source as it goes.  The bbl walk's writer is a
+fragment that adds a word of the last span's style straight to its
+chunks, in the one call it makes per word, and sends a word of another
+style through the fragment's merge rule.  It joins its chunks as it
+goes, so a bibliography's rendering keeps its text as one string.
 
 :data:`STYLE_SWITCHES` names the commands that set a style, for the
 scanner's token pattern and the bbl walk alike.
@@ -28,6 +33,7 @@ scanner's token pattern and the bbl walk alike.
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
@@ -64,6 +70,9 @@ class Span(NamedTuple):
 
 # Span(style, text) without the Python-level ``__new__`` of a NamedTuple.
 _new_span = tuple.__new__
+# The plain style for the pass's per-run and per-cite appends: looking an
+# enum member up on its class costs about as much as the append itself.
+_PLAIN = Style.PLAIN
 
 
 class RenderedFragment:
@@ -76,17 +85,25 @@ class RenderedFragment:
     and their lengths; no :class:`Span` is stored.  An append adds one
     chunk, and either adds its length to the last span's or opens a
     span, so a span built from many appends costs time linear in its
-    length.  ``spans`` builds a fresh list of :class:`Span` on each
-    read; changing that list leaves the fragment as it was.
+    length.  ``append_slices`` adds text that lies in a string already,
+    such as a pass's document, as positions: the fragment refers to one
+    such source string, and each piece of it is a ``None`` chunk and a
+    start and an end in one ``array('q')``, with no object of its own.
+    ``spans`` builds a fresh list of :class:`Span` on each read;
+    changing that list leaves the fragment as it was.
     """
 
-    __slots__ = ("_chunks", "_styles", "_lengths", "_style")
+    __slots__ = ("_chunks", "_styles", "_lengths", "_style", "_source", "_cuts")
 
     def __init__(self) -> None:
-        self._chunks: list[str] = []
+        self._chunks: list[Optional[str]] = []  # None: the next piece in ``_cuts``
         self._styles: list[Style] = []
         self._lengths: list[int] = []
         self._style: Optional[Style] = None  # the last span's, None with no span
+        # The string the pieces are cut from, and each piece's start and
+        # end in it; None until the first piece, as most fragments have none.
+        self._source: Optional[str] = None
+        self._cuts: Optional[array] = None
 
     @property
     def spans(self) -> list[Span]:
@@ -94,45 +111,78 @@ class RenderedFragment:
 
     def _pairs(self) -> Iterator[tuple[Style, str]]:
         """Each span's style and text, cut from the chunks joined once."""
-        text, start = "".join(self._chunks), 0
+        text, start = "".join(self._texts()), 0
         for style, length in zip(self._styles, self._lengths):
             yield style, text[start : start + length]
             start += length
 
+    def _texts(self) -> list[str]:
+        """The chunks, each ``None`` replaced by the piece it stands for."""
+        source, cuts = self._source, iter(self._cuts or ())
+        return [source[next(cuts) : next(cuts)] if c is None else c for c in self._chunks]
+
     def append(self, style: Style, text: str) -> None:
         if not text:
             return
+        self._chunks.append(text)
         if style is self._style:
-            self._chunks.append(text)
             self._lengths[-1] += len(text)
         else:
-            self._switch(style, text)
+            self._switch(style, len(text))
 
-    def _switch(self, style: Style, text: str) -> None:
-        """Open the next span with a nonempty ``text`` not of the last span's style."""
-        self._chunks.append(text)
+    def _switch(self, style: Style, length: int) -> None:
+        """Open the next span, of a style not the last span's and a nonzero length."""
         self._styles.append(style)
-        self._lengths.append(len(text))
+        self._lengths.append(length)
         self._style = style
 
-    def extend(self, other: "RenderedFragment") -> None:
-        """Append ``other``'s spans: its chunks are shared, its two lists copied.
+    def _keeps(self, source: str) -> bool:
+        """Whether pieces of ``source`` are kept as positions: it is the first source."""
+        if self._source is None:
+            self._source, self._cuts = source, array("q")
+        return source is self._source
 
-        One span of the last span's style adds its chunks and its length.
-        Otherwise only the first span can merge, since the rest already
-        alternate: the lists are extended whole and a merged first span is
-        folded into the span before it, so that no slice is copied and
-        ``other`` may be this fragment.
+    def append_slices(self, style: Style, source: str, cuts: list[int]) -> None:
+        """Append the pieces of ``source`` that ``cuts`` gives, in order.
+
+        ``cuts`` holds each piece's start and end.  The pieces are kept
+        as positions when ``source`` is the fragment's source or it has
+        none yet; text from another string is copied.  Empty pieces add
+        nothing to the text.
+        """
+        if source is not self._source and not self._keeps(source):
+            ends = iter(cuts)
+            return self.append(style, "".join([source[start : next(ends)] for start in ends]))
+        self._chunks += (None,) * (len(cuts) // 2)  # for one piece, no new tuple
+        self._cuts.fromlist(cuts)  # type: ignore[union-attr]
+        length = cuts[1] - cuts[0] if len(cuts) == 2 else sum(cuts[1::2]) - sum(cuts[::2])
+        if style is self._style:
+            self._lengths[-1] += length
+        elif length:  # no empty span is opened
+            self._switch(style, length)
+
+    def extend(self, other: "RenderedFragment") -> None:
+        """Append ``other``'s spans: its chunks are shared, its lists copied.
+
+        Pieces of ``other``'s source are kept as positions when it is this
+        fragment's source too, or this fragment has none yet; otherwise
+        their text is copied.  One span of the last span's style adds its
+        chunks and its length.  Otherwise only the first span can merge,
+        since the rest already alternate: the lists are extended whole and
+        a merged first span is folded into the span before it, so that no
+        slice is copied and ``other`` may be this fragment.
         """
         styles = other._styles
         if not styles:
             return
+        keep = other._source is None or self._keeps(other._source)
+        self._chunks += other._chunks if keep else other._texts()
+        if keep and other._source is not None:
+            self._cuts += other._cuts  # type: ignore[operator]
         if len(styles) == 1 and styles[0] is self._style:
-            self._chunks += other._chunks
             self._lengths[-1] += other._lengths[0]
             return
         count = len(self._styles)
-        self._chunks += other._chunks
         self._styles += styles
         self._lengths += other._lengths
         if styles[0] is self._style:  # still the style before ``other``'s spans
@@ -156,7 +206,7 @@ class RenderedFragment:
 
 def render_plain(fragment: RenderedFragment) -> str:
     """Concatenated span texts with styling dropped."""
-    return "".join(fragment._chunks)
+    return "".join(fragment._texts())
 
 
 def render_annotated(fragment: RenderedFragment) -> str:

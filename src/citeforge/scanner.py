@@ -28,10 +28,12 @@ passes through byte-for-byte as plain text, which is what makes
 scanning safe on documents full of markup this package does not
 understand.  Each recognized command takes one ``{...}`` argument, and
 ``cite`` alone also takes an optional ``[...]`` note before it.  The
-scanner hands plain strings on: an optional argument is its text, and
-``""`` when it is absent or empty.  A text run moves a local cursor
-over the document and updates the stream's position and line once,
-at its end.
+scanner hands arguments on as plain strings: an optional argument is
+its text, and ``""`` when it is absent or empty.  A text run is not
+copied: it comes back as the positions of its comment-free pieces in
+the document, which a pass keeps as they are (see :mod:`.rendering`).
+It moves a local cursor over the document and updates the stream's
+position and line once, at its end.
 
 After a recognized name, one pattern reads the plain shape whole:
 blanks, for ``cite`` a non-empty note, blanks, and the group, with no
@@ -297,12 +299,16 @@ def split_comma_list(text: str) -> list[str]:
 
 def next_command(
     stream: CharStream, *, lint: LintSink | None = None
-) -> Union[CommandInvocation, str]:
+) -> Union[CommandInvocation, list[int]]:
     """The next recognized command, or the text run leading up to one.
 
     Text runs are maximal: they carry everything (unknown commands
     included, byte-for-byte) up to the next command found in
-    :data:`DOCUMENT_COMMANDS` or the end of input.  Recognized commands
+    :data:`DOCUMENT_COMMANDS` or the end of input.  A text run comes
+    back as positions in ``stream.content``: the start and end of each
+    of its comment-free pieces, in order, none of them empty, so a run
+    with no comment is one piece.  Only a run that is all comment, at
+    the end of input, has no piece.  Recognized commands
     come back with their arguments already scanned; whitespace after the
     command name is consumed, mirroring how a reader that tokenizes
     control words would behave.  The lint sink hears of an empty ``[]``
@@ -311,24 +317,23 @@ def next_command(
     """
     content, begin = stream.content, stream.position
     search = (_STOP if stream.comments else _CONTROL_STOP).search
-    parts: list[str] = []  # the comment-free pieces of the run before ``start``
+    pieces: list[int] = []  # the start and end of each comment-free piece before ``start``
     start = position = begin
     while (stop := search(content, position)) is not None:
         position = stop.end()
         name = stop.group("control")
-        if name is None:  # a comment, which ends a piece
-            if stop.start() > start:
-                parts.append(content[start : stop.start()])
-            start = position
-            continue
-        if name not in DOCUMENT_COMMANDS:
+        if name is not None and name not in DOCUMENT_COMMANDS:
             continue
         at = stop.start()
+        if at > start:
+            pieces += start, at
+        if name is None:  # a comment, which ends a piece
+            start = position
+            continue
         stream.line += content.count("\n", begin, at)
         stream.position = at
-        if parts or at > start:
-            parts.append(content[start:at])
-            return "".join(parts)
+        if pieces:
+            return pieces
         command_line = stream.line
         plain = _PLAIN_ARGUMENTS.match(content, stop.end("after"))
         if plain is not None and (name == "cite" or plain["note"] is None):
@@ -343,7 +348,8 @@ def next_command(
                 message = f"citation key `{key}' contains a space"
                 lint(_located(message, command_line, stream.source))
         return CommandInvocation(name, optional, arg, command_line)
-    parts.append(content[start:])
+    if len(content) > start:
+        pieces += start, len(content)
     stream.line += content.count("\n", begin)
     stream.position = len(content)
-    return "".join(parts)
+    return pieces

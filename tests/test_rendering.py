@@ -14,12 +14,23 @@ from citeforge.rendering import (
 )
 
 STYLES = list(Style)
+# Two strings for ``append_slices`` to cut pieces from.
+SOURCES = ("ab a%b c", "c ba ab ")
+
+
+def add(fragment, piece) -> None:
+    """Append ``(style, text)``, or ``(style, source, bounds)`` by position."""
+    if len(piece) == 2:
+        fragment.append(*piece)
+    else:
+        style, source, bounds = piece
+        fragment.append_slices(style, SOURCES[source], bounds)
 
 
 def build(cls, pieces):
     fragment = cls()
-    for style, text in pieces:
-        fragment.append(style, text)
+    for piece in pieces:
+        add(fragment, piece)
     return fragment
 
 
@@ -128,17 +139,30 @@ class ReferenceFragment:
         else:
             self.spans.append(Span(style, text))
 
+    def append_slices(self, style: Style, source: str, bounds: list[int]) -> None:
+        for start, end in zip(bounds[::2], bounds[1::2]):
+            self.append(style, source[start:end])
+
     def extend(self, other) -> None:
-        for span in other.spans:
+        for span in list(other.spans):
             self.append(span.style, span.text)
 
 
 TEXTS = st.text(alphabet="ab ", max_size=4)
-PIECES = st.lists(st.tuples(st.sampled_from(STYLES), TEXTS), max_size=6)
+# Pieces of a source: each a start and an end, empty pieces included.
+BOUNDS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted), max_size=3).map(
+    lambda pairs: [position for pair in pairs for position in pair]
+)
+PIECE = st.one_of(
+    st.tuples(st.sampled_from(STYLES), TEXTS),
+    st.tuples(st.sampled_from(STYLES), st.sampled_from(range(len(SOURCES))), BOUNDS),
+)
+PIECES = st.lists(PIECE, max_size=6)
 OPERATIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), st.sampled_from(STYLES), TEXTS),
+        st.tuples(st.just("append"), PIECE),
         st.tuples(st.just("extend-appended"), PIECES),
+        st.tuples(st.just("extend-self"),),
         st.tuples(st.just("read"),),
     ),
     max_size=30,
@@ -149,18 +173,23 @@ OPERATIONS = st.lists(
 def test_spans_match_the_reference_merge(initial, operations):
     """Random append/extend sequences give exactly the reference spans.
 
-    ``spans`` is read in between to rejoin the chunks mid-sequence.
+    Text comes as strings and as pieces of either source, which the
+    reference appends as slices.  ``spans`` is read in between to rejoin
+    the chunks mid-sequence.
     """
     fragment = build(RenderedFragment, initial)
     reference = build(ReferenceFragment, initial)
     for operation in operations:
         kind = operation[0]
         if kind == "append":
-            fragment.append(operation[1], operation[2])
-            reference.append(operation[1], operation[2])
+            add(fragment, operation[1])
+            add(reference, operation[1])
         elif kind == "extend-appended":
             fragment.extend(build(RenderedFragment, operation[1]))
             reference.extend(build(ReferenceFragment, operation[1]))
+        elif kind == "extend-self":
+            fragment.extend(fragment)
+            reference.extend(reference)
         else:
             assert fragment.spans == reference.spans
         assert bool(fragment) == bool(reference.spans)
@@ -178,10 +207,11 @@ def test_equality_compares_spans_only_between_fragments():
 
 @given(PIECES, OPERATIONS)
 def test_extended_fragments_keep_their_spans(initial, operations):
-    """A fragment passed to ``extend`` shares no list with the target.
+    """A fragment passed to ``extend`` shares no list or array with the target.
 
     Appends to the target after the extend, and reads of it, leave every
-    fragment it was extended with as it was.  Those fragments are read
+    fragment it was extended with as it was, whichever of them holds
+    pieces of a source, and of which source.  Those fragments are read
     only at the end, so that a read cannot undo a shared list first.
     """
     fragment = build(RenderedFragment, initial)
@@ -189,14 +219,29 @@ def test_extended_fragments_keep_their_spans(initial, operations):
     for operation in operations:
         kind = operation[0]
         if kind == "append":
-            fragment.append(operation[1], operation[2])
+            add(fragment, operation[1])
         elif kind == "extend-appended":
             other = build(RenderedFragment, operation[1])
             fragment.extend(other)
-            extended.append((other, build(RenderedFragment, operation[1]).spans))
+            extended.append((other, build(ReferenceFragment, operation[1]).spans))
+        elif kind == "extend-self":
+            fragment.extend(fragment)
         else:
             fragment.spans
     for style in STYLES:
         fragment.append(style, "tail")
+        for source in SOURCES:
+            fragment.append_slices(style, source, [0, 3])
     for other, spans in extended:
         assert other.spans == spans
+    # Nor do appends to those fragments change the target or themselves
+    # read pieces the target added.
+    spans = fragment.spans
+    for other, other_spans in extended:
+        reference = ReferenceFragment(other_spans)
+        for target in (other, reference):
+            for source in SOURCES:
+                target.append_slices(Style.PLAIN, source, [1, 5])
+            target.append(Style.EMPHASIS, "more")
+        assert other.spans == reference.spans
+    assert fragment.spans == spans

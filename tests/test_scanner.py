@@ -29,6 +29,7 @@ from citeforge.scanner import (
     skip_filler,
     split_comma_list,
 )
+from scanning import next_item
 
 
 def bracket_reference(text):
@@ -364,17 +365,17 @@ control_symbol = st.sampled_from(["\\%", "\\&", "\\,", "\\{", "\\}", "\\\\"])
 class TestNextCommand:
     def test_text_run_is_maximal(self):
         stream = CharStream("one \\unknown two \\cite{k} three")
-        first = next_command(stream)
+        first = next_item(stream)
         assert first == "one \\unknown two "
         second = next_command(stream)
         assert isinstance(second, CommandInvocation)
         assert second.name == "cite"
         assert second.arg == "k"
-        assert next_command(stream) == " three"
+        assert next_item(stream) == " three"
 
     def test_unknown_prefix_of_known_name_passes_through(self):
         stream = CharStream("\\citex{k}")
-        assert next_command(stream) == "\\citex{k}"
+        assert next_item(stream) == "\\citex{k}"
 
     def test_command_name_stops_at_non_letter(self):
         stream = CharStream("\\cite2")
@@ -396,7 +397,7 @@ class TestNextCommand:
     @pytest.mark.parametrize("name", ["nocite", "bibliography", "bibliographystyle"])
     def test_only_cite_takes_an_optional_argument(self, name):
         stream = CharStream(f"text\n\\{name}[x]{{k}}", source="doc.tex")
-        assert next_command(stream) == "text\n"
+        assert next_item(stream) == "text\n"
         with pytest.raises(ScanError) as info:
             next_command(stream)
         assert str(info.value) == "doc.tex:2: expected '{' but found '['"
@@ -405,7 +406,7 @@ class TestNextCommand:
     def test_cite_keys_with_blanks_are_linted_in_key_order(self):
         notes = []
         stream = CharStream("\n\\cite[]{ a,b,c d,\te,\u3000f}", source="doc.tex")
-        assert next_command(stream, lint=notes.append) == "\n"
+        assert next_item(stream, lint=notes.append) == "\n"
         invocation = next_command(stream, lint=notes.append)
         assert invocation.arg == " a,b,c d,\te,\u3000f"
         assert notes == [
@@ -444,18 +445,26 @@ class TestNextCommand:
 
     def test_comment_joins_text_runs(self):
         stream = CharStream("half% comment\nway")
-        assert next_command(stream) == "halfway"
+        assert next_item(stream) == "halfway"
+
+    def test_a_run_across_comments_is_the_positions_of_its_pieces(self):
+        stream = CharStream("half% comment\nway %\n\\cite{k} end % tail")
+        assert next_command(stream) == [0, 4, 14, 18]
+        assert stream.position == 20
+        next_command(stream)
+        assert next_command(stream) == [28, 33]
+        assert next_command(CharStream("% only a comment")) == []
 
     def test_escaped_percent_is_not_a_comment(self):
         stream = CharStream("99\\% sure")
-        assert next_command(stream) == "99\\% sure"
+        assert next_item(stream) == "99\\% sure"
 
     def test_trailing_lone_escape_passes_through(self):
         stream = CharStream("tail\\")
-        assert next_command(stream) == "tail\\"
+        assert next_item(stream) == "tail\\"
 
     def test_empty_input_yields_empty_text(self):
-        assert next_command(CharStream("")) == ""
+        assert next_item(CharStream("")) == ""
 
     @given(
         st.lists(
@@ -469,7 +478,7 @@ class TestNextCommand:
         stream = CharStream(document)
         collected = []
         while not stream.at_end():
-            item = next_command(stream)
+            item = next_item(stream)
             assert isinstance(item, str)
             collected.append(item)
         assert "".join(collected) == document
@@ -510,7 +519,8 @@ class TestNextCommand:
 # search named the control sequence and plain commands were read in one
 # match, copied verbatim.  control_at matched scanner.TEXT_TOKEN at the
 # escape; only its ``control`` group and end were used, which this
-# pattern gives the same.
+# pattern gives the same.  The former loop returned a text run as a
+# string; next_command's positions are joined (next_item) to compare.
 _FORMER_CONTROL = re.compile(r"\\(?P<control>[A-Za-z]+|.?)", re.DOTALL)
 _FORMER_TEXT_STOP = re.compile(r"[\\%]")
 _FORMER_ESCAPE_STOP = re.compile(r"\\")
@@ -586,7 +596,7 @@ class TestNextCommandFastPath:
     @settings(max_examples=1000)
     def test_scans_like_the_former_loop(self, body, tail, comments):
         text = body + tail
-        assert scan_all(next_command, text, comments) == scan_all(
+        assert scan_all(next_item, text, comments) == scan_all(
             former_next_command, text, comments
         )
 
