@@ -1,8 +1,8 @@
-"""The aux file protocol: records and the per-pass write queue.
+"""The aux file protocol: record lines and the per-pass write queue.
 
 The aux file is the only channel between passes.  It holds four record
-kinds, one per line when written, each named by its control word (an
-:class:`AuxRecord`'s ``kind``):
+kinds, one per line when written, each named by its control word (the
+``kind`` that :func:`format_record` takes):
 
     \\citation{keys}      what was cited, payload verbatim
     \\bibdata{databases}  argument of the bibliography command
@@ -14,7 +14,9 @@ and the concatenation is parsed, so a record split anywhere across
 lines (even mid-name) still parses.  Writers must therefore never put a
 newline inside a payload, which :func:`format_record` enforces; it also
 refuses a record the reader would not read back as written: a kind
-other than the four, or a label on any kind but ``@citedef``.
+other than the four, or a label on any kind but ``@citedef``.  A record
+is its line from then on: a pass queues only formatted text, and the
+aux bytes are that text joined.
 
 Only ``\\@citedef`` carries information forward; the other three are
 parsed and discarded, exactly as a reader that defines them as gobblers
@@ -32,13 +34,12 @@ itself, at its first citation-shaped command, and hands them to
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
+from typing import Optional
 
 from .errors import AuxCorruptError, AuxFormatError, UnbalancedGroupError
 from .scanner import CharStream, scan_group_arg
 
 __all__ = [
-    "AuxRecord",
     "AuxSession",
     "MISSING_AUX_MESSAGE",
     "format_record",
@@ -51,19 +52,6 @@ MISSING_AUX_MESSAGE = (
 )
 
 
-class AuxRecord(NamedTuple):
-    """One aux record, named by its control word.
-
-    ``kind`` is ``"citation"``, ``"bibdata"``, ``"bibstyle"`` or
-    ``"@citedef"``; ``label`` is required on ``@citedef`` records and
-    refused on the others.
-    """
-
-    kind: str
-    payload: str
-    label: Optional[str] = None
-
-
 def _check_payload(text: str, kind: str, part: str = "payload") -> None:
     if "\n" in text or "\r" in text:
         raise AuxFormatError(f"{kind} {part} may not contain a newline: {text!r}")
@@ -72,55 +60,46 @@ def _check_payload(text: str, kind: str, part: str = "payload") -> None:
 _KINDS = frozenset(("citation", "bibdata", "bibstyle", "@citedef"))
 
 
-def _check_record(record: AuxRecord) -> None:
-    """Raise :class:`AuxFormatError` unless the reader reads the record back whole.
+def format_record(kind: str, payload: str, label: Optional[str] = None) -> str:
+    """The record's exact one-line serialization, newline terminated.
 
-    That takes one of the four kinds, a label on ``@citedef`` and on no
-    other kind, and no line break in the payload or the label.
+    Raises :class:`AuxFormatError` unless the reader reads the line back
+    as the record: that takes one of the four kinds, a label on
+    ``@citedef`` and on no other kind, and no line break in the payload
+    or the label.
     """
-    if record.kind not in _KINDS:
-        raise AuxFormatError(f"unknown aux record kind {record.kind!r}")
-    _check_payload(record.payload, record.kind)
-    if record.kind == "@citedef":
-        if record.label is None:
+    if kind not in _KINDS:
+        raise AuxFormatError(f"unknown aux record kind {kind!r}")
+    _check_payload(payload, kind)
+    if kind == "@citedef":
+        if label is None:
             raise AuxFormatError("@citedef record requires a label")
-        _check_payload(record.label, record.kind, "label")
-    elif record.label is not None:
-        raise AuxFormatError(f"{record.kind} record takes no label")
-
-
-def format_record(record: AuxRecord) -> str:
-    """The record's exact one-line serialization, newline terminated."""
-    _check_record(record)
-    return _format(record)
-
-
-def _format(record: AuxRecord) -> str:
-    if record.kind == "@citedef":
-        return f"\\@citedef{{{record.payload}}}{{{record.label}}}\n"
-    return f"\\{record.kind}{{{record.payload}}}\n"
+        _check_payload(label, kind, "label")
+        return f"\\@citedef{{{payload}}}{{{label}}}\n"
+    if label is not None:
+        raise AuxFormatError(f"{kind} record takes no label")
+    return f"\\{kind}{{{payload}}}\n"
 
 
 # perfbench/spans.py times AuxSession.serialize; until ROADMAP item 2 frees it, the class stays.
 class AuxSession:
-    """The records a pass writes, in order; ``no_aux`` discards them all.
+    """The lines a pass writes, in order; ``no_aux`` discards them all.
 
-    ``pending_writes`` holds each record written alone and, in its place
-    in the order, each run of lines queued whole, already formatted.
+    ``pending_writes`` holds each record's line, formatted and checked
+    when it was written, and, in its place in the order, each run of
+    lines queued whole.
     """
 
     __slots__ = ("no_aux", "pending_writes")
 
     def __init__(self, no_aux: bool = False) -> None:
         self.no_aux = no_aux
-        self.pending_writes: list[Union[AuxRecord, str]] = []
+        self.pending_writes: list[str] = []
 
-    def write(self, record: AuxRecord) -> None:
-        """Queue ``record`` for the file rewrite; dropped in no-aux mode."""
-        if self.no_aux:
-            return
-        _check_record(record)  # reject unserializable records at write time
-        self.pending_writes.append(record)
+    def write(self, kind: str, payload: str, label: Optional[str] = None) -> None:
+        """Queue the record's line for the file rewrite; dropped in no-aux mode."""
+        if not self.no_aux:
+            self.pending_writes.append(format_record(kind, payload, label))
 
     def write_checked(self, lines: str) -> None:
         """Queue ``lines``, records that :func:`format_record` formatted.
@@ -132,11 +111,8 @@ class AuxSession:
             self.pending_writes.append(lines)
 
     def serialize(self) -> bytes:
-        """The aux file's bytes; each record was checked when it was written."""
-        return "".join([
-            entry if entry.__class__ is str else _format(entry)
-            for entry in self.pending_writes
-        ]).encode("utf-8")
+        """The aux file's bytes: the queued lines, joined."""
+        return "".join(self.pending_writes).encode("utf-8")
 
 
 _LINE_BREAKS = b"\r\n"

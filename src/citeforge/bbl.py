@@ -76,7 +76,7 @@ from .macros import (
     expand_macros,
     substitute_params,
 )
-from .rendering import STYLE_SWITCHES, RenderedFragment, Style
+from .rendering import _PLAIN, STYLE_SWITCHES, RenderedFragment, Style
 from .scanner import (
     ESCAPE,
     TEXT_TOKEN,
@@ -186,11 +186,11 @@ class _Writer(RenderedFragment):
         self._joined = 0  # the chunks before this index are joined ones
 
     def open_item(self, label: str) -> None:
-        self.append(Style.PLAIN, f"[{label}] ")
+        self.append(_PLAIN, f"[{label}] ")
         self._pending_space = False
 
     def close_item(self) -> None:
-        self.append(Style.PLAIN, "\n")
+        self.append(_PLAIN, "\n")
         # Once 64 chunks have piled up since the last join, they are joined:
         # a word's own string then lives for a few items only, and one join
         # covers several items.
@@ -204,7 +204,7 @@ class _Writer(RenderedFragment):
 
     def close_block(self) -> None:
         if self._pending_space is not False:
-            self._pending_space = Style.PLAIN
+            self._pending_space = _PLAIN
 
     def word(self, text: str, style: Style) -> None:
         """Add a word run (never empty) and the space pending before it."""

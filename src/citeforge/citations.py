@@ -12,13 +12,13 @@ first-touched order:
   the same way and may warn, once.
 
 ``cite`` renders the bracketed list and queues one ``\\citation``
-record whose payload is the raw key text, unsplit and untrimmed; the
-comma split happens only for rendering, and a split key keeps its
-blanks.  The scanner's ``next_command`` lints such keys while it reads
-the ``\\cite``, so ``cite`` takes no lint sink.  ``nocite`` does the
-recording without rendering anything.  Neither reads the aux file: the
-pass has read it before its first citation-shaped command.  An
-undefined key's first cite is a :class:`CiteWarning`, its line and key;
+line, formatted as it is queued, whose payload is the raw key text,
+unsplit and untrimmed; the comma split happens only for rendering, and
+a split key keeps its blanks.  The scanner's ``next_command`` lints
+such keys while it reads the ``\\cite``, so ``cite`` takes no lint
+sink.  ``nocite`` does the recording without rendering anything.
+Neither reads the aux file: the pass has read it before its first
+citation-shaped command.  An undefined key's first cite is a :class:`CiteWarning`, its line and key;
 the warning text is worked out from them when it is shown.
 
 A cite's fragment is built with one append per span: the texts of each
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .auxfile import AuxRecord, AuxSession
+from .auxfile import AuxSession
 from .rendering import _PLAIN, RenderedFragment, Style
 from .scanner import split_comma_list
 
@@ -51,7 +51,7 @@ class CiteWarning(NamedTuple):
 
 def nocite(session: AuxSession, keys: str) -> None:
     """Record ``keys`` as cited, verbatim, rendering nothing."""
-    session.write(AuxRecord("citation", keys))
+    session.write("citation", keys)
 
 
 def cite(
@@ -63,7 +63,7 @@ def cite(
     *,
     warnings: Optional[list[CiteWarning]] = None,
 ) -> RenderedFragment:
-    """Render ``[k1, k2, note]`` and queue the citation record.
+    """Render ``[k1, k2, note]`` and queue the citation record's line.
 
     An empty ``note`` renders nothing, the same as no note.
 

@@ -6,11 +6,12 @@ returns a citation-shaped command, the pass reads the previous aux file
 text and citations; the text runs are not copied, but kept in the
 rendering as positions in the document, which the rendering then holds
 (see :mod:`.rendering`).  At the ``\\bibliography`` site it defines each
-bbl item's label, queues the items' ``@citedef`` records and adds the
-bbl's rendering and lint notes.  Finally it rewrites the aux file from
-scratch with everything recorded this pass.  The label map (key to
-label, or to None for a key that fell back) starts each pass empty;
-its only inputs are the aux file just read and the bbl items installed
+bbl item's label, queues the items' ``@citedef`` lines and adds the
+bbl's rendering and lint notes.  Each record is queued as its aux
+line, checked and formatted when it is written, and finally the pass
+rewrites the aux file from scratch with the lines it queued.  The label
+map (key to label, or to None for a key that fell back) starts each
+pass empty; its only inputs are the aux file just read and the bbl items installed
 in this very pass.  A record that cannot be written is reported at the
 command (or ``\\bibitem``) it came from.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .auxfile import AuxRecord, AuxSession, format_record, handle_missing_aux, read_aux
+from .auxfile import AuxSession, format_record, handle_missing_aux, read_aux
 from .bbl import Bibliography, LayoutParams, process_bbl
 from .citations import CiteWarning, cite, nocite
 from .dimensions import Dimension, Numberish, as_fraction
@@ -171,7 +172,7 @@ def _process_bbl_file(fs: FileAccess, bbl_name: str, no_aux: bool) -> _Processed
     lines: list[str] = []
     try:
         for entry in [] if no_aux else bibliography.items:
-            lines.append(format_record(AuxRecord("@citedef", entry.key, entry.label)))
+            lines.append(format_record("@citedef", entry.key, entry.label))
     except AuxFormatError as exc:
         exc.locate(entry.line, bbl_name)
         raise
@@ -233,9 +234,9 @@ def run_pass(
             elif item.name == "nocite":
                 nocite(session, item.arg)
             elif item.name == "bibliographystyle":
-                session.write(AuxRecord("bibstyle", item.arg))
+                session.write("bibstyle", item.arg)
             elif item.name == "bibliography":
-                session.write(AuxRecord("bibdata", item.arg))
+                session.write("bibdata", item.arg)
                 bbl_name = f"{config.bbl_basename}.bbl"
                 processed = processed_bbls.get(bbl_name)
                 if processed is None and fs.exists(bbl_name):

@@ -10,9 +10,7 @@ live in the definitions, so nothing is kept from one table to the next.
 :class:`Expansion` is the one engine: a stack of streams, the text
 being read at the bottom and above it the replacements of calls not yet
 read to the end.  The bbl reader walks it directly; :func:`expand_macros`
-walks it to expand a string, and copies a replacement with no escape
-straight to its output, since nothing in it can call a macro: no stream
-is built for it, but it is charged and depth-checked as any other.
+walks it to expand a string, reading each replacement from a stream.
 Arguments are scanned the undelimited way: skip blanks, then take a
 brace group (braces stripped), a whole control sequence, a ``#n``
 marker, or a single character.  Plain groups come
@@ -34,7 +32,7 @@ it was handling.
 from __future__ import annotations
 
 import re
-from typing import Dict, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional
 
 from .errors import MacroError, MacroRecursionError, UnbalancedGroupError
 from .scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
@@ -70,10 +68,9 @@ class MacroDef(NamedTuple):
     name: str
     num_params: int
     body: str
-    #: ``body`` split at its ``#n`` markers: text, index, text, ..., text.
-    #: :func:`define_newcommand` makes it once per definition; without it
-    #: the body is split at each call.  A changed ``body`` needs a new one.
-    template: Optional[tuple] = None
+    #: ``body`` split at its ``#n`` markers: text, index, text, ..., text,
+    #: made once per definition by :func:`define_newcommand`.
+    template: tuple
 
 
 MacroTable = Dict[str, MacroDef]
@@ -117,16 +114,16 @@ def _template(body: str) -> tuple:
     return tuple(pieces)
 
 
-def substitute_params(body: Union[str, tuple], args: list[str]) -> str:
-    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments.
+def substitute_params(template: tuple, args: list[str]) -> str:
+    """Replace the ``#1`` .. ``#9`` markers of ``template`` with the given arguments.
 
-    ``body`` is a definition's text or its :attr:`MacroDef.template`.  A
-    body with no marker comes back as it is.  A result longer than
+    ``template`` is a definition's :attr:`MacroDef.template`.  A body
+    with no marker comes back as it is.  A result longer than
     :data:`MAX_EXPANSION_CHARS` could never be queued, so it is refused
     before it is built: a short body that repeats one long argument
     would otherwise take gigabytes.
     """
-    pieces = [*(_template(body) if body.__class__ is str else body)]
+    pieces = [*template]
     count = len(args)
     for i in range(1, len(pieces), 2):
         index = pieces[i]
@@ -212,16 +209,8 @@ class Expansion:
             return stream.take_to(stream.position + 2)
         return stream.take()
 
-    def push(
-        self, name: str, replacement: str, line: int, out: Optional[list[str]] = None
-    ) -> None:
-        """Read ``replacement`` next; the call of ``name`` sits at ``line``.
-
-        A reading that copies what it reads to ``out`` gives that list:
-        a replacement with no escape cannot call a macro, so it goes
-        there, charged and depth-checked all the same, and no stream is
-        built for it.
-        """
+    def push(self, name: str, replacement: str, line: int) -> None:
+        """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
         streams = self.streams
         if len(streams) > MAX_EXPANSION_DEPTH:
             raise MacroRecursionError(name, MAX_EXPANSION_DEPTH)
@@ -229,9 +218,7 @@ class Expansion:
         budget.queued += len(replacement)
         if budget.queued > MAX_EXPANSION_CHARS:
             raise MacroError(f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters")
-        if out is not None and ESCAPE not in replacement:
-            out.append(replacement)
-        elif replacement:
+        if replacement:
             streams.append(CharStream(replacement, line, streams[0].source, False))
 
 
@@ -265,6 +252,5 @@ def expand_macros(
             out.append(raw)
         else:
             args = expansion.arguments(macro)
-            replacement = substitute_params(macro.template or macro.body, args)
-            expansion.push(name, replacement, stream.line, out)
+            expansion.push(name, substitute_params(macro.template, args), stream.line)
     return "".join(out)

@@ -1,4 +1,7 @@
-"""Aux record serialization, the write queue, and the byte reader.
+"""Aux record lines, the write queue, and the byte reader.
+
+A record is given as its kind, payload and label, and is its line from
+the moment it is written: the queue holds only text.
 
 The newline-immunity checks are exhaustive where feasible: a record is
 split at every single byte position, not just sampled ones.  The fast
@@ -16,7 +19,6 @@ from hypothesis import strategies as st
 from citeforge import auxfile
 from citeforge.auxfile import (
     MISSING_AUX_MESSAGE,
-    AuxRecord,
     AuxSession,
     format_record,
     handle_missing_aux,
@@ -33,65 +35,64 @@ from citeforge.scanner import CharStream, scan_group_arg
 
 class TestFormatRecord:
     def test_each_kind_has_its_line_form(self):
-        assert format_record(AuxRecord("citation", "a,b")) == "\\citation{a,b}\n"
-        assert format_record(AuxRecord("bibdata", "refs")) == "\\bibdata{refs}\n"
-        assert format_record(AuxRecord("bibstyle", "plain")) == "\\bibstyle{plain}\n"
-        assert format_record(AuxRecord("@citedef", "k", "12")) == "\\@citedef{k}{12}\n"
+        assert format_record("citation", "a,b") == "\\citation{a,b}\n"
+        assert format_record("bibdata", "refs") == "\\bibdata{refs}\n"
+        assert format_record("bibstyle", "plain") == "\\bibstyle{plain}\n"
+        assert format_record("@citedef", "k", "12") == "\\@citedef{k}{12}\n"
 
     def test_payload_is_verbatim(self):
-        assert format_record(AuxRecord("citation", "a, b ,,c")) == "\\citation{a, b ,,c}\n"
-        assert format_record(AuxRecord("citation", "")) == "\\citation{}\n"
+        assert format_record("citation", "a, b ,,c") == "\\citation{a, b ,,c}\n"
+        assert format_record("citation", "") == "\\citation{}\n"
 
     def test_newlines_in_payload_rejected(self):
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord("citation", "a\nb"))
+            format_record("citation", "a\nb")
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord("@citedef", "k", "1\r2"))
+            format_record("@citedef", "k", "1\r2")
 
     def test_citedef_requires_label(self):
         with pytest.raises(AuxFormatError):
-            format_record(AuxRecord("@citedef", "k"))
+            format_record("@citedef", "k")
 
     def test_kind_is_the_control_word(self):
         for kind in ("citation", "bibdata", "bibstyle", "@citedef"):
             label = "1" if kind == "@citedef" else None
-            assert format_record(AuxRecord(kind, "k", label)).startswith(f"\\{kind}{{k}}")
-        assert AuxRecord("@citedef", "k", "1") == ("@citedef", "k", "1")
+            assert format_record(kind, "k", label).startswith(f"\\{kind}{{k}}")
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            (AuxRecord("bogus", "x"), "unknown aux record kind 'bogus'"),
-            (AuxRecord("\\citation", "x"), "unknown aux record kind '\\\\citation'"),
-            (AuxRecord("citation", "a", "L"), "citation record takes no label"),
-            (AuxRecord("bibdata", "refs", ""), "bibdata record takes no label"),
-            (AuxRecord("bibstyle", "plain", "x"), "bibstyle record takes no label"),
+            (("bogus", "x"), "unknown aux record kind 'bogus'"),
+            (("\\citation", "x"), "unknown aux record kind '\\\\citation'"),
+            (("citation", "a", "L"), "citation record takes no label"),
+            (("bibdata", "refs", ""), "bibdata record takes no label"),
+            (("bibstyle", "plain", "x"), "bibstyle record takes no label"),
         ],
     )
     def test_writer_refuses_what_the_reader_would_not_read_back(self, record, message):
         with pytest.raises(AuxFormatError, match=f"^{re.escape(message)}$"):
-            format_record(record)
+            format_record(*record)
         session = AuxSession()
         with pytest.raises(AuxFormatError, match=f"^{re.escape(message)}$"):
-            session.write(record)
+            session.write(*record)
         assert session.pending_writes == []
 
 
 class TestSession:
     def test_writes_accumulate_in_order(self):
         session = AuxSession()
-        session.write(AuxRecord("bibstyle", "plain"))
-        session.write(AuxRecord("citation", "x"))
+        session.write("bibstyle", "plain")
+        session.write("citation", "x")
         assert session.serialize() == b"\\bibstyle{plain}\n\\citation{x}\n"
 
     def test_checked_records_are_queued_whole_in_their_place(self):
         lines = "".join(
-            format_record(AuxRecord("@citedef", key, label)) for key, label in (("a", "1"), ("b", "2"))
+            format_record("@citedef", key, label) for key, label in (("a", "1"), ("b", "2"))
         )
         session = AuxSession()
-        session.write(AuxRecord("bibdata", "refs"))
+        session.write("bibdata", "refs")
         session.write_checked(lines)
-        session.write(AuxRecord("citation", "a"))
+        session.write("citation", "a")
         session.write_checked(lines)
         assert session.pending_writes[1] is lines
         block = b"\\@citedef{a}{1}\n\\@citedef{b}{2}\n"
@@ -101,30 +102,49 @@ class TestSession:
         dropped.write_checked(lines)
         assert dropped.pending_writes == []
 
+    def test_the_queue_is_the_lines_in_write_order(self):
+        citedefs = format_record("@citedef", "a", "1") + format_record("@citedef", "b", "[X]")
+        session = AuxSession()
+        session.write("bibstyle", "plain")
+        session.write("citation", "a, b")
+        session.write("bibdata", "refs")
+        session.write_checked(citedefs)
+        session.write("citation", "")
+        assert session.pending_writes == [
+            "\\bibstyle{plain}\n",
+            "\\citation{a, b}\n",
+            "\\bibdata{refs}\n",
+            citedefs,
+            "\\citation{}\n",
+        ]
+        assert all(type(line) is str for line in session.pending_writes)
+        assert session.pending_writes[3] is citedefs
+        assert session.serialize() == "".join(session.pending_writes).encode("utf-8")
+
     def test_write_validates_immediately(self):
         session = AuxSession()
         with pytest.raises(AuxFormatError):
-            session.write(AuxRecord("citation", "bad\npayload"))
+            session.write("citation", "bad\npayload")
         assert session.pending_writes == []
 
     @pytest.mark.parametrize(
         "record, message",
         [
-            (AuxRecord("citation", "a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
-            (AuxRecord("bibstyle", "a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
-            (AuxRecord("@citedef", "k\n"), "@citedef payload may not contain a newline"),
-            (AuxRecord("@citedef", "k"), "@citedef record requires a label"),
-            (AuxRecord("@citedef", "k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
-            (AuxRecord("cite", "a\nb"), "unknown aux record kind 'cite'"),
-            (AuxRecord("citation", "a\nb", "L"), "citation payload may not contain a newline"),
+            (("citation", "a\rb"), "citation payload may not contain a newline: 'a\\rb'"),
+            (("bibstyle", "a\nb"), "bibstyle payload may not contain a newline: 'a\\nb'"),
+            (("@citedef", "k\n"), "@citedef payload may not contain a newline"),
+            (("@citedef", "k"), "@citedef record requires a label"),
+            (("@citedef", "k", "1\n"), "@citedef label may not contain a newline: '1\\n'"),
+            (("cite", "a\nb"), "unknown aux record kind 'cite'"),
+            (("citation", "a\nb", "L"), "citation payload may not contain a newline"),
         ],
     )
     def test_write_and_format_reject_alike(self, record, message):
         # The first problem of a record is the one both report.
         with pytest.raises(AuxFormatError) as written:
-            AuxSession().write(record)
+            AuxSession().write(*record)
         with pytest.raises(AuxFormatError) as formatted:
-            format_record(record)
+            format_record(*record)
         assert str(written.value) == str(formatted.value)
         assert str(written.value).startswith(message)
 
@@ -132,9 +152,7 @@ class TestSession:
         st.lists(
             st.builds(
                 # A label on @citedef records only, the one kind that takes one.
-                lambda kind, payload, label: AuxRecord(
-                    kind, payload, label if kind == "@citedef" else None
-                ),
+                lambda kind, payload, label: (kind, payload, label if kind == "@citedef" else None),
                 st.sampled_from(["citation", "bibdata", "bibstyle", "@citedef"]),
                 st.text(alphabet="ab,{}\\ é€😀\x00", max_size=6),
                 st.text(alphabet="1aé😀", max_size=3),
@@ -147,21 +165,21 @@ class TestSession:
         # and encoded on its own, then joined.
         session = AuxSession()
         for record in records:
-            session.write(record)
-        expected = b"".join(format_record(r).encode("utf-8") for r in records)
+            session.write(*record)
+        expected = b"".join(format_record(*r).encode("utf-8") for r in records)
         assert session.serialize() == expected
 
     def test_newline_payload_still_refused_at_write_time(self):
         session = AuxSession()
-        session.write(AuxRecord("citation", "ok"))
+        session.write("citation", "ok")
         with pytest.raises(AuxFormatError) as info:
-            session.write(AuxRecord("@citedef", "k", "two\nlines"))
+            session.write("@citedef", "k", "two\nlines")
         assert str(info.value) == "@citedef label may not contain a newline: 'two\\nlines'"
         assert session.serialize() == b"\\citation{ok}\n"
 
     def test_no_aux_mode_discards_everything(self):
         session = AuxSession(no_aux=True)
-        session.write(AuxRecord("citation", "x"))
+        session.write("citation", "x")
         assert session.pending_writes == []
         assert session.serialize() == b""
 
@@ -179,13 +197,13 @@ class TestReadAux:
     def test_round_trip_applies_citedefs_only(self):
         session = AuxSession()
         for record in (
-            AuxRecord("bibstyle", "plain"),
-            AuxRecord("citation", "a,b"),
-            AuxRecord("bibdata", "refs"),
-            AuxRecord("@citedef", "a", "1"),
-            AuxRecord("@citedef", "b", "Knu84"),
+            ("bibstyle", "plain"),
+            ("citation", "a,b"),
+            ("bibdata", "refs"),
+            ("@citedef", "a", "1"),
+            ("@citedef", "b", "Knu84"),
         ):
-            session.write(record)
+            session.write(*record)
         labels = parse_labels(session.serialize())
         assert list(labels.items()) == [("a", "1"), ("b", "Knu84")]
 
@@ -245,12 +263,12 @@ payload_text = st.text(
     alphabet="abcdefgh XYZ0123456789.,:-", max_size=10
 )
 record_strategy = st.one_of(
-    payload_text.map(lambda keys: AuxRecord("citation", keys)),
-    payload_text.map(lambda databases: AuxRecord("bibdata", databases)),
-    payload_text.map(lambda style: AuxRecord("bibstyle", style)),
+    payload_text.map(lambda keys: ("citation", keys)),
+    payload_text.map(lambda databases: ("bibdata", databases)),
+    payload_text.map(lambda style: ("bibstyle", style)),
     st.tuples(
         st.text(alphabet="abcdef.:-0123456789", min_size=1, max_size=8), payload_text
-    ).map(lambda pair: AuxRecord("@citedef", *pair)),
+    ).map(lambda pair: ("@citedef", *pair)),
 )
 
 
@@ -259,7 +277,7 @@ record_strategy = st.one_of(
 def test_serialized_records_survive_arbitrary_line_splits(records, data):
     session = AuxSession()
     for record in records:
-        session.write(record)
+        session.write(*record)
     raw = session.serialize()
     expected = parse_labels(raw)
 

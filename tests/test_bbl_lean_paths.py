@@ -1,6 +1,6 @@
 """The cheaper bbl paths against verbatim copies of the code they replaced.
 
-Three paths are checked, each against a copy of the former code:
+Two paths are checked, each against a copy of the former code:
 
 * the bibliography's rendering, which :func:`process_bbl` now writes
   into one fragment as it reads the bbl, against the former per-block
@@ -8,13 +8,14 @@ Three paths are checked, each against a copy of the former code:
   :class:`RenderedFragment`; the bbl is written from generated items,
   so the events each former block took are known, and the spans must
   be equal, styles and boundaries included;
-* :func:`substitute_params` on a body and on the template
-  :func:`define_newcommand` keeps, against the former substitution that
-  split the body at each call; the value or the error text must match;
-* :func:`expand_macros`, whose replacements with no escape go straight
-  to the output, against the former loop that read every replacement
-  from a stream; the value or the error text must match at the depth
-  and budget caps, and so must the budget's total afterwards.
+* :func:`substitute_params` on the template :func:`define_newcommand`
+  keeps, against the former substitution that split the body at each
+  call; the value or the error text must match.
+
+:func:`expand_macros` reads every replacement from a stream, an
+escape-free one included, so its caps are checked directly: the value
+or the error text at the depth and budget caps, and the budget's total
+afterwards.
 """
 
 import re
@@ -32,7 +33,6 @@ from citeforge.errors import CiteforgeError, MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
     MAX_EXPANSION_DEPTH,
-    Expansion,
     ExpansionBudget,
     MacroDef,
     define_newcommand,
@@ -40,7 +40,6 @@ from citeforge.macros import (
     substitute_params,
 )
 from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
-from citeforge.scanner import ESCAPE, CharStream, control_at
 
 # --- the render ---------------------------------------------------------
 
@@ -249,10 +248,8 @@ body_text = st.lists(
 @given(body_text, st.lists(st.sampled_from(["", "x", "#1", "long arg"]), max_size=4))
 @settings(max_examples=1000)
 def test_substitution_matches_the_reference(body, args):
-    expected = outcome(reference_substitute, body, args)
-    assert outcome(substitute_params, body, args) == expected
     template = define_newcommand({}, "m", "", body).template
-    assert outcome(substitute_params, template, args) == expected
+    assert outcome(substitute_params, template, args) == outcome(reference_substitute, body, args)
 
 
 def test_a_body_with_no_marker_comes_back_as_it_is():
@@ -260,7 +257,7 @@ def test_a_body_with_no_marker_comes_back_as_it_is():
     template = define_newcommand({}, "m", "", body).template
     assert template == (body,)
     assert substitute_params(template, []) is template[0]
-    assert substitute_params(body, ["unused"]) == body
+    assert substitute_params(template, ["unused"]) == body
 
 
 def test_a_long_body_with_no_marker_is_refused():
@@ -272,99 +269,19 @@ def test_a_long_body_with_no_marker_is_refused():
 # --- expansion ----------------------------------------------------------
 
 
-class ReferenceExpansion(Expansion):
-    # Expansion.push as it was, verbatim, with ExpansionBudget.spend
-    # (its charge and its check) inlined where push called it.
-    def push(self, name: str, replacement: str, line: int) -> None:
-        """Read ``replacement`` next; the call of ``name`` sits at ``line``."""
-        if len(self.streams) > MAX_EXPANSION_DEPTH:
-            raise MacroRecursionError(name, MAX_EXPANSION_DEPTH)
-        self.budget.queued += len(replacement)
-        if self.budget.queued > MAX_EXPANSION_CHARS:
-            raise MacroError(
-                f"expansion of \\{name} exceeded {MAX_EXPANSION_CHARS} characters"
-            )
-        if replacement:
-            source = self.streams[0].source
-            self.streams.append(
-                CharStream(replacement, line=line, source=source, comments=False)
-            )
-
-
-# macros.expand_macros as it was, verbatim, over the expansion above.
-def reference_expand(defs, text, *, budget=None) -> str:
-    expansion = ReferenceExpansion(CharStream(text, comments=False), budget)
-    out: list[str] = []
-    while (stream := expansion.top()) is not None:
-        content, start = stream.content, stream.position
-        escape = content.find(ESCAPE, start)
-        if escape != start:
-            out.append(stream.take_to(len(content) if escape < 0 else escape))
-            continue
-        name, end = control_at(content, start)
-        raw = stream.take_to(end)
-        macro = defs.get(name)
-        if macro is None:
-            out.append(raw)
-        else:
-            args = expansion.arguments(macro)
-            expansion.push(name, reference_substitute(macro.body, args), stream.line)
-    return "".join(out)
-
-
-def expanded(expand, defs, text, queued):
+def expanded(defs, text, queued):
     budget = ExpansionBudget()
     budget.queued = queued
-    return outcome(lambda: expand(defs, text, budget=budget)), budget.queued
-
-
-NAMES = ("a", "b", "c", "d")
-call = st.tuples(st.sampled_from(NAMES), st.sampled_from(["", "{x}", "{\\a}", " {yz}{w}"])).map(
-    lambda parts: "\\" + parts[0] + parts[1]
-)
-text = st.lists(
-    st.one_of(call, st.sampled_from(["", "plain ", "#1", "\\TeX", "{", "}", "%", "\\"])),
-    max_size=6,
-).map("".join)
-body_piece = st.sampled_from(["", "x", "#1", "#2", "{#1}", "\\TeX", "\\b", "\\c{#1}", "\\d"])
-
-
-@st.composite
-def definitions(draw):
-    """Bodies made by define_newcommand, by hand, or left for the fallback split."""
-    defs = {}
-    for name in NAMES:
-        count = draw(st.integers(min_value=0, max_value=2))
-        body = "".join(draw(st.lists(body_piece, max_size=4)))
-        if draw(st.booleans()):
-            defs[name] = MacroDef(name, count, body, macros._template(body))
-        else:
-            defs[name] = MacroDef(name, count, body)
-    return defs
-
-
-@given(
-    definitions(),
-    text,
-    st.sampled_from([0, MAX_EXPANSION_CHARS - 12, MAX_EXPANSION_CHARS - 3, MAX_EXPANSION_CHARS]),
-    st.sampled_from([MAX_EXPANSION_DEPTH, 0, 1, 2]),
-)
-@settings(max_examples=1000, deadline=None)
-def test_expansion_matches_the_reference(defs, source, queued, depth):
-    # The cap as each copy reads it: the engine's module and this one.
-    with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", depth), mock.patch.dict(
-        globals(), MAX_EXPANSION_DEPTH=depth
-    ):
-        expected = expanded(reference_expand, defs, source, queued)
-        assert expanded(expand_macros, defs, source, queued) == expected
+    return outcome(lambda: expand_macros(defs, text, budget=budget)), budget.queued
 
 
 def chain(length, leaf):
     """Macros ``m0`` .. ``m<length - 1>``: each calls the one before, and ``m0`` is ``leaf``."""
     names = ["m" + "".join(string.ascii_letters[int(d)] for d in str(n)) for n in range(length)]
-    defs = {names[0]: MacroDef(names[0], 0, leaf)}
+    defs = {names[0]: MacroDef(names[0], 0, leaf, macros._template(leaf))}
     for prev, name in zip(names, names[1:]):
-        defs[name] = MacroDef(name, 0, "\\" + prev)
+        body = "\\" + prev
+        defs[name] = MacroDef(name, 0, body, macros._template(body))
     return defs, "\\" + names[-1]
 
 
@@ -372,15 +289,22 @@ def chain(length, leaf):
 @pytest.mark.parametrize("leaf", ["leaf", "\\relax"])
 def test_depth_cap_on_an_escape_free_leaf(length, leaf):
     defs, top = chain(length, leaf)
-    assert expanded(expand_macros, defs, top, 0) == expanded(reference_expand, defs, top, 0)
+    queued = sum(len(macro.body) for macro in defs.values())
+    if length == MAX_EXPANSION_DEPTH:
+        assert expanded(defs, top, 0) == (("ok", leaf), queued)
+    else:
+        # The leaf's call is one nesting too many: refused before it is charged.
+        refused = (MacroRecursionError, f"expansion of \\ma exceeded depth {MAX_EXPANSION_DEPTH}")
+        assert expanded(defs, top, 0) == (refused, queued - len(leaf))
 
 
 def test_budget_cap_on_an_escape_free_replacement():
     defs = {"p": MacroDef("p", 1, "#1#1", macros._template("#1#1"))}
-    for queued in (MAX_EXPANSION_CHARS - 4, MAX_EXPANSION_CHARS - 3):
-        result = expanded(expand_macros, defs, "a\\p{xy}b", queued)
-        assert result == expanded(reference_expand, defs, "a\\p{xy}b", queued)
-    assert result == (
+    assert expanded(defs, "a\\p{xy}b", MAX_EXPANSION_CHARS - 4) == (
+        ("ok", "axyxyb"),
+        MAX_EXPANSION_CHARS,
+    )
+    assert expanded(defs, "a\\p{xy}b", MAX_EXPANSION_CHARS - 3) == (
         (MacroError, f"expansion of \\p exceeded {MAX_EXPANSION_CHARS} characters"),
         MAX_EXPANSION_CHARS + 1,
     )

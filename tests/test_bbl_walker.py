@@ -49,7 +49,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import bbl, macros, scanner
-from citeforge.auxfile import AuxRecord, AuxSession
+from citeforge.auxfile import AuxSession
 from citeforge.bbl import Alignment, LayoutParams, measure_label
 from citeforge.errors import MacroError, ScanError, StructureError, UnbalancedGroupError
 from citeforge.macros import (
@@ -298,7 +298,7 @@ def bibitem(
         if state.alignment is None:
             state.alignment = Alignment.LABELS_RIGHT
     table.define(key, label)
-    session.write(AuxRecord("@citedef", key, label))
+    session.write("@citedef", key, label)
     item = BibItem(key, label, alpha, state.alignment, [])
     state.items.append(item)
     return item
@@ -381,7 +381,7 @@ def expand_macros(defs, text, *, budget=None) -> str:
             out.append(raw)
         else:
             args = expansion.arguments(macro)
-            expansion.push(name, substitute_params(macro.body, args), stream.line)
+            expansion.push(name, substitute_params(macro.template, args), stream.line)
     return "".join(out)
 
 
@@ -540,7 +540,7 @@ def process_bbl(
             elif name in state.macros:
                 macro = state.macros[name]
                 args = expansion.arguments(macro)
-                expansion.push(name, substitute_params(macro.body, args), line)
+                expansion.push(name, substitute_params(macro.template, args), line)
             else:
                 note(f"{stream.source}:{line}: unknown command `{raw}' passed through")
                 handle_text(raw, line, stream.source)

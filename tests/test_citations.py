@@ -117,9 +117,7 @@ class TestNocite:
     def test_records_verbatim(self):
         session = AuxSession()
         nocite(session, "a, b ,c")
-        assert len(session.pending_writes) == 1
-        assert session.pending_writes[0].kind == "citation"
-        assert session.pending_writes[0].payload == "a, b ,c"
+        assert session.pending_writes == ["\\citation{a, b ,c}\n"]
 
 
 class TestCite:
@@ -151,11 +149,11 @@ class TestCite:
         fragment, warnings, _, session = self.run_cite("")
         assert render_plain(fragment) == "[]"
         assert warnings == []
-        assert session.pending_writes[0].payload == ""
+        assert session.pending_writes == ["\\citation{}\n"]
 
     def test_payload_recorded_unsplit(self):
         _, _, _, session = self.run_cite("a, b")
-        assert session.pending_writes[0].payload == "a, b"
+        assert session.pending_writes == ["\\citation{a, b}\n"]
 
     @pytest.mark.parametrize(
         "key",

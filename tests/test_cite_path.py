@@ -10,9 +10,12 @@ from ``scanner`` and the warning text; the reference lints with
 any sequence of cites sharing a table and a session, the real ``cite``
 over a label dict (a label, or None for a fallback) must render the
 same spans and leave the same labels, warnings, lint and queued aux
-records.  The real ``cite`` takes the note as a string and appends
-``CiteWarning`` values to a list; :func:`current_cite` gives it the
-reference's interface.
+records.  The session queued records then, and the real one queues
+their lines, so the reference's records are compared through the
+former ``format_record``, copied verbatim with the record type, its
+check and ``nocite``.  The real ``cite`` takes the note as a string and
+appends ``CiteWarning`` values to a list; :func:`current_cite` gives it
+the reference's interface.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import auxfile, citations
-from citeforge.auxfile import AuxRecord, _check_record, format_record
-from citeforge.citations import nocite
+from citeforge.errors import AuxFormatError
 from citeforge.rendering import RenderedFragment, Style
 from citeforge.scanner import _BLANK, CharStream, next_command, split_comma_list
 
@@ -50,6 +52,56 @@ class OptionalArg(NamedTuple):
 
 
 EMPTY_OPTIONAL = OptionalArg()
+
+
+class AuxRecord(NamedTuple):
+    """One aux record, named by its control word.
+
+    ``kind`` is ``"citation"``, ``"bibdata"``, ``"bibstyle"`` or
+    ``"@citedef"``; ``label`` is required on ``@citedef`` records and
+    refused on the others.
+    """
+
+    kind: str
+    payload: str
+    label: Optional[str] = None
+
+
+def _check_payload(text: str, kind: str, part: str = "payload") -> None:
+    if "\n" in text or "\r" in text:
+        raise AuxFormatError(f"{kind} {part} may not contain a newline: {text!r}")
+
+
+_KINDS = frozenset(("citation", "bibdata", "bibstyle", "@citedef"))
+
+
+def _check_record(record: AuxRecord) -> None:
+    """Raise :class:`AuxFormatError` unless the reader reads the record back whole.
+
+    That takes one of the four kinds, a label on ``@citedef`` and on no
+    other kind, and no line break in the payload or the label.
+    """
+    if record.kind not in _KINDS:
+        raise AuxFormatError(f"unknown aux record kind {record.kind!r}")
+    _check_payload(record.payload, record.kind)
+    if record.kind == "@citedef":
+        if record.label is None:
+            raise AuxFormatError("@citedef record requires a label")
+        _check_payload(record.label, record.kind, "label")
+    elif record.label is not None:
+        raise AuxFormatError(f"{record.kind} record takes no label")
+
+
+def format_record(record: AuxRecord) -> str:
+    """The record's exact one-line serialization, newline terminated."""
+    _check_record(record)
+    return _format(record)
+
+
+def _format(record: AuxRecord) -> str:
+    if record.kind == "@citedef":
+        return f"\\@citedef{{{record.payload}}}{{{record.label}}}\n"
+    return f"\\{record.kind}{{{record.payload}}}\n"
 
 
 def undefined_citation_warning(line: int, key: str) -> str:
@@ -151,6 +203,11 @@ class AuxSession:
 
     def serialize(self) -> bytes:
         return b"".join(format_record(r).encode("utf-8") for r in self.pending_writes)
+
+
+def nocite(session: AuxSession, keys: str) -> None:
+    """Record ``keys`` as cited, verbatim, rendering nothing."""
+    session.write(AuxRecord("citation", keys))
 
 
 def cite_one(
@@ -290,7 +347,8 @@ def test_cite_matches_the_reference(with_empty_defined, warnings_on, sinks, call
         table.define(key, label)
     for key in FALLBACK:
         table.set_fallback(key)
-    expected = run(cite, session, table, True, sinks, calls)
+    *expected, records = run(cite, session, table, True, sinks, calls)
+    expected.append([format_record(record) for record in records])
     expected_labels = {
         key: state.label if isinstance(state, Defined) else None
         for key, state in table.entries.items()
@@ -299,5 +357,5 @@ def test_cite_matches_the_reference(with_empty_defined, warnings_on, sinks, call
     # The pass passes no warn sink when warnings are off.
     labels = {**defined, **dict.fromkeys(FALLBACK)}
     actual = run(current_cite, auxfile.AuxSession(), labels, warnings_on, sinks, calls)
-    assert actual == expected
+    assert list(actual) == expected
     assert list(labels.items()) == list(expected_labels.items())

@@ -177,7 +177,7 @@ def macro_tables(draw) -> MacroTable:
         if num_params:
             options += [st.integers(min_value=1, max_value=num_params).map(lambda k: f"#{k}")] * 2
         body = "".join(draw(st.lists(st.one_of(*options), max_size=5)))
-        defs[name] = MacroDef(name, num_params, body)
+        defs[name] = MacroDef(name, num_params, body, macros._template(body))
     return defs
 
 
@@ -223,7 +223,10 @@ def test_argument_past_a_replacement_in_a_body():
 def test_argument_past_a_replacement_in_a_label():
     bibliography = run_bbl(WRAP + wrap("\\bibitem[\\wrap{y}]{k}\nB."))
     assert bibliography.items[0].label == "(x,y)"
-    defs = {"wrap": MacroDef("wrap", 0, "\\pair{x}"), "pair": MacroDef("pair", 2, "(#1,#2)")}
+    defs = {
+        "wrap": MacroDef("wrap", 0, "\\pair{x}", macros._template("\\pair{x}")),
+        "pair": MacroDef("pair", 2, "(#1,#2)", macros._template("(#1,#2)")),
+    }
     with pytest.raises(MacroError, match="missing argument for \\\\pair"):
         _expand(defs, "\\wrap{y}", 0, MAX_EXPANSION_DEPTH)
 
@@ -272,9 +275,9 @@ def test_depth_cap_allows_exactly_max_nested_expansions(where):
 def test_string_expansion_depth_matches():
     for length in (MAX_EXPANSION_DEPTH, MAX_EXPANSION_DEPTH + 1):
         names = chain_names(length)
-        defs = {names[0]: MacroDef(names[0], 0, "leaf")}
+        defs = {names[0]: MacroDef(names[0], 0, "leaf", macros._template("leaf"))}
         for prev, name in zip(names, names[1:]):
-            defs[name] = MacroDef(name, 0, "\\" + prev)
+            defs[name] = MacroDef(name, 0, "\\" + prev, macros._template("\\" + prev))
         if length == MAX_EXPANSION_DEPTH:
             assert expand_macros(defs, "\\" + names[-1]) == "leaf"
         else:
@@ -318,15 +321,15 @@ def test_recursion_in_a_body_carries_its_location():
 
 
 def test_non_ascii_digit_after_hash_is_literal_text():
-    assert macros.substitute_params("#²x#1", ["a"]) == "#²xa"
-    defs = {"p": MacroDef("p", 1, "[#1]")}
+    assert macros.substitute_params(macros._template("#²x#1"), ["a"]) == "#²xa"
+    defs = {"p": MacroDef("p", 1, "[#1]", macros._template("[#1]"))}
     assert expand_macros(defs, "\\p#²") == "[#]²"
     bibliography = run_bbl("\\newcommand{\\q}[1]{#1#²}\n" + wrap("\\bibitem{k}\n\\q{a}"))
     assert bibliography.rendered.spans == first_item("a#²")
 
 
 def test_percent_is_literal_in_scanned_text():
-    defs = {"p": MacroDef("p", 1, "<#1>")}
+    defs = {"p": MacroDef("p", 1, "<#1>", macros._template("<#1>"))}
     assert expand_macros(defs, "50% \\p{a%b} \\p%") == "50% <a%b> <%>"
 
 
@@ -370,7 +373,7 @@ def read_arguments(reader, texts: list[str], comments: bool, num_params: int):
     for line, text in enumerate(texts[1:], start=7):
         expansion.streams.append(CharStream(text, line=line, comments=False))
     try:
-        outcome = ("ok", reader(expansion, MacroDef("lab", num_params, "")))
+        outcome = ("ok", reader(expansion, MacroDef("lab", num_params, "", macros._template(""))))
     except CiteforgeError as exc:
         outcome = (type(exc), str(exc))
     cursors = [(stream.position, stream.line) for stream in expansion.streams]
@@ -410,7 +413,10 @@ def test_arguments_split_across_streams():
     # arguments come from the replacement and the third from below it.
     two = "\\newcommand{\\two}{\\lab{a}{b}}\n"
     assert rendered_item(two + LAB, "\\two{c}") == first_item("acb")
-    defs = {"two": MacroDef("two", 0, "\\lab{a}{b}"), "lab": MacroDef("lab", 3, "#1#3#2")}
+    defs = {
+        "two": MacroDef("two", 0, "\\lab{a}{b}", macros._template("\\lab{a}{b}")),
+        "lab": MacroDef("lab", 3, "#1#3#2", macros._template("#1#3#2")),
+    }
     assert expand_macros(defs, "\\two{c}") == "acb"
 
 
@@ -419,7 +425,7 @@ def test_comment_between_arguments():
     stream = CharStream("\\lab{a}%\n{b}{c} rest")
     stream.take_to(4)
     expansion = Expansion(stream)
-    assert expansion.arguments(MacroDef("lab", 3, "")) == ["a", "b", "c"]
+    assert expansion.arguments(MacroDef("lab", 3, "", macros._template(""))) == ["a", "b", "c"]
     assert stream.line == 2
     assert stream.content[stream.position :] == " rest"
     notes = []
@@ -434,7 +440,7 @@ def test_parameter_argument_in_a_body_takes_the_general_path():
     definitions = LAB + "\\newcommand{\\wrap}[1]{\\lab{x}#1{y}}\n"
     bibliography = run_bbl(definitions + wrap("\\bibitem{k}\n\\wrap{Q}"))
     assert bibliography.rendered.spans == first_item("xyQ")
-    defs = {"lab": MacroDef("lab", 3, "#1#3#2")}
+    defs = {"lab": MacroDef("lab", 3, "#1#3#2", macros._template("#1#3#2"))}
     assert expand_macros(defs, "\\lab#1{x}{y}") == "#1yx"
 
 

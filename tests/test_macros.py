@@ -92,17 +92,17 @@ class TestDefine:
 
 class TestSubstitute:
     def test_basic(self):
-        assert substitute_params("#1 and #2", ["a", "b"]) == "a and b"
+        assert substitute_params(macros._template("#1 and #2"), ["a", "b"]) == "a and b"
 
     def test_markers_may_repeat_and_reorder(self):
-        assert substitute_params("#2#1#2", ["x", "y"]) == "yxy"
+        assert substitute_params(macros._template("#2#1#2"), ["x", "y"]) == "yxy"
 
     def test_plain_hash_free_text_unchanged(self):
-        assert substitute_params("{\\em text}", []) == "{\\em text}"
+        assert substitute_params(macros._template("{\\em text}"), []) == "{\\em text}"
 
     def test_out_of_range_marker(self):
         with pytest.raises(MacroError, match="parameter #3 used but only 2"):
-            substitute_params("#3", ["a", "b"])
+            substitute_params(macros._template("#3"), ["a", "b"])
 
 
 class TestExpand:
@@ -168,8 +168,8 @@ class TestExpand:
 
     def test_mutual_recursion_hits_the_cap_too(self):
         defs = {
-            "ping": MacroDef("ping", 0, "\\pong"),
-            "pong": MacroDef("pong", 0, "\\ping"),
+            "ping": MacroDef("ping", 0, "\\pong", macros._template("\\pong")),
+            "pong": MacroDef("pong", 0, "\\ping", macros._template("\\ping")),
         }
         with pytest.raises(MacroRecursionError):
             expand_macros(defs, "\\ping")
@@ -180,11 +180,11 @@ class TestExpand:
         defs = {}
         define_newcommand(defs, names[0], "", "leaf")
         for prev, name in zip(names, names[1:]):
-            defs[name] = MacroDef(name, 0, "\\" + prev)
+            defs[name] = MacroDef(name, 0, "\\" + prev, macros._template("\\" + prev))
         assert expand_macros(defs, "\\" + names[-1]) == "leaf"
 
     def test_custom_depth_cap(self):
-        defs = {"f": MacroDef("f", 0, "\\f")}
+        defs = {"f": MacroDef("f", 0, "\\f", macros._template("\\f"))}
         with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", 8):
             with pytest.raises(MacroRecursionError) as info:
                 expand_macros(defs, "\\f")

@@ -27,6 +27,7 @@ from time import perf_counter
 
 import pytest
 
+from citeforge import macros
 from citeforge.auxfile import read_aux
 from citeforge.bbl import process_bbl
 from citeforge.driver import JobConfig, run_pass
@@ -143,7 +144,7 @@ def scan_unclosed_optional(units: int) -> None:
 
 
 def expand_unclosed_argument(units: int) -> None:
-    defs = {"lab": MacroDef("lab", 3, "#1#3#2")}
+    defs = {"lab": MacroDef("lab", 3, "#1#3#2", macros._template("#1#3#2"))}
     with pytest.raises(MacroError, match="unbalanced braces"):
         expand_macros(defs, "\\lab{a} {" + "words and more words " * units)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import driver
-from citeforge.auxfile import AuxRecord, AuxSession, read_aux
+from citeforge.auxfile import AuxSession, read_aux
 from citeforge.driver import JobConfig, build_report
 from citeforge.errors import CiteforgeError
 from citeforge.files import MemoryFiles
@@ -190,10 +190,10 @@ def payloads():
 
 
 records = st.one_of(
-    payloads().map(lambda keys: AuxRecord("citation", keys)),
-    payloads().map(lambda databases: AuxRecord("bibdata", databases)),
-    payloads().map(lambda style: AuxRecord("bibstyle", style)),
-    st.builds(lambda key, label: AuxRecord("@citedef", key, label), payloads(), payloads()),
+    payloads().map(lambda keys: ("citation", keys, None)),
+    payloads().map(lambda databases: ("bibdata", databases, None)),
+    payloads().map(lambda style: ("bibstyle", style, None)),
+    st.builds(lambda key, label: ("@citedef", key, label), payloads(), payloads()),
 )
 
 
@@ -201,12 +201,12 @@ records = st.one_of(
 @settings(max_examples=200)
 def test_aux_records_survive_serialize_and_read(written):
     session = AuxSession()
-    for record in written:
-        session.write(record)
+    for kind, payload, label in written:
+        session.write(kind, payload, label)
     labels = {}
     read_aux(labels, session.serialize())
     expected = {}
-    for record in written:
-        if record.label is not None:
-            expected[record.payload] = record.label
+    for kind, payload, label in written:
+        if label is not None:
+            expected[payload] = label
     assert labels == expected
