@@ -88,12 +88,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     try:
-        document = path.read_text(encoding="utf-8")
+        # Decoded as bytes, as the bbl is: read_text would turn "\r\n" and "\r" into "\n".
+        document = path.read_bytes().decode("utf-8")
     except OSError as exc:
         print(f"citeforge: error: cannot read {path}: {exc}", file=sys.stderr)
         return 3
-    except UnicodeDecodeError:
-        print(f"citeforge: error: {path.name}: not UTF-8 text", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"citeforge: error: {path.name}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
         return 3
 
     fs = DirectoryFiles(path.parent)

@@ -94,9 +94,10 @@ def define_newcommand(
     """
     count = 0
     if nparams:
-        if not _COUNT.fullmatch(nparams.strip()):
+        digits = nparams.strip()  # int() strips fewer blanks: not "\x1c", say
+        if not _COUNT.fullmatch(digits):
             raise MacroError(f"parameter count `{nparams}' is not a number")
-        count = int(nparams)
+        count = int(digits)
     if count > 9:
         raise MacroError(f"{count} is too many parameters")
     if count < 0:

@@ -4,15 +4,17 @@ A record is given as its kind, payload and label, and is its line from
 the moment it is written: the queue holds only text.
 
 The newline-immunity checks are exhaustive where feasible: a record is
-split at every single byte position, not just sampled ones.  The fast
-path for plain records is checked against a verbatim copy of the
-record reader it sits in front of.
+split at every single byte position, not just sampled ones.  The
+reader, its plain-record fast path and its error offsets, and the
+record lines are checked against ``tests/spec.py``, which reads the
+bytes one at a time.
 """
 
 import re
 from unittest import mock
 
 import pytest
+import spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,13 +26,7 @@ from citeforge.auxfile import (
     handle_missing_aux,
     read_aux,
 )
-from citeforge.errors import (
-    AuxCorruptError,
-    AuxFormatError,
-    CiteforgeError,
-    UnbalancedGroupError,
-)
-from citeforge.scanner import CharStream, scan_group_arg
+from citeforge.errors import AuxCorruptError, AuxFormatError, CiteforgeError
 
 
 class TestFormatRecord:
@@ -161,12 +157,11 @@ class TestSession:
         )
     )
     def test_serialize_joins_then_encodes_once(self, records):
-        # The bytes of the former serializer: each record formatted, checked
-        # and encoded on its own, then joined.
+        # Each record's line as the spec writes it, encoded on its own, then joined.
         session = AuxSession()
         for record in records:
             session.write(*record)
-        expected = b"".join(format_record(*r).encode("utf-8") for r in records)
+        expected = b"".join(spec.format_record(*r).encode("utf-8") for r in records)
         assert session.serialize() == expected
 
     def test_newline_payload_still_refused_at_write_time(self):
@@ -290,59 +285,14 @@ def test_serialized_records_survive_arbitrary_line_splits(records, data):
     assert parse_labels(mangled) == expected
 
 
-# The reader as it was when it mapped every kept byte to its original
-# offset up front (the ``origin`` list), kept as the reference for the
-# offsets now worked out only when an error is raised.
-_REFERENCE_OPENERS = (
-    ("@citedef", "\\@citedef{"),
-    ("citation", "\\citation{"),
-    ("bibdata", "\\bibdata{"),
-    ("bibstyle", "\\bibstyle{"),
-)
-
-
-def reference_read_aux(content: bytes, labels: dict) -> None:
-    stripped = bytearray()
-    origin: list[int] = []
-    for index, byte in enumerate(content):
-        if byte not in (0x0A, 0x0D):
-            stripped.append(byte)
-            origin.append(index)
-    origin.append(len(content))  # sentinel for end-of-data offsets
-    stream = CharStream(stripped.decode("latin-1"), comments=False)
-
-    def utf8(text: str) -> str:
-        return text.encode("latin-1").decode("utf-8")
-
-    while not stream.at_end():
-        record_start = stream.position
-        for kind, opener in _REFERENCE_OPENERS:
-            if stream.content.startswith(opener, record_start):
-                break
-        else:
-            raise AuxCorruptError("unrecognized aux content", origin[record_start])
-        stream.take_to(record_start + len(opener) - 1)
-        offset = origin[record_start]
-        try:
-            payload = scan_group_arg(stream)
-            if kind == "@citedef":
-                if stream.peek() != "{":
-                    raise AuxCorruptError("@citedef record missing its label", offset)
-                label = scan_group_arg(stream)
-                labels[utf8(payload)] = utf8(label)
-        except UnbalancedGroupError:
-            raise AuxCorruptError("unterminated record", offset) from None
-        except UnicodeDecodeError:
-            raise AuxCorruptError("@citedef record is not UTF-8 text", offset) from None
-
-
-def outcome_of(reader, content: bytes):
-    labels = {}
+def read_through(reader, content: bytes):
+    """The labels entered, in order, and the error if there was one."""
+    labels: dict = {}
     try:
-        reader(content, labels)
-    except AuxCorruptError as exc:
-        return ("error", str(exc), exc.offset, labels)
-    return ("ok", labels)
+        reader(labels, content, "x.aux")
+    except CiteforgeError as exc:
+        return list(labels.items()), type(exc), str(exc), getattr(exc, "offset", None)
+    return list(labels.items()), None
 
 
 aux_payload = st.text(alphabet="ab9 .é{}\\", max_size=6).map(lambda text: text.encode())
@@ -381,71 +331,10 @@ def test_error_offsets_match_the_origin_list(records, fault, after, data):
     for position, line_break in sorted(breaks, reverse=True):
         content = content[:position] + line_break + content[position:]
 
-    def current(content, labels):
-        read_aux(labels, content)
-
-    assert outcome_of(current, content) == outcome_of(reference_read_aux, content)
+    assert read_through(read_aux, content) == read_through(spec.read_aux, content)
 
 
-# --- the fast path of read_aux against its general path -------------------
-
-# read_aux as it was before its plain-record fast path, copied verbatim
-# with the parts it called: every record then went through _read_record.
-_GENERAL_OPENER = re.compile(r"\\(?:@citedef|citation|bibdata|bibstyle)(?=\{)")
-_GENERAL_KEPT_RUN = re.compile(rb"[^\r\n]+")
-
-
-def general_read_aux(labels: dict, content: bytes, source: str = "") -> None:
-    stripped = content.translate(None, b"\r\n").decode("latin-1")
-    stream = CharStream(stripped, comments=False)
-    while not stream.at_end():
-        record_start = stream.position
-        problem = general_read_record(stream, labels)
-        if problem is not None:
-            raise AuxCorruptError(problem, general_offset(content, record_start), source)
-
-
-def general_read_record(stream: CharStream, labels: dict):
-    opener = _GENERAL_OPENER.match(stream.content, stream.position)
-    if opener is None:
-        return "unrecognized aux content"
-    stream.take_to(opener.end())
-    try:
-        payload = scan_group_arg(stream)
-        if opener.group() == "\\@citedef":
-            if stream.peek() != "{":
-                return "@citedef record missing its label"
-            label = scan_group_arg(stream)
-            labels[general_utf8(payload)] = general_utf8(label)
-    except UnbalancedGroupError:
-        return "unterminated record"
-    except UnicodeDecodeError:
-        return "@citedef record is not UTF-8 text"
-    return None
-
-
-def general_offset(content: bytes, position: int) -> int:
-    for run in _GENERAL_KEPT_RUN.finditer(content):
-        length = run.end() - run.start()
-        if position < length:
-            return run.start() + position
-        position -= length
-    return len(content)
-
-
-def general_utf8(text: str) -> str:
-    return text.encode("latin-1").decode("utf-8")
-
-
-def read_through(reader, content: bytes):
-    """The labels entered, in order, and the error if there was one."""
-    labels: dict = {}
-    try:
-        reader(labels, content, "x.aux")
-    except CiteforgeError as exc:
-        return list(labels.items()), type(exc), str(exc), getattr(exc, "offset", None)
-    return list(labels.items()), None
-
+# --- read_aux against the spec ------------------------------------------
 
 aux_text = st.lists(
     st.sampled_from(
@@ -470,7 +359,7 @@ def aux_bytes(text: str) -> bytes:
 @given(st.lists(raw_record, max_size=6).map("".join).map(aux_bytes))
 @settings(max_examples=1000)
 def test_read_aux_reads_like_the_general_path(content):
-    assert read_through(read_aux, content) == read_through(general_read_aux, content)
+    assert read_through(read_aux, content) == read_through(spec.read_aux, content)
 
 
 def test_plain_records_skip_the_general_path():

@@ -1,16 +1,14 @@
-"""The cheaper bbl paths against verbatim copies of the code they replaced.
+"""The cheaper bbl paths against the spec.
 
-Two paths are checked, each against a copy of the former code:
+Two paths are checked against ``tests/spec.py``:
 
-* the bibliography's rendering, which :func:`process_bbl` now writes
-  into one fragment as it reads the bbl, against the former per-block
-  builder and the former render that appended each block to a
-  :class:`RenderedFragment`; the bbl is written from generated items,
-  so the events each former block took are known, and the spans must
-  be equal, styles and boundaries included;
+* the bibliography's rendering, which :func:`process_bbl` writes into
+  one fragment as it reads the bbl; the bbl is written from generated
+  items, blocks and styled pieces, and its spans must be the spec's,
+  styles and boundaries included;
 * :func:`substitute_params` on the template :func:`define_newcommand`
-  keeps, against the former substitution that split the body at each
-  call; the value or the error text must match.
+  keeps; the value or the error text must be the spec's substitution
+  into the body.
 
 :func:`expand_macros` reads every replacement from a stream, an
 escape-free one included, so its caps are checked directly: the value
@@ -18,12 +16,12 @@ or the error text at the depth and budget caps, and the budget's total
 afterwards.
 """
 
-import re
 import string
-from typing import NamedTuple, Optional, Union
 from unittest import mock
 
 import pytest
+import spec
+from differential import spans_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,67 +40,6 @@ from citeforge.macros import (
 from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
 
 # --- the render ---------------------------------------------------------
-
-
-# bbl._BlockBuilder as it was, verbatim: one body block.
-class _BlockBuilder:
-    """Accumulates one body block, normalizing whitespace as it goes.
-
-    It takes word runs and blank runs whole.  A blank run becomes a
-    single space, and leading and trailing blanks disappear.  A space
-    keeps the style in force where it occurred, the way a space token
-    is set in the current font, so the gap before ``{\\em ...}`` stays
-    plain.
-    """
-
-    __slots__ = ("fragment", "_pending_space")
-
-    def __init__(self) -> None:
-        self.fragment = RenderedFragment()
-        # The style of the space before the next word: None for no space,
-        # and False until the first word, since leading blanks vanish.
-        self._pending_space: Union[Style, None, bool] = False
-
-    def word(self, text: str, style: Style) -> None:
-        pending = self._pending_space
-        if pending is style:
-            text = " " + text
-        elif pending:
-            self.fragment.append(pending, " ")
-        self._pending_space = None
-        self.fragment.append(style, text)
-
-    def space(self, style: Style) -> None:
-        if self._pending_space is None:
-            self._pending_space = style
-
-    def finish(self) -> Optional[RenderedFragment]:
-        return None if self._pending_space is False else self.fragment
-
-
-class ReferenceItem(NamedTuple):
-    label: str
-    body: list[RenderedFragment]
-
-
-class ReferenceBibliography(NamedTuple):
-    items: list[ReferenceItem]
-
-
-# driver._render_bibliography as it was first, verbatim.
-def reference_render(bibliography: ReferenceBibliography) -> RenderedFragment:
-    fragment = RenderedFragment()
-    for item in bibliography.items:
-        fragment.append(Style.PLAIN, f"[{item.label}] ")
-        for index, block in enumerate(item.body):
-            if index:
-                fragment.append(Style.PLAIN, " ")
-            fragment.extend(block)
-        fragment.append(Style.PLAIN, "\n")
-    return fragment
-
-
-_RUNS = re.compile(r"[ \n]+|[^ \n]+")
 
 
 def write_piece(switch: str, text: str) -> str:
@@ -127,31 +64,6 @@ def bbl_of(entries) -> str:
     return f"\\begin{{thebibliography}}{{9}}\n{items}\\end{{thebibliography}}\n"
 
 
-def reference_of(entries) -> RenderedFragment:
-    """The former blocks and render of ``bbl_of(entries)``."""
-    items, counter = [], 0
-    for label, blocks in entries:
-        if not label:
-            counter += 1
-            label = str(counter)
-        body = []
-        for index, pieces in enumerate(blocks):
-            block = _BlockBuilder()
-            for switch, text in pieces:
-                for run in _RUNS.findall(text):
-                    if run.isspace():
-                        block.space(STYLE_SWITCHES[switch])
-                    else:
-                        block.word(run, STYLE_SWITCHES[switch])
-            if index == len(blocks) - 1:
-                block.space(Style.PLAIN)  # the line break that ends the item
-            finished = block.finish()
-            if finished is not None:
-                body.append(finished)
-        items.append(ReferenceItem(label, body))
-    return reference_render(ReferenceBibliography(items))
-
-
 piece = st.tuples(
     st.sampled_from(sorted(STYLE_SWITCHES)),
     st.sampled_from(["", " ", "a", "b c", "\n", " d ", "e  f", "g. "]),
@@ -168,16 +80,17 @@ entries = st.lists(
 @given(entries)
 @settings(max_examples=1000)
 def test_render_matches_the_reference(entries):
-    spans = process_bbl(bbl_of(entries)).rendered.spans
-    assert spans == reference_of(entries).spans
-    assert all(type(span) is Span for span in spans)
+    content = bbl_of(entries)
+    rendered = process_bbl(content).rendered
+    assert spans_of(rendered) == spec.process_bbl(content).spans
+    assert all(type(span) is Span for span in rendered.spans)
 
 
 def test_render_keeps_styled_edges_and_empty_items():
     em, sc, rm = ("em", "Title"), ("sc", "Doe"), ("rm", ", 2001.")
     entries = [("A", []), ("B", [[em], [sc, rm], [em]]), ("C", [[], [("tt", " ")], [em]])]
     rendered = process_bbl(bbl_of(entries)).rendered
-    assert rendered == reference_of(entries)
+    assert spans_of(rendered) == spec.process_bbl(bbl_of(entries)).spans
     assert rendered.spans == [
         Span(Style.PLAIN, "[A] \n[B] "),
         Span(Style.EMPHASIS, "Title"),
@@ -213,24 +126,6 @@ def test_one_walk_makes_one_fragment():
 
 # --- substitution -------------------------------------------------------
 
-_PARAMETER = re.compile("#([0-9])")
-
-
-# macros.substitute_params as it was, verbatim.
-def reference_substitute(body: str, args: list[str]) -> str:
-    # Text and marker digits alternate: text, digit, text, ..., text.
-    pieces = _PARAMETER.split(body)
-    for i in range(1, len(pieces), 2):
-        index = int(pieces[i])
-        if index < 1 or index > len(args):
-            raise MacroError(
-                f"parameter #{index} used but only {len(args)} argument(s) supplied"
-            )
-        pieces[i] = args[index - 1]
-    if sum(map(len, pieces)) > MAX_EXPANSION_CHARS:
-        raise MacroError(f"replacement text exceeded {MAX_EXPANSION_CHARS} characters")
-    return "".join(pieces)
-
 
 def outcome(call, *args):
     try:
@@ -249,7 +144,7 @@ body_text = st.lists(
 @settings(max_examples=1000)
 def test_substitution_matches_the_reference(body, args):
     template = define_newcommand({}, "m", "", body).template
-    assert outcome(substitute_params, template, args) == outcome(reference_substitute, body, args)
+    assert outcome(substitute_params, template, args) == outcome(spec.substitute, body, args)
 
 
 def test_a_body_with_no_marker_comes_back_as_it_is():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import citeforge
+from citeforge import JobConfig, MemoryFiles, render_plain, run_to_fixpoint
 from citeforge.cli import main
 from citeforge.macros import MAX_EXPANSION_CHARS
 
@@ -252,7 +253,34 @@ def test_non_utf8_document_exits_three(workspace):
     code, err = run_cli_process("resolve", str(workspace / "paper.tex"))
     assert code == 3
     assert "Traceback" not in err
-    assert "citeforge: error: paper.tex: not UTF-8 text" in err
+    assert "citeforge: error: paper.tex: not UTF-8 text (byte 3)" in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        "See \\cite{a}.\r\nThen \\cite{x},\r\n\\cite{y}.\r\n\\bibliography{refs}\r\n",
+        "a\rb \\cite{x}\r\\cite{y}\n",
+    ],
+    ids=["crlf", "bare-cr"],
+)
+def test_the_document_is_read_as_the_library_reads_it(workspace, capsys, document):
+    # Line breaks pass through byte for byte, and only "\n" ends a line.
+    outcome = run_to_fixpoint(
+        JobConfig(jobname="paper"), document, MemoryFiles({"paper.bbl": BBL.encode()})
+    )
+    final = outcome.final
+    (workspace / "paper.tex").write_bytes(document.encode())
+    code = main(["resolve", str(workspace / "paper.tex")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == render_plain(final.rendered)
+    assert "\r" in out
+    assert err.splitlines() == final.messages + final.warning_texts()
+    assert [warning.line for warning in final.warnings] == [
+        1 + document[: document.index("\\cite{x}")].count("\n"),
+        1 + document[: document.index("\\cite{y}")].count("\n"),
+    ]
 
 
 def test_non_utf8_bbl_exits_three(workspace):

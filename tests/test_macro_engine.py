@@ -1,14 +1,11 @@
-"""The one macro engine, against the string expander it replaced.
+"""The one macro engine, against the spec's.
 
-``_expand`` and its helpers below are the former string-recursive
-expander, copied verbatim, as the reference.  Wherever it succeeds,
-:func:`expand_macros` must return the same string.  The one place the
-two may differ is an argument read past the end of a replacement: the
-reference expands each replacement in isolation and fails there, the
-engine reads on into the pending text, as the bbl reader always did.
-The remaining tests pin the behaviour the two readers now share, and
-check the plain-group fast path of :meth:`Expansion.arguments` against
-a verbatim copy of the general argument reader, seams included.
+:func:`expand_macros` must return what ``tests/spec.py`` returns for
+the same macros and text, or raise the same error, the depth cap
+patched alike on both sides.  The remaining tests pin the behaviour
+the bbl walk and :func:`expand_macros` share, and check
+:meth:`Expansion.arguments`, plain-group fast path included, against
+the spec's argument reader over a stack of texts, seams included.
 """
 
 import string
@@ -16,17 +13,14 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+import spec
+from differential import outcome, spec_macros
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import macros
 from citeforge.bbl import process_bbl
-from citeforge.errors import (
-    CiteforgeError,
-    MacroError,
-    MacroRecursionError,
-    UnbalancedGroupError,
-)
+from citeforge.errors import MacroError, MacroRecursionError
 from citeforge.macros import (
     MAX_EXPANSION_CHARS,
     MAX_EXPANSION_DEPTH,
@@ -36,116 +30,14 @@ from citeforge.macros import (
     expand_macros,
 )
 from citeforge.rendering import Span, Style
-from citeforge.scanner import ESCAPE, CharStream, control_at, scan_group_arg, skip_filler
-
-_LETTERS = frozenset(string.ascii_letters)
-_SPACES = " \t\r\n\f\v"
-
-
-# --- reference: the former string expander, verbatim ---------------------
-
-
-def _control_at(text: str, i: int) -> tuple[str, int]:
-    """(name, length) of the control sequence starting at ``text[i]``."""
-    j = i + 1
-    if j >= len(text):
-        return "", 1
-    if text[j] not in _LETTERS:
-        return text[j], 2
-    k = j
-    while k < len(text) and text[k] in _LETTERS:
-        k += 1
-    return text[j:k], k - i
-
-
-def _scan_group(text: str, i: int, name: str) -> tuple[str, int]:
-    # text[i] is "{"; returns content with outer braces stripped.
-    depth = 0
-    j = i
-    while j < len(text):
-        ch = text[j]
-        if ch == "\\":
-            j += 2
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return text[i + 1 : j], j + 1
-        j += 1
-    raise MacroError(f"unbalanced braces in argument of \\{name}")
-
-
-def _scan_argument(text: str, i: int, name: str) -> tuple[str, int]:
-    while i < len(text) and text[i] in _SPACES:
-        i += 1
-    if i >= len(text):
-        raise MacroError(f"missing argument for \\{name}")
-    ch = text[i]
-    if ch == "{":
-        return _scan_group(text, i, name)
-    if ch == "\\":
-        _, length = _control_at(text, i)
-        return text[i : i + length], i + length
-    if ch == "#" and i + 1 < len(text) and text[i + 1].isdigit():
-        return text[i : i + 2], i + 2
-    return ch, i + 1
-
-
-def substitute_params(body: str, args: list[str]) -> str:
-    """Replace ``#1`` .. ``#9`` in ``body`` with the given arguments."""
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "#" and i + 1 < len(body) and body[i + 1].isdigit():
-            index = int(body[i + 1])
-            if index < 1 or index > len(args):
-                raise MacroError(
-                    f"parameter #{index} used but only {len(args)} argument(s) supplied"
-                )
-            out.append(args[index - 1])
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _expand(defs: MacroTable, text: str, depth: int, max_depth: int) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        name, length = _control_at(text, i)
-        if name not in defs:
-            out.append(text[i : i + length])
-            i += length
-            continue
-        if depth >= max_depth:
-            raise MacroRecursionError(name, max_depth)
-        macro = defs[name]
-        i += length
-        args: list[str] = []
-        for _ in range(macro.num_params):
-            arg, i = _scan_argument(text, i, name)
-            args.append(arg)
-        replacement = substitute_params(macro.body, args)
-        out.append(_expand(defs, replacement, depth + 1, max_depth))
-    return "".join(out)
-
+from citeforge.scanner import CharStream
 
 # --- the differential property -------------------------------------------
 
 NAMES = ("a", "b", "pair", "gob", "wrap")
 
-# ASCII text only: a marker such as "#²" crashes the reference (see
-# test_non_ascii_digit_after_hash_is_literal_text for the new reading).
+# ASCII text only (see test_non_ascii_digit_after_hash_is_literal_text
+# for markers such as "#²").
 literal = st.text(alphabet="ab xy.,;()!?019%#\n", min_size=1, max_size=4)
 oddity = st.sampled_from(["{", "}", "{}", "{\\TeX}", "\\TeX", "\\%", "\\{", "\\", "#"])
 argument = st.sampled_from(
@@ -165,18 +57,28 @@ texts = st.lists(
 ).map("".join)
 
 
+def body_pieces(index, num_params):
+    """The pieces a body of ``NAMES[index]`` with ``num_params`` parameters is made of."""
+    options = [literal, literal, oddity]
+    if index + 1 < len(NAMES):
+        options.append(calls(NAMES[index + 1 :]))
+    if num_params:
+        options += [st.integers(min_value=1, max_value=num_params).map(lambda k: f"#{k}")] * 2
+    return st.lists(st.one_of(*options), max_size=5)
+
+
+# Made once: a strategy made inside a draw costs more than the draw.
+COUNTS = st.sampled_from([0, 0, 1, 1, 2, 3, 9])
+BODIES = {(i, n): body_pieces(i, n) for i in range(len(NAMES)) for n in (0, 1, 2, 3, 9)}
+
+
 @st.composite
 def macro_tables(draw) -> MacroTable:
     """Every name defined; a body calls only names after its own."""
     defs = {}
     for index, name in enumerate(NAMES):
-        num_params = draw(st.sampled_from([0, 0, 1, 1, 2, 3, 9]))
-        options = [literal, literal, oddity]
-        if index + 1 < len(NAMES):
-            options.append(calls(NAMES[index + 1 :]))
-        if num_params:
-            options += [st.integers(min_value=1, max_value=num_params).map(lambda k: f"#{k}")] * 2
-        body = "".join(draw(st.lists(st.one_of(*options), max_size=5)))
+        num_params = draw(COUNTS)
+        body = "".join(draw(BODIES[index, num_params]))
         defs[name] = MacroDef(name, num_params, body, macros._template(body))
     return defs
 
@@ -187,12 +89,11 @@ depths = st.one_of(st.just(MAX_EXPANSION_DEPTH), st.integers(min_value=0, max_va
 @given(macro_tables(), st.tuples(texts, calls(NAMES), texts).map("".join), depths)
 @settings(max_examples=600, deadline=None)
 def test_engine_matches_the_reference_wherever_it_succeeds(defs, text, max_depth):
-    try:
-        expected = _expand(defs, text, 0, max_depth)
-    except MacroError:
-        return
-    with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", max_depth):
-        assert expand_macros(defs, text) == expected
+    with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", max_depth), mock.patch.object(
+        spec, "MAX_EXPANSION_DEPTH", max_depth
+    ):
+        expected = outcome(spec.expand_macros, spec_macros(defs), text)
+        assert outcome(expand_macros, defs, text) == expected
 
 
 # --- shared behaviour of labels and bodies -------------------------------
@@ -223,12 +124,6 @@ def test_argument_past_a_replacement_in_a_body():
 def test_argument_past_a_replacement_in_a_label():
     bibliography = run_bbl(WRAP + wrap("\\bibitem[\\wrap{y}]{k}\nB."))
     assert bibliography.items[0].label == "(x,y)"
-    defs = {
-        "wrap": MacroDef("wrap", 0, "\\pair{x}", macros._template("\\pair{x}")),
-        "pair": MacroDef("pair", 2, "(#1,#2)", macros._template("(#1,#2)")),
-    }
-    with pytest.raises(MacroError, match="missing argument for \\\\pair"):
-        _expand(defs, "\\wrap{y}", 0, MAX_EXPANSION_DEPTH)
 
 
 def chain_names(length):
@@ -333,51 +228,27 @@ def test_percent_is_literal_in_scanned_text():
     assert expand_macros(defs, "50% \\p{a%b} \\p%") == "50% <a%b> <%>"
 
 
-# --- the fast path of Expansion.arguments against its general path -------
-
-_DIGITS = frozenset("0123456789")
+# --- Expansion.arguments against the spec's argument reader ---------------
 
 
-# Expansion._argument as it was before arguments gained its fast path,
-# copied verbatim; arguments then read every argument through it.
-def general_argument(expansion: Expansion, name: str) -> str:
-    streams = expansion.streams
-    stream = streams[-1]
-    skip_filler(stream)
-    while stream.at_end():
-        if len(streams) == 1:
-            raise MacroError(f"missing argument for \\{name}")
-        streams.pop()
-        stream = streams[-1]
-        skip_filler(stream)
-    ch = stream.peek()
-    if ch == "{":
-        try:
-            return scan_group_arg(stream)
-        except UnbalancedGroupError:
-            raise MacroError(f"unbalanced braces in argument of \\{name}") from None
-    if ch == ESCAPE:
-        return stream.take_to(control_at(stream.content, stream.position)[1])
-    if ch == "#" and stream.peek(1) in _DIGITS:
-        return stream.take_to(stream.position + 2)
-    return stream.take()
+def read_arguments(texts: list[str], comments: bool, num_params: int):
+    """The arguments (or error) the package and the spec read from ``texts``.
 
-
-def general_arguments(expansion: Expansion, macro: MacroDef) -> list[str]:
-    return [general_argument(expansion, macro.name) for _ in range(macro.num_params)]
-
-
-def read_arguments(reader, texts: list[str], comments: bool, num_params: int):
-    """The arguments (or error) and every stream's cursor and line after."""
+    ``texts[0]`` is the text at the bottom, the rest replacements above
+    it.  After a reading, each text's cursor and line is shown too.
+    """
     expansion = Expansion(CharStream(texts[0], line=5, comments=comments))
+    frames = [spec.Frame(texts[0], 5, comments)]
     for line, text in enumerate(texts[1:], start=7):
         expansion.streams.append(CharStream(text, line=line, comments=False))
-    try:
-        outcome = ("ok", reader(expansion, MacroDef("lab", num_params, "", macros._template(""))))
-    except CiteforgeError as exc:
-        outcome = (type(exc), str(exc))
-    cursors = [(stream.position, stream.line) for stream in expansion.streams]
-    return outcome, cursors
+        frames.append(spec.Frame(text, line, False))
+    macro = MacroDef("lab", num_params, "", macros._template(""))
+    actual = outcome(expansion.arguments, macro)
+    expected = outcome(spec.macro_arguments, frames, "lab", num_params)
+    if expected[0] == "ok":
+        actual += ([(stream.position, stream.line) for stream in expansion.streams],)
+        expected += ([(frame.position, frame.line) for frame in frames],)
+    return actual, expected
 
 
 argument_text = st.lists(
@@ -396,9 +267,8 @@ argument_text = st.lists(
 )
 @settings(max_examples=1000)
 def test_arguments_read_like_the_general_path(texts, comments, num_params):
-    assert read_arguments(Expansion.arguments, texts, comments, num_params) == read_arguments(
-        general_arguments, texts, comments, num_params
-    )
+    actual, expected = read_arguments(texts, comments, num_params)
+    assert actual == expected
 
 
 LAB = "\\newcommand{\\lab}[3]{#1#3#2}\n"

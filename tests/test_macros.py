@@ -43,6 +43,13 @@ class TestDefine:
         assert define_newcommand({}, "f", "+3", "#3").num_params == 3
         assert define_newcommand({}, "g", "\t2\n", "#2").num_params == 2
 
+    @pytest.mark.parametrize("blank", ["\x1c", "\x1f", "\u3000", "\x85"])
+    def test_param_count_strips_every_blank_that_str_strip_strips(self, blank):
+        # int() alone refuses "\x1c" to "\x1f" round the digits with a ValueError.
+        assert define_newcommand({}, "f", f"{blank}2{blank}", "#2").num_params == 2
+        content = f"\\begin{{thebibliography}}{{9}}\n\\newcommand{{\\x}}[2{blank}]{{#2}}\n"
+        assert process_bbl(content, source="refs.bbl").items == []
+
     @pytest.mark.parametrize("count", ["\u0663", "\uff11", "1_0", "\u00b2", "- 1", " "])
     def test_param_count_takes_ascii_digits_only(self, count):
         # int() reads the first three as 3, 1 and 10.

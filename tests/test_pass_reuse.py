@@ -2,42 +2,22 @@
 
 ``run_to_fixpoint`` stops recomputing once a pass writes exactly the
 aux bytes it read, and counts the pass that would have confirmed it.
-``reference_run_to_fixpoint`` below is the loop it replaced, copied
-verbatim, which runs every pass.  Both must give the same outcome over
+``tests/spec.py`` runs every pass.  Both must give the same outcome over
 warm, cold, stale and no-aux starts and every pass limit: aux history,
-passes used, convergence, rendering, warnings, messages, lint, the
-report, and every file write.
+passes used, convergence, rendering, warnings, messages, lint, labels,
+the report, and every file write.
 """
 
+import functools
 import re
-from typing import Optional
 
 import pytest
+from differential import package_run, spec_run
 from test_bbl_once_per_run import DOCUMENTS, PLAIN_BBL, RICH_BBL
 
 from citeforge import driver
-from citeforge.driver import FixpointResult, JobConfig, PassResult, _ProcessedBbl, build_report
+from citeforge.driver import JobConfig
 from citeforge.files import MemoryFiles
-from citeforge.rendering import render_annotated
-
-# --- reference: the loop before pass reuse, verbatim ---------------------
-
-
-def reference_run_to_fixpoint(config, document, fs) -> FixpointResult:
-    previous: Optional[PassResult] = None
-    history: list[bytes] = []
-    processed_bbls: dict[str, _ProcessedBbl] = {}
-    for pass_number in range(1, config.max_passes + 1):
-        result = driver.run_pass(config, document, fs, processed_bbls)
-        history.append(result.aux_bytes)
-        if previous is not None and result.aux_bytes == previous.aux_bytes:
-            return FixpointResult(result, pass_number, True, history)
-        previous = result
-    assert previous is not None
-    return FixpointResult(previous, config.max_passes, False, history)
-
-
-# -------------------------------------------------------------------------
 
 AUX_STATES = ["warm", "cold", "stale", "no-aux"]
 FIRST_CITEDEF_LABEL = re.compile(rb"(\\@citedef\{[^}]*\}\{)([^}]*)")
@@ -45,6 +25,13 @@ FIRST_CITEDEF_LABEL = re.compile(rb"(\\@citedef\{[^}]*\}\{)([^}]*)")
 
 def reads_aux(document):
     return any(command in document for command in ("\\cite", "\\nocite", "\\bibliography"))
+
+
+@functools.lru_cache(maxsize=None)
+def converged_aux(bbl, document):
+    """The aux bytes a run over ``bbl`` alone converges to."""
+    config = JobConfig(jobname="doc", bbl_basename="refs")
+    return spec_run(config, document, {"refs.bbl": bbl.encode()})["history"][-1]
 
 
 def start_files(bbl, document, aux_state):
@@ -55,9 +42,7 @@ def start_files(bbl, document, aux_state):
     files = {"refs.bbl": bbl.encode()}
     if aux_state == "cold":
         return files
-    config = JobConfig(jobname="doc", bbl_basename="refs")
-    warm = reference_run_to_fixpoint(config, document, MemoryFiles(dict(files)))
-    aux = warm.final.aux_bytes
+    aux = converged_aux(bbl, document)
     if aux_state == "stale":
         aux, changed = FIRST_CITEDEF_LABEL.subn(rb"\1stale", aux, count=1)
         if not changed:
@@ -66,27 +51,8 @@ def start_files(bbl, document, aux_state):
     return files
 
 
-def outcome_of(run, config, document, files):
-    fs = MemoryFiles(dict(files))
-    outcome = run(config, document, fs)
-    final = outcome.final
-    return {
-        "history": outcome.aux_history,
-        "passes_used": outcome.passes_used,
-        "converged": outcome.converged,
-        "aux": final.aux_bytes,
-        "annotated": render_annotated(final.rendered),
-        "warnings": final.warning_texts(),
-        "messages": final.messages,
-        "lint": final.lint,
-        "report": build_report(config, outcome),
-        "writes": fs.writes,
-        "files": fs.files,
-    }
-
-
-def counted_run(monkeypatch):
-    """``driver.run_to_fixpoint`` with a counter of its ``run_pass`` calls."""
+def counted_passes(monkeypatch):
+    """The ``run_pass`` calls made by ``driver.run_to_fixpoint`` from now on."""
     calls = []
     run_pass = driver.run_pass
 
@@ -94,13 +60,8 @@ def counted_run(monkeypatch):
         calls.append(args)
         return run_pass(*args)
 
-    def run(config, document, fs):
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(driver, "run_pass", counting_pass)
-            return driver.run_to_fixpoint(config, document, fs)
-
-    return run, calls
+    monkeypatch.setattr(driver, "run_pass", counting_pass)
+    return calls
 
 
 @pytest.mark.parametrize("max_passes", [1, 2, 3, 4])
@@ -110,13 +71,14 @@ def test_outcome_equals_the_reference_loop(bbl, aux_state, max_passes, monkeypat
     config = JobConfig(
         jobname="doc", bbl_basename="refs", max_passes=max_passes, no_aux=aux_state == "no-aux"
     )
-    run, calls = counted_run(monkeypatch)
+    calls = counted_passes(monkeypatch)
     for document in DOCUMENTS:
         files = start_files(bbl, document, aux_state)
         if files is None:
             continue
-        expected = outcome_of(reference_run_to_fixpoint, config, document, files)
-        assert outcome_of(run, config, document, files) == expected
+        expected = spec_run(config, document, files)
+        calls.clear()
+        assert package_run(config, document, files) == expected
         if max_passes == 4:
             recomputed = 1 if aux_state == "warm" and reads_aux(document) else 2
             assert len(calls) == recomputed

@@ -3,20 +3,22 @@
 The optional-argument cases are checked against a small reference
 walker written independently of the scanner, so the bracket/brace
 interaction has an oracle rather than a copied expectation.  The
-plain-shape fast path is checked against a verbatim copy of the general
-path it sits in front of.
+argument readers and ``next_command``, fast paths included, are checked
+against ``tests/spec.py``, which reads one character at a time: value or
+error, cursor, line and lint alike.
 """
 
-import re
 import string
 from unittest import mock
 
 import pytest
+import spec
+from differential import outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeforge import scanner
-from citeforge.errors import ScanError, UnbalancedGroupError, _located
+from citeforge.errors import ScanError, UnbalancedGroupError
 from citeforge.scanner import (
     DOCUMENT_COMMANDS,
     CharStream,
@@ -213,66 +215,23 @@ class TestOptionalArg:
         assert stream.position == 0
 
 
-# --- the fast path of scan_optional_arg against its general path ---------
-
-# scan_optional_arg and _scan_to as they were before the plain-shape fast
-# path, copied verbatim: every input must read the same through both.
-_GENERAL_STOP = re.compile(r"[\\{}\]%]")
+# --- scan_optional_arg against the spec ------------------------------------
 
 
-def general_scan_to(stream: CharStream, close: str) -> str:
-    open_line = stream.line
-    stream.take()
-    depth = 0
-    parts: list[str] = []
-    while (stop := _GENERAL_STOP.search(stream.content, stream.position)) is not None:
-        parts.append(stream.take_to(stop.start()))
-        ch = stop.group()
-        if ch == close and depth == 0:
-            stream.take()
-            return "".join(parts)
-        if ch == "%" and stream.comments:
-            skip_comment(stream)
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            if depth == 0:
-                raise UnbalancedGroupError(
-                    "unexpected '}' inside optional argument", stream.line, stream.source
-                )
-            depth -= 1
-        parts.append(stream.take())
-        if ch == "\\" and not stream.at_end():
-            parts.append(stream.take())
-    if close == "]":
-        raise ScanError(
-            "unterminated optional argument ('[' never closed)", open_line, stream.source
-        )
-    raise UnbalancedGroupError("unbalanced group ('{' never closed)", open_line, stream.source)
+def read_through(text: str, comments: bool):
+    """What the package's and the spec's readings of ``text`` show.
 
-
-def general_optional_arg(stream: CharStream, lint=None) -> str:
-    skip_filler(stream)
-    if stream.peek() != "[":
-        return ""
-    open_line = stream.line
-    text = general_scan_to(stream, "]")
-    if text == "" and lint is not None:
-        message = "empty optional argument '[]' treated as absent"
-        lint(_located(message, open_line, stream.source))
-    return text
-
-
-def read_through(reader, text: str, comments: bool):
-    """Everything a reading shows: value or error, cursor, line and lint."""
+    A reading shows its value, cursor and line, or its error, and its
+    lint.
+    """
     stream = CharStream(text, line=3, source="f.tex", comments=comments)
     notes: list[str] = []
-    try:
-        outcome = ("ok", reader(stream, notes.append))
-    except ScanError as exc:
-        outcome = (type(exc), str(exc))
-    return outcome, stream.position, stream.line, notes
+    actual = outcome(lambda: (scan_optional_arg(stream, notes.append), stream.position, stream.line))
+    spec_notes: list[str] = []
+    expected = outcome(
+        spec.optional_arg, text, 0, comments, line=3, source="f.tex", lint=spec_notes.append
+    )
+    return (actual, notes), (expected, spec_notes)
 
 
 # Common shapes first, so that plenty of inputs take the fast path.
@@ -291,10 +250,8 @@ class TestOptionalArgFastPath:
     )
     @settings(max_examples=1000)
     def test_reads_like_the_general_path(self, before, inside, after, comments):
-        text = before + "[" + inside + after
-        assert read_through(scan_optional_arg, text, comments) == read_through(
-            general_optional_arg, text, comments
-        )
+        actual, expected = read_through(before + "[" + inside + after, comments)
+        assert actual == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -513,76 +470,40 @@ class TestNextCommand:
         assert seen == expected
 
 
-# --- next_command against its former loop ----------------------------------
-
-# next_command, skip_comment and control_at as they were before the stop
-# search named the control sequence and plain commands were read in one
-# match, copied verbatim.  control_at matched scanner.TEXT_TOKEN at the
-# escape; only its ``control`` group and end were used, which this
-# pattern gives the same.  The former loop returned a text run as a
-# string; next_command's positions are joined (next_item) to compare.
-_FORMER_CONTROL = re.compile(r"\\(?P<control>[A-Za-z]+|.?)", re.DOTALL)
-_FORMER_TEXT_STOP = re.compile(r"[\\%]")
-_FORMER_ESCAPE_STOP = re.compile(r"\\")
-_FORMER_BLANK = re.compile(r"\s")
+# --- next_command against the spec -----------------------------------------
 
 
-def former_skip_comment(stream: CharStream) -> None:
-    end = stream.content.find("\n", stream.position)
-    stream.take_to(len(stream.content) if end < 0 else end + 1)
+def scan_all(text: str, comments: bool):
+    """Every step of the package's and the spec's scans of ``text`` to its end.
 
-
-def former_control_at(text: str, i: int) -> tuple[str, int]:
-    control = _FORMER_CONTROL.match(text, i)
-    return control.group("control"), control.end()
-
-
-def former_next_command(stream: CharStream, *, lint=None):
-    parts: list[str] = []
-    text_stop = _FORMER_TEXT_STOP if stream.comments else _FORMER_ESCAPE_STOP
-    while (stop := text_stop.search(stream.content, stream.position)) is not None:
-        if stop.start() > stream.position:
-            parts.append(stream.take_to(stop.start()))
-        if stop.group() == "%":
-            former_skip_comment(stream)
-            continue
-        name, end = former_control_at(stream.content, stream.position)
-        if name not in DOCUMENT_COMMANDS:
-            parts.append(stream.take_to(end))
-            continue
-        if parts:
-            return "".join(parts)
-        command_line = stream.line
-        stream.take_to(end)
-        skip_filler(stream)
-        optional = scan_optional_arg(stream, lint) if name == "cite" else ""
-        arg = scan_group_arg(stream)
-        if name == "cite" and lint is not None and _FORMER_BLANK.search(arg):
-            for key in filter(_FORMER_BLANK.search, split_comma_list(arg)):
-                message = f"citation key `{key}' contains a space"
-                lint(_located(message, command_line, stream.source))
-        return CommandInvocation(name, optional, arg, command_line)
-    if not stream.at_end():
-        parts.append(stream.take_to(len(stream.content)))
-    return "".join(parts)
-
-
-def scan_all(scan, text: str, comments: bool):
-    """Every step of scanning ``text`` to its end: item, cursor and line, then lint."""
+    A step is the item, cursor and line, and a scan ends at its end or
+    at an error; then comes its lint.
+    """
     stream = CharStream(text, line=2, source="f.tex", comments=comments)
     notes: list[str] = []
     steps = []
-    try:
-        while not stream.at_end():
-            steps.append((scan(stream, lint=notes.append), stream.position, stream.line))
-    except ScanError as exc:
-        steps.append((type(exc), str(exc), exc.line))
-    return steps, notes
+    while not stream.at_end():
+        step = outcome(lambda: (next_command(stream, lint=notes.append), stream.position, stream.line))
+        steps.append(step)
+        if step[0] != "ok":
+            break
+    spec_notes: list[str] = []
+    spec_steps = []
+    i, line = 0, 2
+    while i < len(text):
+        step = outcome(
+            spec.next_command, text, i, comments, line=line, source="f.tex", lint=spec_notes.append
+        )
+        spec_steps.append(step)
+        if step[0] != "ok":
+            break
+        _, i, line = step[1]
+    return (steps, notes), (spec_steps, spec_notes)
 
 
 document_piece = st.sampled_from(
     ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\bibliography", "\\emph", "\\%"]
-    + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "%", "% c\n", "\\\n"]
+    + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "{u%v}", "%", "% c\n", "\\\n"]
     + [" ", "\t", "\n", "a", ",", "é"]
 )
 
@@ -595,10 +516,8 @@ class TestNextCommandFastPath:
     )
     @settings(max_examples=1000)
     def test_scans_like_the_former_loop(self, body, tail, comments):
-        text = body + tail
-        assert scan_all(next_item, text, comments) == scan_all(
-            former_next_command, text, comments
-        )
+        actual, expected = scan_all(body + tail, comments)
+        assert actual == expected
 
     @pytest.mark.parametrize(
         "text, expected",

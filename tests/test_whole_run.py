@@ -1,25 +1,54 @@
-"""Whole runs on arbitrary input: they end, their aux reads back, they rerun.
+"""Whole runs on arbitrary input: they do what the spec does, they end,
+their aux reads back, and they rerun.
 
 Documents, bbl files and aux files are built from a token alphabet of
 the commands each one speaks, braces, brackets, ``%``, ``#n``, line
-breaks and a little arbitrary text (and, for the two files, arbitrary
-bytes).  Whatever comes out, a run must end within a time and size
-budget or raise a :class:`CiteforgeError`; the aux file it leaves must
-read back to the labels the bbl defined; and a second run over the same
-files must reproduce the first run's aux bytes.
+breaks (``\\r`` and ``\\r\\n`` included) and a little arbitrary text
+(and, for the two files, arbitrary bytes).  Whatever comes out, a run
+must end within a time and size budget or raise a
+:class:`CiteforgeError`; the aux file it leaves must read back to the
+labels the bbl defined; and a second run over the same files must
+reproduce the first run's aux bytes.
+
+The package must also run exactly as ``tests/spec.py``, the plain
+executable spec of the protocol, over that alphabet, over the inputs of
+the acceptance suite and over the benchmark's three corpora: the aux
+history, passes used and convergence, the final rendering's spans, its
+warnings, lint, messages and label order, the JSON report and every
+file write, or else the error's type, text, line, source and offset.
 """
 
 import time
+from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citeforge import driver
+import spec
+import test_acceptance
+from differential import (
+    error_of,
+    outcome,
+    package_bbl,
+    package_run,
+    spans_of,
+    spec_bbl,
+    spec_job,
+    spec_macros,
+    spec_run,
+)
+from test_outputs_pinned import SCALE, SEEDS, load_corpus
+
+from citeforge import auxfile, bbl, driver, macros
 from citeforge.auxfile import AuxSession, read_aux
+from citeforge.bbl import LayoutParams
 from citeforge.driver import JobConfig, build_report
 from citeforge.errors import CiteforgeError
 from citeforge.files import MemoryFiles
 from citeforge.macros import MAX_EXPANSION_CHARS
+from citeforge.rendering import STYLE_SWITCHES
 from citeforge.scanner import CharStream, scan_group_arg
 
 # Generous for inputs this small: a run over them takes milliseconds.
@@ -49,11 +78,11 @@ AUX_TOKENS = COMMON + [
 # reading them back and converging.
 DOCUMENT_PIECES = [
     "\\cite{a}", "\\cite{a,b}", "\\cite[p]{b}", "\\cite{ b}", "\\nocite{c}", "Words ", "\n",
-    "%", "\\em ", "\\unknown", "#1",
+    "%", "\\em ", "\\unknown", "#1", "\r", "\r\n",
 ]
 PREAMBLE_PIECES = [
     "\\newcommand{\\m}{M}", "\\newcommand{\\m}{\\m\\m}", "\\newcommand\\n[1]{<#1>}",
-    "\\newcommand\\n[2]{#2#1}", "%", "\n", " ",
+    "\\newcommand\\n[2]{#2#1}", "\\newcommand\\n[1\x1c]{(#1)}", "%", "\n", " ",
 ]
 BODY_PIECES = ["A.", " ", "\n", "\\newblock ", "\\em ", "{x}", "\\m", "\\n{y}", "%", "#1", "\\unknown"]
 AUX_PIECES = [
@@ -90,20 +119,24 @@ documents = st.tuples(
 ).map("".join)
 
 
+# The parts of a bbl, made once: a strategy made inside a draw costs more than the draw.
+PREAMBLES = text_from(PREAMBLE_PIECES, BBL_TOKENS, 4)
+WIDEST_LABELS = st.sampled_from(["9", "\\m", "", "{"])
+ITEM_COUNTS = st.integers(min_value=0, max_value=4)
+TAGS = st.sampled_from(["", "[]", "[T]", "[\\m]", "[x y]", "[{]}]", "[\\n{z}]"])
+KEYS = st.sampled_from(["{a}", "{b}", "{c}", "{a,b}", "{ b}", "{\\}}"])
+BODIES = text_from(BODY_PIECES, BBL_TOKENS, 6)
+ENDS = st.sampled_from(["", "\\end{thebibliography}\n"])
+TAILS = text_from(BODY_PIECES, BBL_TOKENS, 2)
+
+
 @st.composite
 def bbl_texts(draw):
-    parts = [draw(text_from(PREAMBLE_PIECES, BBL_TOKENS, 4)), "\\begin{thebibliography}{"]
-    parts += [draw(st.sampled_from(["9", "\\m", "", "{"])), "}\n"]
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        parts += [
-            "\\bibitem",
-            draw(st.sampled_from(["", "[]", "[T]", "[\\m]", "[x y]", "[{]}]", "[\\n{z}]"])),
-            draw(st.sampled_from(["{a}", "{b}", "{c}", "{a,b}", "{ b}", "{\\}}"])),
-            draw(text_from(BODY_PIECES, BBL_TOKENS, 6)),
-            "\n",
-        ]
-    parts.append(draw(st.sampled_from(["", "\\end{thebibliography}\n"])))
-    parts.append(draw(text_from(BODY_PIECES, BBL_TOKENS, 2)))
+    parts = [draw(PREAMBLES), "\\begin{thebibliography}{", draw(WIDEST_LABELS), "}\n"]
+    for _ in range(draw(ITEM_COUNTS)):
+        parts += ["\\bibitem", draw(TAGS), draw(KEYS), draw(BODIES), "\n"]
+    parts.append(draw(ENDS))
+    parts.append(draw(TAILS))
     return "".join(parts)
 
 
@@ -134,11 +167,13 @@ def resolve(config, document, fs):
     aux_files,
     st.sampled_from([4, 4, 3, 2, 1]),
     st.sampled_from([False, False, False, True]),
+    st.sampled_from([Fraction(10), Fraction("7.25"), Fraction(1, 3)]),
 )
 @settings(max_examples=500, deadline=None)
-def test_runs_end_read_back_and_rerun(document, bbl, aux, max_passes, no_aux):
-    config = JobConfig(jobname="doc", max_passes=max_passes, no_aux=no_aux)
+def test_runs_end_read_back_and_rerun(document, bbl, aux, max_passes, no_aux, em_size):
+    config = JobConfig(jobname="doc", max_passes=max_passes, no_aux=no_aux, em_size_pt=em_size)
     files = {name: data for name, data in (("doc.bbl", bbl), ("doc.aux", aux)) if data is not None}
+    assert package_run(config, document, files) == spec_run(config, document, files)
     fs = MemoryFiles(files)
     first = resolve(config, document, fs)
     if first is None:
@@ -210,3 +245,106 @@ def test_aux_records_survive_serialize_and_read(written):
         if label is not None:
             expected[payload] = label
     assert labels == expected
+
+
+# --- the package against the spec ----------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", ["paper-cli", "long-doc", "big-bib"])
+def test_benchmark_corpora_run_like_the_spec(workload, seed):
+    generated = load_corpus().generate(workload, seed, SCALE)
+    config = JobConfig(jobname="paper")
+    files = {"paper.bbl": generated.bbl.encode("utf-8")}
+    expected = spec_run(config, generated.document, files)
+    assert expected["history"][-1] == generated.aux and expected["converged"]
+    assert package_run(config, generated.document, files) == expected
+
+
+# Each acceptance check, run with its calls of the package checked against the spec.
+ACCEPTANCE = [
+    ("test_01_aux_records_are_byte_exact", ()),
+    ("test_02_second_pass_resolves_citations", ()),
+    ("test_03_undefined_citation_warns_exactly_once", ()),
+    *(("test_04_numbered_labels_follow_the_counter", (n,)) for n in (1, 5, 50)),
+    ("test_05_quirks", ()),
+    ("test_06_layout_arithmetic_is_exact", ()),
+    ("test_07_newcommand_emulation_on_random_bodies", ()),
+    ("test_08_aux_reader_ignores_line_breaks", ()),
+    ("test_09_no_aux_mode_writes_and_warns_nothing", ()),
+    ("test_10_random_documents_converge_deterministically", ()),
+]
+
+
+@pytest.mark.parametrize("name, args", ACCEPTANCE, ids=[name[:7] for name, _ in ACCEPTANCE])
+def test_acceptance_inputs_run_like_the_spec(name, args, monkeypatch):
+    checked = []
+
+    def checked_pass(config, document, fs, *rest):
+        expected = spec.run_pass(spec_job(config), document, spec.Files(fs.files))
+        result = driver.run_pass(config, document, fs, *rest)
+        assert (
+            spans_of(result.rendered),
+            result.aux_bytes,
+            [(warning.line, warning.key) for warning in result.warnings],
+            result.messages,
+            result.lint,
+            list(result.labels.items()),
+        ) == (*expected[:5], list(expected.labels.items()))
+        checked.append(name)
+        return result
+
+    def checked_run(config, document, fs):
+        assert package_run(config, document, fs.files) == spec_run(config, document, fs.files)
+        checked.append(name)
+        return driver.run_to_fixpoint(config, document, fs)
+
+    def checked_bbl(content, **options):
+        assert package_bbl(content) == spec_bbl(content)
+        checked.append(name)
+        return bbl.process_bbl(content, **options)
+
+    def checked_define(defs, name, count, body):
+        expected = spec_macros(defs)
+        spec_outcome = outcome(spec.define, expected, name, count, body, spec.Budget())
+        try:
+            return macros.define_newcommand(defs, name, count, body)
+        except CiteforgeError as exc:
+            assert error_of(exc) == spec_outcome
+            raise
+        finally:
+            assert spec_macros(defs) == expected
+            checked.append(name)
+
+    def checked_expand(defs, text, **options):
+        expected = outcome(spec.expand_macros, spec_macros(defs), text)
+        assert outcome(macros.expand_macros, defs, text) == expected
+        checked.append(name)
+        return macros.expand_macros(defs, text, **options)
+
+    def checked_read(labels, content, source=""):
+        expected = {}
+        spec.read_aux(expected, content, source)
+        auxfile_read(labels, content, source)
+        assert list(labels.items()) == list(expected.items())
+        checked.append(name)
+
+    auxfile_read = auxfile.read_aux
+    monkeypatch.setattr(auxfile, "read_aux", checked_read)
+    monkeypatch.setattr(test_acceptance, "run_pass", checked_pass)
+    monkeypatch.setattr(test_acceptance, "run_to_fixpoint", checked_run)
+    monkeypatch.setattr(test_acceptance, "process_bbl", checked_bbl)
+    monkeypatch.setattr(test_acceptance, "define_newcommand", checked_define)
+    monkeypatch.setattr(test_acceptance, "expand_macros", checked_expand)
+    getattr(test_acceptance, name)(*args)
+    assert checked
+
+
+def test_the_spec_constants_are_the_packages():
+    assert spec.MAX_EXPANSION_DEPTH == macros.MAX_EXPANSION_DEPTH
+    assert spec.MAX_EXPANSION_CHARS == macros.MAX_EXPANSION_CHARS
+    assert spec.MISSING_AUX_MESSAGE == auxfile.MISSING_AUX_MESSAGE
+    assert spec.STYLE_SWITCHES == {name: style.value for name, style in STYLE_SWITCHES.items()}
+    for em_size in (Fraction(10), Fraction("7.25"), Fraction(1, 3)):
+        expected = driver._layout_json(LayoutParams(), em_size)
+        assert spec.layout_json(spec.DEFAULT_LABEL_WIDTH, em_size) == expected
