@@ -44,7 +44,9 @@ not per character.  Outside an item, text is taken as one run up to
 the next command, brace or comment, and stray text is reported once
 per run.
 
-Macros have one meaning everywhere.  The walk reads the file through
+Macros have one meaning everywhere.  A ``\\newcommand`` of a name the
+walk acts on itself (:data:`WALK_COMMANDS`) is an error, as in LaTeX,
+so no such name gets a second meaning.  The walk reads the file through
 the macro engine (:class:`~citeforge.macros.Expansion`), so a call in
 a body is replaced in place and its replacement may open items, split
 blocks, or call further macros.  Labels, the widest label and
@@ -100,6 +102,9 @@ __all__ = [
 ]
 
 _BLOCK_SPACES = " \t\r\n\f\v"
+#: The control words the walk acts on itself; ``\\newcommand`` refuses them,
+#: as LaTeX refuses a name that is already defined.
+WALK_COMMANDS = frozenset((*STYLE_SWITCHES, "begin", "end", "bibitem", "newblock", "newcommand"))
 _TEXT_STOP = re.compile(r"[\\{}%]")
 _TEXT_STOP_NO_COMMENTS = re.compile(r"[\\{}]")
 
@@ -327,6 +332,8 @@ def process_bbl(
                 macro_name = _scan_macro_name_arg(stream)
                 nparams = scan_optional_arg(stream, lint)
                 body = scan_group_arg(stream)
+                if macro_name in WALK_COMMANDS:
+                    raise MacroError(f"command \\{macro_name} already defined")
                 define_newcommand(macros, macro_name, nparams, body, budget=budget)
             elif name in macros:
                 macro = macros[name]

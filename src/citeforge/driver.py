@@ -205,7 +205,7 @@ def run_pass(
     read_done = config.no_aux
 
     stream = CharStream(document, source=config.document_name)
-    while not stream.at_end():
+    while stream.position < len(document):
         item = next_command(stream, lint=lint.append)
         if isinstance(item, list):  # a text run's pieces, kept as positions
             rendered.append_slices(_PLAIN, document, item)

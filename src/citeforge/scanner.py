@@ -11,16 +11,13 @@ its text one such match at a time (after a control word, the ``after``
 group spans the filler that follows it).  One more kind, ``styled``, is
 a whole group of a style switch, blanks on its line and one word run,
 as in ``{\\sc Proceedings}``; anything else after ``{`` is the ``open``
-kind.  The document scanner searches with the same control-sequence
-pattern, blanks as its filler, and with a comment as the other
-alternative, so each stop of its search names the control sequence
-there; the macro engine's :func:`control_at` is that pattern matched at
-an escape.  Comments are stripped wherever the scanner reads file text,
-including inside arguments; the comment consumes its newline, so a line
-split with a trailing ``%`` joins seamlessly.  Text scanned once already
-(labels, macro bodies, replacement texts) has no comments left, so a
-stream over it sets ``comments`` false and any ``%`` there is an
-ordinary character.
+kind.  The macro engine's :func:`control_at` is the control-sequence
+pattern matched at an escape.  Comments are stripped wherever the
+scanner reads file text, including inside arguments; the comment
+consumes its newline, so a line split with a trailing ``%`` joins
+seamlessly.  Text scanned once already (labels, macro bodies,
+replacement texts) has no comments left, so a stream over it sets
+``comments`` false and any ``%`` there is an ordinary character.
 
 Only the commands in :data:`DOCUMENT_COMMANDS` are recognized by
 :func:`next_command`.  Everything else, including unknown commands,
@@ -35,10 +32,22 @@ the document, which a pass keeps as they are (see :mod:`.rendering`).
 It moves a local cursor over the document and updates the stream's
 position and line once, at its end.
 
-After a recognized name, one pattern reads the plain shape whole:
+The document scanner does not stop at every control sequence.  It
+searches for a recognized name, escape included, and for a ``%`` only
+between where it stands and that candidate.  Escapes pair off from
+where a scan starts, so a candidate counts only when the run of escapes
+just before it, counted back no further than that start, has even
+length: in ``\\\\cite`` the escape before ``cite`` is itself escaped,
+and ``\\%`` is a percent sign, not a comment.  A comment that runs past
+the candidate swallows it, and the name search goes on after the
+comment.  Each search starts past where the last of its kind stopped,
+and each run of escapes is counted once, so a scan is linear.
+
+The name's pattern also reads the plain shape of its arguments whole:
 blanks, for ``cite`` a non-empty note, blanks, and the group, with no
 escape, brace, ``%`` or line break in the note or the group, as in
-``\\cite[p.~3]{a,b}``.  Anything else goes to the argument readers.
+``\\cite[p.~3]{a,b}``.  Anything else goes to the argument readers,
+from the end of the name.
 
 Both argument readers first try one pattern at the cursor, for the
 shapes real files are made of: :func:`scan_group_arg` a group with no
@@ -103,16 +112,6 @@ _PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")
 # a failed match backtracks in linear time.
 _PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*(?:(?:\\[^\n]|\{[^\\{}%\n]*\})[^\\{}\]%]*)*\]")
 _ARGUMENT_STOP = re.compile(r"[\\{}\]%]")
-# The next control sequence, and for text with comments the next comment
-# through its line break.
-_CONTROL_STOP = re.compile(_CONTROL % {"filler": _BLANKS.pattern}, re.DOTALL)
-_STOP = re.compile(rf"{_CONTROL_STOP.pattern}|%[^\n]*\n?", re.DOTALL)
-# A recognized command's arguments, from after the blanks that follow its
-# name, when they are plain: an optional non-empty note (``cite`` only),
-# blanks, and a group, with no escape, brace, % or line break in either.
-_PLAIN_ARGUMENTS = re.compile(
-    r"(?:\[(?P<note>[^\\{}\]%\n]+)\][ \t\r\n\f\v]*)?\{(?P<arg>[^\\{}%\n]*)\}"
-)
 _BLANK = re.compile(r"\s")
 
 #: Where lint notes go, one line of text each.
@@ -170,6 +169,14 @@ class CharStream:
 #: reader dispatches them itself); in a document they fall back to
 #: pass-through like any unknown command.
 DOCUMENT_COMMANDS = frozenset(("cite", "nocite", "bibliography", "bibliographystyle"))
+# A document command's name, and after it, when they are plain, its
+# arguments: blanks, an optional non-empty note (``cite`` only), blanks,
+# and a group, with no escape, brace, % or line break in either.  The
+# pattern starts with a literal escape, so a search skips to escapes.
+_COMMAND = re.compile(
+    rf"\\(?P<name>{'|'.join(sorted(DOCUMENT_COMMANDS))})(?![A-Za-z])(?:[ \t\r\n\f\v]*"
+    r"(?:\[(?P<note>[^\\{}\]%\n]+)\][ \t\r\n\f\v]*)?\{(?P<arg>[^\\{}%\n]*)\})?"
+)
 
 
 class CommandInvocation(NamedTuple):
@@ -177,6 +184,9 @@ class CommandInvocation(NamedTuple):
     optional: str  # the ``[...]`` of ``cite``; "" when absent, empty, or another command
     arg: str
     source_line: int
+
+
+_new_invocation = tuple.__new__  # skips the NamedTuple constructor's argument handling
 
 
 def skip_comment(stream: CharStream) -> None:
@@ -311,45 +321,60 @@ def next_command(
     the end of input, has no piece.  Recognized commands
     come back with their arguments already scanned; whitespace after the
     command name is consumed, mirroring how a reader that tokenizes
-    control words would behave.  The lint sink hears of an empty ``[]``
-    (at its line) and of each ``\\cite`` key with a blank in it (at the
-    command's line).
+    control words would behave.  The scan starts a fresh token at the
+    stream's position, so a command's escape or a ``%`` counts only when
+    the run of escapes just before it, counted from that position on,
+    has even length: ``\\\\cite{k}`` is text, and ``\\%`` is no comment.
+    The lint sink hears of an empty ``[]`` (at its line) and of each
+    ``\\cite`` key with a blank in it (at the command's line).
     """
     content, begin = stream.content, stream.position
-    search = (_STOP if stream.comments else _CONTROL_STOP).search
+    search, comments = _COMMAND.search, stream.comments
     pieces: list[int] = []  # the start and end of each comment-free piece before ``start``
-    start = position = begin
-    while (stop := search(content, position)) is not None:
-        position = stop.end()
-        name = stop.group("control")
-        if name is not None and name not in DOCUMENT_COMMANDS:
+    start = position = begin  # the searches go on from ``position``
+    command = search(content, begin)
+    while True:
+        at = len(content) if command is None else command.start()
+        if comments and (sign := content.find("%", position, at)) >= 0:
+            position = sign + 1
+            if _escaped(content, begin, sign):
+                continue
+            if sign > start:  # a comment, which ends a piece
+                pieces += start, sign
+            line_end = content.find("\n", sign)
+            start = position = len(content) if line_end < 0 else line_end + 1
+            if position > at:  # the comment swallowed the candidate
+                command = search(content, position)
             continue
-        at = stop.start()
+        if command is not None and _escaped(content, begin, at):  # an escaped escape, then text
+            position = at + 1
+            command = search(content, position)
+            continue
         if at > start:
             pieces += start, at
-        if name is None:  # a comment, which ends a piece
-            start = position
-            continue
         stream.line += content.count("\n", begin, at)
         stream.position = at
-        if pieces:
+        if pieces or command is None:
             return pieces
         command_line = stream.line
-        plain = _PLAIN_ARGUMENTS.match(content, stop.end("after"))
-        if plain is not None and (name == "cite" or plain["note"] is None):
-            optional, arg = plain["note"] or "", plain["arg"]
-            stream.take_to(plain.end())
+        name, note, arg = command.groups()
+        if arg is not None and (note is None or name == "cite"):
+            optional = note or ""
+            stream.take_to(command.end())
         else:
-            stream.take_to(position)
+            stream.take_to(command.end("name"))
             optional = scan_optional_arg(stream, lint) if name == "cite" else ""
             arg = scan_group_arg(stream)
         if name == "cite" and lint is not None and _BLANK.search(arg):
             for key in filter(_BLANK.search, split_comma_list(arg)):
                 message = f"citation key `{key}' contains a space"
                 lint(_located(message, command_line, stream.source))
-        return CommandInvocation(name, optional, arg, command_line)
-    if len(content) > start:
-        pieces += start, len(content)
-    stream.line += content.count("\n", begin)
-    stream.position = len(content)
-    return pieces
+        return _new_invocation(CommandInvocation, (name, optional, arg, command_line))
+
+
+def _escaped(content: str, begin: int, at: int) -> bool:
+    """Whether the run of escapes just before ``at``, counted back to ``begin``, is odd."""
+    run = at
+    while run > begin and content[run - 1] == ESCAPE:
+        run -= 1
+    return (at - run) % 2 == 1

@@ -52,6 +52,8 @@ MISSING_AUX_MESSAGE = (
     "No .aux file; I won't give you warnings about undefined citations."
 )
 STYLE_SWITCHES = {"em": "em", "it": "em", "sc": "sc", "tt": "tt", "rm": "plain"}
+# The names the bbl walk acts on itself, which ``\\newcommand`` refuses.
+WALK_COMMANDS = (*STYLE_SWITCHES, "begin", "end", "bibitem", "newblock", "newcommand")
 DOCUMENT_COMMANDS = ("cite", "nocite", "bibliography", "bibliographystyle")
 RECORD_KINDS = ("citation", "bibdata", "bibstyle", "@citedef")
 # The record each document command writes.
@@ -667,7 +669,10 @@ def process_bbl(content: str, lint=None, source: str = "") -> Bibliography:
                 elif name == "newcommand":
                     macro_name = frame.read(macro_name_arg)
                     count = frame.read(optional_arg, lint=lint)
-                    define(macros, macro_name, count, frame.read(group_arg), budget)
+                    body = frame.read(group_arg)
+                    if macro_name in WALK_COMMANDS:
+                        raise MacroError(f"command \\{macro_name} already defined")
+                    define(macros, macro_name, count, body, budget)
                 elif name in macros:
                     call(frames, macros, budget, name, line)
                 else:

@@ -392,6 +392,24 @@ class TestMacrosInsideBbl:
         bibliography = run_bbl(content)
         assert bibliography.rendered.spans == plain("[1] First.\n[2] Second.\n")
 
+    def test_a_name_the_walk_acts_on_cannot_be_defined(self):
+        # The walk never expands these names in the text, so a definition
+        # would give them a second meaning in labels; LaTeX refuses it.
+        content = "\\newcommand{\\em}{EM}\n" + wrap("\\em", "\\bibitem[\\em]{k} \\em body")
+        with pytest.raises(MacroError) as info:
+            run_bbl(content)
+        assert str(info.value) == "test.bbl:1: command \\em already defined"
+
+    @pytest.mark.parametrize(
+        "name", ["em", "it", "sc", "tt", "rm", "begin", "end", "bibitem", "newblock", "newcommand"]
+    )
+    def test_every_name_the_walk_acts_on_is_refused_at_its_line(self, name):
+        content = wrap("9", f"\\bibitem{{k}} Body.\n\\newcommand\\{name}[1]{{x}}")
+        with pytest.raises(MacroError) as info:
+            run_bbl(content)
+        assert (info.value.line, info.value.source) == (3, "test.bbl")
+        assert f"command \\{name} already defined" in str(info.value)
+
 
 words = st.lists(
     st.text(alphabet="abcdefg.,;", min_size=1, max_size=6), min_size=1, max_size=8

@@ -9,7 +9,10 @@ former same-style span merge) fails by a wide margin.  The argument
 readers' fast paths are gated on their failure side too: an input that
 the pattern reads to its end and then hands to the general path, such
 as a ``\\cite`` whose long note fails the one-match pattern only at
-its end.  The bibliography's rendering is gated on the shape that would
+its end.  The document scan is gated on the shapes its bounded searches
+are for: one comment far after many cites, comments that each hide a
+cite, names and percent signs an escape takes, and long runs of escapes.
+The bibliography's rendering is gated on the shape that would
 be quadratic if it grew its one span by concatenation: every item
 plain.  It is gated too on one item whose words alternate styles, so
 that every word closes a span, which must be joined once.  So is a run
@@ -41,7 +44,7 @@ from citeforge.macros import (
     substitute_params,
 )
 from citeforge.rendering import RenderedFragment, Span, Style, render_plain
-from citeforge.scanner import CharStream, next_command, scan_optional_arg
+from citeforge.scanner import CharStream, CommandInvocation, next_command, scan_optional_arg
 from scanning import next_item
 
 GROWTH = 16
@@ -85,6 +88,40 @@ def scan_unknown_controls(units: int) -> None:
     stream = CharStream(text)
     assert next_item(stream) == text.replace(" % a comment\n", " ")
     assert stream.line == units + 1
+
+
+def scan_cites_then_far_comment(count: int) -> None:
+    # Plain cites, then about 64 characters of text per cite, then one
+    # comment: a search for the comment that ran past the next cite
+    # would read the whole tail once per cite.
+    document = "\\cite{k} " * count + "Some words of prose, " * (3 * count) + "% a comment\n"
+    stream = CharStream(document)
+    cites = 0
+    while stream.position < len(document):
+        cites += not isinstance(next_command(stream), list)
+    assert cites == count
+
+
+def scan_comments_hiding_cites(count: int) -> None:
+    # Every comment swallows the cite the name search found in it, so the
+    # name search starts again after each comment, up to the one far cite.
+    stream = CharStream("% \\cite{x}\n" * count + "\\cite{k}")
+    assert next_command(stream) == CommandInvocation("cite", "", "k", count + 1)
+
+
+def scan_escaped_candidates(count: int) -> None:
+    # Names and percent signs that an escape takes, in one text run.
+    document = "\\\\cite{k} " * count + "100\\% " * count
+    stream = CharStream(document)
+    assert next_command(stream) == [0, len(document)]
+
+
+def scan_long_escape_runs(count: int) -> None:
+    # A run of 50 escapes before each comment, which counts, and of 51
+    # before each cite, which does not: one text run of many pieces.
+    unit = "\\" * 50 + "% c\n" + "\\" * 51 + "\\cite{k} "
+    stream = CharStream(unit * count)
+    assert len(next_command(stream)) == 2 * count + 2
 
 
 def pass_over_plain_cites(count: int) -> None:
@@ -223,6 +260,22 @@ def test_next_command_over_one_long_text_run_is_linear():
 
 def test_next_command_over_unknown_controls_and_comments_is_linear():
     assert time_ratio(scan_unknown_controls, 500) < MAX_TIME_RATIO
+
+
+def test_next_command_with_one_comment_after_many_cites_is_linear():
+    assert time_ratio(scan_cites_then_far_comment, 1000) < MAX_TIME_RATIO
+
+
+def test_next_command_over_comments_hiding_cites_is_linear():
+    assert time_ratio(scan_comments_hiding_cites, 1000) < MAX_TIME_RATIO
+
+
+def test_next_command_over_escaped_names_and_percent_signs_is_linear():
+    assert time_ratio(scan_escaped_candidates, 1000) < MAX_TIME_RATIO
+
+
+def test_next_command_over_long_escape_runs_is_linear():
+    assert time_ratio(scan_long_escape_runs, 100) < MAX_TIME_RATIO
 
 
 def test_pass_over_many_plain_cites_is_linear():

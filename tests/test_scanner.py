@@ -412,9 +412,31 @@ class TestNextCommand:
         assert next_command(stream) == [28, 33]
         assert next_command(CharStream("% only a comment")) == []
 
+    def test_a_comment_hides_the_commands_in_it(self):
+        stream = CharStream("a % \\cite{q} \\nocite{r}\nb \\cite{k}")
+        assert next_command(stream) == [0, 2, 24, 26]
+        assert next_command(stream) == CommandInvocation("cite", "", "k", 2)
+
     def test_escaped_percent_is_not_a_comment(self):
         stream = CharStream("99\\% sure")
         assert next_item(stream) == "99\\% sure"
+
+    def test_escapes_pair_off_before_a_name_or_a_comment(self):
+        # An escaped escape leaves the next one free, so an even run of
+        # escapes before a name or a % leaves it what it is.
+        stream = CharStream("\\\\cite{j} \\\\\\cite{k}\\\\\\% \\\\% c\nx")
+        assert next_command(stream) == [0, 12]
+        assert next_command(stream) == CommandInvocation("cite", "", "k", 1)
+        assert next_command(stream) == [20, 27, 31, 32]
+
+    def test_escapes_before_the_stream_position_pair_with_nothing(self):
+        # A scan starts a fresh token where the stream stands.
+        stream = CharStream("\\\\cite{k}")
+        stream.position = 1
+        assert next_command(stream) == CommandInvocation("cite", "", "k", 1)
+        stream = CharStream("x\\\\% c\nrest")
+        stream.position = 2
+        assert next_command(stream) == [2, 11]
 
     def test_trailing_lone_escape_passes_through(self):
         stream = CharStream("tail\\")
@@ -502,7 +524,8 @@ def scan_all(text: str, comments: bool):
 
 
 document_piece = st.sampled_from(
-    ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\bibliography", "\\emph", "\\%"]
+    ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\nocitex", "\\bibliography"]
+    + ["\\bibliographystylex", "\\emph", "\\%", "\\\\", "\\\\%", "%\\cite{q}\n"]
     + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "{u%v}", "%", "% c\n", "\\\n"]
     + [" ", "\t", "\n", "a", ",", "é"]
 )

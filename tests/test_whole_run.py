@@ -78,7 +78,7 @@ AUX_TOKENS = COMMON + [
 # reading them back and converging.
 DOCUMENT_PIECES = [
     "\\cite{a}", "\\cite{a,b}", "\\cite[p]{b}", "\\cite{ b}", "\\nocite{c}", "Words ", "\n",
-    "%", "\\em ", "\\unknown", "#1", "\r", "\r\n",
+    "%", "\\em ", "\\unknown", "#1", "\r", "\r\n", "\\\\", "\\%", "\\\\cite{a}",
 ]
 PREAMBLE_PIECES = [
     "\\newcommand{\\m}{M}", "\\newcommand{\\m}{\\m\\m}", "\\newcommand\\n[1]{<#1>}",
@@ -345,6 +345,7 @@ def test_the_spec_constants_are_the_packages():
     assert spec.MAX_EXPANSION_CHARS == macros.MAX_EXPANSION_CHARS
     assert spec.MISSING_AUX_MESSAGE == auxfile.MISSING_AUX_MESSAGE
     assert spec.STYLE_SWITCHES == {name: style.value for name, style in STYLE_SWITCHES.items()}
+    assert frozenset(spec.WALK_COMMANDS) == bbl.WALK_COMMANDS
     for em_size in (Fraction(10), Fraction("7.25"), Fraction(1, 3)):
         expected = driver._layout_json(LayoutParams(), em_size)
         assert spec.layout_json(spec.DEFAULT_LABEL_WIDTH, em_size) == expected
