@@ -21,10 +21,11 @@ Neither reads the aux file: the pass has read it before its first
 citation-shaped command.  An undefined key's first cite is a :class:`CiteWarning`, its line and key;
 the warning text is worked out from them when it is shown.
 
-A cite's fragment is built with one append per span: the texts of each
-plain run are collected and joined once, so a cite whose keys are all
-defined makes one append.  An empty key with no label renders nothing
-between its separators.
+A cite renders into the pass's fragment, with no fragment of its own,
+and makes one append per span: the texts of each plain run are
+collected and joined once, so a cite whose keys are all defined makes
+one append, which merges into the plain text before it.  An empty key
+with no label renders nothing between its separators.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ def cite(
     keys: str,
     note: str,
     line: int,
+    rendered: RenderedFragment,
     *,
     warnings: Optional[list[CiteWarning]] = None,
-) -> RenderedFragment:
-    """Render ``[k1, k2, note]`` and queue the citation record's line.
+) -> None:
+    """Append ``[k1, k2, note]`` to ``rendered`` and queue the citation record's line.
 
-    An empty ``note`` renders nothing, the same as no note.
+    An empty ``note`` renders nothing, the same as no note.  The spans
+    merge into ``rendered`` by :meth:`RenderedFragment.append`'s rule.
 
     ``keys`` is recorded bytewise before any splitting, so whatever was
     written between the braces is what lands in the aux file.  Split
@@ -79,7 +82,6 @@ def cite(
     that list is given.
     """
     nocite(session, keys)
-    fragment = RenderedFragment()
     plain = ["["]  # the texts of the plain run still open
     for index, key in enumerate(split_comma_list(keys)):
         if index:
@@ -89,8 +91,8 @@ def cite(
             plain.append(label)
             continue
         if key:
-            fragment.append(_PLAIN, "".join(plain))
-            fragment.append(Style.TYPEWRITER, key)
+            rendered.append(_PLAIN, "".join(plain))
+            rendered.append(Style.TYPEWRITER, key)
             plain = []
         if key not in labels:
             labels[key] = None
@@ -99,5 +101,4 @@ def cite(
     if note:
         plain.append(", " + note)
     plain.append("]")
-    fragment.append(_PLAIN, "".join(plain))
-    return fragment
+    rendered.append(_PLAIN, "".join(plain))

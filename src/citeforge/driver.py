@@ -1,19 +1,22 @@
 """Pass orchestration: scan a document, keep the aux file honest, repeat.
 
-One pass scans the document left to right.  When the scanner first
-returns a citation-shaped command, the pass reads the previous aux file
-(or notes that there is none) before acting on that command.  It renders
-text and citations; the text runs are not copied, but kept in the
-rendering as positions in the document, which the rendering then holds
-(see :mod:`.rendering`).  At the ``\\bibliography`` site it defines each
-bbl item's label, queues the items' ``@citedef`` lines and adds the
-bbl's rendering and lint notes.  Each record is queued as its aux
-line, checked and formatted when it is written, and finally the pass
-rewrites the aux file from scratch with the lines it queued.  The label
-map (key to label, or to None for a key that fell back) starts each
-pass empty; its only inputs are the aux file just read and the bbl items installed
-in this very pass.  A record that cannot be written is reported at the
-command (or ``\\bibitem``) it came from.
+One pass scans the document left to right, one scanner call per
+command: each call returns the text run before a command and the
+command.  When the scanner first returns a citation-shaped command, the
+pass reads the previous aux file (or notes that there is none) before
+acting on that command.  It renders text and citations into one
+fragment; the text runs are not copied, but kept in the rendering as
+positions in the document, which the rendering then holds (see
+:mod:`.rendering`), and each cite appends its spans to it.  At the
+``\\bibliography`` site it defines each bbl item's label, queues the
+items' ``@citedef`` lines and adds the bbl's rendering and lint notes.
+Each record is queued as its aux line, checked and formatted when it
+is written, and finally the pass rewrites the aux file from scratch
+with the lines it queued.  The label map (key to label, or to None for
+a key that fell back) starts each pass empty; its only inputs are the
+aux file just read and the bbl items installed in this very pass.  A
+record that cannot be written is reported at the command (or
+``\\bibitem``) it came from.
 
 The bbl file is read and processed once per run, at the first
 ``\\bibliography`` site that finds it; it cannot change between passes
@@ -206,10 +209,11 @@ def run_pass(
 
     stream = CharStream(document, source=config.document_name)
     while stream.position < len(document):
-        item = next_command(stream, lint=lint.append)
-        if isinstance(item, list):  # a text run's pieces, kept as positions
-            rendered.append_slices(_PLAIN, document, item)
-            continue
+        pieces, item = next_command(stream, lint=lint.append)
+        if pieces:  # the text run before the command, kept as positions
+            rendered.append_slices(_PLAIN, document, pieces)
+        if item is None:  # the end of the document
+            break
         # The scanner returns only the four citation-shaped commands.
         if not read_done:
             read_done = True
@@ -221,16 +225,16 @@ def run_pass(
                 messages.append(handle_missing_aux())
         try:
             if item.name == "cite":
-                fragment = cite(
+                cite(
                     session,
                     labels,
                     item.arg,
                     item.optional,
                     item.source_line,
+                    rendered,
                     # Undefined citations warn only when an aux file was read.
                     warnings=warnings if aux_read is not None else None,
                 )
-                rendered.extend(fragment)
             elif item.name == "nocite":
                 nocite(session, item.arg)
             elif item.name == "bibliographystyle":

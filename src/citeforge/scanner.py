@@ -26,11 +26,14 @@ scanning safe on documents full of markup this package does not
 understand.  Each recognized command takes one ``{...}`` argument, and
 ``cite`` alone also takes an optional ``[...]`` note before it.  The
 scanner hands arguments on as plain strings: an optional argument is
-its text, and ``""`` when it is absent or empty.  A text run is not
-copied: it comes back as the positions of its comment-free pieces in
-the document, which a pass keeps as they are (see :mod:`.rendering`).
-It moves a local cursor over the document and updates the stream's
-position and line once, at its end.
+its text, and ``""`` when it is absent or empty.  Each call of
+:func:`next_command` returns a text run together with the command that
+ends it, ``None`` at the end of input, so a pass makes one call per
+command.  A text run is not copied: it comes back as the positions of
+its comment-free pieces in the document, which a pass keeps as they are
+(see :mod:`.rendering`).  The scan moves a local cursor over the
+document and updates the stream's position and line once, where the
+run ends, before it reads the command's arguments.
 
 The document scanner does not stop at every control sequence.  It
 searches for a recognized name, escape included, and for a ``%`` only
@@ -61,7 +64,7 @@ brace-group scanner, which reads the common shapes the same way.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ScanError, UnbalancedGroupError, _located
 from .rendering import STYLE_SWITCHES
@@ -309,22 +312,24 @@ def split_comma_list(text: str) -> list[str]:
 
 def next_command(
     stream: CharStream, *, lint: LintSink | None = None
-) -> Union[CommandInvocation, list[int]]:
-    """The next recognized command, or the text run leading up to one.
+) -> tuple[list[int], Optional[CommandInvocation]]:
+    """The text run up to the next recognized command, and that command.
 
     Text runs are maximal: they carry everything (unknown commands
     included, byte-for-byte) up to the next command found in
-    :data:`DOCUMENT_COMMANDS` or the end of input.  A text run comes
-    back as positions in ``stream.content``: the start and end of each
-    of its comment-free pieces, in order, none of them empty, so a run
-    with no comment is one piece.  Only a run that is all comment, at
-    the end of input, has no piece.  Recognized commands
-    come back with their arguments already scanned; whitespace after the
-    command name is consumed, mirroring how a reader that tokenizes
-    control words would behave.  The scan starts a fresh token at the
-    stream's position, so a command's escape or a ``%`` counts only when
-    the run of escapes just before it, counted from that position on,
-    has even length: ``\\\\cite{k}`` is text, and ``\\%`` is no comment.
+    :data:`DOCUMENT_COMMANDS` or the end of input, where the command is
+    ``None``.  A text run comes back as positions in ``stream.content``:
+    the start and end of each of its comment-free pieces, in order, none
+    of them empty, so a run with no comment is one piece and a run that
+    is empty or all comment has none.  The command comes back with its
+    arguments already scanned, and the stream stands after them;
+    whitespace after the command name is consumed, mirroring how a
+    reader that tokenizes control words would behave.  The match that
+    ends the run is the command's, so it is found once.  The scan
+    starts a fresh token at the stream's position, so a command's escape
+    or a ``%`` counts only when the run of escapes just before it,
+    counted from that position on, has even length: ``\\\\cite{k}`` is
+    text, and ``\\%`` is no comment.
     The lint sink hears of an empty ``[]`` (at its line) and of each
     ``\\cite`` key with a blank in it (at the command's line).
     """
@@ -354,8 +359,8 @@ def next_command(
             pieces += start, at
         stream.line += content.count("\n", begin, at)
         stream.position = at
-        if pieces or command is None:
-            return pieces
+        if command is None:
+            return pieces, None
         command_line = stream.line
         name, note, arg = command.groups()
         if arg is not None and (note is None or name == "cite"):
@@ -369,7 +374,7 @@ def next_command(
             for key in filter(_BLANK.search, split_comma_list(arg)):
                 message = f"citation key `{key}' contains a space"
                 lint(_located(message, command_line, stream.source))
-        return _new_invocation(CommandInvocation, (name, optional, arg, command_line))
+        return pieces, _new_invocation(CommandInvocation, (name, optional, arg, command_line))
 
 
 def _escaped(content: str, begin: int, at: int) -> bool:

@@ -16,7 +16,7 @@ The pieces are plain functions at the grain the tests compare:
 * readers take ``(text, position, comments)``, with ``line`` and
   ``source`` as keywords, and return ``(value, end, line)``;
   :func:`next_command` returns a text run as the start and end of each
-  of its comment-free pieces;
+  of its comment-free pieces, with the command that ends it;
 * the macro engine reads a stack of :class:`Frame`\\ s, the text at the
   bottom and above it the replacements not yet read to the end;
 * :func:`process_bbl` returns the items, the label width and the
@@ -189,13 +189,13 @@ def split_keys(keys: str) -> list[str]:
 
 
 def next_command(text, i, comments=True, *, line=1, source="", lint=None):
-    """The text run from ``i`` to the next document command, or that command.
+    """The text run from ``i`` to the next document command, and that command.
 
     A run is the start and end of each of its comment-free pieces, none
-    of them empty.  When no piece comes before a command, the command
-    is read: ``(name, note, argument, line)``, the note given by
-    ``\\cite`` only.  The lint hears of each ``\\cite`` key with a blank
-    in it, at the command's line.
+    of them empty.  The command is read as ``(name, note, argument,
+    line)``, the note given by ``\\cite`` only, and is None at the end
+    of the text.  The lint hears of each ``\\cite`` key with a blank in
+    it, at the command's line.
     """
     pieces: list[int] = []
     start = i
@@ -219,12 +219,13 @@ def next_command(text, i, comments=True, *, line=1, source="", lint=None):
             continue
         if i > start:
             pieces += [start, i]
-        if pieces:
-            return pieces, i, line
-        return read_command(text, name, end, comments, line=line, source=source, lint=lint)
+        command, i, line = read_command(
+            text, name, end, comments, line=line, source=source, lint=lint
+        )
+        return (pieces, command), i, line
     if i > start:
         pieces += [start, i]
-    return pieces, i, line
+    return (pieces, None), i, line
 
 
 def read_command(text, name, i, comments, *, line, source, lint):
@@ -880,11 +881,13 @@ def run_pass(job: Job, document: str, files: Files, bbls: Optional[dict] = None)
     read_done = job.no_aux
     i, line = 0, 1
     while i < len(document):
-        item, i, line = next_command(document, i, line=line, source=job.source, lint=lint.append)
-        if isinstance(item, list):
-            for start, end in zip(item[::2], item[1::2]):
-                add(spans, "plain", document[start:end])
-            continue
+        (pieces, item), i, line = next_command(
+            document, i, line=line, source=job.source, lint=lint.append
+        )
+        for start, end in zip(pieces[::2], pieces[1::2]):
+            add(spans, "plain", document[start:end])
+        if item is None:
+            break
         name, note, arg, command_line = item
         if not read_done:
             read_done = True

@@ -6,7 +6,7 @@ from citeforge.auxfile import AuxSession
 from citeforge.citations import CiteWarning, cite, nocite
 from citeforge.driver import FixpointResult, JobConfig, build_report, run_pass
 from citeforge.files import MemoryFiles
-from citeforge.rendering import Span, Style, render_annotated, render_plain
+from citeforge.rendering import RenderedFragment, Span, Style, render_annotated, render_plain
 from citeforge.scanner import CharStream, next_command
 
 BBL = (
@@ -80,9 +80,8 @@ class TestCiteOne:
     def cite_key(self, key, labels, line, session=None, warnings_on=True):
         session = session or AuxSession()
         warnings = []
-        fragment = cite(
-            session, labels, key, "", line, warnings=warnings if warnings_on else None
-        )
+        fragment = RenderedFragment()
+        cite(session, labels, key, "", line, fragment, warnings=warnings if warnings_on else None)
         return fragment, [w.text for w in warnings]
 
     def test_defined_renders_plain_label(self):
@@ -128,7 +127,8 @@ class TestCite:
         warnings = []
         notes = []
         next_command(CharStream(f"\\cite{{{keys}}}", line=5), lint=notes.append)
-        fragment = cite(session, labels, keys, note, 5, warnings=warnings)
+        fragment = RenderedFragment()
+        cite(session, labels, keys, note, 5, fragment, warnings=warnings)
         return fragment, [w.text for w in warnings], notes, session
 
     def test_defined_pair_renders_bracketed_list(self):
@@ -142,7 +142,8 @@ class TestCite:
 
     def test_warnings_are_appended_as_line_and_key(self):
         warnings = [CiteWarning(1, "old")]
-        cite(AuxSession(), {"a": "1"}, "miss,a,miss,new", "", 8, warnings=warnings)
+        rendered = RenderedFragment()
+        cite(AuxSession(), {"a": "1"}, "miss,a,miss,new", "", 8, rendered, warnings=warnings)
         assert warnings == [CiteWarning(1, "old"), CiteWarning(8, "miss"), CiteWarning(8, "new")]
 
     def test_empty_keys_render_empty_brackets(self):

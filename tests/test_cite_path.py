@@ -19,16 +19,19 @@ from hypothesis import strategies as st
 
 from citeforge import citations
 from citeforge.auxfile import AuxSession
-from citeforge.scanner import CharStream, next_command
+from citeforge.rendering import RenderedFragment
+from citeforge.scanner import CharStream
+from scanning import next_item
 
 
 def package_cites(labels, calls):
     session = AuxSession()
     spans, warnings, lint = [], [], []
     for keys, note, line, warn in calls:
-        assert next_command(CharStream(f"\\cite{{{keys}}}", line), lint=lint.append).arg == keys
+        assert next_item(CharStream(f"\\cite{{{keys}}}", line), lint=lint.append).arg == keys
         found = [] if warn else None
-        fragment = citations.cite(session, labels, keys, note, line, warnings=found)
+        fragment = RenderedFragment()
+        citations.cite(session, labels, keys, note, line, fragment, warnings=found)
         spans.append([(span.style.value, span.text) for span in fragment.spans])
         warnings += [(warning.line, warning.key) for warning in found or ()]
     return spans, warnings, lint, session.pending_writes, list(labels.items())

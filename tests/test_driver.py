@@ -247,6 +247,28 @@ class TestRunPass:
         assert (info.value.offset, info.value.source) == (13, "doc.aux")
         assert fs.writes == []
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_one_scanner_call_per_command_and_no_fragment_per_cite(self, monkeypatch, count):
+        # Counted through the names a pass calls, as the benchmark's tracer wraps them.
+        calls = {"next_command": 0, "extend": 0}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(driver, "next_command", counting("next_command", driver.next_command))
+        monkeypatch.setattr(
+            RenderedFragment, "extend", counting("extend", RenderedFragment.extend)
+        )
+        document = "Prose \\cite{a} more.\n" * count + "\\bibliography{refs}\n"
+        result = run_pass(JobConfig(jobname="doc", bbl_basename="refs"), document, fs_with_bbl())
+        # Each cite, the bibliography, and the end: not a call for each run and each command.
+        assert calls == {"next_command": count + 2, "extend": 1}
+        assert render_plain(result.rendered).startswith("Prose [a] more.\n" * count)
+
     def test_stale_definitions_are_honored(self):
         fs = MemoryFiles({"doc.aux": b"\\@citedef{k}{Old99}\n"})
         result = run_pass(JobConfig(jobname="doc"), "\\cite{k}", fs)

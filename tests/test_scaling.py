@@ -77,7 +77,7 @@ def scan_one_text_run(units: int) -> None:
     # unknown commands and comments in it still stop the text search.
     text = "Some prose \\emph{here} and 50% more % a comment\n" * units
     stream = CharStream(text)
-    assert isinstance(next_command(stream), list)
+    assert next_command(stream)[1] is None
     assert stream.at_end()
 
 
@@ -98,7 +98,7 @@ def scan_cites_then_far_comment(count: int) -> None:
     stream = CharStream(document)
     cites = 0
     while stream.position < len(document):
-        cites += not isinstance(next_command(stream), list)
+        cites += next_command(stream)[1] is not None
     assert cites == count
 
 
@@ -106,14 +106,14 @@ def scan_comments_hiding_cites(count: int) -> None:
     # Every comment swallows the cite the name search found in it, so the
     # name search starts again after each comment, up to the one far cite.
     stream = CharStream("% \\cite{x}\n" * count + "\\cite{k}")
-    assert next_command(stream) == CommandInvocation("cite", "", "k", count + 1)
+    assert next_command(stream) == ([], CommandInvocation("cite", "", "k", count + 1))
 
 
 def scan_escaped_candidates(count: int) -> None:
     # Names and percent signs that an escape takes, in one text run.
     document = "\\\\cite{k} " * count + "100\\% " * count
     stream = CharStream(document)
-    assert next_command(stream) == [0, len(document)]
+    assert next_command(stream) == ([0, len(document)], None)
 
 
 def scan_long_escape_runs(count: int) -> None:
@@ -121,7 +121,8 @@ def scan_long_escape_runs(count: int) -> None:
     # before each cite, which does not: one text run of many pieces.
     unit = "\\" * 50 + "% c\n" + "\\" * 51 + "\\cite{k} "
     stream = CharStream(unit * count)
-    assert len(next_command(stream)) == 2 * count + 2
+    pieces, command = next_command(stream)
+    assert len(pieces) == 2 * count + 2 and command is None
 
 
 def pass_over_plain_cites(count: int) -> None:
@@ -135,7 +136,7 @@ def scan_cite_failing_at_the_end(units: int) -> None:
     # The note is plain up to its last character, an escape, so the
     # one-match pattern fails there and the general path reads it again.
     stream = CharStream("\\cite[" + "p.~3, " * units + "\\x]{a}")
-    assert len(next_command(stream).optional) == 6 * units + 2
+    assert len(next_item(stream).optional) == 6 * units + 2
 
 
 def read_many_records(count: int) -> None:

@@ -324,7 +324,7 @@ class TestNextCommand:
         stream = CharStream("one \\unknown two \\cite{k} three")
         first = next_item(stream)
         assert first == "one \\unknown two "
-        second = next_command(stream)
+        second = next_item(stream)
         assert isinstance(second, CommandInvocation)
         assert second.name == "cite"
         assert second.arg == "k"
@@ -337,34 +337,35 @@ class TestNextCommand:
     def test_command_name_stops_at_non_letter(self):
         stream = CharStream("\\cite2")
         with pytest.raises(ScanError, match="expected '{'"):
-            next_command(stream)
+            next_item(stream)
 
     def test_optional_and_note_scanned(self):
         stream = CharStream("\\cite[page 4]{a,b}")
-        invocation = next_command(stream)
+        invocation = next_item(stream)
         assert invocation.optional == "page 4"
         assert invocation.arg == "a,b"
 
     def test_the_four_commands_are_recognized(self):
         assert DOCUMENT_COMMANDS == {"cite", "nocite", "bibliography", "bibliographystyle"}
         for name in sorted(DOCUMENT_COMMANDS):
-            invocation = next_command(CharStream(f"\\{name} {{x}}"))
+            invocation = next_item(CharStream(f"\\{name} {{x}}"))
             assert invocation == CommandInvocation(name, "", "x", 1)
 
     @pytest.mark.parametrize("name", ["nocite", "bibliography", "bibliographystyle"])
     def test_only_cite_takes_an_optional_argument(self, name):
+        assert next_item(CharStream(f"text\n\\{name}{{k}}")) == "text\n"
+        # The call that reads the run before a bad command raises.
         stream = CharStream(f"text\n\\{name}[x]{{k}}", source="doc.tex")
-        assert next_item(stream) == "text\n"
         with pytest.raises(ScanError) as info:
-            next_command(stream)
+            next_item(stream)
         assert str(info.value) == "doc.tex:2: expected '{' but found '['"
-        assert next_command(CharStream("\\cite[x]{k}")) == CommandInvocation("cite", "x", "k", 1)
+        assert next_item(CharStream("\\cite[x]{k}")) == CommandInvocation("cite", "x", "k", 1)
 
     def test_cite_keys_with_blanks_are_linted_in_key_order(self):
         notes = []
         stream = CharStream("\n\\cite[]{ a,b,c d,\te,\u3000f}", source="doc.tex")
         assert next_item(stream, lint=notes.append) == "\n"
-        invocation = next_command(stream, lint=notes.append)
+        invocation = next_item(stream, lint=notes.append)
         assert invocation.arg == " a,b,c d,\te,\u3000f"
         assert notes == [
             "doc.tex:2: empty optional argument '[]' treated as absent",
@@ -376,28 +377,28 @@ class TestNextCommand:
 
     def test_key_lint_is_at_the_command_line(self):
         notes = []
-        next_command(CharStream("\\cite\n{a,\n b}", source="doc.tex"), lint=notes.append)
+        next_item(CharStream("\\cite\n{a,\n b}", source="doc.tex"), lint=notes.append)
         assert notes == ["doc.tex:1: citation key `\n b' contains a space"]
 
     @pytest.mark.parametrize("name", ["nocite", "bibliography", "bibliographystyle"])
     def test_only_cite_keys_are_linted(self, name):
         notes = []
-        invocation = next_command(CharStream(f"\\{name}{{a, b}}"), lint=notes.append)
+        invocation = next_item(CharStream(f"\\{name}{{a, b}}"), lint=notes.append)
         assert invocation.arg == "a, b"
         assert notes == []
 
     def test_key_lint_needs_a_sink(self):
-        assert next_command(CharStream("\\cite{a, b}")).arg == "a, b"
+        assert next_item(CharStream("\\cite{a, b}")).arg == "a, b"
 
     def test_filler_after_name_is_skipped(self):
         stream = CharStream("\\cite % wrapped\n  {key}")
-        invocation = next_command(stream)
+        invocation = next_item(stream)
         assert invocation.arg == "key"
 
     def test_source_line_is_where_the_command_started(self):
         stream = CharStream("line one\ntwo \\cite{k}\n")
-        next_command(stream)
-        invocation = next_command(stream)
+        next_item(stream)
+        invocation = next_item(stream)
         assert invocation.source_line == 2
 
     def test_comment_joins_text_runs(self):
@@ -406,16 +407,14 @@ class TestNextCommand:
 
     def test_a_run_across_comments_is_the_positions_of_its_pieces(self):
         stream = CharStream("half% comment\nway %\n\\cite{k} end % tail")
-        assert next_command(stream) == [0, 4, 14, 18]
-        assert stream.position == 20
-        next_command(stream)
-        assert next_command(stream) == [28, 33]
-        assert next_command(CharStream("% only a comment")) == []
+        assert next_command(stream) == ([0, 4, 14, 18], CommandInvocation("cite", "", "k", 3))
+        assert stream.position == 28
+        assert next_command(stream) == ([28, 33], None)
+        assert next_command(CharStream("% only a comment")) == ([], None)
 
     def test_a_comment_hides_the_commands_in_it(self):
         stream = CharStream("a % \\cite{q} \\nocite{r}\nb \\cite{k}")
-        assert next_command(stream) == [0, 2, 24, 26]
-        assert next_command(stream) == CommandInvocation("cite", "", "k", 2)
+        assert next_command(stream) == ([0, 2, 24, 26], CommandInvocation("cite", "", "k", 2))
 
     def test_escaped_percent_is_not_a_comment(self):
         stream = CharStream("99\\% sure")
@@ -425,18 +424,17 @@ class TestNextCommand:
         # An escaped escape leaves the next one free, so an even run of
         # escapes before a name or a % leaves it what it is.
         stream = CharStream("\\\\cite{j} \\\\\\cite{k}\\\\\\% \\\\% c\nx")
-        assert next_command(stream) == [0, 12]
-        assert next_command(stream) == CommandInvocation("cite", "", "k", 1)
-        assert next_command(stream) == [20, 27, 31, 32]
+        assert next_command(stream) == ([0, 12], CommandInvocation("cite", "", "k", 1))
+        assert next_command(stream) == ([20, 27, 31, 32], None)
 
     def test_escapes_before_the_stream_position_pair_with_nothing(self):
         # A scan starts a fresh token where the stream stands.
         stream = CharStream("\\\\cite{k}")
         stream.position = 1
-        assert next_command(stream) == CommandInvocation("cite", "", "k", 1)
+        assert next_command(stream) == ([], CommandInvocation("cite", "", "k", 1))
         stream = CharStream("x\\\\% c\nrest")
         stream.position = 2
-        assert next_command(stream) == [2, 11]
+        assert next_command(stream) == ([2, 11], None)
 
     def test_trailing_lone_escape_passes_through(self):
         stream = CharStream("tail\\")
@@ -483,7 +481,7 @@ class TestNextCommand:
         stream = CharStream("".join(parts))
         seen = []
         while not stream.at_end():
-            item = next_command(stream)
+            _, item = next_command(stream)
             if isinstance(item, CommandInvocation):
                 seen.append((item.optional or None, item.arg))
         expected = [
@@ -526,6 +524,7 @@ def scan_all(text: str, comments: bool):
 document_piece = st.sampled_from(
     ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\nocitex", "\\bibliography"]
     + ["\\bibliographystylex", "\\emph", "\\%", "\\\\", "\\\\%", "%\\cite{q}\n"]
+    + ["\\cite\n[p.~3]{k}", "\\cite% x\n[p.~3]{k}", "\\cite{a}\\nocite{b}", "% c\n\\cite{k}"]
     + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "{u%v}", "%", "% c\n", "\\\n"]
     + [" ", "\t", "\n", "a", ",", "é"]
 )
@@ -558,5 +557,5 @@ class TestNextCommandFastPath:
         general = {name: mock.Mock(side_effect=AssertionError) for name in readers}
         with mock.patch.multiple(scanner, **general):
             stream = CharStream(text + "\nrest")
-            assert next_command(stream) == expected
+            assert next_item(stream) == expected
         assert (stream.position, stream.line) == (len(text), 1 + text.count("\n"))

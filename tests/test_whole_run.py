@@ -79,6 +79,7 @@ AUX_TOKENS = COMMON + [
 DOCUMENT_PIECES = [
     "\\cite{a}", "\\cite{a,b}", "\\cite[p]{b}", "\\cite{ b}", "\\nocite{c}", "Words ", "\n",
     "%", "\\em ", "\\unknown", "#1", "\r", "\r\n", "\\\\", "\\%", "\\\\cite{a}",
+    "\\cite\n[p.~3]{a}", "\\cite% x\n[p.~3]{b}", "\\cite{a}\\nocite{b}", "% c\n\\cite{b}",
 ]
 PREAMBLE_PIECES = [
     "\\newcommand{\\m}{M}", "\\newcommand{\\m}{\\m\\m}", "\\newcommand\\n[1]{<#1>}",
