@@ -525,6 +525,7 @@ document_piece = st.sampled_from(
     ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\nocitex", "\\bibliography"]
     + ["\\bibliographystylex", "\\emph", "\\%", "\\\\", "\\\\%", "%\\cite{q}\n"]
     + ["\\cite\n[p.~3]{k}", "\\cite% x\n[p.~3]{k}", "\\cite{a}\\nocite{b}", "% c\n\\cite{k}"]
+    + ["\\cite{u%v}", "\\cite{a\\}b}", "\\cite[]{k}", "\\cite{a, b}"]
     + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "{u%v}", "%", "% c\n", "\\\n"]
     + [" ", "\t", "\n", "a", ",", "é"]
 )
