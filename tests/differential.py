@@ -10,6 +10,7 @@ line, source and offset.
 from fractions import Fraction
 
 import spec
+from hypothesis import strategies as st
 
 from citeforge import bbl, driver
 from citeforge.driver import report_json
@@ -117,3 +118,15 @@ def spec_bbl(content, source=""):
 def spec_macros(defs) -> dict:
     """The spec's form of the package's macro table: name to (count, body)."""
     return {name: (macro.num_params, macro.body) for name, macro in defs.items()}
+
+
+def token_text(tokens, max_size):
+    """Texts (or bytes) of up to ``max_size`` of ``tokens``, drawn as one byte string.
+
+    Each byte picks a token, so a text costs hypothesis one draw, and it
+    shrinks towards fewer tokens and the first ones.
+    """
+    empty = tokens[0][:0]
+    return st.binary(max_size=max_size).map(
+        lambda picks: empty.join([tokens[pick % len(tokens)] for pick in picks])
+    )

@@ -295,7 +295,7 @@ def read_through(reader, content: bytes):
     return list(labels.items()), None
 
 
-aux_payload = st.text(alphabet="ab9 .é{}\\", max_size=6).map(lambda text: text.encode())
+aux_payload = st.text(alphabet="ab9 .é{}\\%#\t", max_size=6).map(lambda text: text.encode())
 aux_record = st.one_of(
     aux_payload.map(lambda key: b"\\citation{" + key + b"}"),
     st.tuples(aux_payload, aux_payload).map(
@@ -331,34 +331,6 @@ def test_error_offsets_match_the_origin_list(records, fault, after, data):
     for position, line_break in sorted(breaks, reverse=True):
         content = content[:position] + line_break + content[position:]
 
-    assert read_through(read_aux, content) == read_through(spec.read_aux, content)
-
-
-# --- read_aux against the spec ------------------------------------------
-
-aux_text = st.lists(
-    st.sampled_from(
-        ["[", "]", "{", "}", "\\", "%", "#", "\n", " ", "\t", "é", "\xff", "\\lab", "k", "1"]
-    ),
-    max_size=5,
-).map("".join)
-raw_record = st.one_of(
-    st.tuples(st.sampled_from(["citation", "bibdata", "bibstyle"]), aux_text).map(
-        lambda record: "\\%s{%s}" % record
-    ),
-    st.tuples(aux_text, aux_text).map(lambda pair: "\\@citedef{%s}{%s}" % pair),
-    aux_text,
-)
-
-
-def aux_bytes(text: str) -> bytes:
-    # "\xff" stands for a lone byte that is not UTF-8; the rest is UTF-8.
-    return b"\xff".join(part.encode() for part in text.split("\xff"))
-
-
-@given(st.lists(raw_record, max_size=6).map("".join).map(aux_bytes))
-@settings(max_examples=1000)
-def test_read_aux_reads_like_the_general_path(content):
     assert read_through(read_aux, content) == read_through(spec.read_aux, content)
 
 

@@ -1,14 +1,11 @@
-"""The cheaper bbl paths against the spec.
+"""The cheaper bbl paths: the rendering the walk writes, and the caps.
 
-Two paths are checked against ``tests/spec.py``:
-
-* the bibliography's rendering, which :func:`process_bbl` writes into
-  one fragment as it reads the bbl; the bbl is written from generated
-  items, blocks and styled pieces, and its spans must be the spec's,
-  styles and boundaries included;
-* :func:`substitute_params` on the template :func:`define_newcommand`
-  keeps; the value or the error text must be the spec's substitution
-  into the body.
+:func:`process_bbl` writes the bibliography into one fragment as it
+reads the bbl; a bbl written from items, blocks and styled pieces must
+render as the spec renders it, styles and boundaries included.  The
+walker's spec differential in ``tests/test_bbl_walker.py`` generates
+such bbls too, and ``tests/test_macro_engine.py`` checks substitution
+into a definition's template against the spec.
 
 :func:`expand_macros` reads every replacement from a stream, an
 escape-free one included, so its caps are checked directly: the value
@@ -22,8 +19,6 @@ from unittest import mock
 import pytest
 import spec
 from differential import spans_of
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from citeforge import macros
 from citeforge.bbl import process_bbl
@@ -37,7 +32,7 @@ from citeforge.macros import (
     expand_macros,
     substitute_params,
 )
-from citeforge.rendering import STYLE_SWITCHES, RenderedFragment, Span, Style
+from citeforge.rendering import RenderedFragment, Span, Style
 
 # --- the render ---------------------------------------------------------
 
@@ -64,28 +59,6 @@ def bbl_of(entries) -> str:
     return f"\\begin{{thebibliography}}{{9}}\n{items}\\end{{thebibliography}}\n"
 
 
-piece = st.tuples(
-    st.sampled_from(sorted(STYLE_SWITCHES)),
-    st.sampled_from(["", " ", "a", "b c", "\n", " d ", "e  f", "g. "]),
-)
-entries = st.lists(
-    st.tuples(
-        st.sampled_from(["", "1", "Ab12", " "]),
-        st.lists(st.lists(piece, max_size=5), max_size=4),
-    ),
-    max_size=8,
-)
-
-
-@given(entries)
-@settings(max_examples=1000)
-def test_render_matches_the_reference(entries):
-    content = bbl_of(entries)
-    rendered = process_bbl(content).rendered
-    assert spans_of(rendered) == spec.process_bbl(content).spans
-    assert all(type(span) is Span for span in rendered.spans)
-
-
 def test_render_keeps_styled_edges_and_empty_items():
     em, sc, rm = ("em", "Title"), ("sc", "Doe"), ("rm", ", 2001.")
     entries = [("A", []), ("B", [[em], [sc, rm], [em]]), ("C", [[], [("tt", " ")], [em]])]
@@ -102,6 +75,7 @@ def test_render_keeps_styled_edges_and_empty_items():
         Span(Style.EMPHASIS, "Title"),
         Span(Style.PLAIN, "\n"),
     ]
+    assert all(type(span) is Span for span in rendered.spans)
 
 
 def test_render_of_no_items_is_empty():
@@ -132,19 +106,6 @@ def outcome(call, *args):
         return ("ok", call(*args))
     except CiteforgeError as exc:
         return (type(exc), str(exc))
-
-
-body_text = st.lists(
-    st.sampled_from(["#0", "#1", "#2", "#3", "#9", "#", "#²", "##1", "a", " ", "{\\em x}", "é"]),
-    max_size=8,
-).map("".join)
-
-
-@given(body_text, st.lists(st.sampled_from(["", "x", "#1", "long arg"]), max_size=4))
-@settings(max_examples=1000)
-def test_substitution_matches_the_reference(body, args):
-    template = define_newcommand({}, "m", "", body).template
-    assert outcome(substitute_params, template, args) == outcome(spec.substitute, body, args)
 
 
 def test_a_body_with_no_marker_comes_back_as_it_is():

@@ -24,7 +24,7 @@ import re
 from unittest import mock
 
 import pytest
-from differential import package_bbl, spec_bbl
+from differential import package_bbl, spec_bbl, token_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_outputs_pinned import load_corpus
@@ -66,6 +66,7 @@ STRUCTURE = (
     "\\bibitem{k2} ",
     "\\bibitem[T]{k3}",
     "\\bibitem[]{k4}",
+    "\\bibitem[ ]{k6}",
     "\\bibitem [\\zd{a}{b}{c}] {k5}",
     "\\bibitem[x\n",
     "\\bibitem",
@@ -85,6 +86,8 @@ STYLE = (
     "{\\sc x}",
     "{\\tt 50% two}",
     "{\\rm\tx}",
+    "{\\em{} a}",
+    "{\\tt{}\n}",
 )
 TEXT = (
     "word",
@@ -131,11 +134,7 @@ PREFIXES = (
     "\\newcommand{\\zi}{\\bibitem{zk}}\\newcommand{\\zn}{ \\newblock }\n"
     "\\begin{thebibliography}{99}\n\\bibitem[L]{a}\n",
 )
-BBLS = st.builds(
-    lambda prefix, tokens: prefix + "".join(tokens),
-    st.sampled_from(PREFIXES),
-    st.lists(st.sampled_from(ALPHABET), max_size=40),
-)
+BBLS = st.tuples(st.sampled_from(PREFIXES), token_text(ALPHABET, 40)).map("".join)
 
 
 @given(BBLS)
@@ -289,10 +288,10 @@ STYLED_PREFIXES = (
 )
 
 
-@given(st.sampled_from(STYLED_PREFIXES), st.lists(st.sampled_from(STYLED_SHAPES), max_size=12))
+@given(st.sampled_from(STYLED_PREFIXES), token_text(STYLED_SHAPES, 12))
 @settings(max_examples=600, deadline=None)
 def test_styled_group_token_walks_like_its_four_tokens(prefix, shapes):
-    content = prefix + "".join(shapes)
+    content = prefix + shapes
     with mock.patch.object(bbl, "TOKEN", FOUR_TOKEN), mock.patch.object(
         bbl, "TEXT_TOKEN", FOUR_TEXT_TOKEN
     ):

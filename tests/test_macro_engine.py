@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 import spec
-from differential import outcome, spec_macros
+from differential import outcome, spec_macros, token_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,56 +37,40 @@ from citeforge.scanner import CharStream
 NAMES = ("a", "b", "pair", "gob", "wrap")
 
 # ASCII text only (see test_non_ascii_digit_after_hash_is_literal_text
-# for markers such as "#²").
-literal = st.text(alphabet="ab xy.,;()!?019%#\n", min_size=1, max_size=4)
-oddity = st.sampled_from(["{", "}", "{}", "{\\TeX}", "\\TeX", "\\%", "\\{", "\\", "#"])
-argument = st.sampled_from(
-    ["{uv}", " {w}", "x", " y", "%", "{u%v}", "{}", "\\TeX", "#1", "#2", "{\\a}", "{\\b{z}}"]
-)
+# for markers such as "#²").  Each text is a flat list of tokens joined
+# once, so a call's arguments are the tokens that follow its name.
+LITERALS = ["a", "b", " ", "xy", ".,", ";", "()", "!?", "0", "19", "%", "#", "#0", "\n"]
+ODDITIES = ["{", "}", "{}", "{\\TeX}", "\\TeX", "\\%", "\\{", "\\"]
+ARGUMENTS = ["{uv}", " {w}", "x", " y", "{u%v}", "\\TeX", "#1", "#2", "{\\a}", "{\\b{z}}"]
+CALLS = ["\\" + name for name in NAMES]
+texts = token_text(LITERALS + ODDITIES + ARGUMENTS + ["#9"] + CALLS * 3, 12)
 
 
-def calls(names):
-    return st.tuples(st.sampled_from(names), st.lists(argument, max_size=3)).map(
-        lambda call: "\\" + call[0] + "".join(call[1])
-    )
+def bodies(index, num_params):
+    """``(num_params, body)`` for ``NAMES[index]``: a body calls only names after its own."""
+    tokens = LITERALS + ODDITIES + ARGUMENTS + CALLS[index + 1 :] * 3
+    if num_params:  # markers make about a quarter of the tokens
+        markers = [f"#{k}" for k in range(1, num_params + 1)]
+        tokens += markers * max(1, len(tokens) // (3 * num_params))
+    return st.tuples(st.just(num_params), token_text(tokens, 7))
 
 
-markers = st.sampled_from(["#1", "#2", "#9"])
-texts = st.lists(
-    st.one_of(literal, oddity, markers, calls(NAMES), calls(NAMES)), max_size=8
-).map("".join)
+def table(definitions) -> MacroTable:
+    return {
+        name: MacroDef(name, num_params, body, macros._template(body))
+        for name, (num_params, body) in zip(NAMES, definitions)
+    }
 
 
-def body_pieces(index, num_params):
-    """The pieces a body of ``NAMES[index]`` with ``num_params`` parameters is made of."""
-    options = [literal, literal, oddity]
-    if index + 1 < len(NAMES):
-        options.append(calls(NAMES[index + 1 :]))
-    if num_params:
-        options += [st.integers(min_value=1, max_value=num_params).map(lambda k: f"#{k}")] * 2
-    return st.lists(st.one_of(*options), max_size=5)
-
-
-# Made once: a strategy made inside a draw costs more than the draw.
-COUNTS = st.sampled_from([0, 0, 1, 1, 2, 3, 9])
-BODIES = {(i, n): body_pieces(i, n) for i in range(len(NAMES)) for n in (0, 1, 2, 3, 9)}
-
-
-@st.composite
-def macro_tables(draw) -> MacroTable:
-    """Every name defined; a body calls only names after its own."""
-    defs = {}
-    for index, name in enumerate(NAMES):
-        num_params = draw(COUNTS)
-        body = "".join(draw(BODIES[index, num_params]))
-        defs[name] = MacroDef(name, num_params, body, macros._template(body))
-    return defs
-
-
+# Every name defined, with 0, 1, 2, 3 or 9 parameters, the first two twice as often.
+COUNTS = (0, 0, 1, 1, 2, 3, 9)
+macro_tables = st.tuples(
+    *(st.one_of(*(bodies(index, n) for n in COUNTS)) for index in range(len(NAMES)))
+).map(table)
 depths = st.one_of(st.just(MAX_EXPANSION_DEPTH), st.integers(min_value=0, max_value=5))
 
 
-@given(macro_tables(), st.tuples(texts, calls(NAMES), texts).map("".join), depths)
+@given(macro_tables, st.tuples(texts, st.sampled_from(CALLS), texts).map("".join), depths)
 @settings(max_examples=600, deadline=None)
 def test_engine_matches_the_reference_wherever_it_succeeds(defs, text, max_depth):
     with mock.patch.object(macros, "MAX_EXPANSION_DEPTH", max_depth), mock.patch.object(
@@ -251,13 +235,11 @@ def read_arguments(texts: list[str], comments: bool, num_params: int):
     return actual, expected
 
 
-argument_text = st.lists(
-    st.sampled_from(
-        ["[", "]", "{", "}", "\\", "%", "#", "#1", "\n", " ", "\t", "é", "\\lab", "a"]
-        + ["{a}", "{Qus}", " {27}", "\n{c}", "{u%v}"]  # groups, plain and not
-    ),
-    max_size=10,
-).map("".join)
+argument_text = token_text(
+    ["[", "]", "{", "}", "\\", "%", "#", "#1", "\n", " ", "\t", "é", "\\lab", "a"]
+    + ["{a}", "{Qus}", " {27}", "\n{c}", "{u%v}"],  # groups, plain and not
+    10,
+)
 
 
 @given(

@@ -2,10 +2,11 @@
 
 The optional-argument cases are checked against a small reference
 walker written independently of the scanner, so the bracket/brace
-interaction has an oracle rather than a copied expectation.  The
-argument readers and ``next_command``, fast paths included, are checked
-against ``tests/spec.py``, which reads one character at a time: value or
-error, cursor, line and lint alike.
+interaction has an oracle rather than a copied expectation.
+``next_command``, and through a ``\\cite``'s note and keys the argument
+readers, fast paths included, are checked against ``tests/spec.py``,
+which reads one character at a time: value or error, cursor, line and
+lint alike.
 """
 
 import string
@@ -13,7 +14,7 @@ from unittest import mock
 
 import pytest
 import spec
-from differential import outcome
+from differential import outcome, token_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,7 +186,7 @@ class TestOptionalArg:
         st.lists(
             st.one_of(
                 st.text(alphabet="ab c.]\n", min_size=1, max_size=4),
-                st.sampled_from(["\\]", "\\}", "\\{", "\\x"]),
+                st.sampled_from(["\\]", "\\}", "\\{", "\\x", "}"]),
                 st.text(alphabet="ab]", max_size=3).map(lambda s: "{" + s + "}"),
             ),
             max_size=8,
@@ -215,44 +216,7 @@ class TestOptionalArg:
         assert stream.position == 0
 
 
-# --- scan_optional_arg against the spec ------------------------------------
-
-
-def read_through(text: str, comments: bool):
-    """What the package's and the spec's readings of ``text`` show.
-
-    A reading shows its value, cursor and line, or its error, and its
-    lint.
-    """
-    stream = CharStream(text, line=3, source="f.tex", comments=comments)
-    notes: list[str] = []
-    actual = outcome(lambda: (scan_optional_arg(stream, notes.append), stream.position, stream.line))
-    spec_notes: list[str] = []
-    expected = outcome(
-        spec.optional_arg, text, 0, comments, line=3, source="f.tex", lint=spec_notes.append
-    )
-    return (actual, notes), (expected, spec_notes)
-
-
-# Common shapes first, so that plenty of inputs take the fast path.
-optional_piece = st.sampled_from(
-    ["[", "]", "{", "}", "\\", "%", "#", "\n", " ", "\t", "é", "\\lab", "a"]
-    + ["{Qus}", "\\]", "{u%v}", "{\n}"]
-)
-
-
 class TestOptionalArgFastPath:
-    @given(
-        st.sampled_from(["", " ", "\n", "% c\n"]),
-        st.lists(optional_piece, max_size=12).map("".join),
-        st.sampled_from(["]", "]tail", "", "}]"]),
-        st.booleans(),
-    )
-    @settings(max_examples=1000)
-    def test_reads_like_the_general_path(self, before, inside, after, comments):
-        actual, expected = read_through(before + "[" + inside + after, comments)
-        assert actual == expected
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -416,6 +380,23 @@ class TestNextCommand:
         stream = CharStream("a % \\cite{q} \\nocite{r}\nb \\cite{k}")
         assert next_command(stream) == ([0, 2, 24, 26], CommandInvocation("cite", "", "k", 2))
 
+    def test_the_comment_search_reads_the_document_about_once(self):
+        # A search for % stops at the next command's escape, so a comment
+        # far after many cites is not searched for once per cite.
+        searched = []
+
+        class Document(str):
+            def find(self, sub, start=0, end=None):
+                if sub == "%":
+                    searched.append((len(self) if end is None else end) - start)
+                return super().find(sub, start, len(self) if end is None else end)
+
+        document = Document("\\cite{k} " * 100 + "prose " * 100 + "% far\n")
+        stream = CharStream(document)
+        while stream.position < len(document):
+            next_command(stream)
+        assert 0 < sum(searched) <= len(document)
+
     def test_escaped_percent_is_not_a_comment(self):
         stream = CharStream("99\\% sure")
         assert next_item(stream) == "99\\% sure"
@@ -521,11 +502,12 @@ def scan_all(text: str, comments: bool):
     return (steps, notes), (spec_steps, spec_notes)
 
 
-document_piece = st.sampled_from(
+DOCUMENT_PIECES = (
     ["\\cite", "\\citex", "\\\\cite", "\\nocite[x]", "\\nocitex", "\\bibliography"]
     + ["\\bibliographystylex", "\\emph", "\\%", "\\\\", "\\\\%", "%\\cite{q}\n"]
     + ["\\cite\n[p.~3]{k}", "\\cite% x\n[p.~3]{k}", "\\cite{a}\\nocite{b}", "% c\n\\cite{k}"]
     + ["\\cite{u%v}", "\\cite{a\\}b}", "\\cite[]{k}", "\\cite{a, b}"]
+    + ["\\cite[", "\\cite % c\n[", "\\cite[u%v]", "\\]", "{\n}", "\\lab{Qus}", "#"]
     + ["[", "]", "[]", "[p.~3]", "{", "}", "{a,b}", "{a b}", "{u%v}", "%", "% c\n", "\\\n"]
     + [" ", "\t", "\n", "a", ",", "é"]
 )
@@ -533,7 +515,7 @@ document_piece = st.sampled_from(
 
 class TestNextCommandFastPath:
     @given(
-        st.lists(document_piece, max_size=16).map("".join),
+        token_text(DOCUMENT_PIECES, 16),
         st.sampled_from(["", "\\"]),
         st.booleans(),
     )

@@ -3,19 +3,23 @@ their aux reads back, and they rerun.
 
 Documents, bbl files and aux files are built from a token alphabet of
 the commands each one speaks, braces, brackets, ``%``, ``#n``, line
-breaks (``\\r`` and ``\\r\\n`` included) and a little arbitrary text
-(and, for the two files, arbitrary bytes).  Whatever comes out, a run
-must end within a time and size budget or raise a
+breaks (``\\r`` and ``\\r\\n`` included) and a few odd characters
+(and, for the two files, bytes that are not UTF-8).  Whatever comes
+out, a run must end within a time and size budget or raise a
 :class:`CiteforgeError`; the aux file it leaves must read back to the
 labels the bbl defined; and a second run over the same files must
 reproduce the first run's aux bytes.
 
 The package must also run exactly as ``tests/spec.py``, the plain
-executable spec of the protocol, over that alphabet, over the inputs of
-the acceptance suite and over the benchmark's three corpora: the aux
-history, passes used and convergence, the final rendering's spans, its
-warnings, lint, messages and label order, the JSON report and every
-file write, or else the error's type, text, line, source and offset.
+executable spec of the protocol, over that alphabet (from no aux file,
+from the drawn one, and warm from the aux file a converged run left),
+over the inputs of the acceptance suite and over the benchmark's three
+corpora: the aux history, passes used and convergence, the final
+rendering's spans, its warnings, lint, messages and label order, the
+JSON report and every file write, or else the error's type, text,
+line, source and offset.  The spec runs every pass, so the warm runs
+check the package's reuse of a pass that read back the aux bytes it
+wrote.
 """
 
 import time
@@ -38,6 +42,7 @@ from differential import (
     spec_job,
     spec_macros,
     spec_run,
+    token_text,
 )
 from test_outputs_pinned import SCALE, SEEDS, load_corpus
 
@@ -80,6 +85,8 @@ DOCUMENT_PIECES = [
     "\\cite{a}", "\\cite{a,b}", "\\cite[p]{b}", "\\cite{ b}", "\\nocite{c}", "Words ", "\n",
     "%", "\\em ", "\\unknown", "#1", "\r", "\r\n", "\\\\", "\\%", "\\\\cite{a}",
     "\\cite\n[p.~3]{a}", "\\cite% x\n[p.~3]{b}", "\\cite{a}\\nocite{b}", "% c\n\\cite{b}",
+    # Undefined, blank and empty keys, and notes with a blank or a comma.
+    "\\cite{u,a}", "\\cite{,u\t3, a}", "\\cite[ ]{}", "\\cite[a,b]{u\u30004,c}",
 ]
 PREAMBLE_PIECES = [
     "\\newcommand{\\m}{M}", "\\newcommand{\\m}{\\m\\m}", "\\newcommand\\n[1]{<#1>}",
@@ -89,23 +96,24 @@ BODY_PIECES = ["A.", " ", "\n", "\\newblock ", "\\em ", "{x}", "\\m", "\\n{y}", 
 AUX_PIECES = [
     "\\citation{a}\n", "\\citation{a,b}\n", "\\bibdata{refs}\n", "\\bibstyle{plain}\n",
     "\\@citedef{a}{Z}\n", "\\@citedef{b}{1}\n", "\\@cite", "def{c}{2}\n", "\r\n",
+    "\\@citedef{u}{}\n", "\\@citedef{}{0}\n",
 ]
 
 
+# Odd characters and bytes stand for arbitrary text: blanks that
+# str.strip() strips and the scanners do not, a NUL, a superscript digit,
+# a character outside the BMP, and bytes that are not UTF-8.
+ODD_TEXT = ["é", "\x00", "\x1c", "\u3000", "\x85", "²", "😀", "\f"]
+ODD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82"]
+
+
 def text_from(pieces, tokens, max_size):
-    """Mostly ``pieces``; the rest arbitrary ``tokens`` or arbitrary text."""
-    piece = st.sampled_from(pieces)
-    token = st.one_of(piece, piece, piece, st.sampled_from(tokens), st.text(max_size=2))
-    return st.lists(token, max_size=max_size).map("".join)
+    """Mostly ``pieces``; the rest other ``tokens`` and odd characters."""
+    return token_text(pieces * 4 + tokens + ODD_TEXT, max_size)
 
 
 def bytes_from(tokens):
-    token = st.one_of(
-        st.sampled_from(tokens).map(str.encode),
-        st.text(max_size=2).map(str.encode),
-        st.binary(max_size=2),
-    )
-    return st.lists(token, max_size=30).map(b"".join)
+    return token_text([token.encode() for token in tokens + ODD_TEXT] + ODD_BYTES, 30)
 
 
 documents = st.tuples(
@@ -120,34 +128,33 @@ documents = st.tuples(
 ).map("".join)
 
 
-# The parts of a bbl, made once: a strategy made inside a draw costs more than the draw.
-PREAMBLES = text_from(PREAMBLE_PIECES, BBL_TOKENS, 4)
-WIDEST_LABELS = st.sampled_from(["9", "\\m", "", "{"])
-ITEM_COUNTS = st.integers(min_value=0, max_value=4)
-TAGS = st.sampled_from(["", "[]", "[T]", "[\\m]", "[x y]", "[{]}]", "[\\n{z}]"])
-KEYS = st.sampled_from(["{a}", "{b}", "{c}", "{a,b}", "{ b}", "{\\}}"])
-BODIES = text_from(BODY_PIECES, BBL_TOKENS, 6)
-ENDS = st.sampled_from(["", "\\end{thebibliography}\n"])
-TAILS = text_from(BODY_PIECES, BBL_TOKENS, 2)
+TAGS = ["", "[]", "[T]", "[\\m]", "[x y]", "[{]}]", "[\\n{z}]"]
+KEYS = ["{a}", "{b}", "{c}", "{a,b}", "{ b}", "{\\}}"]
+ITEM_HEADS = [f"\n\\bibitem{tag}{key}" for tag in TAGS for key in KEYS]
 
 
-@st.composite
-def bbl_texts(draw):
-    parts = [draw(PREAMBLES), "\\begin{thebibliography}{", draw(WIDEST_LABELS), "}\n"]
-    for _ in range(draw(ITEM_COUNTS)):
-        parts += ["\\bibitem", draw(TAGS), draw(KEYS), draw(BODIES), "\n"]
-    parts.append(draw(ENDS))
-    parts.append(draw(TAILS))
-    return "".join(parts)
+def bbl_text(preamble, widest, first_item, items, end, tail):
+    """A bbl: the environment opens, its items follow (each a \\bibitem with a
+    tag and a key, then body pieces), and perhaps it ends."""
+    return f"{preamble}\\begin{{thebibliography}}{{{widest}}}{first_item}{items}\n{end}{tail}"
+
+
+bbl_texts = st.builds(
+    bbl_text,
+    text_from(PREAMBLE_PIECES, BBL_TOKENS, 4),
+    st.sampled_from(["9", "\\m", "", "{"]),
+    st.sampled_from(["", *ITEM_HEADS]),
+    token_text(ITEM_HEADS + (BODY_PIECES * 3 + BBL_TOKENS + ODD_TEXT) * 3, 24),
+    st.sampled_from(["", "\\end{thebibliography}\n"]),
+    text_from(BODY_PIECES, BBL_TOKENS, 2),
+)
 
 
 bbl_files = st.one_of(
-    st.none(), bbl_texts().map(str.encode), bbl_texts().map(str.encode), bytes_from(BBL_TOKENS)
+    st.none(), bbl_texts.map(str.encode), bbl_texts.map(str.encode), bytes_from(BBL_TOKENS)
 )
 aux_files = st.one_of(
-    st.none(),
-    st.lists(st.sampled_from(AUX_PIECES), max_size=6).map("".join).map(str.encode),
-    bytes_from(AUX_TOKENS),
+    st.none(), token_text(AUX_PIECES, 6).map(str.encode), bytes_from(AUX_TOKENS)
 )
 
 
@@ -189,6 +196,8 @@ def test_runs_end_read_back_and_rerun(document, bbl, aux, max_passes, no_aux, em
     read_aux(labels, final.aux_bytes)
     items = final.bibliography.items if final.bibliography is not None else []
     assert labels == {item.key: item.label for item in items}
+    # A warm start: the files the run left, its converged aux included.
+    assert package_run(config, document, fs.files) == spec_run(config, document, fs.files)
 
     calls = []
     run_pass = driver.run_pass

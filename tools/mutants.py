@@ -57,18 +57,16 @@ class Mutant(NamedTuple):
 
 WALKER = "tests/test_bbl_walker.py::test_walker_matches_the_reference"
 STYLED = "tests/test_bbl_walker.py::test_styled_group_token_walks_like_its_four_tokens"
-RENDER = "tests/test_bbl_lean_paths.py::test_render_matches_the_reference"
-SUBSTITUTION = "tests/test_bbl_lean_paths.py::test_substitution_matches_the_reference"
-CITE = "tests/test_cite_path.py::test_cite_matches_the_reference"
-REUSE = "tests/test_pass_reuse.py::test_outcome_equals_the_reference_loop"
 ENGINE = "tests/test_macro_engine.py::test_engine_matches_the_reference_wherever_it_succeeds"
 ARGUMENTS = "tests/test_macro_engine.py::test_arguments_read_like_the_general_path"
 AUX_OFFSETS = "tests/test_auxfile.py::test_error_offsets_match_the_origin_list"
-AUX_GENERAL = "tests/test_auxfile.py::test_read_aux_reads_like_the_general_path"
-OPTIONAL = "tests/test_scanner.py::TestOptionalArgFastPath::test_reads_like_the_general_path"
+AUX_RECORDS = "tests/test_whole_run.py::test_aux_records_survive_serialize_and_read"
 SCAN = "tests/test_scanner.py::TestNextCommandFastPath::test_scans_like_the_former_loop"
 NEXT_COMMAND = "tests/test_scanner.py::TestNextCommand::"
+OPTIONAL_ARG = "tests/test_scanner.py::TestOptionalArg::"
 WHOLE_RUN = "tests/test_whole_run.py::test_runs_end_read_back_and_rerun"
+REUSE = "tests/test_pass_reuse.py::test_outcome_equals_the_reference_loop"
+CITATIONS = "tests/test_citations.py::"
 
 MUTANTS = (
     # The bbl walk and its writer.
@@ -85,6 +83,13 @@ MUTANTS = (
         'stream.line += token.group().count("\\n")\n',
         "\n",
         (WALKER,),
+    ),
+    Mutant(
+        "blank-run-is-kept-verbatim",
+        "bbl.py",
+        '.count("\\n")\n                writer.space(style_stack[-1])',
+        '.count("\\n")\n                writer.word(token.group(), style_stack[-1])',
+        (WALKER, "tests/test_bbl.py::test_body_whitespace_collapses_to_single_spaces"),
     ),
     Mutant(
         "every-tag-decides-the-alignment",
@@ -105,35 +110,35 @@ MUTANTS = (
         "bbl.py",
         'text = " " + text',
         "text = text",
-        (RENDER,),
+        (WALKER,),
     ),
     Mutant(
         "block-keeps-leading-blanks",
         "bbl.py",
         "        if self._pending_space is None:\n",
         "        if not self._pending_space:\n",
-        (RENDER,),
+        (WALKER,),
     ),
     Mutant(
         "open-item-drops-the-blank",
         "bbl.py",
         'self.append(_PLAIN, f"[{label}] ")',
         'self.append(_PLAIN, f"[{label}]")',
-        (RENDER,),
+        (WALKER,),
     ),
     Mutant(
         "styled-group-crosses-a-line-break",
         "scanner.py",
         r'rf"[ \t\r\f\v]*(?P<styled>{_WORD_RUN})\}}"',
         r'rf"[ \t\r\n\f\v]*(?P<styled>{_WORD_RUN})\}}"',
-        (STYLED,),
+        (STYLED, WALKER),
     ),
     Mutant(
         "styled-group-takes-a-longer-name",
         "scanner.py",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})(?![A-Za-z])\"",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})\"",
-        (STYLED,),
+        (STYLED, WALKER),
     ),
     Mutant(
         "walk-command-can-be-defined",
@@ -151,14 +156,14 @@ MUTANTS = (
         "citations.py",
         "if key not in labels:",
         "if True:",
-        (CITE,),
+        (WHOLE_RUN, CITATIONS + "TestCiteOne::test_undefined_warns_once_and_falls_back"),
     ),
     Mutant(
         "note-loses-its-blank",
         "citations.py",
         'plain.append(", " + note)',
         'plain.append("," + note)',
-        (CITE,),
+        (WHOLE_RUN, CITATIONS + "TestCite::test_optional_note_appended"),
     ),
     Mutant(
         "typewriter-key-drops-the-plain-run-before-it",
@@ -166,21 +171,21 @@ MUTANTS = (
         '            rendered.append(_PLAIN, "".join(plain))\n'
         "            rendered.append(Style.TYPEWRITER, key)\n",
         "            rendered.append(Style.TYPEWRITER, key)\n",
-        (CITE,),
+        (WHOLE_RUN, CITATIONS + "TestCite::test_mixed_defined_and_fallback"),
     ),
     Mutant(
         "record-line-ends-in-crlf",
         "auxfile.py",
         'return f"\\\\{kind}{{{payload}}}\\n"',
         'return f"\\\\{kind}{{{payload}}}\\r\\n"',
-        (CITE,),
+        (WHOLE_RUN, CITATIONS + "TestNocite::test_records_verbatim"),
     ),
     Mutant(
         "first-blank-key-is-not-linted",
         "scanner.py",
         "for key in filter(_BLANK.search, split_comma_list(arg)):",
         "for key in filter(_BLANK.search, split_comma_list(arg)[1:]):",
-        (CITE,),
+        (WHOLE_RUN, NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order"),
     ),
     # The macro engine.
     Mutant(
@@ -196,6 +201,13 @@ MUTANTS = (
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\{}%\n]*)\}")',
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\}%\n]*)\}")',
         (ARGUMENTS,),
+    ),
+    Mutant(
+        "plain-argument-keeps-its-braces",
+        "macros.py",
+        "args.append(plain.group(1))",
+        "args.append(plain.group(0))",
+        (ENGINE, ARGUMENTS),
     ),
     Mutant(
         "parameter-argument-is-one-character",
@@ -216,21 +228,25 @@ MUTANTS = (
         "macros.py",
         "if len(streams) > MAX_EXPANSION_DEPTH:",
         "if len(streams) >= MAX_EXPANSION_DEPTH:",
-        (ENGINE,),
+        ("tests/test_bbl_lean_paths.py::test_depth_cap_on_an_escape_free_leaf", ENGINE),
     ),
     Mutant(
         "marker-counts-from-the-end",
         "macros.py",
         "pieces[i] = args[index - 1]",
         "pieces[i] = args[-index]",
-        (SUBSTITUTION,),
+        (
+            "tests/test_macros.py::TestSubstitute::test_basic",
+            ENGINE,
+            "tests/test_macros.py::test_expansion_matches_piecewise_assembly",
+        ),
     ),
     Mutant(
         "zero-marker-is-text",
         "macros.py",
         '_PARAMETER = re.compile("#([0-9])")',
         '_PARAMETER = re.compile("#([1-9])")',
-        (SUBSTITUTION,),
+        (ENGINE,),
     ),
     # The aux reader.
     Mutant(
@@ -238,42 +254,42 @@ MUTANTS = (
         "auxfile.py",
         'return text.encode("latin-1").decode("utf-8")',
         "return text",
-        (AUX_OFFSETS, AUX_GENERAL),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "plain-record-label-nests-braces",
         "auxfile.py",
         r'r"\\@citedef\{([^\\{}]*)\}\{([^\\{}]*)\}|',
         r'r"\\@citedef\{([^\\{}]*)\}\{([^\\}]*)\}|',
-        (AUX_GENERAL, AUX_OFFSETS),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "plain-record-allows-escapes",
         "auxfile.py",
         r'|\\(?:citation|bibdata|bibstyle)\{[^\\{}]*\}"',
         r'|\\(?:citation|bibdata|bibstyle)\{[^{}]*\}"',
-        (AUX_GENERAL,),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "error-offset-one-byte-late",
         "auxfile.py",
         "return run.start() + position",
         "return run.start() + position + 1",
-        (AUX_OFFSETS, AUX_GENERAL),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "aux-reader-strips-comments",
         "auxfile.py",
         "stream = CharStream(stripped, comments=False)",
         "stream = CharStream(stripped, comments=True)",
-        (AUX_GENERAL,),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "citedef-label-is-missing-only-at-the-end",
         "auxfile.py",
         'if stream.peek() != "{":',
         "if stream.at_end():",
-        (AUX_OFFSETS, AUX_GENERAL),
+        (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "carriage-returns-are-kept",
@@ -288,14 +304,18 @@ MUTANTS = (
         "scanner.py",
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]]*',
-        (OPTIONAL,),
+        (SCAN, OPTIONAL_ARG + "test_comment_inside_is_stripped"),
     ),
     Mutant(
         "plain-optional-allows-a-stray-close",
         "scanner.py",
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{\]%]*',
-        (OPTIONAL,),
+        (
+            SCAN,
+            OPTIONAL_ARG + "test_agrees_with_reference_walker",
+            OPTIONAL_ARG + "test_stray_close_brace_raises",
+        ),
     ),
     Mutant(
         "plain-group-allows-percent",
@@ -358,7 +378,10 @@ MUTANTS = (
         "scanner.py",
         'if comments and (sign := content.find("%", position, at)) >= 0:',
         'if comments and 0 <= (sign := content.find("%", position)) < at:',
-        ("tests/test_scaling.py::test_next_command_with_one_comment_after_many_cites_is_linear",),
+        (
+            NEXT_COMMAND + "test_the_comment_search_reads_the_document_about_once",
+            "tests/test_scaling.py::test_next_command_with_one_comment_after_many_cites_is_linear",
+        ),
     ),
     Mutant(
         "swallowed-candidate-is-kept",
@@ -388,21 +411,21 @@ MUTANTS = (
         '            fs.write_bytes(f"{config.jobname}.aux", result.aux_bytes)\n'
         "            history.append(result.aux_bytes)\n",
         "            history.append(result.aux_bytes)\n",
-        (REUSE,),
+        (WHOLE_RUN, REUSE),
     ),
     Mutant(
         "reused-pass-is-not-counted",
         "driver.py",
         "return FixpointResult(result, pass_number + 1, True, history)",
         "return FixpointResult(result, pass_number, True, history)",
-        (REUSE,),
+        (WHOLE_RUN, REUSE),
     ),
     Mutant(
         "every-pass-that-read-an-aux-is-reused",
         "driver.py",
         "if result.aux_read == result.aux_bytes:",
         "if result.aux_read is not None:",
-        (REUSE,),
+        (WHOLE_RUN, REUSE),
     ),
 )
 
@@ -441,19 +464,16 @@ def pytest_run(where: Path, seed: int, tests, limit: float | None, report: Path 
     """
     shutil.rmtree(where / ".hypothesis", ignore_errors=True)
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    command += [f"--hypothesis-seed={seed}", *tests]
-    if report is None:
-        command.insert(4, "-x")
-    else:
-        command.append(f"--junitxml={report}")
+    command.append(f"--hypothesis-seed={seed}")
+    command.append("-x" if report is None else f"--junitxml={report}")
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     started = time.perf_counter()
     with subprocess.Popen(
-        command,
+        [*command, *tests],
         cwd=where,
         env=env,
-        stdout=subprocess.DEVNULL if report is None else subprocess.PIPE,
-        stderr=subprocess.STDOUT,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
         start_new_session=True,
     ) as process:
         try:
@@ -527,7 +547,8 @@ def run_mutant(mutant: Mutant, limit: float) -> list[Outcome]:
             elif code == 0:
                 outcomes.append(Outcome("survived", seconds))
             else:
-                raise SystemExit(f"{mutant.name}: pytest exited {code} (seed {seed})")
+                print(f"{mutant.name}: pytest exited {code} (seed {seed})")
+                raise SystemExit(2)
     return outcomes
 
 
