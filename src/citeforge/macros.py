@@ -97,11 +97,13 @@ def define_newcommand(
         digits = nparams.strip()  # int() strips fewer blanks: not "\x1c", say
         if not _COUNT.fullmatch(digits):
             raise MacroError(f"parameter count `{nparams}' is not a number")
-        count = int(digits)
-    if count > 9:
-        raise MacroError(f"{count} is too many parameters")
-    if count < 0:
-        raise MacroError(f"{count} is too few parameters")
+        # Read as int() would, but int() refuses a string of thousands of digits.
+        magnitude = digits.lstrip("+-").lstrip("0") or "0"
+        if digits[0] == "-" and magnitude != "0":
+            raise MacroError(f"-{magnitude} is too few parameters")
+        if len(magnitude) > 1:
+            raise MacroError(f"{magnitude} is too many parameters")
+        count = int(magnitude)
     expanded = expand_macros(defs, body, budget=budget)
     definition = MacroDef(name, count, expanded, _template(expanded))
     defs[name] = definition

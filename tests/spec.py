@@ -478,11 +478,13 @@ def define(macros: dict, name: str, count_text: str, body: str, budget: Budget) 
         unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
         if not unsigned or any(ch not in DIGITS for ch in unsigned):
             raise MacroError(f"parameter count `{count_text}' is not a number")
-        count = int(digits)
-    if count > 9:
-        raise MacroError(f"{count} is too many parameters")
-    if count < 0:
-        raise MacroError(f"{count} is too few parameters")
+        # int() refuses a string of thousands of digits, so the leading zeros go first.
+        value = unsigned.lstrip("0") or "0"
+        if digits[0] == "-" and value != "0":
+            raise MacroError(f"-{value} is too few parameters")
+        if len(value) > 1:
+            raise MacroError(f"{value} is too many parameters")
+        count = int(value)
     macros[name] = (count, expand_macros(macros, body, budget))
 
 

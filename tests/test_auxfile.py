@@ -254,37 +254,6 @@ class TestReadAux:
         assert content[info.value.offset : info.value.offset + 4] == b"JUNK"
 
 
-payload_text = st.text(
-    alphabet="abcdefgh XYZ0123456789.,:-", max_size=10
-)
-record_strategy = st.one_of(
-    payload_text.map(lambda keys: ("citation", keys)),
-    payload_text.map(lambda databases: ("bibdata", databases)),
-    payload_text.map(lambda style: ("bibstyle", style)),
-    st.tuples(
-        st.text(alphabet="abcdef.:-0123456789", min_size=1, max_size=8), payload_text
-    ).map(lambda pair: ("@citedef", *pair)),
-)
-
-
-@given(st.lists(record_strategy, max_size=10), st.data())
-@settings(max_examples=150)
-def test_serialized_records_survive_arbitrary_line_splits(records, data):
-    session = AuxSession()
-    for record in records:
-        session.write(*record)
-    raw = session.serialize()
-    expected = parse_labels(raw)
-
-    cuts = data.draw(
-        st.lists(st.integers(min_value=0, max_value=len(raw)), max_size=6)
-    )
-    mangled = raw
-    for cut in sorted(cuts, reverse=True):
-        mangled = mangled[:cut] + b"\n" + mangled[cut:]
-    assert parse_labels(mangled) == expected
-
-
 def read_through(reader, content: bytes):
     """The labels entered, in order, and the error if there was one."""
     labels: dict = {}

@@ -99,6 +99,15 @@ def test_scan_error_exits_three(workspace, capsys):
     assert "citeforge: error:" in err
 
 
+def test_a_parameter_count_of_thousands_of_digits_exits_three(workspace, capsys):
+    count = "9" * 5000  # more digits than Python's int() reads
+    (workspace / "paper.bbl").write_text(f"\\newcommand{{\\x}}[{count}]{{y}}\n" + BBL)
+    code = main(["resolve", str(workspace / "paper.tex")])
+    assert code == 3
+    expected = f"citeforge: error: paper.bbl:1: {count} is too many parameters\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_no_aux_file_writes_nothing(workspace, capsys):
     code = main(["resolve", str(workspace / "paper.tex"), "--no-aux-file"])
     out, err = capsys.readouterr()

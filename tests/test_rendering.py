@@ -1,7 +1,12 @@
-"""Span model: normal form and the two string renderers."""
+"""Span model: normal form and the two string renderers.
 
-from dataclasses import dataclass, field
+The properties check the span merge against the spec's (``spec.add``).
+"""
 
+from types import SimpleNamespace
+
+import spec
+from differential import spans_of
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -125,27 +130,26 @@ def test_annotated_equals_plain_when_all_plain():
     assert render_annotated(fragment) == render_plain(fragment) == "just text"
 
 
-@dataclass
-class ReferenceFragment:
-    """The span merge as it was before text was kept in chunks (quadratic)."""
-
-    spans: list[Span] = field(default_factory=list)
-
-    def append(self, style: Style, text: str) -> None:
-        if not text:
-            return
-        if self.spans and self.spans[-1].style is style:
-            self.spans[-1] = Span(style, self.spans[-1].text + text)
-        else:
-            self.spans.append(Span(style, text))
-
-    def append_slices(self, style: Style, source: str, bounds: list[int]) -> None:
+def add_to_reference(spans: list, piece) -> None:
+    """``add`` for the spec's spans, ``[style, chunks]`` lists."""
+    if len(piece) == 2:
+        spec.add(spans, piece[0].value, piece[1])
+    else:
+        style, source, bounds = piece
         for start, end in zip(bounds[::2], bounds[1::2]):
-            self.append(style, source[start:end])
+            spec.add(spans, style.value, SOURCES[source][start:end])
 
-    def extend(self, other) -> None:
-        for span in list(other.spans):
-            self.append(span.style, span.text)
+
+def reference(pieces) -> list:
+    spans = []
+    for piece in pieces:
+        add_to_reference(spans, piece)
+    return spans
+
+
+def extend_reference(spans: list, other: list) -> None:
+    for style, text in spec.finished(other):
+        spec.add(spans, style, text)
 
 
 TEXTS = st.text(alphabet="ab ", max_size=4)
@@ -178,30 +182,31 @@ def test_spans_match_the_reference_merge(initial, operations):
     the chunks mid-sequence.
     """
     fragment = build(RenderedFragment, initial)
-    reference = build(ReferenceFragment, initial)
+    expected = reference(initial)
     for operation in operations:
         kind = operation[0]
         if kind == "append":
             add(fragment, operation[1])
-            add(reference, operation[1])
+            add_to_reference(expected, operation[1])
         elif kind == "extend-appended":
             fragment.extend(build(RenderedFragment, operation[1]))
-            reference.extend(build(ReferenceFragment, operation[1]))
+            extend_reference(expected, reference(operation[1]))
         elif kind == "extend-self":
             fragment.extend(fragment)
-            reference.extend(reference)
+            extend_reference(expected, expected)
         else:
-            assert fragment.spans == reference.spans
-        assert bool(fragment) == bool(reference.spans)
-    assert fragment.spans == reference.spans
-    assert fragment == build(RenderedFragment, reference.spans)
+            assert spans_of(fragment) == spec.finished(expected)
+        assert bool(fragment) == bool(expected)
+    assert spans_of(fragment) == spec.finished(expected)
+    pieces = [(Style(style), text) for style, text in spec.finished(expected)]
+    assert fragment == build(RenderedFragment, pieces)
 
 
 def test_equality_compares_spans_only_between_fragments():
     built = build(RenderedFragment, [(Style.PLAIN, "a"), (Style.PLAIN, "b")])
     assert built == build(RenderedFragment, [(Style.PLAIN, "ab")])
     assert built != build(RenderedFragment, [(Style.PLAIN, "a"), (Style.EMPHASIS, "b")])
-    assert built != ReferenceFragment([Span(Style.PLAIN, "ab")])
+    assert built != SimpleNamespace(spans=[Span(Style.PLAIN, "ab")])
     assert repr(built) == "RenderedFragment(spans=[Span(style=<Style.PLAIN: 'plain'>, text='ab')])"
 
 
@@ -223,7 +228,7 @@ def test_extended_fragments_keep_their_spans(initial, operations):
         elif kind == "extend-appended":
             other = build(RenderedFragment, operation[1])
             fragment.extend(other)
-            extended.append((other, build(ReferenceFragment, operation[1]).spans))
+            extended.append((other, reference(operation[1])))
         elif kind == "extend-self":
             fragment.extend(fragment)
         else:
@@ -232,16 +237,15 @@ def test_extended_fragments_keep_their_spans(initial, operations):
         fragment.append(style, "tail")
         for source in SOURCES:
             fragment.append_slices(style, source, [0, 3])
-    for other, spans in extended:
-        assert other.spans == spans
+    for other, expected in extended:
+        assert spans_of(other) == spec.finished(expected)
     # Nor do appends to those fragments change the target or themselves
     # read pieces the target added.
     spans = fragment.spans
-    for other, other_spans in extended:
-        reference = ReferenceFragment(other_spans)
-        for target in (other, reference):
-            for source in SOURCES:
-                target.append_slices(Style.PLAIN, source, [1, 5])
-            target.append(Style.EMPHASIS, "more")
-        assert other.spans == reference.spans
+    more = [(Style.PLAIN, source, [1, 5]) for source in range(len(SOURCES))]
+    for other, expected in extended:
+        for piece in [*more, (Style.EMPHASIS, "more")]:
+            add(other, piece)
+            add_to_reference(expected, piece)
+        assert spans_of(other) == spec.finished(expected)
     assert fragment.spans == spans

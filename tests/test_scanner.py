@@ -1,12 +1,9 @@
 """Scanner behavior: streams, arguments, comma lists, and command runs.
 
-The optional-argument cases are checked against a small reference
-walker written independently of the scanner, so the bracket/brace
-interaction has an oracle rather than a copied expectation.
-``next_command``, and through a ``\\cite``'s note and keys the argument
-readers, fast paths included, are checked against ``tests/spec.py``,
-which reads one character at a time: value or error, cursor, line and
-lint alike.
+Optional arguments, and ``next_command`` (through a ``\\cite``'s note
+and keys the argument readers too, fast paths included), are checked
+against ``tests/spec.py``, which reads one character at a time: value
+or error, cursor, line and lint alike.
 """
 
 import string
@@ -35,35 +32,13 @@ from citeforge.scanner import (
 from scanning import next_item
 
 
-def bracket_reference(text):
-    """Reference reading of an optional argument at the start of ``text``.
+def optional_read(text):
+    """``scan_optional_arg`` at the start of ``text``, shown as ``spec.optional_arg`` shows it.
 
-    Walks the characters by hand: escape pairs are opaque, braces nest,
-    and only a ``]`` outside braces closes.  Returns one of
-    ``("ok", inner, consumed)``, ``("unterminated",)``, or
-    ``("stray_close", position)``.
+    ``("ok", (value, end, line))``, or the error.
     """
-    assert text[0] == "["
-    depth = 0
-    i = 1
-    out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            out.append(text[i : i + 2])
-            i += 2
-            continue
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            if depth == 0:
-                return ("stray_close", i)
-            depth -= 1
-        elif ch == "]" and depth == 0:
-            return ("ok", "".join(out), i + 1)
-        out.append(ch)
-        i += 1
-    return ("unterminated",)
+    stream = CharStream(text)
+    return outcome(lambda: (scan_optional_arg(stream), stream.position, stream.line))
 
 
 class TestCharStream:
@@ -146,18 +121,13 @@ class TestOptionalArg:
 
     def test_braced_close_bracket_does_not_close(self):
         text = "[a{]}b]tail"
-        verdict = bracket_reference(text)
-        assert verdict == ("ok", "a{]}b", 7)
-        stream = CharStream(text)
-        arg = scan_optional_arg(stream)
-        assert arg == verdict[1]
-        assert stream.position == verdict[2]
+        assert spec.optional_arg(text, 0) == ("a{]}b", 7, 1)
+        assert optional_read(text) == ("ok", ("a{]}b", 7, 1))
 
     def test_escaped_bracket_is_literal(self):
         text = "[a\\]b]"
-        verdict = bracket_reference(text)
-        assert verdict == ("ok", "a\\]b", 6)
-        assert scan_optional_arg(CharStream(text)) == verdict[1]
+        assert spec.optional_arg(text, 0) == ("a\\]b", 6, 1)
+        assert optional_read(text) == ("ok", ("a\\]b", 6, 1))
 
     def test_comment_inside_is_stripped(self):
         arg = scan_optional_arg(CharStream("[one% gone\ntwo]"))
@@ -195,18 +165,7 @@ class TestOptionalArg:
     @settings(max_examples=200)
     def test_agrees_with_reference_walker(self, pieces):
         text = "[" + "".join(pieces) + "]tail"
-        verdict = bracket_reference(text)
-        stream = CharStream(text)
-        if verdict[0] == "ok":
-            arg = scan_optional_arg(stream)
-            assert arg == verdict[1]
-            assert stream.position == verdict[2]
-        elif verdict[0] == "stray_close":
-            with pytest.raises(UnbalancedGroupError):
-                scan_optional_arg(stream)
-        else:
-            with pytest.raises(ScanError):
-                scan_optional_arg(stream)
+        assert optional_read(text) == outcome(spec.optional_arg, text, 0)
 
     @given(st.text(alphabet="abc{}] \n", max_size=6))
     def test_never_consumes_without_bracket(self, tail):

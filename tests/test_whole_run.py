@@ -8,7 +8,9 @@ breaks (``\\r`` and ``\\r\\n`` included) and a few odd characters
 out, a run must end within a time and size budget or raise a
 :class:`CiteforgeError`; the aux file it leaves must read back to the
 labels the bbl defined; and a second run over the same files must
-reproduce the first run's aux bytes.
+reproduce the first run's aux bytes.  Aux records written one by one
+read back to the labels written, wherever line breaks split their
+lines.
 
 The package must also run exactly as ``tests/spec.py``, the plain
 executable spec of the protocol, over that alphabet (from no aux file,
@@ -242,14 +244,25 @@ records = st.one_of(
 )
 
 
-@given(st.lists(records, max_size=8))
+# Where to break the serialized lines again (a position, taken modulo their
+# length plus one), and with which line break.
+line_breaks = st.lists(
+    st.tuples(st.integers(0, 255), st.sampled_from([b"\n", b"\r", b"\r\n"])), max_size=6
+)
+
+
+@given(st.lists(records, max_size=8), line_breaks)
 @settings(max_examples=200)
-def test_aux_records_survive_serialize_and_read(written):
+def test_aux_records_survive_serialize_and_read(written, breaks):
     session = AuxSession()
     for kind, payload, label in written:
         session.write(kind, payload, label)
+    content = session.serialize()
+    cuts = [(at % (len(content) + 1), line_break) for at, line_break in breaks]
+    for cut, line_break in sorted(cuts, reverse=True):
+        content = content[:cut] + line_break + content[cut:]
     labels = {}
-    read_aux(labels, session.serialize())
+    read_aux(labels, content)
     expected = {}
     for kind, payload, label in written:
         if label is not None:

@@ -56,7 +56,6 @@ class Mutant(NamedTuple):
 
 
 WALKER = "tests/test_bbl_walker.py::test_walker_matches_the_reference"
-STYLED = "tests/test_bbl_walker.py::test_styled_group_token_walks_like_its_four_tokens"
 ENGINE = "tests/test_macro_engine.py::test_engine_matches_the_reference_wherever_it_succeeds"
 ARGUMENTS = "tests/test_macro_engine.py::test_arguments_read_like_the_general_path"
 AUX_OFFSETS = "tests/test_auxfile.py::test_error_offsets_match_the_origin_list"
@@ -67,6 +66,8 @@ OPTIONAL_ARG = "tests/test_scanner.py::TestOptionalArg::"
 WHOLE_RUN = "tests/test_whole_run.py::test_runs_end_read_back_and_rerun"
 REUSE = "tests/test_pass_reuse.py::test_outcome_equals_the_reference_loop"
 CITATIONS = "tests/test_citations.py::"
+BBL = "tests/test_bbl.py::TestProcessBbl::"
+READ_AUX = "tests/test_auxfile.py::TestReadAux::"
 
 MUTANTS = (
     # The bbl walk and its writer.
@@ -75,70 +76,73 @@ MUTANTS = (
         "bbl.py",
         'self._chunks[start:] = ["".join(self._chunks[start:])]',
         'self._chunks[start:] = ["".join(self._chunks[start + 1 :])]',
-        (WALKER,),
+        (
+            "tests/test_bbl_walker.py::test_a_walk_past_the_writers_chunk_joins_matches_the_reference",
+            WALKER,
+        ),
     ),
     Mutant(
         "blank-run-counts-no-line",
         "bbl.py",
         'stream.line += token.group().count("\\n")\n',
         "\n",
-        (WALKER,),
+        ("tests/test_bbl.py::TestBibitem::test_item_line_is_that_of_its_bibitem", WALKER),
     ),
     Mutant(
         "blank-run-is-kept-verbatim",
         "bbl.py",
         '.count("\\n")\n                writer.space(style_stack[-1])',
         '.count("\\n")\n                writer.word(token.group(), style_stack[-1])',
-        (WALKER, "tests/test_bbl.py::test_body_whitespace_collapses_to_single_spaces"),
+        (BBL + "test_whitespace_normalized_inside_blocks", WALKER),
     ),
     Mutant(
         "every-tag-decides-the-alignment",
         "bbl.py",
         "alignment = alignment or Alignment.LABELS_LEFT",
         "alignment = Alignment.LABELS_LEFT",
-        (WALKER,),
+        ("tests/test_bbl.py::TestBibitem::test_numbered_first_keeps_labels_right", WALKER),
     ),
     Mutant(
         "newblock-leaves-no-blank",
         "bbl.py",
         "            self._pending_space = _PLAIN\n",
         "            self._pending_space = None\n",
-        (WALKER,),
+        (BBL + "test_numbered_items_with_blocks", WALKER),
     ),
     Mutant(
         "word-drops-a-blank-of-its-style",
         "bbl.py",
         'text = " " + text',
         "text = text",
-        (WALKER,),
+        (BBL + "test_nested_styles_restore", WALKER),
     ),
     Mutant(
         "block-keeps-leading-blanks",
         "bbl.py",
         "        if self._pending_space is None:\n",
         "        if not self._pending_space:\n",
-        (WALKER,),
+        ("tests/test_bbl_lean_paths.py::test_render_keeps_styled_edges_and_empty_items", WALKER),
     ),
     Mutant(
         "open-item-drops-the-blank",
         "bbl.py",
         'self.append(_PLAIN, f"[{label}] ")',
         'self.append(_PLAIN, f"[{label}]")',
-        (WALKER,),
+        (BBL + "test_numbered_items_with_blocks", WALKER),
     ),
     Mutant(
         "styled-group-crosses-a-line-break",
         "scanner.py",
         r'rf"[ \t\r\f\v]*(?P<styled>{_WORD_RUN})\}}"',
         r'rf"[ \t\r\n\f\v]*(?P<styled>{_WORD_RUN})\}}"',
-        (STYLED, WALKER),
+        (WALKER,),
     ),
     Mutant(
         "styled-group-takes-a-longer-name",
         "scanner.py",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})(?![A-Za-z])\"",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})\"",
-        (STYLED, WALKER),
+        (WALKER,),
     ),
     Mutant(
         "walk-command-can-be-defined",
@@ -150,20 +154,48 @@ MUTANTS = (
             WALKER,
         ),
     ),
+    Mutant(
+        "label-width-drops-a-bracket",
+        "bbl.py",
+        "Fraction(len(label) + 2, 2)",
+        "Fraction(len(label) + 1, 2)",
+        ("tests/test_bbl.py::TestMeasureLabel::test_label_counts_brackets", WALKER),
+    ),
+    Mutant(
+        "label-width-counts-bytes",
+        "bbl.py",
+        "Fraction(len(label) + 2, 2)",
+        'Fraction(len(label.encode()) + 2, 2)',
+        ("tests/test_bbl.py::TestMeasureLabel::test_label_counts_brackets", WALKER),
+    ),
+    Mutant(
+        "token-words-take-percent",
+        "scanner.py",
+        r'TOKEN = re.compile(_TOKEN % {"stops": r"\\{}%"',
+        r'TOKEN = re.compile(_TOKEN % {"stops": r"\\{}"',
+        (BBL + "test_comment_joins_words", WALKER),
+    ),
+    Mutant(
+        "control-word-filler-keeps-comments",
+        "scanner.py",
+        r'"stops": r"\\{}%", "filler": _FILLER.pattern}',
+        r'"stops": r"\\{}%", "filler": _BLANKS.pattern}',
+        (BBL + "test_switch_eats_following_space", WALKER),
+    ),
     # Citations and aux record lines.
     Mutant(
         "fallback-key-warns-again",
         "citations.py",
         "if key not in labels:",
         "if True:",
-        (WHOLE_RUN, CITATIONS + "TestCiteOne::test_undefined_warns_once_and_falls_back"),
+        (CITATIONS + "TestCiteOne::test_undefined_warns_once_and_falls_back", WHOLE_RUN),
     ),
     Mutant(
         "note-loses-its-blank",
         "citations.py",
         'plain.append(", " + note)',
         'plain.append("," + note)',
-        (WHOLE_RUN, CITATIONS + "TestCite::test_optional_note_appended"),
+        (CITATIONS + "TestCite::test_optional_note_appended", WHOLE_RUN),
     ),
     Mutant(
         "typewriter-key-drops-the-plain-run-before-it",
@@ -171,21 +203,21 @@ MUTANTS = (
         '            rendered.append(_PLAIN, "".join(plain))\n'
         "            rendered.append(Style.TYPEWRITER, key)\n",
         "            rendered.append(Style.TYPEWRITER, key)\n",
-        (WHOLE_RUN, CITATIONS + "TestCite::test_mixed_defined_and_fallback"),
+        (CITATIONS + "TestCite::test_mixed_defined_and_fallback", WHOLE_RUN),
     ),
     Mutant(
         "record-line-ends-in-crlf",
         "auxfile.py",
         'return f"\\\\{kind}{{{payload}}}\\n"',
         'return f"\\\\{kind}{{{payload}}}\\r\\n"',
-        (WHOLE_RUN, CITATIONS + "TestNocite::test_records_verbatim"),
+        (CITATIONS + "TestNocite::test_records_verbatim", WHOLE_RUN),
     ),
     Mutant(
         "first-blank-key-is-not-linted",
         "scanner.py",
         "for key in filter(_BLANK.search, split_comma_list(arg)):",
         "for key in filter(_BLANK.search, split_comma_list(arg)[1:]):",
-        (WHOLE_RUN, NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order"),
+        (NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order", WHOLE_RUN),
     ),
     # The macro engine.
     Mutant(
@@ -207,14 +239,22 @@ MUTANTS = (
         "macros.py",
         "args.append(plain.group(1))",
         "args.append(plain.group(0))",
-        (ENGINE, ARGUMENTS),
+        (
+            "tests/test_macros.py::TestExpand::test_spaces_between_arguments_skipped",
+            ENGINE,
+            ARGUMENTS,
+        ),
     ),
     Mutant(
         "parameter-argument-is-one-character",
         "macros.py",
         "return stream.take_to(stream.position + 2)",
         "return stream.take()",
-        (ARGUMENTS, ENGINE),
+        (
+            "tests/test_macro_engine.py::test_parameter_argument_in_a_body_takes_the_general_path",
+            ARGUMENTS,
+            ENGINE,
+        ),
     ),
     Mutant(
         "plain-arguments-count-no-lines",
@@ -238,7 +278,6 @@ MUTANTS = (
         (
             "tests/test_macros.py::TestSubstitute::test_basic",
             ENGINE,
-            "tests/test_macros.py::test_expansion_matches_piecewise_assembly",
         ),
     ),
     Mutant(
@@ -246,7 +285,7 @@ MUTANTS = (
         "macros.py",
         '_PARAMETER = re.compile("#([0-9])")',
         '_PARAMETER = re.compile("#([1-9])")',
-        (ENGINE,),
+        ("tests/test_macros.py::TestSubstitute::test_out_of_range_marker", ENGINE),
     ),
     # The aux reader.
     Mutant(
@@ -254,7 +293,7 @@ MUTANTS = (
         "auxfile.py",
         'return text.encode("latin-1").decode("utf-8")',
         "return text",
-        (AUX_OFFSETS, AUX_RECORDS),
+        ("tests/test_auxfile.py::test_plain_record_not_utf8_is_located", AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "plain-record-label-nests-braces",
@@ -275,7 +314,7 @@ MUTANTS = (
         "auxfile.py",
         "return run.start() + position",
         "return run.start() + position + 1",
-        (AUX_OFFSETS, AUX_RECORDS),
+        (READ_AUX + "test_junk_at_start", AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "aux-reader-strips-comments",
@@ -292,11 +331,25 @@ MUTANTS = (
         (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
+        "plain-record-label-is-its-key",
+        "auxfile.py",
+        "labels[_utf8(key)] = _utf8(label)",
+        "labels[_utf8(key)] = _utf8(key)",
+        (READ_AUX + "test_later_definition_wins", AUX_RECORDS, AUX_OFFSETS),
+    ),
+    Mutant(
+        "line-feeds-are-kept",
+        "auxfile.py",
+        '_LINE_BREAKS = b"\\r\\n"',
+        '_LINE_BREAKS = b"\\r"',
+        (READ_AUX + "test_split_anywhere_parses_identically", AUX_RECORDS, AUX_OFFSETS),
+    ),
+    Mutant(
         "carriage-returns-are-kept",
         "auxfile.py",
         '_LINE_BREAKS = b"\\r\\n"',
         '_LINE_BREAKS = b"\\n"',
-        (AUX_OFFSETS,),
+        (READ_AUX + "test_split_anywhere_parses_identically", AUX_OFFSETS),
     ),
     # The document scanner and its argument readers.
     Mutant(
@@ -304,7 +357,7 @@ MUTANTS = (
         "scanner.py",
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]]*',
-        (SCAN, OPTIONAL_ARG + "test_comment_inside_is_stripped"),
+        (OPTIONAL_ARG + "test_comment_inside_is_stripped", SCAN),
     ),
     Mutant(
         "plain-optional-allows-a-stray-close",
@@ -312,9 +365,9 @@ MUTANTS = (
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{\]%]*',
         (
-            SCAN,
-            OPTIONAL_ARG + "test_agrees_with_reference_walker",
             OPTIONAL_ARG + "test_stray_close_brace_raises",
+            OPTIONAL_ARG + "test_agrees_with_reference_walker",
+            SCAN,
         ),
     ),
     Mutant(
@@ -329,35 +382,39 @@ MUTANTS = (
         "scanner.py",
         r'_PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")',
         r'_PLAIN_GROUP = re.compile(r"\{[^{}%\n]*\}")',
-        (SCAN, AUX_OFFSETS),
+        (
+            "tests/test_scanner.py::TestGroupArg::test_escaped_brace_does_not_nest",
+            SCAN,
+            AUX_OFFSETS,
+        ),
     ),
     Mutant(
         "command-tail-takes-an-empty-note",
         "scanner.py",
         r'r"(?:\[(?P<note>[^\\{}\]%\n]+)\]',
         r'r"(?:\[(?P<note>[^\\{}\]%\n]*)\]',
-        (SCAN, NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order"),
+        (NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order", SCAN),
     ),
     Mutant(
         "filler-check-misses-comments",
         "scanner.py",
         '_FILLER_START = " \\t\\r\\n\\f\\v%"',
         '_FILLER_START = " \\t\\r\\n\\f\\v"',
-        (SCAN,),
+        ("tests/test_macro_engine.py::test_comment_between_arguments", SCAN),
     ),
     Mutant(
         "key-lint-sees-only-a-leading-blank",
         "scanner.py",
         "and _BLANK.search(arg):",
         "and _BLANK.match(arg):",
-        (SCAN, NEXT_COMMAND + "test_key_lint_is_at_the_command_line"),
+        (NEXT_COMMAND + "test_key_lint_is_at_the_command_line", SCAN),
     ),
     Mutant(
         "text-run-counts-lines-from-its-last-piece",
         "scanner.py",
         'stream.line += content.count("\\n", begin, at)',
         'stream.line += content.count("\\n", start, at)',
-        (SCAN,),
+        (NEXT_COMMAND + "test_a_run_across_comments_is_the_positions_of_its_pieces", SCAN),
     ),
     Mutant(
         "escape-parity-flipped",
@@ -402,7 +459,7 @@ MUTANTS = (
         "scanner.py",
         "return pieces, _new_invocation(",
         "return [], _new_invocation(",
-        (SCAN, WHOLE_RUN),
+        (NEXT_COMMAND + "test_source_line_is_where_the_command_started", SCAN, WHOLE_RUN),
     ),
     # The fixpoint loop's reuse of a pass that reproduced its aux file.
     Mutant(
@@ -411,21 +468,28 @@ MUTANTS = (
         '            fs.write_bytes(f"{config.jobname}.aux", result.aux_bytes)\n'
         "            history.append(result.aux_bytes)\n",
         "            history.append(result.aux_bytes)\n",
-        (WHOLE_RUN, REUSE),
+        (REUSE, WHOLE_RUN),
     ),
     Mutant(
         "reused-pass-is-not-counted",
         "driver.py",
         "return FixpointResult(result, pass_number + 1, True, history)",
         "return FixpointResult(result, pass_number, True, history)",
-        (WHOLE_RUN, REUSE),
+        (REUSE, WHOLE_RUN),
     ),
     Mutant(
         "every-pass-that-read-an-aux-is-reused",
         "driver.py",
         "if result.aux_read == result.aux_bytes:",
         "if result.aux_read is not None:",
-        (WHOLE_RUN, REUSE),
+        (REUSE, WHOLE_RUN),
+    ),
+    Mutant(
+        "reuse-is-never-taken",
+        "driver.py",
+        "if result.aux_read == result.aux_bytes:",
+        "if False:",
+        (REUSE, WHOLE_RUN),
     ),
 )
 
