@@ -182,15 +182,13 @@ def _original_offset(content: bytes, position: int) -> int:
     """Offset in ``content`` of byte ``position`` of its line-break-free copy.
 
     Only errors need it, so it is worked out when one is raised: the
-    kept bytes are counted run by run.  Past the last kept byte it is
-    ``len(content)``.
+    kept bytes are counted run by run.
     """
     for run in _KEPT_RUN.finditer(content):
         length = run.end() - run.start()
         if position < length:
             return run.start() + position
         position -= length
-    return len(content)
 
 
 def _utf8(text: str) -> str:

@@ -120,7 +120,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         sys.stdout.write(output)
         sys.stdout.flush()
-    except OSError as exc:
+    # PYTHONIOENCODING or the locale can leave stdout unable to encode the output.
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"citeforge: error: cannot write output: {exc}", file=sys.stderr)
         # Point stdout at the null device, so the flush at exit drops what
         # is still buffered instead of failing again (and exiting 120).

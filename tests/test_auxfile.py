@@ -246,6 +246,14 @@ class TestReadAux:
         assert "missing its label" in str(info.value)
         assert info.value.offset == 14
 
+    def test_scanned_record_not_utf8_is_located(self):
+        # The escape keeps the record off the plain pattern, so the scanner reads it.
+        content = b"\\citation{a}\n\\@citedef{\\x\xff}{1}"
+        with pytest.raises(AuxCorruptError) as info:
+            parse_labels(content)
+        assert str(info.value) == "@citedef record is not UTF-8 text (byte 13)"
+        assert info.value.offset == 13
+
     def test_offset_survives_mid_name_splits(self):
         # The bad byte sits after a record that was itself split in two.
         content = b"\\cita\ntion{a}\nJUNK"

@@ -247,9 +247,9 @@ def test_lint_goes_to_stderr(workspace, capsys):
     assert "lint:" in err and "contains a space" in err
 
 
-def run_cli_process(*args):
-    """Run the CLI in a child process; returns (exit code, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(citeforge.__file__).parents[1]))
+def run_cli_process(*args, **variables):
+    """Run the CLI in a child process, with these environment ``variables``; (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(citeforge.__file__).parents[1]), **variables)
     proc = subprocess.run(
         [sys.executable, "-m", "citeforge.cli", *args],
         capture_output=True, text=True, env=env, check=False,
@@ -334,6 +334,22 @@ def test_output_to_a_full_device_exits_three(workspace, unbuffered):
         )
     assert proc.returncode == 3
     assert proc.stderr == "citeforge: error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "document, render",
+    [("See \\cite{k}.\n", "annotated"), ("Caf\u00e9 \\cite{a}.\n\\bibliography{refs}\n", "plain")],
+    ids=["annotated-marker", "plain-text"],
+)
+def test_output_that_stdout_cannot_encode_exits_three(workspace, document, render):
+    (workspace / "paper.tex").write_text(document, encoding="utf-8")
+    code, err = run_cli_process(
+        "resolve", str(workspace / "paper.tex"), "--render", render, PYTHONIOENCODING="ascii"
+    )
+    assert code == 3
+    assert "Traceback" not in err
+    [error] = [line for line in err.splitlines() if line.startswith("citeforge: error:")]
+    assert error.startswith("citeforge: error: cannot write output: 'ascii' codec can't encode")
 
 
 def test_unwritable_citation_key_exits_three_at_its_line(tmp_path, capsys):

@@ -64,6 +64,6 @@ def test_package_exports_exactly_the_documented_names():
 
 @pytest.mark.parametrize("name", PUBLIC)
 def test_each_export_is_in_the_readme(name):
-    readme = (Path(citeforge.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     assert re.search(rf"\b{name}\b", library)

@@ -1,10 +1,10 @@
 """The mutant gate's table (``tools/mutants.py``), checked without running a mutant.
 
-Each entry's snippet must occur exactly once in its file, the mutated
-file must compile, and every test it names must still exist: its file,
-and in it its class and test function, as ``ast`` finds them.  So a
-refactor that moves a snippet, or a rename or merge that drops a
-mutant's killer, fails here at once.
+Each entry's snippet must occur exactly once in ``src/citeforge``, so
+in one module, the mutated module must compile, and every test it
+names must still exist: its file, and in it its class and test
+function, as ``ast`` finds them.  So a refactor that moves a snippet,
+or a rename or merge that drops a mutant's killer, fails here at once.
 """
 
 import ast
@@ -34,7 +34,7 @@ def test_entry_names_are_unique():
 @pytest.mark.parametrize("mutant", GATE.MUTANTS, ids=lambda mutant: mutant.name)
 def test_entry_applies_once_and_compiles(mutant):
     assert mutant.tests
-    assert GATE.problems(mutant, GATE.source_of(mutant)) == []
+    assert GATE.problems(mutant) == []
 
 
 def defines(body, names) -> bool:

@@ -3,24 +3,28 @@ tests it names must notice.
 
     python tools/mutants.py [NAME ...]
 
-Each entry of :data:`MUTANTS` names a file under ``src/citeforge``, an
-exact snippet of it, the snippet's replacement and the tests that must
-fail once it is replaced.  For each entry (all of them, or the ones
-named on the command line) the tool copies ``src/``, ``tests/`` and
-``perfbench/`` (the tests read its corpus generator) to a temporary
-directory, applies the mutant there and runs the named tests from that
-directory with ``--hypothesis-seed`` 1, 2 and 3, ``-p no:cacheprovider``
-and an empty ``.hypothesis`` database.  A seed's run is ``killed`` when
-a named test fails, ``survived`` when they all pass, and ``timeout``,
-which counts as killed, when it runs past the entry's time limit: at
-least 20 s, and ten times what the named tests took on the unmutated
-tree.
+Each entry of :data:`MUTANTS` is a name, an exact snippet of the
+package, the snippet's replacement and the tests that must fail once it
+is replaced.  The snippet occurs exactly once in ``src/citeforge``, so
+it finds its own module.  For each entry (all of them, or the ones
+named on the command line) the tool runs the checkout's own named tests
+with ``--hypothesis-seed`` 1, 2 and 3, ``-x`` and ``-p no:cacheprovider``.
+Each run copies ``src/`` into a fresh empty directory, applies the
+mutant to the copy, and starts there (so with an empty ``.hypothesis``
+database) with ``PYTHONPATH`` at the copy's ``src/``.  The tests read
+``README.md``, ``perfbench/`` and the pinned outputs where they live in
+the checkout, so a test that reads the README may be named too.  A
+seed's run is ``killed`` when a named test fails, ``survived`` when they
+all pass, and ``timeout``, which counts as killed, when it runs past the
+time limit that every run shares: at least 20 s, and ten times the
+slowest baseline run, which runs all the named tests the same way on an
+unmutated copy.
 
 These are errors, not kills, and are reported before any mutant runs:
-a snippet that does not occur exactly once in its file, a mutated file
-that does not compile, and named tests that fail (or are not found) on
-the unmutated tree.  A refactor that moves a snippet or renames a
-killer updates its entry; it never drops it.
+a snippet that does not occur exactly once in the package, a mutated
+module that does not compile, and named tests that fail (or are not
+found) in any seed of the baseline.  A refactor that moves a snippet
+or renames a killer updates its entry; it never drops it.
 
 Exit status: 0 when every entry is killed in all three seeds, 1 when
 one survives a seed, 2 on an error.  ``tests/test_mutants.py`` checks
@@ -36,20 +40,22 @@ import subprocess
 import sys
 import tempfile
 import time
-import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "citeforge"
 SEEDS = (1, 2, 3)
-COPIED = ("src", "tests", "perfbench")
 MIN_LIMIT_S = 20.0
 LIMIT_FACTOR = 10
+# By pytest's exit code: None when the run was stopped at the limit, 1
+# when a test failed and 2 when collection did.
+VERDICTS = {None: "timeout", 1: "killed", 2: "killed", 0: "survived"}
 
 
 class Mutant(NamedTuple):
     name: str
-    path: str  # under src/citeforge
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids, one of which must fail
@@ -73,7 +79,6 @@ MUTANTS = (
     # The bbl walk and its writer.
     Mutant(
         "join-drops-a-chunk",
-        "bbl.py",
         'self._chunks[start:] = ["".join(self._chunks[start:])]',
         'self._chunks[start:] = ["".join(self._chunks[start + 1 :])]',
         (
@@ -83,70 +88,60 @@ MUTANTS = (
     ),
     Mutant(
         "blank-run-counts-no-line",
-        "bbl.py",
         'stream.line += token.group().count("\\n")\n',
         "\n",
         ("tests/test_bbl.py::TestBibitem::test_item_line_is_that_of_its_bibitem", WALKER),
     ),
     Mutant(
         "blank-run-is-kept-verbatim",
-        "bbl.py",
         '.count("\\n")\n                writer.space(style_stack[-1])',
         '.count("\\n")\n                writer.word(token.group(), style_stack[-1])',
         (BBL + "test_whitespace_normalized_inside_blocks", WALKER),
     ),
     Mutant(
         "every-tag-decides-the-alignment",
-        "bbl.py",
         "alignment = alignment or Alignment.LABELS_LEFT",
         "alignment = Alignment.LABELS_LEFT",
         ("tests/test_bbl.py::TestBibitem::test_numbered_first_keeps_labels_right", WALKER),
     ),
     Mutant(
         "newblock-leaves-no-blank",
-        "bbl.py",
         "            self._pending_space = _PLAIN\n",
         "            self._pending_space = None\n",
         (BBL + "test_numbered_items_with_blocks", WALKER),
     ),
     Mutant(
         "word-drops-a-blank-of-its-style",
-        "bbl.py",
         'text = " " + text',
         "text = text",
         (BBL + "test_nested_styles_restore", WALKER),
     ),
     Mutant(
         "block-keeps-leading-blanks",
-        "bbl.py",
         "        if self._pending_space is None:\n",
         "        if not self._pending_space:\n",
         ("tests/test_bbl_lean_paths.py::test_render_keeps_styled_edges_and_empty_items", WALKER),
     ),
     Mutant(
         "open-item-drops-the-blank",
-        "bbl.py",
         'self.append(_PLAIN, f"[{label}] ")',
         'self.append(_PLAIN, f"[{label}]")',
         (BBL + "test_numbered_items_with_blocks", WALKER),
     ),
     Mutant(
         "styled-group-crosses-a-line-break",
-        "scanner.py",
         r'rf"[ \t\r\f\v]*(?P<styled>{_WORD_RUN})\}}"',
         r'rf"[ \t\r\n\f\v]*(?P<styled>{_WORD_RUN})\}}"',
         (WALKER,),
     ),
     Mutant(
         "styled-group-takes-a-longer-name",
-        "scanner.py",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})(?![A-Za-z])\"",
         "(?P<switch>{'|'.join(STYLE_SWITCHES)})\"",
         (WALKER,),
     ),
     Mutant(
         "walk-command-can-be-defined",
-        "bbl.py",
         "if macro_name in WALK_COMMANDS:",
         "if macro_name in ():",
         (
@@ -156,28 +151,24 @@ MUTANTS = (
     ),
     Mutant(
         "label-width-drops-a-bracket",
-        "bbl.py",
         "Fraction(len(label) + 2, 2)",
         "Fraction(len(label) + 1, 2)",
         ("tests/test_bbl.py::TestMeasureLabel::test_label_counts_brackets", WALKER),
     ),
     Mutant(
         "label-width-counts-bytes",
-        "bbl.py",
         "Fraction(len(label) + 2, 2)",
         'Fraction(len(label.encode()) + 2, 2)',
         ("tests/test_bbl.py::TestMeasureLabel::test_label_counts_brackets", WALKER),
     ),
     Mutant(
         "token-words-take-percent",
-        "scanner.py",
         r'TOKEN = re.compile(_TOKEN % {"stops": r"\\{}%"',
         r'TOKEN = re.compile(_TOKEN % {"stops": r"\\{}"',
         (BBL + "test_comment_joins_words", WALKER),
     ),
     Mutant(
         "control-word-filler-keeps-comments",
-        "scanner.py",
         r'"stops": r"\\{}%", "filler": _FILLER.pattern}',
         r'"stops": r"\\{}%", "filler": _BLANKS.pattern}',
         (BBL + "test_switch_eats_following_space", WALKER),
@@ -185,21 +176,18 @@ MUTANTS = (
     # Citations and aux record lines.
     Mutant(
         "fallback-key-warns-again",
-        "citations.py",
         "if key not in labels:",
         "if True:",
         (CITATIONS + "TestCiteOne::test_undefined_warns_once_and_falls_back", WHOLE_RUN),
     ),
     Mutant(
         "note-loses-its-blank",
-        "citations.py",
         'plain.append(", " + note)',
         'plain.append("," + note)',
         (CITATIONS + "TestCite::test_optional_note_appended", WHOLE_RUN),
     ),
     Mutant(
         "typewriter-key-drops-the-plain-run-before-it",
-        "citations.py",
         '            rendered.append(_PLAIN, "".join(plain))\n'
         "            rendered.append(Style.TYPEWRITER, key)\n",
         "            rendered.append(Style.TYPEWRITER, key)\n",
@@ -207,14 +195,12 @@ MUTANTS = (
     ),
     Mutant(
         "record-line-ends-in-crlf",
-        "auxfile.py",
         'return f"\\\\{kind}{{{payload}}}\\n"',
         'return f"\\\\{kind}{{{payload}}}\\r\\n"',
         (CITATIONS + "TestNocite::test_records_verbatim", WHOLE_RUN),
     ),
     Mutant(
         "first-blank-key-is-not-linted",
-        "scanner.py",
         "for key in filter(_BLANK.search, split_comma_list(arg)):",
         "for key in filter(_BLANK.search, split_comma_list(arg)[1:]):",
         (NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order", WHOLE_RUN),
@@ -222,21 +208,18 @@ MUTANTS = (
     # The macro engine.
     Mutant(
         "plain-argument-allows-percent",
-        "macros.py",
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\{}%\n]*)\}")',
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\{}\n]*)\}")',
         (ARGUMENTS,),
     ),
     Mutant(
         "plain-argument-nests-braces",
-        "macros.py",
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\{}%\n]*)\}")',
         r'_PLAIN_ARGUMENT = re.compile(r"[ \t\r\n\f\v]*\{([^\\}%\n]*)\}")',
         (ARGUMENTS,),
     ),
     Mutant(
         "plain-argument-keeps-its-braces",
-        "macros.py",
         "args.append(plain.group(1))",
         "args.append(plain.group(0))",
         (
@@ -247,7 +230,6 @@ MUTANTS = (
     ),
     Mutant(
         "parameter-argument-is-one-character",
-        "macros.py",
         "return stream.take_to(stream.position + 2)",
         "return stream.take()",
         (
@@ -258,21 +240,18 @@ MUTANTS = (
     ),
     Mutant(
         "plain-arguments-count-no-lines",
-        "macros.py",
         "        stream.take_to(position)\n",
         "        stream.position = position\n",
         (ARGUMENTS,),
     ),
     Mutant(
         "depth-cap-one-call-early",
-        "macros.py",
         "if len(streams) > MAX_EXPANSION_DEPTH:",
         "if len(streams) >= MAX_EXPANSION_DEPTH:",
         ("tests/test_bbl_lean_paths.py::test_depth_cap_on_an_escape_free_leaf", ENGINE),
     ),
     Mutant(
         "marker-counts-from-the-end",
-        "macros.py",
         "pieces[i] = args[index - 1]",
         "pieces[i] = args[-index]",
         (
@@ -282,7 +261,6 @@ MUTANTS = (
     ),
     Mutant(
         "zero-marker-is-text",
-        "macros.py",
         '_PARAMETER = re.compile("#([0-9])")',
         '_PARAMETER = re.compile("#([1-9])")',
         ("tests/test_macros.py::TestSubstitute::test_out_of_range_marker", ENGINE),
@@ -290,63 +268,60 @@ MUTANTS = (
     # The aux reader.
     Mutant(
         "aux-is-not-decoded",
-        "auxfile.py",
         'return text.encode("latin-1").decode("utf-8")',
         "return text",
         ("tests/test_auxfile.py::test_plain_record_not_utf8_is_located", AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
+        "scanned-record-is-not-decoded",
+        "labels[_utf8(payload)] = _utf8(label)",
+        "labels[payload] = label",
+        (READ_AUX + "test_scanned_record_not_utf8_is_located",),
+    ),
+    Mutant(
         "plain-record-label-nests-braces",
-        "auxfile.py",
         r'r"\\@citedef\{([^\\{}]*)\}\{([^\\{}]*)\}|',
         r'r"\\@citedef\{([^\\{}]*)\}\{([^\\}]*)\}|',
         (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "plain-record-allows-escapes",
-        "auxfile.py",
         r'|\\(?:citation|bibdata|bibstyle)\{[^\\{}]*\}"',
         r'|\\(?:citation|bibdata|bibstyle)\{[^{}]*\}"',
         (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "error-offset-one-byte-late",
-        "auxfile.py",
         "return run.start() + position",
         "return run.start() + position + 1",
         (READ_AUX + "test_junk_at_start", AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "aux-reader-strips-comments",
-        "auxfile.py",
         "stream = CharStream(stripped, comments=False)",
         "stream = CharStream(stripped, comments=True)",
         (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "citedef-label-is-missing-only-at-the-end",
-        "auxfile.py",
         'if stream.peek() != "{":',
         "if stream.at_end():",
         (AUX_OFFSETS, AUX_RECORDS),
     ),
     Mutant(
         "plain-record-label-is-its-key",
-        "auxfile.py",
         "labels[_utf8(key)] = _utf8(label)",
         "labels[_utf8(key)] = _utf8(key)",
         (READ_AUX + "test_later_definition_wins", AUX_RECORDS, AUX_OFFSETS),
     ),
     Mutant(
         "line-feeds-are-kept",
-        "auxfile.py",
         '_LINE_BREAKS = b"\\r\\n"',
         '_LINE_BREAKS = b"\\r"',
         (READ_AUX + "test_split_anywhere_parses_identically", AUX_RECORDS, AUX_OFFSETS),
     ),
     Mutant(
         "carriage-returns-are-kept",
-        "auxfile.py",
         '_LINE_BREAKS = b"\\r\\n"',
         '_LINE_BREAKS = b"\\n"',
         (READ_AUX + "test_split_anywhere_parses_identically", AUX_OFFSETS),
@@ -354,14 +329,12 @@ MUTANTS = (
     # The document scanner and its argument readers.
     Mutant(
         "plain-optional-allows-percent",
-        "scanner.py",
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]]*',
         (OPTIONAL_ARG + "test_comment_inside_is_stripped", SCAN),
     ),
     Mutant(
         "plain-optional-allows-a-stray-close",
-        "scanner.py",
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{}\]%]*',
         r'_PLAIN_OPTIONAL = re.compile(r"\[[^\\{\]%]*',
         (
@@ -372,14 +345,12 @@ MUTANTS = (
     ),
     Mutant(
         "plain-group-allows-percent",
-        "scanner.py",
         r'_PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")',
         r'_PLAIN_GROUP = re.compile(r"\{[^\\{}\n]*\}")',
         (SCAN, ARGUMENTS),
     ),
     Mutant(
         "plain-group-allows-escapes",
-        "scanner.py",
         r'_PLAIN_GROUP = re.compile(r"\{[^\\{}%\n]*\}")',
         r'_PLAIN_GROUP = re.compile(r"\{[^{}%\n]*\}")',
         (
@@ -390,49 +361,42 @@ MUTANTS = (
     ),
     Mutant(
         "command-tail-takes-an-empty-note",
-        "scanner.py",
         r'r"(?:\[(?P<note>[^\\{}\]%\n]+)\]',
         r'r"(?:\[(?P<note>[^\\{}\]%\n]*)\]',
         (NEXT_COMMAND + "test_cite_keys_with_blanks_are_linted_in_key_order", SCAN),
     ),
     Mutant(
         "filler-check-misses-comments",
-        "scanner.py",
         '_FILLER_START = " \\t\\r\\n\\f\\v%"',
         '_FILLER_START = " \\t\\r\\n\\f\\v"',
         ("tests/test_macro_engine.py::test_comment_between_arguments", SCAN),
     ),
     Mutant(
         "key-lint-sees-only-a-leading-blank",
-        "scanner.py",
         "and _BLANK.search(arg):",
         "and _BLANK.match(arg):",
         (NEXT_COMMAND + "test_key_lint_is_at_the_command_line", SCAN),
     ),
     Mutant(
         "text-run-counts-lines-from-its-last-piece",
-        "scanner.py",
         'stream.line += content.count("\\n", begin, at)',
         'stream.line += content.count("\\n", start, at)',
         (NEXT_COMMAND + "test_a_run_across_comments_is_the_positions_of_its_pieces", SCAN),
     ),
     Mutant(
         "escape-parity-flipped",
-        "scanner.py",
         "return (at - run) % 2 == 1",
         "return (at - run) % 2 == 0",
         (NEXT_COMMAND + "test_escapes_pair_off_before_a_name_or_a_comment", SCAN),
     ),
     Mutant(
         "escape-count-runs-past-the-start",
-        "scanner.py",
         "while run > begin and",
         "while run > 0 and",
         (NEXT_COMMAND + "test_escapes_before_the_stream_position_pair_with_nothing",),
     ),
     Mutant(
         "comment-search-is-unbounded",
-        "scanner.py",
         'if comments and (sign := content.find("%", position, at)) >= 0:',
         'if comments and 0 <= (sign := content.find("%", position)) < at:',
         (
@@ -442,21 +406,18 @@ MUTANTS = (
     ),
     Mutant(
         "swallowed-candidate-is-kept",
-        "scanner.py",
         "if position > at:  # the comment swallowed the candidate",
         "if False:  # the comment swallowed the candidate",
         (NEXT_COMMAND + "test_a_comment_hides_the_commands_in_it", SCAN),
     ),
     Mutant(
         "ending-name-parity-unchecked",
-        "scanner.py",
         "if command is not None and _escaped(content, begin, at):",
         "if False and command is not None and _escaped(content, begin, at):",
         (NEXT_COMMAND + "test_escapes_pair_off_before_a_name_or_a_comment", SCAN),
     ),
     Mutant(
         "run-before-a-command-is-dropped",
-        "scanner.py",
         "return pieces, _new_invocation(",
         "return [], _new_invocation(",
         (NEXT_COMMAND + "test_source_line_is_where_the_command_started", SCAN, WHOLE_RUN),
@@ -464,7 +425,6 @@ MUTANTS = (
     # The fixpoint loop's reuse of a pass that reproduced its aux file.
     Mutant(
         "reused-pass-does-not-rewrite-the-aux",
-        "driver.py",
         '            fs.write_bytes(f"{config.jobname}.aux", result.aux_bytes)\n'
         "            history.append(result.aux_bytes)\n",
         "            history.append(result.aux_bytes)\n",
@@ -472,21 +432,18 @@ MUTANTS = (
     ),
     Mutant(
         "reused-pass-is-not-counted",
-        "driver.py",
         "return FixpointResult(result, pass_number + 1, True, history)",
         "return FixpointResult(result, pass_number, True, history)",
         (REUSE, WHOLE_RUN),
     ),
     Mutant(
         "every-pass-that-read-an-aux-is-reused",
-        "driver.py",
         "if result.aux_read == result.aux_bytes:",
         "if result.aux_read is not None:",
         (REUSE, WHOLE_RUN),
     ),
     Mutant(
         "reuse-is-never-taken",
-        "driver.py",
         "if result.aux_read == result.aux_bytes:",
         "if False:",
         (REUSE, WHOLE_RUN),
@@ -499,120 +456,90 @@ class Outcome(NamedTuple):
     seconds: float
 
 
-def source_of(mutant: Mutant) -> str:
-    return (ROOT / "src" / "citeforge" / mutant.path).read_text(encoding="utf-8")
+def holders(mutant: Mutant) -> dict[Path, str]:
+    """Each module of the package whose source holds ``mutant``'s snippet, with that source."""
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+    return {path: source for path, source in sources.items() if mutant.old in source}
 
 
-def problems(mutant: Mutant, source: str) -> list[str]:
-    """What makes ``mutant`` unusable on ``source``: a count or a compile error."""
-    count = source.count(mutant.old)
+def problems(mutant: Mutant) -> list[str]:
+    """What makes ``mutant`` unusable: a snippet not found exactly once, or a compile error."""
+    found = holders(mutant)
+    count = sum(source.count(mutant.old) for source in found.values())
     if count != 1:
-        return [f"{mutant.name}: snippet occurs {count} times in {mutant.path}"]
+        return [f"{mutant.name}: snippet occurs {count} times in src/citeforge"]
+    [(path, source)] = found.items()
     try:
-        compile(source.replace(mutant.old, mutant.new), mutant.path, "exec")
+        compile(source.replace(mutant.old, mutant.new), path, "exec")
     except SyntaxError as exc:
-        return [f"{mutant.name}: mutated {mutant.path} does not compile: {exc}"]
+        return [f"{mutant.name}: mutated {path.name} does not compile: {exc}"]
     return []
 
 
-def copy_tree(into: Path) -> None:
-    for name in COPIED:
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+def copy_of_src(where: str, mutant: Mutant | None) -> Path:
+    """A copy of ``src/`` in ``where``, with ``mutant`` applied to its module if given."""
+    src = Path(where) / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        [(path, source)] = holders(mutant).items()
+        mutated = source.replace(mutant.old, mutant.new)
+        (src / path.relative_to(SRC)).write_text(mutated, encoding="utf-8")
+    return src
 
 
-def pytest_run(where: Path, seed: int, tests, limit: float | None, report: Path | None = None):
-    """Run ``tests`` from ``where`` with an empty example database: (exit code, seconds).
+def pytest_run(mutant: Mutant | None, seed: int, tests, limit: float | None, *options: str):
+    """Run the checkout's ``tests`` against a copy of the package: (exit code, seconds, output).
 
-    The exit code is None when the run was stopped at ``limit``.
+    The copy has ``mutant`` applied, or none for the baseline, so every
+    run sees the same layout.  Each run copies the package into an empty
+    directory of its own and starts there.  The exit code is None when
+    the run was stopped at ``limit``.
     """
-    shutil.rmtree(where / ".hypothesis", ignore_errors=True)
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
-    command.append(f"--hypothesis-seed={seed}")
-    command.append("-x" if report is None else f"--junitxml={report}")
-    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    started = time.perf_counter()
-    with subprocess.Popen(
-        [*command, *tests],
-        cwd=where,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    ) as process:
-        try:
-            process.communicate(timeout=limit)
-        except subprocess.TimeoutExpired:
-            os.killpg(process.pid, signal.SIGKILL)
-            process.communicate()
-            return None, time.perf_counter() - started
-    return process.returncode, time.perf_counter() - started
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options]
+    command += [f"--hypothesis-seed={seed}"] + [f"{ROOT}/{node}" for node in tests]
+    with tempfile.TemporaryDirectory() as where:
+        src = copy_of_src(where, mutant)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        started = time.perf_counter()
+        with subprocess.Popen(
+            command,
+            cwd=where,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        ) as process:
+            try:
+                output, _ = process.communicate(timeout=limit)
+            except subprocess.TimeoutExpired:
+                os.killpg(process.pid, signal.SIGKILL)
+                output, _ = process.communicate()
+                return None, time.perf_counter() - started, output
+    return process.returncode, time.perf_counter() - started, output
 
 
-def case_times(report: Path) -> dict[str, tuple[float, bool]]:
-    """Each test case of a junit report by node id: its time and whether it passed."""
-    cases = {}
-    for case in ElementTree.parse(report).getroot().iter("testcase"):
-        module, _, cls = case.get("classname", "").partition(".test_")
-        path = module.replace(".", "/") + "/test_" + cls.split(".")[0] + ".py"
-        node = "::".join([path, *cls.split(".")[1:], case.get("name", "")])
-        failed = any(child.tag in ("failure", "error") for child in case)
-        cases[node] = (float(case.get("time", 0)), not failed)
-    return cases
-
-
-def selected(node: str, case: str) -> bool:
-    return case == node or case.startswith(node + "[") or case.startswith(node + "::")
-
-
-def baseline(mutants) -> tuple[dict[str, float], list[str]]:
-    """The time limit of each entry, from the named tests on the unmutated tree, and errors."""
+def baseline(mutants) -> tuple[float, list[str]]:
+    """The time limit of every run, from the named tests on an unmutated copy, and errors."""
     nodes = sorted({node for mutant in mutants for node in mutant.tests})
-    spent = dict.fromkeys(nodes, 0.0)
-    errors = []
-    with tempfile.TemporaryDirectory() as scratch:
-        where = Path(scratch)
-        copy_tree(where)
-        for seed in SEEDS:
-            report = where / "report.xml"
-            code, _ = pytest_run(where, seed, nodes, None, report)
-            if code != 0:
-                errors.append(f"the named tests exit {code} on the unmutated tree, seed {seed}")
-            if not report.exists():
-                continue
-            cases = case_times(report)
-            for node in nodes:
-                found = [cases[case] for case in cases if selected(node, case)]
-                if not found:
-                    errors.append(f"{node}: not found on the unmutated tree")
-                elif not all(passed for _, passed in found):
-                    errors.append(f"{node}: fails on the unmutated tree, seed {seed}")
-                spent[node] = max(spent[node], sum(seconds for seconds, _ in found))
-    limits = {
-        mutant.name: max(MIN_LIMIT_S, LIMIT_FACTOR * sum(spent[node] for node in mutant.tests))
-        for mutant in mutants
-    }
-    return limits, sorted(set(errors))
+    slowest, errors = 0.0, []
+    for seed in SEEDS:
+        code, seconds, output = pytest_run(None, seed, nodes, None)
+        slowest = max(slowest, seconds)
+        if code != 0:
+            errors.append(f"the named tests exit {code} unmutated, seed {seed}")
+            errors += [line for line in output.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return max(MIN_LIMIT_S, LIMIT_FACTOR * slowest), list(dict.fromkeys(errors))
 
 
 def run_mutant(mutant: Mutant, limit: float) -> list[Outcome]:
     outcomes = []
-    with tempfile.TemporaryDirectory() as scratch:
-        where = Path(scratch)
-        copy_tree(where)
-        target = where / "src" / "citeforge" / mutant.path
-        target.write_text(source_of(mutant).replace(mutant.old, mutant.new), encoding="utf-8")
-        for seed in SEEDS:
-            code, seconds = pytest_run(where, seed, mutant.tests, limit)
-            if code is None:
-                outcomes.append(Outcome("timeout", seconds))
-            elif code in (1, 2):  # tests failed, or collection did
-                outcomes.append(Outcome("killed", seconds))
-            elif code == 0:
-                outcomes.append(Outcome("survived", seconds))
-            else:
-                print(f"{mutant.name}: pytest exited {code} (seed {seed})")
-                raise SystemExit(2)
+    for seed in SEEDS:
+        code, seconds, _ = pytest_run(mutant, seed, mutant.tests, limit, "-x")
+        if code not in VERDICTS:
+            print(f"{mutant.name}: pytest exited {code} (seed {seed})")
+            raise SystemExit(2)
+        outcomes.append(Outcome(VERDICTS[code], seconds))
     return outcomes
 
 
@@ -622,21 +549,21 @@ def main(names: list[str]) -> int:
         print(f"no such entries: {', '.join(sorted(unknown))}")
         return 2
     mutants = [mutant for mutant in MUTANTS if not names or mutant.name in names]
-    errors = [error for mutant in mutants for error in problems(mutant, source_of(mutant))]
+    errors = [error for mutant in mutants for error in problems(mutant)]
     started = time.perf_counter()
     if not errors:
-        limits, errors = baseline(mutants)
+        limit, errors = baseline(mutants)
     if errors:
         print("\n".join(errors))
         return 2
-    print(f"baseline: {time.perf_counter() - started:.1f} s")
+    print(f"baseline: {time.perf_counter() - started:.1f} s; limit {limit:.0f} s a run")
     survivors = 0
     for mutant in mutants:
-        outcomes = run_mutant(mutant, limits[mutant.name])
+        outcomes = run_mutant(mutant, limit)
         if any(outcome.verdict == "survived" for outcome in outcomes):
             survivors += 1
         shown = "  ".join(f"{o.verdict} {o.seconds:5.1f}s" for o in outcomes)
-        print(f"{mutant.name:46} {shown}  (limit {limits[mutant.name]:.0f} s)", flush=True)
+        print(f"{mutant.name:46} {shown}", flush=True)
     total = time.perf_counter() - started
     print(f"{len(mutants) - survivors} of {len(mutants)} killed in every seed; {total:.0f} s")
     return 1 if survivors else 0
