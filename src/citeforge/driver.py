@@ -26,7 +26,12 @@ the same rendering, which the bbl walk wrote as it read the file.  The
 items' ``@citedef`` records are checked and formatted there too, once,
 so a key or label the aux file cannot hold fails the first pass at its
 ``\\bibitem``; each site queues their one string of aux lines whole.  A
-no-aux run writes no records, so it builds and checks none.
+no-aux run writes no records, so it builds and checks none.  A pass
+that reads the aux file once the bbl is processed (every pass of a
+cold run but the first) reads the items' records into the items' own
+key and label strings, so it holds each of them once; a pass that read
+it before (a warm run's first) gives the keys read up for the items'
+at the first site that installs them.
 
 ``run_to_fixpoint`` repeats passes until the aux bytes stop changing,
 which is the protocol's notion of convergence: once the aux file
@@ -206,6 +211,8 @@ def run_pass(
     rendered = RenderedFragment()
     bibliography: Optional[Bibliography] = None
     read_done = config.no_aux
+    rekey = False  # whether the aux file's keys are to give way to the items' own
+    bbl_name = f"{config.bbl_basename}.bbl"
 
     stream = CharStream(document, source=config.document_name)
     while stream.position < len(document):
@@ -220,7 +227,10 @@ def run_pass(
             aux_name = f"{config.jobname}.aux"
             if fs.exists(aux_name):
                 aux_read = fs.read_bytes(aux_name)
-                read_aux(labels, aux_read, aux_name)
+                processed = processed_bbls.get(bbl_name)
+                rekey = processed is None
+                items = processed.bibliography.items if processed else ()
+                read_aux(labels, aux_read, aux_name, items)
             else:
                 messages.append(handle_missing_aux())
         try:
@@ -241,7 +251,6 @@ def run_pass(
                 session.write("bibstyle", item.arg)
             elif item.name == "bibliography":
                 session.write("bibdata", item.arg)
-                bbl_name = f"{config.bbl_basename}.bbl"
                 processed = processed_bbls.get(bbl_name)
                 if processed is None and fs.exists(bbl_name):
                     processed = _process_bbl_file(fs, bbl_name, config.no_aux)
@@ -249,9 +258,10 @@ def run_pass(
                 if processed is None:
                     messages.append(f"No file {bbl_name}.")
                 else:
-                    if aux_read is not None and bibliography is None:
+                    if rekey:
                         # The aux file's keys give way to the items' own
                         # strings, in the same order, so none is kept twice.
+                        rekey = False
                         own = {entry.key: entry.key for entry in processed.bibliography.items}
                         labels = {own.get(key, key): label for key, label in labels.items()}
                         del own  # else it stays alive through the pass's serialize
@@ -285,15 +295,18 @@ def run_to_fixpoint(config: JobConfig, document: str, fs: FileAccess) -> Fixpoin
     """Run passes until the aux file reproduces itself.
 
     Convergence is declared when pass ``k`` writes byte-identical aux
-    content to pass ``k - 1``; with a fixed bbl this takes two passes
-    for well-formed documents.  When pass ``k`` wrote exactly the aux
-    bytes it read, pass ``k + 1`` would see the same inputs, so it is
-    not recomputed: its result is pass ``k``'s.  It still counts in
-    ``passes_used`` and the aux history, and it still rewrites the aux
-    file, so the outcome is the same as running it.  If the limit is
-    hit first, the result says so and keeps the aux history for diffing.
-    Only the aux history outlives a pass: no earlier result is held
-    while the next pass runs.
+    content to pass ``k - 1``.  A run that ends without an error
+    converges in exactly two passes when ``max_passes`` is 2 or more,
+    and its first aux history entry is its last: the aux a pass writes
+    comes from the document and the bbl, never from the labels it read,
+    so pass 1 writes what every later pass writes.  When pass ``k``
+    wrote exactly the aux bytes it read, pass ``k + 1`` would see the
+    same inputs, so it is not recomputed: its result is pass ``k``'s.
+    It still counts in ``passes_used`` and the aux history, and it still
+    rewrites the aux file, so the outcome is the same as running it.  If
+    the limit is hit first, the result says so and keeps the aux history
+    for diffing.  Only the aux history outlives a pass: no earlier
+    result is held while the next pass runs.
     """
     history: list[bytes] = []
     processed_bbls: dict[str, _ProcessedBbl] = {}

@@ -26,6 +26,7 @@ from citeforge.auxfile import (
     handle_missing_aux,
     read_aux,
 )
+from citeforge.bbl import process_bbl
 from citeforge.errors import AuxCorruptError, AuxFormatError, CiteforgeError
 
 
@@ -117,6 +118,21 @@ class TestSession:
         assert session.pending_writes[3] is citedefs
         assert session.serialize() == "".join(session.pending_writes).encode("utf-8")
 
+    def test_lines_are_joined_in_batches_and_a_checked_run_stays_whole(self):
+        citedefs = format_record("@citedef", "a", "1")
+        lines = [format_record("citation", f"k{n}") for n in range(200)]
+        session = AuxSession()
+        for n in range(100):
+            session.write("citation", f"k{n}")
+        session.write_checked(citedefs)
+        for n in range(100, 200):
+            session.write("citation", f"k{n}")
+        assert session.pending_writes == [
+            "".join(lines[:64]), *lines[64:100], citedefs, "".join(lines[100:164]), *lines[164:]
+        ]
+        assert session.pending_writes[37] is citedefs
+        assert session.serialize() == "".join(lines[:100] + [citedefs] + lines[100:]).encode()
+
     def test_write_validates_immediately(self):
         session = AuxSession()
         with pytest.raises(AuxFormatError):
@@ -201,6 +217,25 @@ class TestReadAux:
             session.write(*record)
         labels = parse_labels(session.serialize())
         assert list(labels.items()) == [("a", "1"), ("b", "Knu84")]
+
+    def test_records_of_the_expected_items_are_entered_under_their_strings(self):
+        # Keys and labels of more than one character: CPython shares the
+        # one-character strings, so those would be the same object either way.
+        items = process_bbl(
+            "\\begin{thebibliography}{9}\n\\bibitem[Tag1]{alpha} A.\n"
+            "\\bibitem[Tag2]{b{r}ace} B.\n\\end{thebibliography}\n"
+        ).items
+        content = (
+            b"\\citation{alpha}\n\\@citedef{alpha}{Tag1}\n\\@citedef{b{r}ace}{Tag2}\n"
+            b"\\@citedef{gamma}{Tag3}\n\\@citedef{alpha}{Other}\n\\@citedef{b{r}ace}{Tag2}\n"
+        )
+        labels = {}
+        read_aux(labels, content, items=items)
+        assert labels == {"alpha": "Other", "b{r}ace": "Tag2", "gamma": "Tag3"}
+        alpha, brace, _ = labels
+        assert alpha is items[0].key and brace is items[1].key
+        assert labels[brace] is items[1].label
+        assert labels == parse_labels(content)
 
     def test_later_definition_wins(self):
         content = b"\\@citedef{k}{old}\\@citedef{k}{new}"

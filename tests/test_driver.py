@@ -155,9 +155,9 @@ class TestRunPass:
                 super().__init__(no_aux)
                 sessions.append(self)
 
-        def reading(labels, content, source):
+        def reading(labels, content, source, items):
             pending_at_read.append(list(sessions[-1].pending_writes))
-            read_aux(labels, content, source)
+            read_aux(labels, content, source, items)
 
         def missing():
             pending_at_read.append(list(sessions[-1].pending_writes))
@@ -490,6 +490,28 @@ class TestBibliographySites:
         for key in outcome.final.labels:
             if key in items:
                 assert key is items[key].key
+
+    def test_a_cold_runs_defined_keys_and_labels_are_the_items_own_strings(self):
+        # Pass 2 reads the aux file pass 1 wrote into the processed items'
+        # own strings, both plain records and one the scanner reads (the
+        # key with braces).  Twelve items, so that labels 10 and 11 and the
+        # tags have more than one character: CPython shares the
+        # one-character strings.
+        keys = [f"key{n}" for n in range(11)] + ["b{r}ace"]
+        bbl = "\\begin{thebibliography}{99}\n" + "".join(
+            f"\\bibitem{'[Tag]' if n == 3 else ''}{{{key}}} Author {n}.\n"
+            for n, key in enumerate(keys)
+        ) + "\\end{thebibliography}\n"
+        document = f"See \\cite{{{','.join(keys)}}}.\n\\bibliography{{refs}}\n"
+        fs = MemoryFiles({"refs.bbl": bbl.encode()})
+        outcome = run_to_fixpoint(JobConfig(jobname="refs"), document, fs)
+        assert (outcome.converged, outcome.passes_used) == (True, 2)
+        final = outcome.final
+        items = {item.key: item for item in final.bibliography.items}
+        assert final.labels == {key: items[key].label for key in keys}
+        assert {items[key].label for key in keys} >= {"Tag", "10", "11"}
+        for key, label in final.labels.items():
+            assert key is items[key].key and label is items[key].label
 
     def test_the_label_map_keeps_its_first_touched_order(self):
         # The aux file defines k1 before k2, the document cites the

@@ -349,10 +349,11 @@ def test_refused_substitution_peaks_far_below_its_size():
 
 def test_a_bibliography_rendering_retains_few_bytes_per_character():
     # What the rendering of 1,000 items keeps once the walk is over, per
-    # character of its text.  Measured at 2.17 B: the text as one string
-    # (1 B a character), and a style and a length per span (16 B per
-    # span of about 15 characters).  A string per span retained 5.3 B;
-    # the bound leaves a 20% margin over the measurement.
+    # character of its text.  Measured at 1.67 B: the text as one string
+    # (1 B a character), and a style's one-byte code and a length per span
+    # (9 B per span of about 15 characters).  A style kept as a pointer
+    # (16 B per span) retained 2.17 B, and a string per span 5.3 B; the
+    # bound leaves a 20% margin over the measurement.
     content = many_items_bbl(1000)
     gc.collect()
     tracemalloc.start()
@@ -361,7 +362,7 @@ def test_a_bibliography_rendering_retains_few_bytes_per_character():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained / len(render_plain(rendered)) < 2.6
+    assert retained / len(render_plain(rendered)) < 2.0
 
 
 # A paragraph of prose with unknown commands, an escaped percent sign

@@ -8,9 +8,10 @@ breaks (``\\r`` and ``\\r\\n`` included) and a few odd characters
 out, a run must end within a time and size budget or raise a
 :class:`CiteforgeError`; the aux file it leaves must read back to the
 labels the bbl defined; and a second run over the same files must
-reproduce the first run's aux bytes.  Aux records written one by one
-read back to the labels written, wherever line breaks split their
-lines.
+reproduce the first run's aux bytes.  A run that ends converges in
+exactly two passes, whatever pass limit of 2 or more it was given.  Aux
+records written one by one read back to the labels written, wherever
+line breaks split their lines.
 
 The package must also run exactly as ``tests/spec.py``, the plain
 executable spec of the protocol, over that alphabet (from no aux file,
@@ -55,7 +56,7 @@ from citeforge.driver import JobConfig, build_report
 from citeforge.errors import CiteforgeError
 from citeforge.files import MemoryFiles
 from citeforge.macros import MAX_EXPANSION_CHARS
-from citeforge.rendering import STYLE_SWITCHES
+from citeforge.rendering import STYLE_SWITCHES, render_plain
 from citeforge.scanner import CharStream, scan_group_arg
 
 # Generous for inputs this small: a run over them takes milliseconds.
@@ -219,6 +220,44 @@ def test_runs_end_read_back_and_rerun(document, bbl, aux, max_passes, no_aux, em
     first_report, second_report = build_report(config, first), build_report(config, second)
     del first_report["passes_used"], second_report["passes_used"]
     assert second_report == first_report
+
+
+# --- the two-pass bound ---------------------------------------------------
+#
+# The aux a pass writes does not depend on the aux it reads: its
+# \citation, \bibdata and \bibstyle records come from the document and
+# its \@citedef records from the bbl, which a run reads once; the labels
+# it reads change only the rendering and the warnings.  So pass 1 writes
+# what every later pass writes, and a run that ends converges by pass 2.
+
+
+@pytest.mark.parametrize(
+    "aux", [None, b"\\@citedef{a}{Z}\n\\citation{gone}\n"], ids=["cold", "stale"]
+)
+@pytest.mark.parametrize("max_passes", [2, 9])
+def test_a_run_that_ends_converges_in_two_passes(aux, max_passes):
+    bbl = (
+        b"\\begin{thebibliography}{9}\n\\bibitem{a} A.\n\\bibitem[Knu]{b} B.\n"
+        b"\\end{thebibliography}\n"
+    )
+    document = "See \\cite{a}, \\cite{b} and \\cite[p.~2]{a,u}.\\nocite{b}\n\\bibliography{refs}\n"
+    files = {"doc.bbl": bbl} if aux is None else {"doc.bbl": bbl, "doc.aux": aux}
+    fs = MemoryFiles(files)
+    outcome = driver.run_to_fixpoint(JobConfig(jobname="doc", max_passes=max_passes), document, fs)
+    assert (outcome.converged, outcome.passes_used) == (True, 2)
+    assert outcome.aux_history[0] == outcome.aux_history[-1] == fs.files["doc.aux"]
+    assert render_plain(outcome.final.rendered).startswith("See [1], [Knu] and [1, u, p.~2].")
+
+
+@given(documents, bbl_files, aux_files, st.sampled_from([2, 3, 4, 9]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_every_run_that_ends_converges_in_two_passes(document, bbl, aux, max_passes, no_aux):
+    config = JobConfig(jobname="doc", max_passes=max_passes, no_aux=no_aux)
+    files = {name: data for name, data in (("doc.bbl", bbl), ("doc.aux", aux)) if data is not None}
+    outcome = resolve(config, document, MemoryFiles(files))
+    if outcome is not None:
+        assert (outcome.converged, outcome.passes_used) == (True, 2)
+        assert outcome.aux_history[0] == outcome.aux_history[-1]
 
 
 def payloads():

@@ -8,7 +8,9 @@ package, the snippet's replacement and the tests that must fail once it
 is replaced.  The snippet occurs exactly once in ``src/citeforge``, so
 it finds its own module.  For each entry (all of them, or the ones
 named on the command line) the tool runs the checkout's own named tests
-with ``--hypothesis-seed`` 1, 2 and 3, ``-x`` and ``-p no:cacheprovider``.
+with ``--hypothesis-seed`` 1, 2 and 3, ``-x``, ``-p no:cacheprovider``
+and the hypothesis profile ``gate`` of ``tests/conftest.py``, which
+neither shrinks nor explains a failure.
 Each run copies ``src/`` into a fresh empty directory, applies the
 mutant to the copy, and starts there (so with an empty ``.hypothesis``
 database) with ``PYTHONPATH`` at the copy's ``src/``.  The tests read
@@ -47,6 +49,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "citeforge"
 SEEDS = (1, 2, 3)
+# tests/conftest.py's hypothesis profile without the shrink and explain phases.
+PROFILE = "gate"
 MIN_LIMIT_S = 20.0
 LIMIT_FACTOR = 10
 # By pytest's exit code: None when the run was stopped at the limit, 1
@@ -74,6 +78,8 @@ REUSE = "tests/test_pass_reuse.py::test_outcome_equals_the_reference_loop"
 CITATIONS = "tests/test_citations.py::"
 BBL = "tests/test_bbl.py::TestProcessBbl::"
 READ_AUX = "tests/test_auxfile.py::TestReadAux::"
+SESSION = "tests/test_auxfile.py::TestSession::"
+DRIVER_SITES = "tests/test_driver.py::TestBibliographySites::"
 
 MUTANTS = (
     # The bbl walk and its writer.
@@ -274,8 +280,8 @@ MUTANTS = (
     ),
     Mutant(
         "scanned-record-is-not-decoded",
-        "labels[_utf8(payload)] = _utf8(label)",
-        "labels[payload] = label",
+        "enter(_utf8(payload), _utf8(label))",
+        "enter(payload, label)",
         (READ_AUX + "test_scanned_record_not_utf8_is_located",),
     ),
     Mutant(
@@ -310,8 +316,8 @@ MUTANTS = (
     ),
     Mutant(
         "plain-record-label-is-its-key",
-        "labels[_utf8(key)] = _utf8(label)",
-        "labels[_utf8(key)] = _utf8(key)",
+        "enter(_utf8(key), _utf8(label))",
+        "enter(_utf8(key), _utf8(key))",
         (READ_AUX + "test_later_definition_wins", AUX_RECORDS, AUX_OFFSETS),
     ),
     Mutant(
@@ -422,6 +428,42 @@ MUTANTS = (
         "return [], _new_invocation(",
         (NEXT_COMMAND + "test_source_line_is_where_the_command_started", SCAN, WHOLE_RUN),
     ),
+    # What a run holds once: a byte per span style, the items' own strings
+    # for the labels read after the bbl is processed, and aux lines in batches.
+    Mutant(
+        "span-styles-are-a-list",
+        "self._styles = bytearray()",
+        "self._styles = []",
+        ("tests/test_scaling.py::test_a_bibliography_rendering_retains_few_bytes_per_character",),
+    ),
+    Mutant(
+        "aux-read-after-the-bbl-takes-no-items",
+        "processed.bibliography.items if processed else ()",
+        "()",
+        (DRIVER_SITES + "test_a_cold_runs_defined_keys_and_labels_are_the_items_own_strings",),
+    ),
+    Mutant(
+        "expected-record-keeps-the-key-read",
+        "            key = item.key\n",
+        "            key = key\n",
+        (
+            READ_AUX + "test_records_of_the_expected_items_are_entered_under_their_strings",
+            DRIVER_SITES + "test_a_cold_runs_defined_keys_and_labels_are_the_items_own_strings",
+        ),
+    ),
+    Mutant(
+        "checked-run-is-joined-into-a-batch",
+        "            self._join_at = len(self.pending_writes) + _BATCH\n",
+        "",
+        (SESSION + "test_lines_are_joined_in_batches_and_a_checked_run_stays_whole",),
+    ),
+    # The two-pass bound: what a pass writes does not depend on the labels it read.
+    Mutant(
+        "citation-record-is-the-label-read",
+        "    nocite(session, keys)\n",
+        "    nocite(session, labels.get(keys) or keys)\n",
+        ("tests/test_whole_run.py::test_a_run_that_ends_converges_in_two_passes", WHOLE_RUN),
+    ),
     # The fixpoint loop's reuse of a pass that reproduced its aux file.
     Mutant(
         "reused-pass-does-not-rewrite-the-aux",
@@ -496,7 +538,8 @@ def pytest_run(mutant: Mutant | None, seed: int, tests, limit: float | None, *op
     the run was stopped at ``limit``.
     """
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options]
-    command += [f"--hypothesis-seed={seed}"] + [f"{ROOT}/{node}" for node in tests]
+    command += [f"--hypothesis-seed={seed}", f"--hypothesis-profile={PROFILE}"]
+    command += [f"{ROOT}/{node}" for node in tests]
     with tempfile.TemporaryDirectory() as where:
         src = copy_of_src(where, mutant)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
